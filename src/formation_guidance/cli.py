@@ -14,7 +14,9 @@ Config format (full grammar):
     all other quantities are plain numbers in km and seconds.
   - Duplicate keys and unknown sections/keys are errors.
 
-Sections and keys (defaults in parentheses):
+Sections and keys (defaults in parentheses; the defaults of the controller
+option sections are those of the options dataclasses in
+formation_guidance.options):
   [chief]    a, e (0), i (0 rad), arg_perigee (0 rad), raan (0 rad),
              nu0 (0 rad)
   [truth]    optional chief override for uncertainty studies; same keys,
@@ -28,14 +30,14 @@ Sections and keys (defaults in parentheses):
              horizon = infinite|finite (infinite; sdre only),
              apply = closed|open (closed; open plans on the believed
              unperturbed model and replays the control history)
-  [lqr]      q_weight (1), r_weight (1e9)
-  [sdre]     q_weight (1), r_weight (1e9), variant (SDC1),
-             series_order (4); with horizon = finite, q_weight (0)
-  [mpsp]     r_weight (1e9), tol_pct (0.5), max_iter (10)
-  [gmpsp]    r_weight (1e9), tol_pct (1.0), max_iter (10)
-  [nnlqr]    q_weight (1), r_weight (1e9), r1 (1), k_tau (0.1),
-             beta (0.01), gamma (100), theta_gain (1), basis (grid)
-                                      basis = grid|global
+  [lqr]      q_weight, r_weight
+  [sdre]     q_weight, r_weight, variant = SDC1|SDC2, series_order
+  [mpsp]     r_weight, tol_pct, max_iter
+  [gmpsp]    r_weight, tol_pct, max_iter
+  [nnlqr]    q_weight, r_weight, r1, k_tau, beta, gamma, theta_gain,
+             basis = grid|global
+  q_weight and r_weight scale the identity weight matrices Q and R.
+  Numbers must be finite; max_iter and series_order must be integers.
 
 Exit codes: 0 success (and criteria met), 1 criteria failed, 2 error.
 """
@@ -45,13 +47,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import nnlqr
-from .dynamics import ChiefOrbit, FormationParams, GravityModel
+from .dynamics import POSITION_ROWS, ChiefOrbit, FormationParams, GravityModel
 from .harness import (
     NOT_SETTLED,
     CompareCell,
@@ -104,12 +105,19 @@ _SECTION_KEYS = {
 
 _CONTROLLER_KINDS = ("zero", "lqr", "sdre", "mpsp", "gmpsp", "nnlqr")
 
+# Options-dataclass field of each controller-section key whose name differs.
+_OPTION_FIELDS = {"q_weight": "Q", "r_weight": "R", "tol_pct": "tol_rho_pct",
+                  "r1": "R1", "theta_gain": "theta"}
+
 
 def _parse_number(raw: str, key: str, line_no: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"line {line_no}: key {key!r} has non-numeric value {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line_no}: key {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_angle(raw: str, key: str, line_no: int) -> float:
@@ -153,7 +161,12 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
         elif key in ("kind", "horizon", "apply", "variant", "j2", "basis"):
             sections[current][key] = raw_value
         elif key in ("max_iter", "series_order"):
-            sections[current][key] = int(_parse_number(raw_value, key, line_no))
+            value = _parse_number(raw_value, key, line_no)
+            if not value.is_integer():
+                raise ConfigError(
+                    f"line {line_no}: key {key!r} must be an integer, got {raw_value!r}"
+                )
+            sections[current][key] = int(value)
         else:
             sections[current][key] = _parse_number(raw_value, key, line_no)
     return sections
@@ -217,42 +230,15 @@ def _build_controller(sections: dict) -> ControllerSpec:
     for name in ("lqr", "sdre", "mpsp", "gmpsp", "nnlqr"):
         if name in sections and name != kind:
             raise ConfigError(f"[{name}] section does not match controller kind {kind!r}")
-    opts_in = dict(sections.get(kind, {}))
     options: dict = {}
-    if kind == "zero":
-        return ControllerSpec("zero")
-    if kind in ("lqr", "sdre", "nnlqr"):
-        default_q = 0.0 if (kind == "sdre" and horizon == "finite") else 1.0
-        options["Q"] = opts_in.pop("q_weight", default_q) * np.eye(6)
-        options["R"] = opts_in.pop("r_weight", 1e9) * np.eye(3)
-    if kind in ("mpsp", "gmpsp"):
-        options["R"] = opts_in.pop("r_weight", 1e9) * np.eye(3)
-        options["tol_rho_pct"] = opts_in.pop(
-            "tol_pct", 0.5 if kind == "mpsp" else 1.0
-        )
-        options["max_iter"] = opts_in.pop("max_iter", 10)
-    if kind == "sdre":
-        variant = opts_in.pop("variant", "SDC1")
-        if variant not in ("SDC1", "SDC2"):
-            raise ConfigError(f"variant must be SDC1 or SDC2, got {variant!r}")
-        options["variant"] = variant
-        options["series_order"] = opts_in.pop("series_order", 4)
-    if kind == "nnlqr":
-        options["R1"] = opts_in.pop("r1", 1.0)
-        options["k_tau"] = opts_in.pop("k_tau", 0.1)
-        options["beta"] = opts_in.pop("beta", 0.01)
-        options["gamma"] = opts_in.pop("gamma", 100.0)
-        options["theta"] = opts_in.pop("theta_gain", 1.0)
-        basis = opts_in.pop("basis", "grid")
-        if basis not in ("grid", "global"):
-            raise ConfigError(f"basis must be 'grid' or 'global', got {basis!r}")
-        options["basis"] = basis
-        if basis == "global":
-            options["rbf"] = nnlqr.RbfNetwork(
-                centers=np.zeros((1, 6)), width=1e6, vel_scale=1.0, W_c=np.zeros((1, 6))
-            )
-    if opts_in:
-        raise ConfigError(f"unused keys in [{kind}]: {sorted(opts_in)}")
+    for key, value in sections.get(kind, {}).items():
+        if key in ("q_weight", "r_weight"):
+            value = value * np.eye(6 if key == "q_weight" else 3)
+        elif key == "variant" and value not in ("SDC1", "SDC2"):
+            raise ConfigError(f"variant must be SDC1 or SDC2, got {value!r}")
+        elif key == "basis" and value not in ("grid", "global"):
+            raise ConfigError(f"basis must be 'grid' or 'global', got {value!r}")
+        options[_OPTION_FIELDS.get(key, key)] = value
     if apply_mode == "open":
         options["open_loop"] = True
     resolved = "fsdre" if (kind == "sdre" and horizon == "finite") else kind
@@ -350,33 +336,17 @@ def serialize_scenario(scenario: Scenario) -> str:
     lines += ["[controller]", f"kind = {kind}"]
     if spec.kind in ("sdre", "fsdre"):
         lines.append(f"horizon = {'finite' if spec.kind == 'fsdre' else 'infinite'}")
-    if spec.get("open_loop", False):
+    if getattr(spec.options, "open_loop", False):
         lines.append("apply = open")
-    opts = []
-    default_q = 0.0 if spec.kind == "fsdre" else 1.0
-    if spec.kind in ("lqr", "sdre", "fsdre", "nnlqr"):
-        q = np.asarray(spec.get("Q", default_q * np.eye(6)))
-        r = np.asarray(spec.get("R", 1e9 * np.eye(3)))
-        opts.append(f"q_weight = {_num(q[0, 0])}")
-        opts.append(f"r_weight = {_num(r[0, 0])}")
-    if spec.kind in ("mpsp", "gmpsp"):
-        r = np.asarray(spec.get("R", 1e9 * np.eye(3)))
-        default_tol = 0.5 if spec.kind == "mpsp" else 1.0
-        opts.append(f"r_weight = {_num(r[0, 0])}")
-        opts.append(f"tol_pct = {_num(spec.get('tol_rho_pct', default_tol))}")
-        opts.append(f"max_iter = {spec.get('max_iter', 10)}")
-    if spec.kind in ("sdre", "fsdre"):
-        opts.append(f"variant = {spec.get('variant', 'SDC1')}")
-        opts.append(f"series_order = {spec.get('series_order', 4)}")
-    if spec.kind == "nnlqr":
-        opts.append(f"r1 = {_num(spec.get('R1', 1.0))}")
-        opts.append(f"k_tau = {_num(spec.get('k_tau', 0.1))}")
-        opts.append(f"beta = {_num(spec.get('beta', 0.01))}")
-        opts.append(f"gamma = {_num(spec.get('gamma', 100.0))}")
-        opts.append(f"theta_gain = {_num(spec.get('theta', 1.0))}")
-        opts.append(f"basis = {spec.get('basis', 'grid')}")
-    if opts:
-        lines += ["", f"[{kind}]"] + opts
+    if kind != "zero":
+        lines += ["", f"[{kind}]"]
+        for key in _SECTION_KEYS[kind]:
+            value = getattr(spec.options, _OPTION_FIELDS.get(key, key))
+            if isinstance(value, np.ndarray):
+                value = _num(value[0, 0])
+            elif not isinstance(value, (str, int)):
+                value = _num(value)
+            lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -417,7 +387,7 @@ def _scenario(chief, initial, desired, tf, controller, j2=False, truth=None, dt=
 
 
 def _pos(result: RunResult) -> np.ndarray:
-    return result.terminal_errors[[0, 2, 4]]
+    return result.terminal_errors[POSITION_ROWS]
 
 
 def _preset_lqr_circular():
@@ -579,12 +549,7 @@ def _preset_nnlqr():
     believed = _chief(i=math.radians(60.0))
     truth = _chief(a=11114.51658, e=0.5, i=math.radians(60.0))
     initial, desired = _form(0.5, 45.0, m=1.0), _form(5.0, 60.0, m=1.5)
-    opts = dict(NNLQR_OPTIONS)
-    opts["Q"] = NNLQR_Q_SCALE * np.eye(6)
-    if opts.get("basis") == "global":
-        opts["rbf"] = nnlqr.RbfNetwork(
-            centers=np.zeros((1, 6)), width=1e6, vel_scale=1.0, W_c=np.zeros((1, 6))
-        )
+    opts = dict(NNLQR_OPTIONS, Q=NNLQR_Q_SCALE * np.eye(6))
     runs = {
         "lqr": _scenario(believed, initial, desired, 12000.0,
                          ControllerSpec("lqr", {"Q": NNLQR_Q_SCALE * np.eye(6)}),
@@ -621,26 +586,23 @@ PRESETS = {
 # Subcommand implementations
 
 
+def _override_controller(spec: ControllerSpec, args) -> ControllerSpec:
+    """Apply --max-iter and --tol-pct to the controller kinds that have them."""
+    given = {"max_iter": args.max_iter, "tol_rho_pct": args.tol_pct}
+    names = {f.name for f in fields(spec.options)}
+    changes = {k: v for k, v in given.items() if v is not None and k in names}
+    return replace(spec, options=replace(spec.options, **changes))
+
+
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    spec = scenario.controller
-    options = dict(spec.options)
-    if args.max_iter is not None:
-        options["max_iter"] = args.max_iter
-    if args.tol_pct is not None:
-        options["tol_rho_pct"] = args.tol_pct
-    gravity = scenario.gravity
+    changes = {"controller": _override_controller(scenario.controller, args)}
     if args.j2 is not None:
-        gravity = GravityModel(j2_enabled=(args.j2 == "on"))
-    return Scenario(
-        chief=scenario.chief,
-        gravity=gravity,
-        initial=scenario.initial,
-        desired=scenario.desired,
-        tf=args.tf if args.tf is not None else scenario.tf,
-        dt=args.dt if args.dt is not None else scenario.dt,
-        controller=ControllerSpec(spec.kind, options),
-        truth_chief=scenario.truth_chief,
-    )
+        changes["gravity"] = GravityModel(j2_enabled=(args.j2 == "on"))
+    if args.tf is not None:
+        changes["tf"] = args.tf
+    if args.dt is not None:
+        changes["dt"] = args.dt
+    return replace(scenario, **changes)
 
 
 def _outdir(args) -> Path:
@@ -681,7 +643,8 @@ def cmd_compare(args) -> int:
     for path in args.configs:
         scenarios.append((Path(path).stem, _apply_overrides(parse_config(path), args)))
     controllers = [
-        (kind, ControllerSpec(kind)) for kind in args.controllers.split(",")
+        (kind, _override_controller(ControllerSpec(kind), args))
+        for kind in args.controllers.split(",")
     ]
     cells = compare(scenarios, controllers)
     out = _outdir(args)
@@ -698,14 +661,8 @@ def cmd_sweep_r(args) -> int:
     values = [float(v) for v in args.values.split(",")]
     results = []
     for value in values:
-        options = dict(base.controller.options)
-        options["R"] = value * np.eye(3)
-        scn = Scenario(
-            chief=base.chief, gravity=base.gravity, initial=base.initial,
-            desired=base.desired, tf=base.tf, dt=base.dt,
-            controller=ControllerSpec(base.controller.kind, options),
-            truth_chief=base.truth_chief,
-        )
+        options = replace(base.controller.options, R=value * np.eye(3))
+        scn = replace(base, controller=replace(base.controller, options=options))
         results.append((f"R={value:g}", run_scenario(scn, args.threshold_pct)))
     out = _outdir(args)
     write_metrics_csv(out / "sweep_r_metrics.csv", results)
@@ -753,14 +710,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, overrides=True):
         p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--tf", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--tol-pct", type=float, default=None)
-        p.add_argument("--j2", choices=("on", "off"), default=None)
-        p.add_argument("--seed", type=int, default=None, help="reserved")
+        if overrides:
+            p.add_argument("--dt", type=float, default=None)
+            p.add_argument("--tf", type=float, default=None)
+            p.add_argument("--max-iter", type=int, default=None)
+            p.add_argument("--tol-pct", type=float, default=None)
+            p.add_argument("--j2", choices=("on", "off"), default=None)
 
     p_run = sub.add_parser("run", help="simulate one scenario config")
     p_run.add_argument("config")
@@ -782,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="run a packaged scenario preset")
     p_rep.add_argument("preset")
-    common(p_rep)
+    common(p_rep, overrides=False)
     p_rep.set_defaults(func=cmd_reproduce)
 
     return parser

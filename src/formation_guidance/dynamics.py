@@ -11,6 +11,7 @@ x radial, y along-track, z cross-track; units are km, km/s, rad.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +23,15 @@ MU_EARTH = 398601.0
 R_EARTH = 6378.137
 # Second zonal harmonic coefficient (dimensionless).
 J2_EARTH = 0.0010826
+
+# Indices of the position and the acceleration rows of the state vector.
+POSITION_ROWS = np.array([0, 2, 4])
+ACCEL_ROWS = np.array([1, 3, 5])
+
+# Control input matrix B: the three controls enter the acceleration rows.
+B = np.zeros((6, 3))
+B[ACCEL_ROWS, range(3)] = 1.0
+B.flags.writeable = False
 
 
 class DynamicsError(ValueError):
@@ -130,11 +140,6 @@ def chief_kinematics(orbit: ChiefOrbit, nu: float, mu: float = MU_EARTH) -> Chie
     return ChiefKinematics(nu=float(nu), nu_dot=float(nu_dot), nu_ddot=float(nu_ddot), r_c=float(r_c))
 
 
-def nu_rate(orbit: ChiefOrbit, nu: float, mu: float = MU_EARTH) -> float:
-    """d(nu)/dt at true anomaly ``nu`` [rad/s]."""
-    return chief_kinematics(orbit, nu, mu).nu_dot
-
-
 def propagate_nu(
     orbit: ChiefOrbit, t0: float, t1: float, dt: float, mu: float = MU_EARTH
 ) -> np.ndarray:
@@ -149,7 +154,7 @@ def propagate_nu(
     nus[0] = orbit.nu0
 
     def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([nu_rate(orbit, y[0], mu)])
+        return np.array([chief_kinematics(orbit, y[0], mu).nu_dot])
 
     y = np.array([orbit.nu0])
     for k in range(n_steps):
@@ -246,10 +251,6 @@ def hill_linear_matrices(omega: float) -> tuple[np.ndarray, np.ndarray]:
     A[1, 3] = 2.0 * omega
     A[3, 1] = -2.0 * omega
     A[5, 4] = -(omega**2)
-    B = np.zeros((6, 3))
-    B[1, 0] = 1.0
-    B[3, 1] = 1.0
-    B[5, 2] = 1.0
     return A, B
 
 
@@ -437,6 +438,33 @@ class RelativePlant:
                 J[5, j] += dd[2]
         return J
 
+    def simulate(
+        self,
+        x0: np.ndarray,
+        n: int,
+        dt: float,
+        policy: Callable[[int, float, np.ndarray], np.ndarray],
+        t0: float = 0.0,
+        nu0: float | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """RK4 flight over n steps under a zero-order-hold control policy.
+
+        The control u_k = policy(k, t_k, X_k), with t_k = t0 + k dt, is
+        held over step k.  Returns the (n+1, 6) states, the (n+1,) chief
+        true anomalies and the (n, 3) applied controls.
+        """
+        states = np.empty((n + 1, 6))
+        nus = np.empty(n + 1)
+        controls = np.empty((n, 3))
+        aug = np.append(np.asarray(x0, dtype=float), self.orbit.nu0 if nu0 is None else nu0)
+        states[0], nus[0] = aug[:6], aug[6]
+        for k in range(n):
+            t = t0 + k * dt
+            u = controls[k] = policy(k, t, states[k])
+            aug = rk4_step(lambda tt, a: self.deriv(tt, a, u), t, aug, dt)
+            states[k + 1], nus[k + 1] = aug[:6], aug[6]
+        return states, nus, controls
+
     def propagate(
         self,
         x0: np.ndarray,
@@ -450,16 +478,7 @@ class RelativePlant:
         Returns the (N, 6) state trajectory and the (N,) chief true
         anomaly samples, where N = len(controls) + 1.
         """
-        n_ctrl = len(controls)
-        states = np.empty((n_ctrl + 1, 6))
-        nus = np.empty(n_ctrl + 1)
-        aug = np.append(np.asarray(x0, dtype=float), self.orbit.nu0 if nu0 is None else nu0)
-        states[0], nus[0] = aug[:6], aug[6]
-        for k in range(n_ctrl):
-            u_k = controls[k]
-            aug = rk4_step(lambda t, a: self.deriv(t, a, u_k), t0 + k * dt, aug, dt)
-            states[k + 1], nus[k + 1] = aug[:6], aug[6]
-        return states, nus
+        return self.simulate(x0, len(controls), dt, lambda k, t, X: controls[k], t0, nu0)[:2]
 
 
 def _j2_accel_plane(

@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RelativePlant
-from .mpsp import rho_error_pct
-
-_B = np.zeros((6, 3))
-_B[1, 0] = 1.0
-_B[3, 1] = 1.0
-_B[5, 2] = 1.0
+from .dynamics import B, RelativePlant
+from .mpsp import predict_correct
+from .options import GmpspOptions
 
 
 class GmpspError(RuntimeError):
@@ -73,7 +69,7 @@ def integrate_W_backward(
         W[k] = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(W[k])):
             raise GmpspError(f"non-finite sensitivity weight at grid index {k}")
-    return SensitivityField(W=W, B_c=W @ _B)
+    return SensitivityField(W=W, B_c=W @ B)
 
 
 def _controls_on_grid(U0: np.ndarray, n: int) -> np.ndarray:
@@ -126,34 +122,22 @@ def gmpsp_solve(
     guess: np.ndarray,
     dt: float,
     R: np.ndarray | None = None,
-    tol_rho_pct: float = 1.0,
-    max_iter: int = 10,
+    tol_rho_pct: float = GmpspOptions.tol_rho_pct,
+    max_iter: int = GmpspOptions.max_iter,
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """Outer prediction/correction loop of the continuous formulation.
 
-    Returns (controls, iteration log, final trajectory) with the same
-    log schema as the discrete solver.
+    R defaults to that of ``GmpspOptions``.  Returns (controls, iteration
+    log, final trajectory) with the same log schema as the discrete
+    solver; see :func:`formation_guidance.mpsp.predict_correct`.
     """
-    U = np.asarray(guess, dtype=float).copy()
-    R = 1e9 * np.eye(3) if R is None else R
-    log: list[dict] = []
-    states = None
-    for it in range(max_iter + 1):
-        states, nus = plant.propagate(x0, U, dt)
-        Y_N = states[-1]
-        dY = Y_N - Y_star
-        pct = rho_error_pct(Y_N, Y_star)
-        log.append(
-            {
-                "iteration": it,
-                "terminal_errors": dY.copy(),
-                "rho_error_pct": pct,
-                "converged": pct < tol_rho_pct,
-            }
-        )
-        if pct < tol_rho_pct or it == max_iter:
-            break
+    R = GmpspOptions().R if R is None else R
+
+    def correct(states, nus, dY, U):
         field = integrate_W_backward(plant, states, nus, dt)
         acc = gmpsp_accumulate(field, U, R, dt)
-        U = gmpsp_update(acc, dY, field, R)
-    return U, log, states
+        return gmpsp_update(acc, dY, field, R)
+
+    return predict_correct(
+        guess, Y_star, lambda U: plant.propagate(x0, U, dt), correct, tol_rho_pct, max_iter
+    )

@@ -1,24 +1,14 @@
-"""Scenario assembly, closed-loop simulation, and comparative reporting.
-
-A Scenario bundles the believed chief model the controller designs
-against, the truth plant (nonlinear relative dynamics, optionally J2,
-optionally a different chief for uncertainty studies), the initial and
-desired formations, and a controller selection.  run_scenario drives
-the chosen controller against the truth plant on a fixed grid and
-computes the standard metrics; compare assembles grids of runs into
-CSV / aligned-text reports.
-"""
-
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import nnlqr
 from .dynamics import (
+    POSITION_ROWS,
     ChiefOrbit,
     FormationParams,
     GravityModel,
@@ -29,18 +19,13 @@ from .dynamics import (
     propagate_nu,
 )
 from .gmpsp import gmpsp_solve
-from .lqr import DEFAULT_Q, DEFAULT_R, design_lqr, lqr_tracking_control
-from .mpsp import MpspConfig, mpsp_solve
-from .numerics import rk4_step
+from .lqr import design_lqr, lqr_tracking_control
+from .mpsp import MpspConfig, mpsp_solve, rho_error_pct
+from .options import CONTROLLER_OPTIONS
 from .sdre import FiniteHorizonSpec, SdcModel, finite_time_sdre_control, sdre_infinite_control
 
 #: Sentinel returned by settle_time when the error never stays inside the band.
 NOT_SETTLED = math.inf
-
-POSITION_ROWS = (0, 2, 4)
-
-CONTROLLER_KINDS = ("zero", "lqr", "sdre", "fsdre", "mpsp", "gmpsp", "nnlqr")
-
 
 class HarnessError(RuntimeError):
     """Raised for invalid scenarios or failures inside a simulation run."""
@@ -50,28 +35,27 @@ class HarnessError(RuntimeError):
 class ControllerSpec:
     """Controller selection plus kind-specific options.
 
-    Recognized options by kind:
-      lqr:   Q, R (weight matrices)
-      sdre:  Q, R, variant ("SDC1"/"SDC2"), series_order
-      fsdre: Q, R, variant, series_order
-      mpsp:  R, tol_rho_pct, max_iter
-      gmpsp: R, tol_rho_pct, max_iter
-      nnlqr: Q, R, R1, k_tau, beta, gamma, theta
-
-    Feedback kinds also accept open_loop (bool): plan the control history
-    closed-loop on the believed, unperturbed model, then apply it to the
-    truth plant without further measurement.
+    options is the kind's options dataclass from
+    :mod:`formation_guidance.options` (``LqrOptions``, ``SdreOptions``,
+    ``FsdreOptions``, ``MpspOptions``, ``GmpspOptions``, ``NnlqrOptions``
+    or ``ZeroOptions``), which holds every default.  A mapping of field
+    names to values is converted to it at construction; an unknown name
+    raises HarnessError.
     """
 
     kind: str
-    options: Mapping = field(default_factory=dict)
+    options: object = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in CONTROLLER_KINDS:
+        if self.kind not in CONTROLLER_OPTIONS:
             raise HarnessError(f"unknown controller kind {self.kind!r}")
-
-    def get(self, key, default=None):
-        return self.options.get(key, default)
+        options_class = CONTROLLER_OPTIONS[self.kind]
+        if type(self.options) is options_class:
+            return
+        try:
+            object.__setattr__(self, "options", options_class(**self.options))
+        except TypeError as exc:
+            raise HarnessError(f"invalid {self.kind} options: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -98,6 +82,8 @@ class Scenario:
         steps = self.tf / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise HarnessError("tf must be an integral number of dt steps")
+        if self.n_steps < 1:
+            raise HarnessError("tf must span at least one dt step")
 
     @property
     def n_steps(self) -> int:
@@ -167,220 +153,128 @@ def settle_time(
 
 
 def _feedback_law(
-    scenario: Scenario,
-) -> Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """Per-step control callable for the feedback controller kinds."""
-    spec = scenario.controller
-    believed = scenario.chief
+    scenario: Scenario, x0: np.ndarray
+) -> Callable[[int, float, np.ndarray], np.ndarray]:
+    """Control u_k = law(k, t_k, X_k) of the feedback controller kinds."""
+    kind, opts = scenario.controller.kind, scenario.controller.options
+    believed, desired, dt = scenario.chief, scenario.desired, scenario.dt
     omega = believed.mean_motion()
-    Q = np.asarray(spec.get("Q", DEFAULT_Q), dtype=float)
-    R = np.asarray(spec.get("R", DEFAULT_R), dtype=float)
 
-    if spec.kind == "zero":
-        return lambda t, X, Xd, Xd_dot: np.zeros(3)
+    def reference(t):
+        return formation_to_hill(desired, omega, t), formation_to_hill_deriv(desired, omega, t)
 
-    if spec.kind == "lqr":
-        design = design_lqr(omega, Q=Q, R=R)
-        return lambda t, X, Xd, Xd_dot: lqr_tracking_control(design, X, Xd, Xd_dot)
+    if kind == "zero":
+        return lambda k, t, X: np.zeros(3)
 
-    model = SdcModel(
-        variant=spec.get("variant", "SDC1"),
-        series_order=int(spec.get("series_order", 4)),
-    )
+    if kind == "lqr":
+        design = design_lqr(omega, Q=opts.Q, R=opts.R)
+        return lambda k, t, X: lqr_tracking_control(design, X, *reference(t))
+
+    if kind == "nnlqr":
+        if opts.basis == "global":
+            rbf = nnlqr.RbfNetwork(
+                centers=np.zeros((1, 6)), width=1e6, vel_scale=1.0, W_c=np.zeros((1, 6))
+            )
+        else:
+            rbf = nnlqr.make_rbf_network(desired.rho, omega)
+        ctrl = nnlqr.NnLqrController(
+            design=design_lqr(omega, Q=opts.Q, R=opts.R),
+            rbf=rbf,
+            dist=nnlqr.DisturbanceNet(nnlqr.build_disturbance_basis(believed.a)),
+            vp=nnlqr.VirtualPlant(X_a=x0.copy(), K_tau=opts.k_tau * np.eye(6)),
+            gains=nnlqr.AdaptationGains(
+                beta=opts.beta, gamma=opts.gamma, Theta=opts.theta * np.eye(6)
+            ),
+            R1=opts.R1,
+            dt=dt,
+        )
+
+        def nnlqr_law(k, t, X):
+            theta = believed.arg_perigee + believed.nu0 + omega * t
+            Xd_next = formation_to_hill(desired, omega, t + dt)
+            return nnlqr.nnlqr_control_step(ctrl, X, *reference(t), Xd_next, theta)
+
+        return nnlqr_law
+
+    model = SdcModel(variant=opts.variant, series_order=opts.series_order)
     # Believed chief kinematics on the control grid.
-    nus = propagate_nu(believed, 0.0, scenario.tf, scenario.dt)
+    nus = propagate_nu(believed, 0.0, scenario.tf, dt)
 
-    if spec.kind == "sdre":
-        def sdre_law(t, X, Xd, Xd_dot):
-            kin = chief_kinematics(believed, nus[round(t / scenario.dt)])
-            return sdre_infinite_control(X, Xd, model, kin, Q, R)
+    if kind == "sdre":
+        def sdre_law(k, t, X):
+            kin = chief_kinematics(believed, nus[k])
+            return sdre_infinite_control(X, reference(t)[0], model, kin, opts.Q, opts.R)
 
         return sdre_law
 
-    if spec.kind == "fsdre":
-        Xf = formation_to_hill(scenario.desired, omega, scenario.tf)
-        horizon = FiniteHorizonSpec(
-            tf=scenario.tf, Xf=Xf, Q=spec.get("Q", np.zeros((6, 6))), R=R
-        )
+    Xf = formation_to_hill(desired, omega, scenario.tf)
+    horizon = FiniteHorizonSpec(tf=scenario.tf, Xf=Xf, Q=opts.Q, R=opts.R)
 
-        def fsdre_law(t, X, Xd, Xd_dot):
-            kin = chief_kinematics(believed, nus[round(t / scenario.dt)])
-            return finite_time_sdre_control(X, t, horizon, model, kin)
+    def fsdre_law(k, t, X):
+        kin = chief_kinematics(believed, nus[k])
+        return finite_time_sdre_control(X, t, horizon, model, kin)
 
-        return fsdre_law
-
-    raise HarnessError(f"no feedback law for controller kind {spec.kind!r}")
+    return fsdre_law
 
 
-def _run_feedback(scenario: Scenario, plant: RelativePlant) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    law = _feedback_law(scenario)
-    n, dt = scenario.n_steps, scenario.dt
-    omega = scenario.chief.mean_motion()
-    states = np.zeros((n + 1, 6))
-    controls = np.zeros((n + 1, 3))
-    aug = np.append(formation_to_hill(scenario.initial, omega, 0.0), plant.orbit.nu0)
-    states[0] = aug[:6]
-    u = np.zeros(3)
-    for k in range(n):
-        t = k * dt
-        Xd = formation_to_hill(scenario.desired, omega, t)
-        Xd_dot = formation_to_hill_deriv(scenario.desired, omega, t)
+def _run_closed_loop(
+    scenario: Scenario, plant: RelativePlant, x0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fly the feedback law on the plant; returns states and (N, 3) controls."""
+    law = _feedback_law(scenario, x0)
+
+    def policy(k, t, X):
         try:
-            u = law(t, aug[:6], Xd, Xd_dot)
+            return law(k, t, X)
         except Exception as exc:
             raise HarnessError(f"controller failed at step {k} (t={t}): {exc}") from exc
-        controls[k] = u
-        aug = rk4_step(lambda tt, a: plant.deriv(tt, a, u), t, aug, dt)
-        states[k + 1] = aug[:6]
-    controls[n] = controls[n - 1] if n else 0.0
-    return states, controls, []
+
+    states, _, controls = plant.simulate(x0, scenario.n_steps, scenario.dt, policy)
+    return states, controls
 
 
-def _run_nnlqr(scenario: Scenario, plant: RelativePlant) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    spec = scenario.controller
-    believed = scenario.chief
-    omega = believed.mean_motion()
-    n, dt = scenario.n_steps, scenario.dt
-    Q = np.asarray(spec.get("Q", DEFAULT_Q), dtype=float)
-    R = np.asarray(spec.get("R", DEFAULT_R), dtype=float)
-    design = design_lqr(omega, Q=Q, R=R)
-    x0 = formation_to_hill(scenario.initial, omega, 0.0)
-    rbf = spec.get("rbf")
-    if rbf is None:
-        rbf = nnlqr.make_rbf_network(scenario.desired.rho, omega)
-    ctrl = nnlqr.NnLqrController(
-        design=design,
-        rbf=rbf,
-        dist=nnlqr.DisturbanceNet(nnlqr.build_disturbance_basis(believed.a)),
-        vp=nnlqr.VirtualPlant(
-            X_a=x0.copy(), K_tau=float(spec.get("k_tau", 0.1)) * np.eye(6)
-        ),
-        gains=nnlqr.AdaptationGains(
-            beta=float(spec.get("beta", 1e-2)),
-            gamma=float(spec.get("gamma", 100.0)),
-            Theta=float(spec.get("theta", 1.0)) * np.eye(6),
-        ),
-        R1=float(spec.get("R1", 1.0)),
-        dt=dt,
+def _solve_open_loop(
+    scenario: Scenario, plant: RelativePlant, x0: np.ndarray
+) -> tuple[np.ndarray, list[dict], np.ndarray]:
+    """MPSP/G-MPSP seeded with the closed-loop LQR control history."""
+    kind, opts, dt = scenario.controller.kind, scenario.controller.options, scenario.dt
+    Y_star = formation_to_hill(scenario.desired, scenario.chief.mean_motion(), scenario.tf)
+    _, guess = _run_closed_loop(replace(scenario, controller=ControllerSpec("lqr")), plant, x0)
+    if kind == "mpsp":
+        config = MpspConfig(dt=dt, R_l=opts.R, tol_rho_pct=opts.tol_rho_pct, max_iter=opts.max_iter)
+        return mpsp_solve(plant, x0, Y_star, config, guess)
+    return gmpsp_solve(
+        plant, x0, Y_star, guess, dt, R=opts.R, tol_rho_pct=opts.tol_rho_pct, max_iter=opts.max_iter
     )
-    states = np.zeros((n + 1, 6))
-    controls = np.zeros((n + 1, 3))
-    aug = np.append(x0, scenario.plant_chief.nu0)
-    states[0] = aug[:6]
-    for k in range(n):
-        t = k * dt
-        theta = believed.arg_perigee + believed.nu0 + omega * t
-        try:
-            u = nnlqr.nnlqr_control_step(
-                ctrl,
-                aug[:6],
-                formation_to_hill(scenario.desired, omega, t),
-                formation_to_hill_deriv(scenario.desired, omega, t),
-                formation_to_hill(scenario.desired, omega, t + dt),
-                theta,
-            )
-        except Exception as exc:
-            raise HarnessError(f"controller failed at step {k} (t={t}): {exc}") from exc
-        controls[k] = u
-        aug = rk4_step(lambda tt, a: plant.deriv(tt, a, u), t, aug, dt)
-        states[k + 1] = aug[:6]
-    controls[n] = controls[n - 1] if n else 0.0
-    return states, controls, []
-
-
-def _replay(scenario: Scenario, plant: RelativePlant, controls: np.ndarray) -> np.ndarray:
-    """Propagate the truth plant under a fixed zero-order-hold control history."""
-    n, dt = scenario.n_steps, scenario.dt
-    omega = scenario.chief.mean_motion()
-    states = np.zeros((n + 1, 6))
-    aug = np.append(formation_to_hill(scenario.initial, omega, 0.0), plant.orbit.nu0)
-    states[0] = aug[:6]
-    for k in range(n):
-        u = controls[k]
-        aug = rk4_step(lambda tt, a: plant.deriv(tt, a, u), k * dt, aug, dt)
-        states[k + 1] = aug[:6]
-    return states
-
-
-def _run_open_loop(scenario: Scenario, plant: RelativePlant) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    spec = scenario.controller
-    omega = scenario.chief.mean_motion()
-    n, dt = scenario.n_steps, scenario.dt
-    x0 = formation_to_hill(scenario.initial, omega, 0.0)
-    Y_star = formation_to_hill(scenario.desired, omega, scenario.tf)
-    guess = spec.get("guess")
-    if guess is None:
-        guess = _lqr_guess(scenario, plant)
-    R = np.asarray(spec.get("R", 1e9 * np.eye(3)), dtype=float)
-    max_iter = int(spec.get("max_iter", 10))
-    if spec.kind == "mpsp":
-        config = MpspConfig(
-            dt=dt,
-            R_l=R,
-            tol_rho_pct=float(spec.get("tol_rho_pct", 0.5)),
-            max_iter=max_iter,
-        )
-        U, log, states = mpsp_solve(plant, x0, Y_star, config, guess)
-    else:
-        U, log, states = gmpsp_solve(
-            plant,
-            x0,
-            Y_star,
-            guess,
-            dt,
-            R=R,
-            tol_rho_pct=float(spec.get("tol_rho_pct", 1.0)),
-            max_iter=max_iter,
-        )
-    controls = np.vstack([U, U[-1]])
-    return states, controls, log
-
-
-def _lqr_guess(scenario: Scenario, plant: RelativePlant) -> np.ndarray:
-    """Closed-loop LQR control history used to seed the iterative solvers."""
-    seed = Scenario(
-        chief=scenario.chief,
-        gravity=scenario.gravity,
-        initial=scenario.initial,
-        desired=scenario.desired,
-        tf=scenario.tf,
-        dt=scenario.dt,
-        controller=ControllerSpec("lqr"),
-        truth_chief=scenario.truth_chief,
-    )
-    _, controls, _ = _run_feedback(seed, plant)
-    return controls[:-1]
 
 
 def run_scenario(scenario: Scenario, settle_threshold_pct: float = 1.0) -> RunResult:
     """Simulate one scenario and compute its metrics."""
     plant = RelativePlant(scenario.plant_chief, scenario.gravity)
+    n, dt = scenario.n_steps, scenario.dt
+    x0 = formation_to_hill(scenario.initial, scenario.chief.mean_motion(), 0.0)
+    log: list[dict] = []
     if scenario.controller.kind in ("mpsp", "gmpsp"):
-        states, controls, log = _run_open_loop(scenario, plant)
-    elif scenario.controller.kind == "nnlqr":
-        states, controls, log = _run_nnlqr(scenario, plant)
-    elif scenario.controller.get("open_loop", False):
+        U, log, states = _solve_open_loop(scenario, plant, x0)
+    elif getattr(scenario.controller.options, "open_loop", False):
         # Plan closed-loop against the believed, unperturbed model, then
         # replay the resulting control history on the truth plant.  This
         # matches how guess/comparison control histories are evaluated in
         # the predictive-guidance studies.
         plan_plant = RelativePlant(scenario.chief, GravityModel(j2_enabled=False))
-        _, controls, log = _run_feedback(scenario, plan_plant)
-        states = _replay(scenario, plant, controls)
+        _, U = _run_closed_loop(scenario, plan_plant, x0)
+        states, _ = plant.propagate(x0, U, dt)
     else:
-        states, controls, log = _run_feedback(scenario, plant)
-    n, dt = scenario.n_steps, scenario.dt
+        states, U = _run_closed_loop(scenario, plant, x0)
+    controls = np.vstack([U, U[-1]])
     times = np.arange(n + 1) * dt
     desired, _ = desired_trajectory(scenario, times)
-    terminal_errors = states[-1] - desired[-1]
-    rho_f = np.linalg.norm(states[-1][list(POSITION_ROWS)])
-    rho_d = np.linalg.norm(desired[-1][list(POSITION_ROWS)])
     return RunResult(
         time=times,
         states=states,
         controls=controls,
-        terminal_errors=terminal_errors,
-        rho_error_pct=abs(rho_f - rho_d) / rho_d * 100.0,
+        terminal_errors=states[-1] - desired[-1],
+        rho_error_pct=rho_error_pct(states[-1], desired[-1]),
         control_effort=control_effort(controls, dt),
         settle_time=settle_time(
             times, states, desired, scenario.desired.rho, settle_threshold_pct
@@ -474,18 +368,8 @@ def compare(
     cells: list[CompareCell] = []
     for s_name, scenario in scenarios:
         for c_name, spec in controllers:
-            cell_scn = Scenario(
-                chief=scenario.chief,
-                gravity=scenario.gravity,
-                initial=scenario.initial,
-                desired=scenario.desired,
-                tf=scenario.tf,
-                dt=scenario.dt,
-                controller=spec,
-                truth_chief=scenario.truth_chief,
-            )
             try:
-                result = run_scenario(cell_scn, settle_threshold_pct)
+                result = run_scenario(replace(scenario, controller=spec), settle_threshold_pct)
                 cells.append(CompareCell(s_name, c_name, result))
             except Exception as exc:
                 cells.append(CompareCell(s_name, c_name, None, error=str(exc)))

@@ -10,15 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import hill_linear_matrices
+from .dynamics import ACCEL_ROWS, hill_linear_matrices
 from .numerics import solve_are
-
-# Default weights used throughout the scenario studies.
-DEFAULT_Q = np.eye(6)
-DEFAULT_R = 1e9 * np.eye(3)
-
-# Indices of the acceleration rows in the 6-state vector.
-ACCEL_ROWS = np.array([1, 3, 5])
+from .options import LqrOptions
 
 
 @dataclass(frozen=True)
@@ -39,11 +33,12 @@ def design_lqr(
 ) -> LqrDesign:
     """Design the tracking LQR for a circular chief with mean motion ``omega``.
 
-    Defaults are Q = I6 and R = 1e9 I3.  The closed loop A - BK is
-    guaranteed Hurwitz by the Riccati solver contract.
+    Q and R default to those of ``LqrOptions``.  The closed loop A - BK
+    is guaranteed Hurwitz by the Riccati solver contract.
     """
-    Q = DEFAULT_Q if Q is None else np.asarray(Q, dtype=float)
-    R = DEFAULT_R if R is None else np.asarray(R, dtype=float)
+    defaults = LqrOptions()
+    Q = defaults.Q if Q is None else np.asarray(Q, dtype=float)
+    R = defaults.R if R is None else np.asarray(R, dtype=float)
     A, B = hill_linear_matrices(omega)
     P = solve_are(A, B, Q, R)
     K = np.linalg.solve(R, B.T @ P)

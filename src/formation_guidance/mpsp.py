@@ -10,18 +10,14 @@ tolerance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .dynamics import RelativePlant
-
-_B = np.zeros((6, 3))
-_B[1, 0] = 1.0
-_B[3, 1] = 1.0
-_B[5, 2] = 1.0
-
-POS = np.array([0, 2, 4])
+from .dynamics import POSITION_ROWS, B, RelativePlant
+from .options import MpspOptions
 
 
 class MpspError(RuntimeError):
@@ -38,9 +34,9 @@ class MpspConfig:
     """
 
     dt: float = 1.0
-    R_l: np.ndarray = field(default_factory=lambda: 1e9 * np.eye(3))
-    tol_rho_pct: float = 0.5
-    max_iter: int = 10
+    R_l: np.ndarray = field(default_factory=lambda: MpspOptions().R)
+    tol_rho_pct: float = MpspOptions.tol_rho_pct
+    max_iter: int = MpspOptions.max_iter
 
 
 @dataclass
@@ -76,7 +72,7 @@ def analytic_state_jacobians(
     eye = np.eye(6)
     for k in range(n):
         dF_dX[k] = eye + dt * plant.f_jacobian(states[k], nus[k])
-    return dF_dX, dt * _B
+    return dF_dX, dt * B
 
 
 def compute_sensitivities(
@@ -128,9 +124,47 @@ def rho_error_pct(Y_N: np.ndarray, Y_star: np.ndarray) -> float:
     rho is the terminal position norm; the commanded value comes from
     the desired terminal state.
     """
-    rho_f = np.linalg.norm(Y_N[POS])
-    rho_d = np.linalg.norm(Y_star[POS])
+    rho_f = np.linalg.norm(Y_N[POSITION_ROWS])
+    rho_d = np.linalg.norm(Y_star[POSITION_ROWS])
     return abs(rho_f - rho_d) / rho_d * 100.0
+
+
+def predict_correct(
+    guess: np.ndarray,
+    Y_star: np.ndarray,
+    predict: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    correct: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    tol_rho_pct: float,
+    max_iter: int,
+) -> tuple[np.ndarray, list[dict], np.ndarray]:
+    """Outer prediction/correction loop shared by MPSP and G-MPSP.
+
+    predict(U) returns the (states, nus) flown under the control history
+    U; correct(states, nus, dY, U) returns the corrected history, where
+    dY is the achieved-minus-desired terminal state.  Returns (controls,
+    iteration log, final trajectory).  Each log row records the
+    iteration number, the six terminal errors, and %rho_e; the last row
+    carries converged=False if the tolerance was not met within max_iter
+    corrections.
+    """
+    U = np.asarray(guess, dtype=float).copy()
+    log: list[dict] = []
+    for it in itertools.count():
+        states, nus = predict(U)
+        dY = states[-1] - Y_star
+        pct = rho_error_pct(states[-1], Y_star)
+        converged = pct < tol_rho_pct
+        log.append(
+            {
+                "iteration": it,
+                "terminal_errors": dY.copy(),
+                "rho_error_pct": pct,
+                "converged": converged,
+            }
+        )
+        if converged or it >= max_iter:
+            return U, log, states
+        U = correct(states, nus, dY, U)
 
 
 def mpsp_solve(
@@ -140,31 +174,16 @@ def mpsp_solve(
     config: MpspConfig,
     guess: np.ndarray,
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
-    """Outer prediction/correction loop.
-
-    Returns (controls, iteration log, final trajectory).  Each log row
-    records the iteration number, the six terminal errors, and %rho_e.
-    The last row carries converged=False if the tolerance was not met.
-    """
-    U = np.asarray(guess, dtype=float).copy()
+    """Discrete static programming; see :func:`predict_correct`."""
     R_kmat = config.dt * config.R_l
-    log: list[dict] = []
-    states = nus = None
-    for it in range(config.max_iter + 1):
-        states, nus, Y_N = predict_trajectory(plant, x0, U, config.dt)
-        dY = Y_N - Y_star
-        pct = rho_error_pct(Y_N, Y_star)
-        log.append(
-            {
-                "iteration": it,
-                "terminal_errors": dY.copy(),
-                "rho_error_pct": pct,
-                "converged": pct < config.tol_rho_pct,
-            }
-        )
-        if pct < config.tol_rho_pct or it == config.max_iter:
-            break
+
+    def predict(U):
+        states, nus, _ = predict_trajectory(plant, x0, U, config.dt)
+        return states, nus
+
+    def correct(states, nus, dY, U):
         dF_dX, dF_dU = analytic_state_jacobians(plant, states, nus, config.dt)
         sens = compute_sensitivities(dF_dX, dF_dU, R_kmat, U)
-        U = mpsp_update(sens, dY, U, R_kmat)
-    return U, log, states
+        return mpsp_update(sens, dY, U, R_kmat)
+
+    return predict_correct(guess, Y_star, predict, correct, config.tol_rho_pct, config.max_iter)

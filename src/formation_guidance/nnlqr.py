@@ -14,12 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lqr import ACCEL_ROWS, LqrDesign, lqr_feedforward
+from .dynamics import ACCEL_ROWS
+from .lqr import LqrDesign, lqr_feedforward
 from .numerics import rk4_step
-
-# Acceleration channels of the 6-state vector (the only rows where
-# unmodeled dynamics can appear).
-CHANNELS = (1, 3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +164,7 @@ class DisturbanceNet:
     """Per-channel weights over a shared basis; d_hat_i = W_i^T Phi."""
 
     basis: DisturbanceBasis
-    weights: np.ndarray = field(default=None)  # (3, p), rows follow CHANNELS
+    weights: np.ndarray = field(default=None)  # (3, p), rows follow ACCEL_ROWS
 
     def __post_init__(self) -> None:
         if self.weights is None:
@@ -177,14 +174,14 @@ class DisturbanceNet:
         """Estimated unmodeled acceleration as a 6-vector (rows 2, 4, 6)."""
         phi = self.basis.eval(X, theta)
         out = np.zeros(6)
-        out[list(CHANNELS)] = self.weights @ phi
+        out[ACCEL_ROWS] = self.weights @ phi
         return out
 
     def d_hat_jacobian(self, X: np.ndarray, theta: float) -> np.ndarray:
         """d d_hat / d X as a 6x6 matrix."""
         J_phi = self.basis.jacobian(X, theta)
         out = np.zeros((6, 6))
-        out[list(CHANNELS), :] = self.weights @ J_phi
+        out[ACCEL_ROWS, :] = self.weights @ J_phi
         return out
 
 
@@ -221,7 +218,7 @@ def nn2_update(
     G = net.basis.jacobian(X, theta)
     M = np.eye(net.basis.size) / gains.gamma + G @ gains.Theta @ G.T
     direction = np.linalg.solve(M, phi)
-    for row, ch in enumerate(CHANNELS):
+    for row, ch in enumerate(ACCEL_ROWS):
         net.weights[row] += dt * gains.beta * e[ch] * direction
 
 

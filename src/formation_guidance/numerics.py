@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-Fixed-step integrators (classical RK4 and explicit Euler), an algebraic
-Riccati solver with residual verification, a matrix exponential, and a
-central-difference Jacobian used as an oracle for analytic derivatives.
+A fixed-step classical RK4 integrator, an algebraic Riccati solver with
+residual verification, a matrix exponential, and a central-difference
+Jacobian used as an oracle for analytic derivatives.
 
 All operations are pure functions of their inputs and may be called
 concurrently.
@@ -52,20 +52,6 @@ def rk4_step(
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
         raise NumericsError(f"non-finite state after RK4 step at t={t}")
-    return out
-
-
-def euler_step(
-    derivative: Callable[[float, np.ndarray], np.ndarray],
-    t: float,
-    x: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """Advance ``x`` by one explicit Euler step: ``x + dt * f(t, x)``."""
-    x = np.asarray(x, dtype=float)
-    out = x + dt * np.asarray(derivative(t, x), dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise NumericsError(f"non-finite state after Euler step at t={t}")
     return out
 
 

@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MU_EARTH, ChiefKinematics, hill_linear_matrices
+from .dynamics import MU_EARTH, B, ChiefKinematics
 from .numerics import matrix_exponential, solve_are
-
-_B = np.zeros((6, 3))
-_B[1, 0] = 1.0
-_B[3, 1] = 1.0
-_B[5, 2] = 1.0
+from .options import SdreOptions
 
 
 class SdreError(RuntimeError):
@@ -35,8 +31,8 @@ class SdcModel:
     kept by SDC1.
     """
 
-    variant: str = "SDC1"
-    series_order: int = 4
+    variant: str = SdreOptions.variant
+    series_order: int = SdreOptions.series_order
 
     def __post_init__(self) -> None:
         if self.variant not in ("SDC1", "SDC2"):
@@ -73,7 +69,7 @@ def _psi_series(xi: float, order: int) -> float:
 def sdc1_matrix(
     state: np.ndarray,
     kin: ChiefKinematics,
-    order: int = 4,
+    order: int = SdreOptions.series_order,
     mu: float = MU_EARTH,
 ) -> np.ndarray:
     """Power-series SDC factorization A(X) of the nonlinear dynamics.
@@ -174,25 +170,10 @@ def sdre_infinite_control(
     """Pointwise infinite-horizon SDRE control U = -R^-1 B^T P(X) (X - Xd)."""
     A = sdc_matrix(state, kin, model, mu)
     try:
-        P = solve_are(A, _B, Q, R)
+        P = solve_are(A, B, Q, R)
     except Exception as exc:
         raise SdreError(f"pointwise Riccati failed at state {state}: {exc}") from exc
-    return -np.linalg.solve(R, _B.T @ (P @ (state - Xd)))
-
-
-def sdre_integral_control(
-    state: np.ndarray,
-    Xd: np.ndarray,
-    accumulated_error: np.ndarray,
-    K_P: np.ndarray,
-    K_I: np.ndarray,
-) -> np.ndarray:
-    """Proportional-plus-integral SDRE law.
-
-    U = -K_P (X - Xd) - K_I * integral(X - Xd) dt; the integral
-    accumulator is owned by the caller.
-    """
-    return -K_P @ (state - Xd) - K_I @ accumulated_error
+    return -np.linalg.solve(R, B.T @ (P @ (state - Xd)))
 
 
 def finite_time_sdre_control(
@@ -217,7 +198,7 @@ def finite_time_sdre_control(
         raise SdreError("finite-horizon control requested at or past tf")
     A = sdc_matrix(state, kin, model, mu)
     R, Q = horizon.R, horizon.Q
-    BRB = _B @ np.linalg.solve(R, _B.T)
+    BRB = B @ np.linalg.solve(R, B.T)
     H = np.zeros((12, 12))
     H[:6, :6] = A
     H[:6, 6:] = -BRB
@@ -232,4 +213,4 @@ def finite_time_sdre_control(
             "horizon too short or too long"
         )
     lam = np.linalg.solve(phi12, horizon.Xf - phi11 @ state)
-    return -np.linalg.solve(R, _B.T @ lam)
+    return -np.linalg.solve(R, B.T @ lam)

@@ -37,6 +37,11 @@ kind = lqr
 """
 
 
+RECONFIGURE = MINIMAL.replace(
+    "[desired]\nrho = 5\ntheta = 30 deg\nm_slope = 1", "[desired]\nrho = 10\ntheta = 45 deg\nm_slope = 1.5"
+).replace("tf = 600", "tf = 300").replace("kind = lqr", "kind = mpsp")
+
+
 def _scenario_from(text):
     return config_to_scenario(parse_config_text(text))
 
@@ -46,8 +51,8 @@ class TestParseConfig:
         scn = _scenario_from(MINIMAL)
         assert scn.chief.a == 10000.0 and scn.chief.e == 0.0
         assert scn.dt == 1.0
-        np.testing.assert_array_equal(scn.controller.get("Q"), np.eye(6))
-        np.testing.assert_array_equal(scn.controller.get("R"), 1e9 * np.eye(3))
+        np.testing.assert_array_equal(scn.controller.options.Q, np.eye(6))
+        np.testing.assert_array_equal(scn.controller.options.R, 1e9 * np.eye(3))
         assert scn.gravity.j2_enabled is False
 
     def test_hyperbolic_eccentricity_rejected(self):
@@ -90,6 +95,21 @@ class TestParseConfig:
         text = MINIMAL.replace("kind = lqr", "kind = mpsp\napply = open")
         with pytest.raises(ConfigError, match="apply"):
             _scenario_from(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_rejected_with_line(self, value):
+        with pytest.raises(ConfigError, match="line 5: key 'rho' must be finite"):
+            parse_config_text(MINIMAL.replace("rho = 5", f"rho = {value}", 1))
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("mpsp", "max_iter", "1.9"),
+        ("sdre", "series_order", "0.5"),
+    ])
+    def test_non_integer_count_rejected_with_line(self, kind, key, value):
+        text = MINIMAL.replace("kind = lqr", f"kind = {kind}") + f"\n[{kind}]\n{key} = {value}\n"
+        line = len(text.splitlines())
+        with pytest.raises(ConfigError, match=f"line {line}: key '{key}' must be an integer"):
+            parse_config_text(text)
 
     def test_truth_section_inherits_from_chief(self):
         text = MINIMAL + "\n[truth]\ne = 0.5\n"
@@ -145,6 +165,35 @@ class TestSubcommands:
         assert code == EXIT_OK
         table = (tmp_path / "out" / "compare.txt").read_text()
         assert len(table.splitlines()) == 3
+
+    def test_compare_applies_solver_overrides(self, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(RECONFIGURE)
+        flags = ["--tol-pct", "1e-9", "--max-iter", "3"]
+        assert main(["run", str(cfg), *flags, "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert main([
+            "compare", str(cfg), "--controllers", "mpsp", *flags,
+            "--out", str(tmp_path / "cmp"),
+        ]) == EXIT_OK
+        ran = (tmp_path / "run" / "m_metrics.csv").read_text().splitlines()[1].split(",")
+        compared = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()[1].split(",")
+        assert compared[3:] == ran[1:]
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "lqr-circular", "--dt", "2"],
+        ["reproduce", "lqr-circular", "--tf", "10"],
+        ["reproduce", "lqr-circular", "--max-iter", "1"],
+        ["reproduce", "lqr-circular", "--tol-pct", "1"],
+        ["reproduce", "lqr-circular", "--j2", "on"],
+        ["reproduce", "lqr-circular", "--seed", "1"],
+        ["run", "x.cfg", "--seed", "1"],
+        ["compare", "x.cfg", "--seed", "1"],
+        ["sweep-r", "x.cfg", "--seed", "1"],
+    ])
+    def test_flags_without_effect_are_not_accepted(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR
 
     def test_sweep_r_monotone_rows(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

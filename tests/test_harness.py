@@ -50,9 +50,18 @@ class TestScenarioValidation:
         with pytest.raises(HarnessError):
             _natural_scenario(tf=-1.0)
 
+    def test_zero_steps_rejected(self):
+        with pytest.raises(HarnessError, match="at least one dt step"):
+            _natural_scenario(tf=1e-12)
+
     def test_unknown_controller_rejected(self):
         with pytest.raises(HarnessError):
             ControllerSpec("pid")
+
+    def test_unknown_option_rejected(self):
+        assert ControllerSpec("mpsp", {"tol_rho_pct": 1e-6}).options.tol_rho_pct == 1e-6
+        with pytest.raises(HarnessError, match="tol_pct"):
+            ControllerSpec("mpsp", {"tol_pct": 1e-6})
 
 
 class TestRunScenario:

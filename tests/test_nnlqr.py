@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from formation_guidance.dynamics import (
+    ACCEL_ROWS,
     ChiefOrbit,
     FormationParams,
     GravityModel,
@@ -15,7 +16,6 @@ from formation_guidance.dynamics import (
 )
 from formation_guidance.lqr import design_lqr, lqr_tracking_control
 from formation_guidance.nnlqr import (
-    CHANNELS,
     AdaptationGains,
     DisturbanceNet,
     NnLqrController,
@@ -175,7 +175,7 @@ class TestDisturbanceBasis:
             kin = chief_kinematics(orbit, nu_t)
             theta = nu_t + orbit.arg_perigee
             X = formation_to_hill(params, OMEGA, t)
-            d = (cw_nonlinear_deriv(X, kin) - A @ X)[list(CHANNELS)]
+            d = (cw_nonlinear_deriv(X, kin) - A @ X)[ACCEL_ROWS]
             d = d + j2_differential_accel(g, orbit, kin, X)
             rows.append(basis.eval(X, theta))
             targets.append(d)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from formation_guidance.numerics import (
     NumericsError,
-    euler_step,
     fd_jacobian,
     matrix_exponential,
     rk4_step,
@@ -40,28 +39,6 @@ class TestRk4Step:
     def test_nonfinite_result_raises(self):
         with pytest.raises(NumericsError):
             rk4_step(lambda t, x: x * np.inf, 0.0, np.array([1.0]), 1.0)
-
-
-class TestEulerStep:
-    def test_zero_derivative(self):
-        np.testing.assert_array_equal(
-            euler_step(lambda t, x: np.zeros_like(x), 0.0, np.array([5.0]), 1.0), [5.0]
-        )
-
-    def test_linear_scalar(self):
-        out = euler_step(lambda t, x: x, 0.0, np.array([1.0]), 0.1)
-        assert out[0] == pytest.approx(1.1, abs=1e-15)
-
-    def test_first_order_convergence(self):
-        def integrate(n):
-            x = np.array([1.0])
-            dt = 1.0 / n
-            for k in range(n):
-                x = euler_step(lambda t, y: y, k * dt, x, dt)
-            return abs(x[0] - np.e)
-
-        ratio = integrate(64) / integrate(128)
-        assert ratio == pytest.approx(2.0, rel=0.05)
 
 
 class TestSolveAre:

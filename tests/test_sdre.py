@@ -22,7 +22,6 @@ from formation_guidance.sdre import (
     sdc1_matrix,
     sdc2_matrix,
     sdre_infinite_control,
-    sdre_integral_control,
 )
 
 CIRC = ChiefOrbit(a=10000.0)
@@ -105,38 +104,6 @@ class TestInfiniteHorizonControl:
         Xd = np.array([0.1, 0.0, -0.2, 0.0, 0.05, 0.0])
         u = sdre_infinite_control(np.zeros(6), Xd, self.MODEL, kin, self.Q, self.R)
         np.testing.assert_allclose(u, -design.K @ (np.zeros(6) - Xd), rtol=1e-6)
-
-    def test_integral_variant_reduces_bias_error(self):
-        """A constant bias disturbance defeats the proportional law; the
-        integral term removes the offset."""
-        design = design_lqr(OMEGA, np.eye(6), 1e6 * np.eye(3))
-        K_P = design.K
-        K_I = 1e-3 * K_P
-        A_hill, _ = hill_linear_matrices(OMEGA)
-        bias = np.array([5e-8, 0.0, 0.0])
-
-        def simulate(with_integral):
-            X = np.zeros(6)
-            acc = np.zeros(6)
-            dt = 10.0
-            for _ in range(4000):
-                if with_integral:
-                    u = sdre_integral_control(X, np.zeros(6), acc, K_P, K_I)
-                else:
-                    u = -K_P @ X
-                dist = np.zeros(6)
-                dist[[1, 3, 5]] = bias + u
-                X = rk4_step(lambda t, v: A_hill @ v + dist, 0.0, X, dt)
-                acc += X * dt
-            return np.linalg.norm(X[[0, 2, 4]])
-
-        assert simulate(True) < 0.2 * simulate(False)
-
-    def test_integral_gain_zero_reduces_to_proportional(self):
-        X = np.array([1.0, 0.0, 2.0, 0.0, -1.0, 0.0])
-        K_P = np.ones((3, 6))
-        u = sdre_integral_control(X, np.zeros(6), np.ones(6) * 7.0, K_P, np.zeros((3, 6)))
-        np.testing.assert_array_equal(u, -K_P @ X)
 
 
 class TestFiniteTimeControl:
