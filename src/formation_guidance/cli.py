@@ -37,7 +37,8 @@ formation_guidance.options):
   [nnlqr]    q_weight, r_weight, r1, k_tau, beta, gamma, theta_gain,
              basis = grid|global
   q_weight and r_weight scale the identity weight matrices Q and R.
-  Numbers must be finite; max_iter and series_order must be integers.
+  Numbers must be finite; max_iter (>= 0) and series_order (>= 1) must be
+  integers, and tol_pct must be > 0.
 
 Exit codes: 0 success (and criteria met), 1 criteria failed, 2 error.
 """
@@ -166,9 +167,17 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
                 raise ConfigError(
                     f"line {line_no}: key {key!r} must be an integer, got {raw_value!r}"
                 )
+            least = 1 if key == "series_order" else 0
+            if value < least:
+                raise ConfigError(
+                    f"line {line_no}: key {key!r} must be >= {least}, got {raw_value!r}"
+                )
             sections[current][key] = int(value)
         else:
-            sections[current][key] = _parse_number(raw_value, key, line_no)
+            value = _parse_number(raw_value, key, line_no)
+            if key == "tol_pct" and value <= 0.0:
+                raise ConfigError(f"line {line_no}: key 'tol_pct' must be > 0, got {raw_value!r}")
+            sections[current][key] = value
     return sections
 
 
@@ -703,6 +712,23 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all_ok else EXIT_CRITERION
 
 
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert`` the text, then require ``ok(value)``."""
+
+    def parse(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {raw!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
+_count = _checked(int, lambda v: v >= 0, ">= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formation-guidance",
@@ -713,10 +739,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, overrides=True):
         p.add_argument("--out", default="results", help="output directory")
         if overrides:
-            p.add_argument("--dt", type=float, default=None)
-            p.add_argument("--tf", type=float, default=None)
-            p.add_argument("--max-iter", type=int, default=None)
-            p.add_argument("--tol-pct", type=float, default=None)
+            p.add_argument("--dt", type=_positive_float, default=None)
+            p.add_argument("--tf", type=_positive_float, default=None)
+            p.add_argument("--max-iter", type=_count, default=None)
+            p.add_argument("--tol-pct", type=_positive_float, default=None)
             p.add_argument("--j2", choices=("on", "off"), default=None)
 
     p_run = sub.add_parser("run", help="simulate one scenario config")

@@ -1,8 +1,10 @@
 """Relative orbital dynamics in the Hill frame.
 
 Chief-orbit kinematics, the full nonlinear relative equations of motion
-and their circular-orbit linearization, the J2 differential perturbation,
-formation-parameter/state conversions, and Hill/ECI transforms.
+and their circular-orbit linearization, the differential J2 perturbation
+(closed-form inertial field and its analytic gravity gradient, rotated
+with the chief triad), formation-parameter/state conversions, and
+Hill/ECI transforms.
 
 State ordering throughout is ``X = [x, xdot, y, ydot, z, zdot]`` with
 x radial, y along-track, z cross-track; units are km, km/s, rad.
@@ -318,7 +320,7 @@ def eci_hill_transforms(
     ct, st = np.cos(th), np.sin(th)
     e_x = np.array([cO * ct - sO * st * ci, sO * ct + cO * st * ci, st * si])
     e_z = np.array([sO * si, -cO * si, ci])
-    e_y = np.cross(e_z, e_x)
+    e_y = np.array([-cO * st - sO * ct * ci, -sO * st + cO * ct * ci, ct * si])
     C = np.column_stack([e_x, e_y, e_z])
     return C, np.array([0.0, 0.0, kin.nu_dot])
 
@@ -356,41 +358,6 @@ def eci_to_hill(
     return np.array([r_rel[0], v_rel[0], r_rel[1], v_rel[1], r_rel[2], v_rel[2]])
 
 
-def deputy_elements_from_state(
-    chief: ChiefOrbit,
-    kin: ChiefKinematics,
-    state: np.ndarray,
-    mu: float = MU_EARTH,
-) -> tuple[float, float, float]:
-    """Osculating deputy inclination, argument of latitude, and radius.
-
-    The Hill state is rotated to the inertial frame (including transport
-    terms from the frame rotation) and the deputy's instantaneous plane
-    geometry is read off its position/velocity.
-    """
-    r_eci, v_eci = hill_to_eci(chief, kin, state, mu)
-    r_d = float(np.linalg.norm(r_eci))
-    if r_d <= 0.0:
-        raise DynamicsError("deputy radius is zero")
-    h = np.cross(r_eci, v_eci)
-    h_norm = np.linalg.norm(h)
-    if h_norm <= 1e-12 * r_d:
-        raise DynamicsError("degenerate (rectilinear) deputy motion")
-    i_d = float(np.arccos(np.clip(h[2] / h_norm, -1.0, 1.0)))
-    # Node vector; for (near-)equatorial orbits the node is taken along +X.
-    n_vec = np.array([-h[1], h[0], 0.0])
-    n_norm = np.linalg.norm(n_vec)
-    if n_norm <= 1e-12 * h_norm:
-        n_hat = np.array([1.0, 0.0, 0.0])
-    else:
-        n_hat = n_vec / n_norm
-    # Argument of latitude: angle from the ascending node to the position,
-    # measured in the orbit plane along the motion.
-    m_hat = np.cross(h / h_norm, n_hat)
-    theta_d = float(np.arctan2(r_eci @ m_hat, r_eci @ n_hat)) % (2.0 * np.pi)
-    return i_d, theta_d, r_d
-
-
 @dataclass(frozen=True)
 class RelativePlant:
     """Truth plant: nonlinear relative dynamics plus optional J2.
@@ -416,26 +383,15 @@ class RelativePlant:
     def f_jacobian(self, state: np.ndarray, nu: float) -> np.ndarray:
         """Jacobian of the unforced relative dynamics at (state, nu).
 
-        The smooth gravitational/kinematic part is analytic; the J2
-        differential contribution (when enabled) is added by central
-        finite differences.
+        Fully analytic.  With J2 enabled, the rotated inertial gravity
+        gradient C^T G(r_d) C is added to the acceleration-row x
+        position-column block; the J2 term has no velocity dependence.
         """
         kin = chief_kinematics(self.orbit, nu, self.gravity.mu)
         J = cw_nonlinear_jacobian(state, kin, self.gravity.mu)
         if self.gravity.j2_enabled:
-            g, orbit = self.gravity, self.orbit
-            for j in range(6):
-                h = 1e-4 * max(1.0, abs(state[j]))
-                sp, sm = state.copy(), state.copy()
-                sp[j] += h
-                sm[j] -= h
-                dd = (
-                    j2_differential_accel(g, orbit, kin, sp)
-                    - j2_differential_accel(g, orbit, kin, sm)
-                ) / (2.0 * h)
-                J[1, j] += dd[0]
-                J[3, j] += dd[1]
-                J[5, j] += dd[2]
+            C, r_d = _deputy_inertial(self.orbit, kin, state)
+            J[np.ix_(ACCEL_ROWS, POSITION_ROWS)] += C.T @ _j2_gradient(self.gravity, r_d) @ C
         return J
 
     def simulate(
@@ -481,48 +437,62 @@ class RelativePlant:
         return self.simulate(x0, len(controls), dt, lambda k, t, X: controls[k], t0, nu0)[:2]
 
 
-def _j2_accel_plane(
-    g: GravityModel, inc: float, theta: float, r: float
-) -> np.ndarray:
-    """J2 acceleration in the satellite's own radial/transverse/normal axes."""
-    k = 1.5 * g.mu * g.j2 * g.re**2 / r**4
-    si, ci = np.sin(inc), np.cos(inc)
-    st, ct = np.sin(theta), np.cos(theta)
-    return -k * np.array(
-        [
-            1.0 - 3.0 * si**2 * st**2,
-            2.0 * si**2 * st * ct,
-            2.0 * si * ci * st,
-        ]
-    )
+def _j2_accel(g: GravityModel, r: np.ndarray) -> np.ndarray:
+    """Inertial J2 acceleration at inertial position ``r`` (nonzero).
+
+    a = k [x (5 z^2/r^2 - 1), y (5 z^2/r^2 - 1), z (5 z^2/r^2 - 3)]
+    with k = 3/2 mu J2 Re^2 / r^5 (Montenbruck & Gill, Satellite Orbits,
+    sec. 3.2).
+    """
+    rn = np.sqrt(r @ r)
+    u = r / rn
+    k = 1.5 * g.mu * g.j2 * g.re**2 / rn**4
+    a = k * (5.0 * u[2] ** 2 - 1.0) * u
+    a[2] -= 2.0 * k * u[2]
+    return a
+
+
+def _j2_gradient(g: GravityModel, r: np.ndarray) -> np.ndarray:
+    """Gravity-gradient tensor d a / d r of :func:`_j2_accel` (3x3).
+
+    With u = r/|r| and s = u_z:
+        G = k/|r| [(5 s^2 - 1) I + 5 (1 - 7 s^2) u u^T
+                   + 10 s (u e_z^T + e_z u^T) - 2 e_z e_z^T].
+    G is symmetric and, by Laplace's equation, traceless.
+    """
+    rn = np.sqrt(r @ r)
+    u = r / rn
+    s = u[2]
+    G = 5.0 * (1.0 - 7.0 * s**2) * np.outer(u, u) + (5.0 * s**2 - 1.0) * np.eye(3)
+    G[2] += 10.0 * s * u
+    G[:, 2] += 10.0 * s * u
+    G[2, 2] -= 2.0
+    return 1.5 * g.mu * g.j2 * g.re**2 / rn**5 * G
+
+
+def _deputy_inertial(
+    chief: ChiefOrbit, kin: ChiefKinematics, state: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chief triad C and the deputy's inertial position C (rho + r_c e_x)."""
+    C, _ = eci_hill_transforms(chief, kin)
+    r_d = C @ (state[POSITION_ROWS] + np.array([kin.r_c, 0.0, 0.0]))
+    if r_d @ r_d <= 0.0:
+        raise DynamicsError("deputy at the geocenter: J2 field undefined")
+    return C, r_d
 
 
 def j2_differential_accel(
-    g: GravityModel,
-    chief: ChiefOrbit,
-    kin: ChiefKinematics,
-    state: np.ndarray,
+    g: GravityModel, chief: ChiefOrbit, kin: ChiefKinematics, state: np.ndarray
 ) -> np.ndarray:
     """Differential J2 acceleration (deputy minus chief) in the Hill frame.
 
-    Each satellite's J2 acceleration is evaluated from its osculating
-    inclination, argument of latitude, and radius in its own orbit-plane
-    axes, mapped to the inertial frame, differenced, and expressed in the
-    chief's Hill frame.  Returns a 3-vector [km/s^2].
+    Both positions are mapped to the inertial frame with the chief triad
+    C, the closed-form inertial J2 field is differenced, and the result
+    is rotated back: C^T (a_J2(r_d) - a_J2(r_c)).  Velocities do not
+    enter.  Returns a 3-vector [km/s^2]; raises DynamicsError for a
+    deputy at the geocenter.
     """
     if not g.j2_enabled:
         return np.zeros(3)
-    C, _ = eci_hill_transforms(chief, kin)
-    theta_c = chief.arg_perigee + kin.nu
-    a_c = C @ _j2_accel_plane(g, chief.i, theta_c, kin.r_c)
-
-    r_eci, v_eci = hill_to_eci(chief, kin, state, g.mu)
-    i_d, theta_d, r_d = deputy_elements_from_state(chief, kin, state, g.mu)
-    # Deputy orbit-plane axes straight from its position/velocity.
-    r_hat = r_eci / np.linalg.norm(r_eci)
-    h = np.cross(r_eci, v_eci)
-    h_hat = h / np.linalg.norm(h)
-    t_hat = np.cross(h_hat, r_hat)
-    D = np.column_stack([r_hat, t_hat, h_hat])
-    a_d = D @ _j2_accel_plane(g, i_d, theta_d, r_d)
-    return C.T @ (a_d - a_c)
+    C, r_d = _deputy_inertial(chief, kin, state)
+    return C.T @ (_j2_accel(g, r_d) - _j2_accel(g, kin.r_c * C[:, 0]))

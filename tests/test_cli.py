@@ -111,6 +111,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"line {line}: key '{key}' must be an integer"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("kind, key, value, bound", [
+        ("sdre", "series_order", "0", ">= 1"),
+        ("mpsp", "max_iter", "-1", ">= 0"),
+        ("gmpsp", "max_iter", "-3", ">= 0"),
+        ("mpsp", "tol_pct", "-5", "> 0"),
+        ("gmpsp", "tol_pct", "0", "> 0"),
+    ])
+    def test_out_of_range_solver_input_rejected_with_line(self, kind, key, value, bound):
+        text = MINIMAL.replace("kind = lqr", f"kind = {kind}") + f"\n[{kind}]\n{key} = {value}\n"
+        line = len(text.splitlines())
+        with pytest.raises(ConfigError, match=f"line {line}: key '{key}' must be {bound}"):
+            parse_config_text(text)
+
+    def test_zero_max_iter_accepted(self):
+        text = MINIMAL.replace("kind = lqr", "kind = mpsp") + "\n[mpsp]\nmax_iter = 0\n"
+        assert parse_config_text(text)["mpsp"]["max_iter"] == 0
+
     def test_truth_section_inherits_from_chief(self):
         text = MINIMAL + "\n[truth]\ne = 0.5\n"
         scn = _scenario_from(text)
@@ -194,6 +211,22 @@ class TestSubcommands:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_ERROR
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dt", "0"),
+        ("--dt", "inf"),
+        ("--tf", "nan"),
+        ("--tf", "-600"),
+        ("--max-iter", "-2"),
+        ("--max-iter", "1.5"),
+        ("--tol-pct", "-1"),
+        ("--tol-pct", "nan"),
+    ])
+    def test_out_of_range_override_rejected(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "x.cfg", flag, value])
+        assert exc.value.code == EXIT_ERROR
+        assert flag in capsys.readouterr().err
 
     def test_sweep_r_monotone_rows(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from formation_guidance.dynamics import (
+    ACCEL_ROWS,
     MU_EARTH,
+    POSITION_ROWS,
     ChiefOrbit,
     DynamicsError,
     FormationParams,
     GravityModel,
     RelativePlant,
+    _j2_gradient,
     chief_kinematics,
     cw_nonlinear_deriv,
     cw_nonlinear_jacobian,
-    deputy_elements_from_state,
     eci_hill_transforms,
     eci_to_hill,
     formation_to_hill,
@@ -27,6 +29,73 @@ from formation_guidance.numerics import fd_jacobian, rk4_step
 
 
 CIRC = ChiefOrbit(a=10000.0)
+
+
+# Independent reference for the differential J2 acceleration: each
+# satellite's J2 acceleration from its osculating inclination, argument of
+# latitude and radius, in its own radial/transverse/normal axes.
+
+
+def deputy_elements_from_state(chief, kin, state, mu=MU_EARTH):
+    """Osculating deputy inclination, argument of latitude, and radius."""
+    r_eci, v_eci = hill_to_eci(chief, kin, state, mu)
+    r_d = float(np.linalg.norm(r_eci))
+    if r_d <= 0.0:
+        raise DynamicsError("deputy radius is zero")
+    h = np.cross(r_eci, v_eci)
+    h_norm = np.linalg.norm(h)
+    if h_norm <= 1e-12 * r_d:
+        raise DynamicsError("degenerate (rectilinear) deputy motion")
+    i_d = float(np.arccos(np.clip(h[2] / h_norm, -1.0, 1.0)))
+    # Node vector; for (near-)equatorial orbits the node is taken along +X.
+    n_vec = np.array([-h[1], h[0], 0.0])
+    n_norm = np.linalg.norm(n_vec)
+    n_hat = np.array([1.0, 0.0, 0.0]) if n_norm <= 1e-12 * h_norm else n_vec / n_norm
+    m_hat = np.cross(h / h_norm, n_hat)
+    theta_d = float(np.arctan2(r_eci @ m_hat, r_eci @ n_hat)) % (2.0 * np.pi)
+    return i_d, theta_d, r_d
+
+
+def _j2_accel_plane(g, inc, theta, r):
+    """J2 acceleration in the satellite's own radial/transverse/normal axes."""
+    k = 1.5 * g.mu * g.j2 * g.re**2 / r**4
+    si, ci = np.sin(inc), np.cos(inc)
+    st, ct = np.sin(theta), np.cos(theta)
+    return -k * np.array([1.0 - 3.0 * si**2 * st**2, 2.0 * si**2 * st * ct, 2.0 * si * ci * st])
+
+
+def _j2_osculating_reference(g, chief, kin, state):
+    """Differential J2 (deputy minus chief) in the Hill frame, via elements."""
+    C, _ = eci_hill_transforms(chief, kin)
+    a_c = C @ _j2_accel_plane(g, chief.i, chief.arg_perigee + kin.nu, kin.r_c)
+    r_eci, v_eci = hill_to_eci(chief, kin, state, g.mu)
+    i_d, theta_d, r_d = deputy_elements_from_state(chief, kin, state, g.mu)
+    r_hat = r_eci / np.linalg.norm(r_eci)
+    h = np.cross(r_eci, v_eci)
+    h_hat = h / np.linalg.norm(h)
+    D = np.column_stack([r_hat, np.cross(h_hat, r_hat), h_hat])
+    return C.T @ (D @ _j2_accel_plane(g, i_d, theta_d, r_d) - a_c)
+
+
+def _random_geometry(rng):
+    """Chief orbit, true anomaly and Hill state with a 0.1-50 km baseline.
+
+    Perigee radius 6600-12000 km, e < 0.6, any inclination (prograde
+    and retrograde), node and perigee.
+    """
+    e = rng.uniform(0.0, 0.6)
+    orbit = ChiefOrbit(
+        a=rng.uniform(6600.0, 12000.0) / (1.0 - e),
+        e=e,
+        i=rng.uniform(0.05, math.pi - 0.05),
+        arg_perigee=rng.uniform(0.0, 2.0 * math.pi),
+        raan=rng.uniform(0.0, 2.0 * math.pi),
+    )
+    direction = rng.normal(size=3)
+    X = np.zeros(6)
+    X[[0, 2, 4]] = 10.0 ** rng.uniform(-1.0, math.log10(50.0)) * direction / np.linalg.norm(direction)
+    X[[1, 3, 5]] = rng.uniform(-0.05, 0.05, size=3)
+    return orbit, rng.uniform(0.0, 2.0 * math.pi), X
 
 
 class TestChiefKinematics:
@@ -280,6 +349,15 @@ class TestJ2Differential:
         out = j2_differential_accel(GravityModel(), orbit, kin, np.ones(6))
         np.testing.assert_array_equal(out, np.zeros(3))
 
+    def test_matches_osculating_element_reference(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(250):
+            orbit, nu, X = _random_geometry(rng)
+            kin = chief_kinematics(orbit, nu)
+            d = j2_differential_accel(self.G_ON, orbit, kin, X)
+            ref = _j2_osculating_reference(self.G_ON, orbit, kin, X)
+            assert np.linalg.norm(d - ref) <= 1e-9 * np.linalg.norm(ref)
+
 
 class TestRelativePlant:
     def test_propagate_matches_single_rk4_step(self):
@@ -312,3 +390,72 @@ class TestRelativePlant:
         J_fd = fd_jacobian(f, X)
         J = plant.f_jacobian(X, nu)
         assert np.linalg.norm(J - J_fd) / np.linalg.norm(J_fd) < 1e-5
+
+    def test_j2_jacobian_block_is_the_analytic_gradient(self):
+        rng = np.random.default_rng(7)
+        g = GravityModel(j2_enabled=True)
+        for _ in range(50):
+            orbit, nu, X = _random_geometry(rng)
+            kin = chief_kinematics(orbit, nu)
+            J_j2 = RelativePlant(orbit, g).f_jacobian(X, nu) - RelativePlant(orbit).f_jacobian(X, nu)
+            J_fd = fd_jacobian(lambda v: j2_differential_accel(g, orbit, kin, v), X, h=1e-3)
+            block = J_j2[np.ix_(ACCEL_ROWS, POSITION_ROWS)]
+            fd_block = J_fd[:, POSITION_ROWS]
+            assert np.linalg.norm(block - fd_block) <= 1e-6 * np.linalg.norm(fd_block)
+            # Velocities do not enter the J2 term; only its acceleration rows
+            # are touched.
+            np.testing.assert_array_equal(J_j2[:, [1, 3, 5]], 0.0)
+            np.testing.assert_array_equal(J_j2[POSITION_ROWS], 0.0)
+
+    def test_j2_gradient_symmetric_and_traceless(self):
+        rng = np.random.default_rng(8)
+        g = GravityModel(j2_enabled=True)
+        for _ in range(200):
+            r = rng.normal(size=3)
+            r *= rng.uniform(6600.0, 42000.0) / np.linalg.norm(r)
+            G = _j2_gradient(g, r)
+            scale = np.linalg.norm(G)
+            assert np.linalg.norm(G - G.T) <= 1e-12 * scale
+            assert abs(np.trace(G)) <= 1e-12 * scale
+
+    def test_deputy_at_geocenter_with_j2_raises(self):
+        orbit = ChiefOrbit(a=10000.0, e=0.1, i=1.0)
+        plant = RelativePlant(orbit, GravityModel(j2_enabled=True))
+        r_c = chief_kinematics(orbit, 0.4).r_c
+        with pytest.raises(DynamicsError):
+            plant.deriv(0.0, np.array([-r_c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4]))
+
+
+class TestTwoBodyInvariants:
+    """Unforced J2-free flight conserves the deputy's inertial invariants.
+
+    The states are mapped to inertial coordinates with ``hill_to_eci``, so
+    the check covers the Hill-frame equations, the chief anomaly and RK4
+    together.  (With J2 on there is no such invariant: the chief flies a
+    Keplerian orbit, so the deputy also feels -a_J2(r_c).)
+    """
+
+    ORBIT = ChiefOrbit(a=10000.0, e=0.1, i=math.radians(60.0), arg_perigee=0.3, raan=0.7)
+
+    def _drifts(self, dt):
+        plant = RelativePlant(self.ORBIT)
+        x0 = np.array([1.0, 1e-3, -2.0, 5e-4, 0.5, -2e-4])
+        n = int(round(self.ORBIT.period() / dt))
+        states, nus = plant.propagate(x0, np.zeros((n, 3)), dt)
+        energy, h_z = [], []
+        for X, nu in zip(states, nus):
+            r, v = hill_to_eci(self.ORBIT, chief_kinematics(self.ORBIT, nu), X)
+            energy.append(0.5 * v @ v - MU_EARTH / np.linalg.norm(r))
+            h_z.append(r[0] * v[1] - r[1] * v[0])
+        energy, h_z = np.array(energy), np.array(h_z)
+        return (
+            np.max(np.abs(energy - energy[0])) / abs(energy[0]),
+            np.max(np.abs(h_z - h_z[0])) / abs(h_z[0]),
+        )
+
+    def test_energy_and_angular_momentum_conserved_to_rk4_order(self):
+        energy_20, h_z_20 = self._drifts(20.0)
+        energy_10, h_z_10 = self._drifts(10.0)
+        assert energy_20 <= 1e-12 and h_z_20 <= 1e-12
+        assert energy_10 <= energy_20 / 10.0
+        assert h_z_10 <= h_z_20 / 10.0
