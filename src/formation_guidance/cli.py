@@ -14,31 +14,38 @@ Config format (full grammar):
     all other quantities are plain numbers in km and seconds.
   - Duplicate keys and unknown sections/keys are errors.
 
-Sections and keys (defaults in parentheses; the defaults of the controller
-option sections are those of the options dataclasses in
-formation_guidance.options):
-  [chief]    a, e (0), i (0 rad), arg_perigee (0 rad), raan (0 rad),
-             nu0 (0 rad)
-  [truth]    optional chief override for uncertainty studies; same keys,
+Sections and keys.  A dataclass-backed section takes its keys, their
+order, their value types and their defaults from the fields of the
+named class (formation_guidance.dynamics, formation_guidance.options):
+  [chief]    ChiefOrbit: a (required), e, i, arg_perigee, raan, nu0
+  [truth]    ChiefOrbit; optional chief override for uncertainty studies,
              omitted keys inherit [chief]
+  [initial]  FormationParams: rho (required), theta, a_off, b_off,
+             m_slope, n_slope
+  [desired]  FormationParams, like [initial]
+  [lqr]      LqrOptions: q_weight, r_weight
+  [sdre]     SdreOptions: q_weight, r_weight, variant = SDC1|SDC2,
+             series_order
+  [mpsp]     MpspOptions: r_weight, tol_pct, max_iter
+  [gmpsp]    GmpspOptions: r_weight, tol_pct, max_iter
+  [nnlqr]    NnlqrOptions: q_weight, r_weight, r1, k_tau, beta, gamma,
+             theta_gain, basis = grid|global
+  In the option sections the fields Q, R, tol_rho_pct, R1 and theta are
+  written q_weight, r_weight, tol_pct, r1 and theta_gain; q_weight and
+  r_weight scale the identity weight matrices Q and R, and the open_loop
+  field is set by [controller] apply.  The other sections (defaults in
+  parentheses):
   [gravity]  j2 = on|off (off)
-  [initial]  rho, theta (0 rad), a_off (0), b_off (0), m_slope (0),
-             n_slope (0)
-  [desired]  same keys as [initial]
   [run]      tf, dt (1)
   [controller] kind = zero|lqr|sdre|mpsp|gmpsp|nnlqr,
              horizon = infinite|finite (infinite; sdre only),
              apply = closed|open (closed; open plans on the believed
              unperturbed model and replays the control history)
-  [lqr]      q_weight, r_weight
-  [sdre]     q_weight, r_weight, variant = SDC1|SDC2, series_order
-  [mpsp]     r_weight, tol_pct, max_iter
-  [gmpsp]    r_weight, tol_pct, max_iter
-  [nnlqr]    q_weight, r_weight, r1, k_tau, beta, gamma, theta_gain,
-             basis = grid|global
-  q_weight and r_weight scale the identity weight matrices Q and R.
   Numbers must be finite; max_iter (>= 0) and series_order (>= 1) must be
-  integers, and tol_pct must be > 0.
+  integers, and tol_pct must be > 0.  A bad number or a word outside its
+  list is rejected with its line number; values the dataclasses reject
+  (a <= 0, e outside [0, 1), rho < 0) and a tf that is not a whole
+  number of dt steps raise ConfigError too.
 
 Exit codes: 0 success (and criteria met), 1 criteria failed, 2 error.
 """
@@ -47,9 +54,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -58,6 +68,7 @@ from .harness import (
     NOT_SETTLED,
     CompareCell,
     ControllerSpec,
+    HarnessError,
     RunResult,
     Scenario,
     compare,
@@ -68,6 +79,7 @@ from .harness import (
     write_metrics_csv,
     write_trajectory_csv,
 )
+from .options import CONTROLLER_OPTIONS
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
@@ -80,35 +92,42 @@ class ConfigError(ValueError):
 
 ANGLE_KEYS = frozenset({"i", "arg_perigee", "raan", "nu0", "theta"})
 
-_SECTION_KEYS = {
-    "chief": ("a", "e", "i", "arg_perigee", "raan", "nu0"),
-    "truth": ("a", "e", "i", "arg_perigee", "raan", "nu0"),
-    "gravity": ("j2",),
-    "initial": ("rho", "theta", "a_off", "b_off", "m_slope", "n_slope"),
-    "desired": ("rho", "theta", "a_off", "b_off", "m_slope", "n_slope"),
-    "run": ("tf", "dt"),
-    "controller": ("kind", "horizon", "apply"),
-    "lqr": ("q_weight", "r_weight"),
-    "sdre": ("q_weight", "r_weight", "variant", "series_order"),
-    "mpsp": ("r_weight", "tol_pct", "max_iter"),
-    "gmpsp": ("r_weight", "tol_pct", "max_iter"),
-    "nnlqr": (
-        "q_weight",
-        "r_weight",
-        "r1",
-        "k_tau",
-        "beta",
-        "gamma",
-        "theta_gain",
-        "basis",
-    ),
+#: Controller kinds that have an options section of their own.
+_OPTION_SECTIONS = ("lqr", "sdre", "mpsp", "gmpsp", "nnlqr")
+
+# Allowed words of each word-valued key.
+_CHOICES = {
+    "j2": ("on", "off"),
+    "kind": ("zero", *_OPTION_SECTIONS),
+    "horizon": ("infinite", "finite"),
+    "apply": ("closed", "open"),
+    "variant": ("SDC1", "SDC2"),
+    "basis": ("grid", "global"),
 }
 
-_CONTROLLER_KINDS = ("zero", "lqr", "sdre", "mpsp", "gmpsp", "nnlqr")
+# Lower bound of each bounded number: (comparison, bound).
+_BOUNDS = {"series_order": (">=", 1), "max_iter": (">=", 0), "tol_pct": (">", 0)}
+_COMPARE = {">=": operator.ge, ">": operator.gt}
 
-# Options-dataclass field of each controller-section key whose name differs.
-_OPTION_FIELDS = {"q_weight": "Q", "r_weight": "R", "tol_pct": "tol_rho_pct",
-                  "r1": "R1", "theta_gain": "theta"}
+# Dataclass of each dataclass-backed section.
+_DATACLASSES = {
+    "chief": ChiefOrbit,
+    "truth": ChiefOrbit,
+    "initial": FormationParams,
+    "desired": FormationParams,
+    **{kind: CONTROLLER_OPTIONS[kind] for kind in _OPTION_SECTIONS},
+}
+
+# Config key of each options field whose name differs (option sections only).
+_OPTION_KEYS = {"Q": "q_weight", "R": "r_weight", "tol_rho_pct": "tol_pct",
+                "R1": "r1", "theta": "theta_gain"}
+
+# Sections without a library dataclass: key -> default, MISSING if required.
+_PLAIN_SECTIONS = {
+    "gravity": {"j2": "off"},
+    "run": {"tf": MISSING, "dt": 1.0},
+    "controller": {"kind": MISSING, "horizon": "infinite", "apply": "closed"},
+}
 
 
 def _parse_number(raw: str, key: str, line_no: int) -> float:
@@ -121,6 +140,13 @@ def _parse_number(raw: str, key: str, line_no: int) -> float:
     return value
 
 
+def _parse_integer(raw: str, key: str, line_no: int) -> int:
+    value = _parse_number(raw, key, line_no)
+    if not value.is_integer():
+        raise ConfigError(f"line {line_no}: key {key!r} must be an integer, got {raw!r}")
+    return int(value)
+
+
 def _parse_angle(raw: str, key: str, line_no: int) -> float:
     parts = raw.split()
     if len(parts) != 2 or parts[1] not in ("deg", "rad"):
@@ -129,6 +155,44 @@ def _parse_angle(raw: str, key: str, line_no: int) -> float:
         )
     value = _parse_number(parts[0], key, line_no)
     return math.radians(value) if parts[1] == "deg" else value
+
+
+def _parse_word(raw: str, key: str, line_no: int) -> str:
+    if raw not in _CHOICES[key]:
+        raise ConfigError(
+            f"line {line_no}: key {key!r} must be one of {', '.join(_CHOICES[key])}, got {raw!r}"
+        )
+    return raw
+
+
+def _parse_weight(size: int, raw: str, key: str, line_no: int) -> np.ndarray:
+    return _parse_number(raw, key, line_no) * np.eye(size)
+
+
+def _section_schema(section: str) -> dict:
+    """{config key: (field name, parser)} of a section, in field order."""
+    if section in _PLAIN_SECTIONS:
+        return {key: (key, _parse_word if key in _CHOICES else _parse_number)
+                for key in _PLAIN_SECTIONS[section]}
+    cls = _DATACLASSES[section]
+    hints = get_type_hints(cls)
+    renames = _OPTION_KEYS if section in _OPTION_SECTIONS else {}
+    schema = {}
+    for f in fields(cls):
+        if f.name == "open_loop":  # written as [controller] apply
+            continue
+        key = renames.get(f.name, f.name)
+        if key in ANGLE_KEYS:
+            parse = _parse_angle
+        elif hints[f.name] is np.ndarray:  # scalar times the identity
+            parse = partial(_parse_weight, len(f.default_factory()))
+        else:
+            parse = {float: _parse_number, int: _parse_integer, str: _parse_word}[hints[f.name]]
+        schema[key] = (f.name, parse)
+    return schema
+
+
+_SCHEMA = {section: _section_schema(section) for section in (*_DATACLASSES, *_PLAIN_SECTIONS)}
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:
@@ -141,7 +205,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
+            if name not in _SCHEMA:
                 raise ConfigError(f"line {line_no}: unknown section [{name}]")
             if name in sections:
                 raise ConfigError(f"line {line_no}: duplicate section [{name}]")
@@ -153,104 +217,58 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
         if current is None:
             raise ConfigError(f"line {line_no}: assignment before any section")
         key, _, raw_value = (part.strip() for part in line.partition("="))
-        if key not in _SECTION_KEYS[current]:
+        if key not in _SCHEMA[current]:
             raise ConfigError(f"line {line_no}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {line_no}: duplicate key {key!r} in [{current}]")
-        if key in ANGLE_KEYS:
-            sections[current][key] = _parse_angle(raw_value, key, line_no)
-        elif key in ("kind", "horizon", "apply", "variant", "j2", "basis"):
-            sections[current][key] = raw_value
-        elif key in ("max_iter", "series_order"):
-            value = _parse_number(raw_value, key, line_no)
-            if not value.is_integer():
+        value = _SCHEMA[current][key][1](raw_value, key, line_no)
+        if key in _BOUNDS:
+            comparison, bound = _BOUNDS[key]
+            if not _COMPARE[comparison](value, bound):
                 raise ConfigError(
-                    f"line {line_no}: key {key!r} must be an integer, got {raw_value!r}"
+                    f"line {line_no}: key {key!r} must be {comparison} {bound}, got {raw_value!r}"
                 )
-            least = 1 if key == "series_order" else 0
-            if value < least:
-                raise ConfigError(
-                    f"line {line_no}: key {key!r} must be >= {least}, got {raw_value!r}"
-                )
-            sections[current][key] = int(value)
-        else:
-            value = _parse_number(raw_value, key, line_no)
-            if key == "tol_pct" and value <= 0.0:
-                raise ConfigError(f"line {line_no}: key 'tol_pct' must be > 0, got {raw_value!r}")
-            sections[current][key] = value
+        sections[current][key] = value
     return sections
 
 
-def _build_chief(values: dict, fallback: ChiefOrbit | None = None) -> ChiefOrbit:
-    def get(key, default):
-        if key in values:
-            return values[key]
-        if fallback is not None:
-            return getattr(fallback, {"a": "a", "e": "e", "i": "i",
-                                      "arg_perigee": "arg_perigee",
-                                      "raan": "raan", "nu0": "nu0"}[key])
-        return default
-
-    if "a" not in values and fallback is None:
-        raise ConfigError("[chief] requires key 'a'")
-    e = get("e", 0.0)
-    if not 0.0 <= e < 1.0:
-        raise ConfigError(f"eccentricity must satisfy 0 <= e < 1, got {e}")
-    return ChiefOrbit(
-        a=get("a", None),
-        e=e,
-        i=get("i", 0.0),
-        arg_perigee=get("arg_perigee", 0.0),
-        raan=get("raan", 0.0),
-        nu0=get("nu0", 0.0),
-    )
+def _build(cls, section: str, values: dict, base=None):
+    """Construct ``cls`` from a section's parsed values.  Omitted keys take
+    their value from ``base`` when given, else the dataclass default."""
+    args = {_SCHEMA[section][key][0]: value for key, value in values.items()}
+    if base is None:
+        for f in fields(cls):
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in args:
+                raise ConfigError(f"[{section}] requires key {f.name!r}")
+    try:
+        return cls(**args) if base is None else replace(base, **args)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
-def _build_formation(values: dict, section: str) -> FormationParams:
-    if "rho" not in values:
-        raise ConfigError(f"[{section}] requires key 'rho'")
-    return FormationParams(
-        rho=values["rho"],
-        theta=values.get("theta", 0.0),
-        a_off=values.get("a_off", 0.0),
-        b_off=values.get("b_off", 0.0),
-        m_slope=values.get("m_slope", 0.0),
-        n_slope=values.get("n_slope", 0.0),
-    )
+def _settings(section: str, values: dict) -> dict:
+    """A plain section's values with its defaults filled in."""
+    settings = {**_PLAIN_SECTIONS[section], **values}
+    for key, value in settings.items():
+        if value is MISSING:
+            raise ConfigError(f"[{section}] requires key {key!r}")
+    return settings
 
 
 def _build_controller(sections: dict) -> ControllerSpec:
-    ctrl = sections.get("controller")
-    if not ctrl or "kind" not in ctrl:
-        raise ConfigError("[controller] section with key 'kind' is required")
-    kind = ctrl["kind"]
-    if kind not in _CONTROLLER_KINDS:
-        raise ConfigError(f"unknown controller kind {kind!r}")
-    horizon = ctrl.get("horizon", "infinite")
-    if horizon not in ("infinite", "finite"):
-        raise ConfigError(f"horizon must be 'infinite' or 'finite', got {horizon!r}")
-    if horizon == "finite" and kind != "sdre":
+    ctrl = _settings("controller", sections.get("controller", {}))
+    kind, finite, open_loop = ctrl["kind"], ctrl["horizon"] == "finite", ctrl["apply"] == "open"
+    if finite and kind != "sdre":
         raise ConfigError("horizon = finite applies only to the sdre controller")
-    apply_mode = ctrl.get("apply", "closed")
-    if apply_mode not in ("closed", "open"):
-        raise ConfigError(f"apply must be 'closed' or 'open', got {apply_mode!r}")
-    if apply_mode == "open" and kind not in ("lqr", "sdre"):
+    if open_loop and kind not in ("lqr", "sdre"):
         raise ConfigError("apply = open requires a feedback controller (lqr or sdre)")
-    for name in ("lqr", "sdre", "mpsp", "gmpsp", "nnlqr"):
+    for name in _OPTION_SECTIONS:
         if name in sections and name != kind:
             raise ConfigError(f"[{name}] section does not match controller kind {kind!r}")
-    options: dict = {}
-    for key, value in sections.get(kind, {}).items():
-        if key in ("q_weight", "r_weight"):
-            value = value * np.eye(6 if key == "q_weight" else 3)
-        elif key == "variant" and value not in ("SDC1", "SDC2"):
-            raise ConfigError(f"variant must be SDC1 or SDC2, got {value!r}")
-        elif key == "basis" and value not in ("grid", "global"):
-            raise ConfigError(f"basis must be 'grid' or 'global', got {value!r}")
-        options[_OPTION_FIELDS.get(key, key)] = value
-    if apply_mode == "open":
-        options["open_loop"] = True
-    resolved = "fsdre" if (kind == "sdre" and horizon == "finite") else kind
+    resolved = "fsdre" if finite else kind
+    options = _build(CONTROLLER_OPTIONS[resolved], kind, sections.get(kind, {}))
+    if open_loop:
+        options = replace(options, open_loop=True)
     return ControllerSpec(resolved, options)
 
 
@@ -258,27 +276,28 @@ def config_to_scenario(sections: dict) -> Scenario:
     for required in ("chief", "initial", "desired", "run"):
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
-    chief = _build_chief(sections["chief"])
+    chief = _build(ChiefOrbit, "chief", sections["chief"])
     truth = None
     if "truth" in sections:
-        truth = _build_chief(sections["truth"], fallback=chief)
-    gravity_vals = sections.get("gravity", {})
-    j2_flag = gravity_vals.get("j2", "off")
-    if j2_flag not in ("on", "off"):
-        raise ConfigError(f"j2 must be 'on' or 'off', got {j2_flag!r}")
-    run_vals = sections["run"]
-    if "tf" not in run_vals:
-        raise ConfigError("[run] requires key 'tf'")
-    return Scenario(
-        chief=chief,
-        gravity=GravityModel(j2_enabled=(j2_flag == "on")),
-        initial=_build_formation(sections["initial"], "initial"),
-        desired=_build_formation(sections["desired"], "desired"),
-        tf=run_vals["tf"],
-        dt=run_vals.get("dt", 1.0),
-        controller=_build_controller(sections),
-        truth_chief=truth,
-    )
+        truth = _build(ChiefOrbit, "truth", sections["truth"], base=chief)
+    gravity = _settings("gravity", sections.get("gravity", {}))
+    run = _settings("run", sections["run"])
+    initial = _build(FormationParams, "initial", sections["initial"])
+    desired = _build(FormationParams, "desired", sections["desired"])
+    controller = _build_controller(sections)
+    try:
+        return Scenario(
+            chief=chief,
+            gravity=GravityModel(j2_enabled=(gravity["j2"] == "on")),
+            initial=initial,
+            desired=desired,
+            tf=run["tf"],
+            dt=run["dt"],
+            controller=controller,
+            truth_chief=truth,
+        )
+    except HarnessError as exc:
+        raise ConfigError(f"[run] {exc}") from exc
 
 
 def parse_config(path) -> Scenario:
@@ -298,48 +317,35 @@ def _num(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _angle(value: float) -> str:
-    return f"{_num(value)} rad"
-
-
-def _chief_lines(name: str, orbit: ChiefOrbit) -> list[str]:
-    return [
-        f"[{name}]",
-        f"a = {_num(orbit.a)}",
-        f"e = {_num(orbit.e)}",
-        f"i = {_angle(orbit.i)}",
-        f"arg_perigee = {_angle(orbit.arg_perigee)}",
-        f"raan = {_angle(orbit.raan)}",
-        f"nu0 = {_angle(orbit.nu0)}",
-    ]
-
-
-def _formation_lines(name: str, f: FormationParams) -> list[str]:
-    return [
-        f"[{name}]",
-        f"rho = {_num(f.rho)}",
-        f"theta = {_angle(f.theta)}",
-        f"a_off = {_num(f.a_off)}",
-        f"b_off = {_num(f.b_off)}",
-        f"m_slope = {_num(f.m_slope)}",
-        f"n_slope = {_num(f.n_slope)}",
-    ]
+def _section_lines(section: str, obj) -> list[str]:
+    """The section's header and one line per key, read from ``obj``."""
+    lines = [f"[{section}]"]
+    for key, (name, _) in _SCHEMA[section].items():
+        value = getattr(obj, name)
+        if key in ANGLE_KEYS:
+            value = f"{_num(value)} rad"
+        elif isinstance(value, np.ndarray):
+            value = _num(value[0, 0])
+        elif not isinstance(value, str):
+            value = _num(value)
+        lines.append(f"{key} = {value}")
+    return lines
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Emit a scenario as config text in normal form."""
-    lines = _chief_lines("chief", scenario.chief)
+    lines = _section_lines("chief", scenario.chief)
     if scenario.truth_chief is not None:
-        lines += [""] + _chief_lines("truth", scenario.truth_chief)
+        lines += [""] + _section_lines("truth", scenario.truth_chief)
     lines += [
         "",
         "[gravity]",
         f"j2 = {'on' if scenario.gravity.j2_enabled else 'off'}",
         "",
     ]
-    lines += _formation_lines("initial", scenario.initial) + [""]
-    lines += _formation_lines("desired", scenario.desired) + [""]
-    lines += ["[run]", f"tf = {_num(scenario.tf)}", f"dt = {_num(scenario.dt)}", ""]
+    lines += _section_lines("initial", scenario.initial) + [""]
+    lines += _section_lines("desired", scenario.desired) + [""]
+    lines += _section_lines("run", scenario) + [""]
     spec = scenario.controller
     kind = "sdre" if spec.kind == "fsdre" else spec.kind
     lines += ["[controller]", f"kind = {kind}"]
@@ -348,29 +354,12 @@ def serialize_scenario(scenario: Scenario) -> str:
     if getattr(spec.options, "open_loop", False):
         lines.append("apply = open")
     if kind != "zero":
-        lines += ["", f"[{kind}]"]
-        for key in _SECTION_KEYS[kind]:
-            value = getattr(spec.options, _OPTION_FIELDS.get(key, key))
-            if isinstance(value, np.ndarray):
-                value = _num(value[0, 0])
-            elif not isinstance(value, (str, int)):
-                value = _num(value)
-            lines.append(f"{key} = {value}")
+        lines += [""] + _section_lines(kind, spec.options)
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Presets
-
-
-@dataclass(frozen=True)
-class Preset:
-    """Packaged scenario plus the bound checks applied by reproduce."""
-
-    name: str
-    description: str
-    build: callable
-    check: callable  # (results dict) -> list[(label, passed, detail)]
 
 
 def _chief(a=10000.0, e=0.0, i=0.0, nu0=math.radians(10.0)) -> ChiefOrbit:
@@ -667,9 +656,8 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep_r(args) -> int:
     base = _apply_overrides(parse_config(args.config), args)
-    values = [float(v) for v in args.values.split(",")]
     results = []
-    for value in values:
+    for value in args.values:
         options = replace(base.controller.options, R=value * np.eye(3))
         scn = replace(base, controller=replace(base.controller, options=options))
         results.append((f"R={value:g}", run_scenario(scn, args.threshold_pct)))
@@ -721,11 +709,22 @@ def _checked(convert, ok, what: str):
             raise argparse.ArgumentTypeError(f"must be {what}, got {raw!r}")
         return value
 
-    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    parse.__name__ = convert.__name__.lstrip("_")  # argparse: "invalid float value"
     return parse
 
 
-_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+def _float_list(raw: str) -> list[float]:
+    return [float(v) for v in raw.split(",")]
+
+
+_positive_float = _checked(float, _finite_positive, "finite and > 0")
+_positive_floats = _checked(
+    _float_list, lambda values: all(map(_finite_positive, values)), "finite numbers > 0"
+)
 _count = _checked(int, lambda v: v >= 0, ">= 0")
 
 
@@ -758,8 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep-r", help="sweep the control weight")
     p_swp.add_argument("config")
-    p_swp.add_argument("--values", default="1e8,1e9,1e10,1e11")
-    p_swp.add_argument("--threshold-pct", type=float, default=1.0)
+    p_swp.add_argument("--values", type=_positive_floats, default="1e8,1e9,1e10,1e11")
+    p_swp.add_argument("--threshold-pct", type=_positive_float, default=1.0)
     common(p_swp)
     p_swp.set_defaults(func=cmd_sweep_r)
 

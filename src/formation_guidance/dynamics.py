@@ -109,7 +109,7 @@ class FormationParams:
     theta: float = 0.0
     a_off: float = 0.0
     b_off: float = 0.0
-    m_slope: float = 1.0
+    m_slope: float = 0.0
     n_slope: float = 0.0
 
     def __post_init__(self) -> None:

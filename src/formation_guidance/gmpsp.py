@@ -121,23 +121,21 @@ def gmpsp_solve(
     Y_star: np.ndarray,
     guess: np.ndarray,
     dt: float,
-    R: np.ndarray | None = None,
-    tol_rho_pct: float = GmpspOptions.tol_rho_pct,
-    max_iter: int = GmpspOptions.max_iter,
+    options: GmpspOptions,
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """Outer prediction/correction loop of the continuous formulation.
 
-    R defaults to that of ``GmpspOptions``.  Returns (controls, iteration
-    log, final trajectory) with the same log schema as the discrete
-    solver; see :func:`formation_guidance.mpsp.predict_correct`.
+    Returns (controls, iteration log, final trajectory) with the same log
+    schema as the discrete solver; see
+    :func:`formation_guidance.mpsp.predict_correct`.
     """
-    R = GmpspOptions().R if R is None else R
 
     def correct(states, nus, dY, U):
         field = integrate_W_backward(plant, states, nus, dt)
-        acc = gmpsp_accumulate(field, U, R, dt)
-        return gmpsp_update(acc, dY, field, R)
+        acc = gmpsp_accumulate(field, U, options.R, dt)
+        return gmpsp_update(acc, dY, field, options.R)
 
     return predict_correct(
-        guess, Y_star, lambda U: plant.propagate(x0, U, dt), correct, tol_rho_pct, max_iter
+        guess, Y_star, lambda U: plant.propagate(x0, U, dt), correct,
+        options.tol_rho_pct, options.max_iter,
     )

@@ -20,7 +20,7 @@ from .dynamics import (
 )
 from .gmpsp import gmpsp_solve
 from .lqr import design_lqr, lqr_tracking_control
-from .mpsp import MpspConfig, mpsp_solve, rho_error_pct
+from .mpsp import mpsp_solve, rho_error_pct
 from .options import CONTROLLER_OPTIONS
 from .sdre import FiniteHorizonSpec, SdcModel, finite_time_sdre_control, sdre_infinite_control
 
@@ -80,7 +80,7 @@ class Scenario:
         if self.tf <= 0.0 or self.dt <= 0.0:
             raise HarnessError("tf and dt must be positive")
         steps = self.tf / self.dt
-        if abs(steps - round(steps)) > 1e-9:
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise HarnessError("tf must be an integral number of dt steps")
         if self.n_steps < 1:
             raise HarnessError("tf must span at least one dt step")
@@ -237,15 +237,10 @@ def _solve_open_loop(
     scenario: Scenario, plant: RelativePlant, x0: np.ndarray
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """MPSP/G-MPSP seeded with the closed-loop LQR control history."""
-    kind, opts, dt = scenario.controller.kind, scenario.controller.options, scenario.dt
     Y_star = formation_to_hill(scenario.desired, scenario.chief.mean_motion(), scenario.tf)
     _, guess = _run_closed_loop(replace(scenario, controller=ControllerSpec("lqr")), plant, x0)
-    if kind == "mpsp":
-        config = MpspConfig(dt=dt, R_l=opts.R, tol_rho_pct=opts.tol_rho_pct, max_iter=opts.max_iter)
-        return mpsp_solve(plant, x0, Y_star, config, guess)
-    return gmpsp_solve(
-        plant, x0, Y_star, guess, dt, R=opts.R, tol_rho_pct=opts.tol_rho_pct, max_iter=opts.max_iter
-    )
+    solve = mpsp_solve if scenario.controller.kind == "mpsp" else gmpsp_solve
+    return solve(plant, x0, Y_star, guess, scenario.dt, scenario.controller.options)
 
 
 def run_scenario(scenario: Scenario, settle_threshold_pct: float = 1.0) -> RunResult:

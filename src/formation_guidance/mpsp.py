@@ -11,7 +11,7 @@ tolerance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,21 +22,6 @@ from .options import MpspOptions
 
 class MpspError(RuntimeError):
     """Raised on sensitivity or update failures."""
-
-
-@dataclass(frozen=True)
-class MpspConfig:
-    """Solver settings.
-
-    R_l is the continuous control weight; the per-step static weight is
-    R_k = dt * R_l.  Iterations stop when the terminal baseline error
-    %rho_e drops below tol_rho_pct or max_iter is reached.
-    """
-
-    dt: float = 1.0
-    R_l: np.ndarray = field(default_factory=lambda: MpspOptions().R)
-    tol_rho_pct: float = MpspOptions.tol_rho_pct
-    max_iter: int = MpspOptions.max_iter
 
 
 @dataclass
@@ -171,19 +156,24 @@ def mpsp_solve(
     plant: RelativePlant,
     x0: np.ndarray,
     Y_star: np.ndarray,
-    config: MpspConfig,
     guess: np.ndarray,
+    dt: float,
+    options: MpspOptions,
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
-    """Discrete static programming; see :func:`predict_correct`."""
-    R_kmat = config.dt * config.R_l
+    """Discrete static programming; see :func:`predict_correct`.
+
+    options.R is the continuous control weight; the per-step static
+    weight is R_k = dt * R.
+    """
+    R_kmat = dt * options.R
 
     def predict(U):
-        states, nus, _ = predict_trajectory(plant, x0, U, config.dt)
+        states, nus, _ = predict_trajectory(plant, x0, U, dt)
         return states, nus
 
     def correct(states, nus, dY, U):
-        dF_dX, dF_dU = analytic_state_jacobians(plant, states, nus, config.dt)
+        dF_dX, dF_dU = analytic_state_jacobians(plant, states, nus, dt)
         sens = compute_sensitivities(dF_dX, dF_dU, R_kmat, U)
         return mpsp_update(sens, dY, U, R_kmat)
 
-    return predict_correct(guess, Y_star, predict, correct, config.tol_rho_pct, config.max_iter)
+    return predict_correct(guess, Y_star, predict, correct, options.tol_rho_pct, options.max_iter)

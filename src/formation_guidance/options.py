@@ -1,10 +1,10 @@
 """Controller options: one frozen dataclass per controller kind.
 
 Every controller default is defined here once.  The harness reads these
-fields, the CLI parser overrides them and its serializer writes them,
-and the solvers' own defaults (``design_lqr``, ``MpspConfig``,
-``gmpsp_solve``) come from the same classes.  Weights are matrices: Q is
-the 6x6 state weight and R the 3x3 control weight.
+fields and hands ``mpsp_solve``/``gmpsp_solve`` their options object,
+``design_lqr`` takes its default weights from here, and the fields of
+each class are the keys of its CLI config section.  Weights are
+matrices: Q is the 6x6 state weight and R the 3x3 control weight.
 """
 
 from __future__ import annotations

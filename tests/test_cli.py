@@ -1,7 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formation_guidance.cli import (
     EXIT_CRITERION,
@@ -14,6 +17,9 @@ from formation_guidance.cli import (
     parse_config_text,
     serialize_scenario,
 )
+from formation_guidance.dynamics import ChiefOrbit, FormationParams, GravityModel
+from formation_guidance.harness import ControllerSpec, Scenario
+from formation_guidance.options import CONTROLLER_OPTIONS
 
 MINIMAL = """\
 [chief]
@@ -128,6 +134,39 @@ class TestParseConfig:
         text = MINIMAL.replace("kind = lqr", "kind = mpsp") + "\n[mpsp]\nmax_iter = 0\n"
         assert parse_config_text(text)["mpsp"]["max_iter"] == 0
 
+    @pytest.mark.parametrize("key, edit", [
+        ("kind", ("kind = lqr", "kind = pid")),
+        ("horizon", ("kind = lqr", "kind = sdre\nhorizon = receding")),
+        ("apply", ("kind = lqr", "kind = lqr\napply = twice")),
+        ("variant", ("kind = lqr", "kind = sdre\n[sdre]\nvariant = SDC3")),
+        ("basis", ("kind = lqr", "kind = nnlqr\n[nnlqr]\nbasis = local")),
+        ("j2", ("[run]", "[gravity]\nj2 = maybe\n\n[run]")),
+    ])
+    def test_bad_word_rejected_with_line(self, key, edit):
+        text = MINIMAL.replace(*edit)
+        line = next(n for n, s in enumerate(text.splitlines(), 1) if s.startswith(f"{key} ="))
+        with pytest.raises(ConfigError, match=f"line {line}: key '{key}' must be one of"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("edit, message", [
+        (("a = 10000", "a = -5"), "semi-major axis"),
+        (("rho = 5", "rho = -1"), "rho"),
+        (("tf = 600", "tf = 10\ndt = 3"), "integral number of dt steps"),
+        (("tf = 600", "tf = 1\ndt = 3"), "integral number of dt steps"),
+        (("tf = 600", "tf = 3\ndt = 1e-320"), "integral number of dt steps"),
+        (("tf = 600", "dt = 2"), r"\[run\] requires key 'tf'"),
+        (("a = 10000", "e = 0.1"), r"\[chief\] requires key 'a'"),
+    ])
+    def test_invalid_value_raises_config_error(self, edit, message):
+        with pytest.raises(ConfigError, match=message):
+            _scenario_from(MINIMAL.replace(*edit, 1))
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        scn = _scenario_from(MINIMAL.replace("theta = 30 deg\nm_slope = 1\n", ""))
+        assert scn.initial == scn.desired == FormationParams(rho=5.0)
+        assert scn.initial.m_slope == 0.0
+        assert scn.chief == ChiefOrbit(a=10000.0)
+
     def test_truth_section_inherits_from_chief(self):
         text = MINIMAL + "\n[truth]\ne = 0.5\n"
         scn = _scenario_from(text)
@@ -152,6 +191,111 @@ class TestRoundTrip:
         assert again.desired == scn.desired
         assert (again.tf, again.dt) == (scn.tf, scn.dt)
         assert again.controller.kind == scn.controller.kind
+
+
+def _finite(lo=-1e6, hi=1e6):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _weight(size):
+    return _finite().map(lambda scale: scale * np.eye(size))
+
+
+_ANGLE = _finite(-10.0, 10.0)
+_CHIEFS = st.builds(
+    ChiefOrbit, a=_finite(1.0, 1e6), e=st.floats(0.0, 1.0, exclude_max=True),
+    i=_ANGLE, arg_perigee=_ANGLE, raan=_ANGLE, nu0=_ANGLE,
+)
+_FORMATIONS = st.builds(
+    FormationParams, rho=_finite(0.0, 1e6), theta=_ANGLE, a_off=_finite(),
+    b_off=_finite(), m_slope=_finite(), n_slope=_finite(),
+)
+# A strategy for every options field; a field added without one fails here.
+_OPTION_VALUES = {
+    "Q": _weight(6), "R": _weight(3), "open_loop": st.booleans(),
+    "variant": st.sampled_from(["SDC1", "SDC2"]), "series_order": st.integers(1, 50),
+    "tol_rho_pct": _finite(0.0, 100.0).filter(lambda v: v > 0.0),
+    "max_iter": st.integers(0, 1000), "R1": _finite(), "k_tau": _finite(),
+    "beta": _finite(), "gamma": _finite(), "theta": _finite(),
+    "basis": st.sampled_from(["grid", "global"]),
+}
+
+
+@st.composite
+def _controllers(draw):
+    kind = draw(st.sampled_from(sorted(CONTROLLER_OPTIONS)))
+    names = [f.name for f in fields(CONTROLLER_OPTIONS[kind])]
+    options = draw(st.fixed_dictionaries({name: _OPTION_VALUES[name] for name in names}))
+    return ControllerSpec(kind, options)
+
+
+@st.composite
+def _scenarios(draw):
+    dt = draw(_finite(1e-3, 100.0))
+    return Scenario(
+        chief=draw(_CHIEFS),
+        gravity=GravityModel(j2_enabled=draw(st.booleans())),
+        initial=draw(_FORMATIONS),
+        desired=draw(_FORMATIONS),
+        tf=draw(st.integers(1, 100_000)) * dt,
+        dt=dt,
+        controller=draw(_controllers()),
+        truth_chief=draw(st.none() | _CHIEFS),
+    )
+
+
+def _assert_same_scenario(a, b):
+    assert (a.chief, a.truth_chief, a.gravity) == (b.chief, b.truth_chief, b.gravity)
+    assert (a.initial, a.desired, a.tf, a.dt) == (b.initial, b.desired, b.tf, b.dt)
+    assert a.controller.kind == b.controller.kind
+    for f in fields(a.controller.options):
+        x, y = getattr(a.controller.options, f.name), getattr(b.controller.options, f.name)
+        assert np.array_equal(x, y), f.name
+
+
+class TestPropertyRoundTrip:
+    @settings(max_examples=200)
+    @given(_scenarios())
+    def test_serialize_parse_is_a_fixed_point(self, scn):
+        text = serialize_scenario(scn)
+        again = _scenario_from(text)
+        assert serialize_scenario(again) == text
+        _assert_same_scenario(again, scn)
+
+
+_VALID_CONFIGS = [MINIMAL, RECONFIGURE] + [
+    serialize_scenario(scn)
+    for name in ("fsdre", "mpsp-j2", "nnlqr")
+    for scn in PRESETS[name][1]()[0].values()
+]
+_TOKENS = ("-5", "0", "3", "-1", "1e-320", "1e400", "nan", "ten", "", "1 deg", "2 rad",
+           "deg", "on", "open", "finite", "SDC3", "global", "mpsp", "zero", "[run]", "x = 1")
+
+
+class TestMalformedConfigs:
+    @settings(max_examples=300)
+    @given(st.sampled_from(_VALID_CONFIGS), st.data())
+    def test_mutated_config_parses_or_raises_config_error(self, text, data):
+        """Replace values or whole lines, or delete or repeat lines, of a
+        valid config: the result either parses or raises ConfigError."""
+        lines = text.splitlines()
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            op = data.draw(st.sampled_from(["value", "line", "delete", "repeat"]))
+            key, sep, _ = lines[i].partition("=")
+            if op == "value" and sep:
+                lines[i] = f"{key}= {data.draw(st.sampled_from(_TOKENS))}"
+            elif op in ("value", "line"):
+                lines[i] = data.draw(st.sampled_from(_TOKENS))
+            elif op == "delete" and len(lines) > 1:
+                del lines[i]
+            else:
+                lines.insert(i, lines[i])
+        try:
+            scn = _scenario_from("\n".join(lines) + "\n")
+        except ConfigError:
+            return
+        assert isinstance(scn, Scenario)
 
 
 class TestSubcommands:
@@ -221,10 +365,16 @@ class TestSubcommands:
         ("--max-iter", "1.5"),
         ("--tol-pct", "-1"),
         ("--tol-pct", "nan"),
+        ("--values", "1e8,nan"),
+        ("--values", "1e8,-1e9"),
+        ("--values", "0"),
+        ("--threshold-pct", "-1"),
+        ("--threshold-pct", "nan"),
     ])
     def test_out_of_range_override_rejected(self, flag, value, capsys):
+        command = "sweep-r" if flag in ("--values", "--threshold-pct") else "run"
         with pytest.raises(SystemExit) as exc:
-            main(["run", "x.cfg", flag, value])
+            main([command, "x.cfg", flag, value])
         assert exc.value.code == EXIT_ERROR
         assert flag in capsys.readouterr().err
 

@@ -19,6 +19,7 @@ from formation_guidance.gmpsp import (
     integrate_W_backward,
 )
 from formation_guidance.numerics import matrix_exponential
+from formation_guidance.options import GmpspOptions
 
 CIRC = ChiefOrbit(a=10000.0)
 OMEGA = CIRC.mean_motion()
@@ -180,7 +181,7 @@ class TestGmpspSolve:
         x0 = formation_to_hill(params, OMEGA, 0.0)
         n, dt = 50, 1.0
         Y_star = formation_to_hill(params, OMEGA, n * dt)
-        U, log, _ = gmpsp_solve(plant, x0, Y_star, np.zeros((n, 3)), dt)
+        U, log, _ = gmpsp_solve(plant, x0, Y_star, np.zeros((n, 3)), dt, GmpspOptions())
         assert len(log) == 1 and log[0]["converged"]
         np.testing.assert_array_equal(U, np.zeros((n, 3)))
 

@@ -11,7 +11,6 @@ from formation_guidance.dynamics import (
     hill_linear_matrices,
 )
 from formation_guidance.mpsp import (
-    MpspConfig,
     MpspError,
     SensitivitySet,
     analytic_state_jacobians,
@@ -22,6 +21,7 @@ from formation_guidance.mpsp import (
     rho_error_pct,
 )
 from formation_guidance.numerics import fd_jacobian, rk4_step
+from formation_guidance.options import MpspOptions
 
 CIRC = ChiefOrbit(a=10000.0)
 OMEGA = CIRC.mean_motion()
@@ -173,7 +173,7 @@ class TestMpspSolve:
         x0 = formation_to_hill(params, OMEGA, 0.0)
         n, dt = 100, 1.0
         Y_star = formation_to_hill(params, OMEGA, n * dt)
-        U, log, _ = mpsp_solve(plant, x0, Y_star, MpspConfig(dt=dt), np.zeros((n, 3)))
+        U, log, _ = mpsp_solve(plant, x0, Y_star, np.zeros((n, 3)), dt, MpspOptions())
         assert len(log) == 1
         assert log[0]["iteration"] == 0
         assert log[0]["converged"]
