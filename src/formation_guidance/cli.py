@@ -42,10 +42,10 @@ named class (formation_guidance.dynamics, formation_guidance.options):
              apply = closed|open (closed; open plans on the believed
              unperturbed model and replays the control history)
   Numbers must be finite; max_iter (>= 0) and series_order (>= 1) must be
-  integers, and tol_pct must be > 0.  A bad number or a word outside its
-  list is rejected with its line number; values the dataclasses reject
-  (a <= 0, e outside [0, 1), rho < 0) and a tf that is not a whole
-  number of dt steps raise ConfigError too.
+  integers, tol_pct and r_weight must be > 0 and q_weight >= 0.  A bad
+  number or a word outside its list is rejected with its line number;
+  values the dataclasses reject (a <= 0, e outside [0, 1), rho < 0) and
+  a tf that is not a whole number of dt steps raise ConfigError too.
 
 Exit codes: 0 success (and criteria met), 1 criteria failed, 2 error.
 """
@@ -105,8 +105,11 @@ _CHOICES = {
     "basis": ("grid", "global"),
 }
 
-# Lower bound of each bounded number: (comparison, bound).
-_BOUNDS = {"series_order": (">=", 1), "max_iter": (">=", 0), "tol_pct": (">", 0)}
+# Lower bound of each bounded number: (comparison, bound).  A zero state
+# weight is legal (the finite-horizon SDRE's default); R must be positive
+# definite for the Riccati solve.
+_BOUNDS = {"series_order": (">=", 1), "max_iter": (">=", 0), "tol_pct": (">", 0),
+           "q_weight": (">=", 0), "r_weight": (">", 0)}
 _COMPARE = {">=": operator.ge, ">": operator.gt}
 
 # Dataclass of each dataclass-backed section.
@@ -223,8 +226,9 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
             raise ConfigError(f"line {line_no}: duplicate key {key!r} in [{current}]")
         value = _SCHEMA[current][key][1](raw_value, key, line_no)
         if key in _BOUNDS:
+            # Compare the number as written: weights parse to matrices.
             comparison, bound = _BOUNDS[key]
-            if not _COMPARE[comparison](value, bound):
+            if not _COMPARE[comparison](float(raw_value), bound):
                 raise ConfigError(
                     f"line {line_no}: key {key!r} must be {comparison} {bound}, got {raw_value!r}"
                 )

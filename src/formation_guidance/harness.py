@@ -201,9 +201,16 @@ def _feedback_law(
     nus = propagate_nu(believed, 0.0, scenario.tf, dt)
 
     if kind == "sdre":
+        # Each step's Riccati solution warm-starts the next; the state is
+        # local to this run's law.
+        P = None
+
         def sdre_law(k, t, X):
+            nonlocal P
             kin = chief_kinematics(believed, nus[k])
-            return sdre_infinite_control(X, reference(t)[0], model, kin, opts.Q, opts.R)
+            Xd = formation_to_hill(desired, omega, t)
+            u, P = sdre_infinite_control(X, Xd, model, kin, opts.Q, opts.R, guess=P)
+            return u
 
         return sdre_law
 

@@ -55,8 +55,20 @@ def rk4_step(
     return out
 
 
+#: Most Newton-Kleinman steps a warm start takes before the cold solve.
+NEWTON_MAX_STEPS = 4
+
+#: Relative Riccati residual at which Newton-Kleinman stops, far inside
+#: the 1e-8 contract so a warm ``P`` agrees with the cold one.
+NEWTON_TOL = 1e-14
+
+
 def solve_are(
-    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray
+    A: np.ndarray,
+    B: np.ndarray,
+    Q: np.ndarray,
+    R: np.ndarray,
+    guess: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve the continuous algebraic Riccati equation.
 
@@ -64,9 +76,22 @@ def solve_are(
 
         P A + Aᵀ P + Q − P B R⁻¹ Bᵀ P = 0
 
-    such that the closed loop ``A − B R⁻¹ Bᵀ P`` is Hurwitz.  The
-    solution is obtained from the Hamiltonian invariant-subspace method
-    and verified against a residual bound of ``1e-8 * (1 + ||P||)``.
+    such that the closed loop ``A − B R⁻¹ Bᵀ P`` is Hurwitz.
+
+    Without ``guess`` the solution is obtained from the Hamiltonian
+    invariant-subspace method (a cold solve).  With ``guess``, typically
+    the solution for a nearby ``A``, Kleinman's Newton iteration (IEEE
+    TAC 1968) starts from it instead: each step solves one Lyapunov
+    equation for the closed loop of the previous iterate, and a guess
+    close to the answer converges in one or two steps.  The warm start
+    falls back to the cold solve when the guess does not stabilize the
+    closed loop, or when Newton has not reached a relative residual of
+    ``NEWTON_TOL`` within ``NEWTON_MAX_STEPS`` steps.
+
+    Either way the returned ``P`` is verified against a residual bound
+    of ``1e-8 * (1 + ||P||)`` and a Hurwitz closed loop; a warm result
+    that fails either check is discarded for the cold solve, so a guess
+    never makes the solve raise where a cold solve succeeds.
 
     Raises
     ------
@@ -82,9 +107,52 @@ def solve_are(
         # scaled control weights keep the Hamiltonian pencil balanced.
         L = np.linalg.cholesky(R)
         B_tilde = scipy.linalg.solve_triangular(L, B.T, lower=True).T
+    except Exception as exc:  # numpy raises LinAlgError, scipy ValueError
+        raise NumericsError(f"Riccati solve failed: {exc}") from exc
+    if guess is not None:
+        P = _newton_kleinman(A, B_tilde @ B_tilde.T, Q, np.asarray(guess, dtype=float))
+        if P is not None:
+            try:
+                return _verified(A, B, Q, R, P)
+            except NumericsError:
+                pass  # fall through to the cold solve
+    try:
         P = scipy.linalg.solve_continuous_are(A, B_tilde, Q, np.eye(B.shape[1]))
     except Exception as exc:  # scipy raises LinAlgError or ValueError
         raise NumericsError(f"Riccati solve failed: {exc}") from exc
+    return _verified(A, B, Q, R, P)
+
+
+def _newton_kleinman(
+    A: np.ndarray, G: np.ndarray, Q: np.ndarray, P: np.ndarray
+) -> np.ndarray | None:
+    """Newton-Kleinman for P A + Aᵀ P + Q − P G P = 0 from ``P``.
+
+    Returns the converged iterate, or None when ``A − G P`` is not
+    Hurwitz, an iterate is not finite, or ``NEWTON_MAX_STEPS`` steps do
+    not reach the ``NEWTON_TOL`` residual.
+    """
+    try:
+        closed = A - G @ P
+        if np.max(np.linalg.eigvals(closed).real) >= 0.0:
+            return None
+        for _ in range(NEWTON_MAX_STEPS):
+            # (A − G P_k)ᵀ P_{k+1} + P_{k+1} (A − G P_k) = −(Q + P_k G P_k)
+            P = scipy.linalg.solve_continuous_lyapunov(closed.T, -(Q + P @ G @ P))
+            P = 0.5 * (P + P.T)
+            closed = A - G @ P
+            residual = P @ closed + A.T @ P + Q
+            if np.linalg.norm(residual) <= NEWTON_TOL * (1.0 + np.linalg.norm(P)):
+                return P
+    except (np.linalg.LinAlgError, ValueError):  # non-finite or singular iterate
+        pass
+    return None
+
+
+def _verified(
+    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, P: np.ndarray
+) -> np.ndarray:
+    """Symmetrize ``P`` and check the residual and Hurwitz contract."""
     P = 0.5 * (P + P.T)
     Rinv_BT_P = np.linalg.solve(R, B.T @ P)
     residual = P @ A + A.T @ P + Q - P @ B @ Rinv_BT_P

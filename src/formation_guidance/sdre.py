@@ -166,14 +166,20 @@ def sdre_infinite_control(
     Q: np.ndarray,
     R: np.ndarray,
     mu: float = MU_EARTH,
-) -> np.ndarray:
-    """Pointwise infinite-horizon SDRE control U = -R^-1 B^T P(X) (X - Xd)."""
+    guess: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise infinite-horizon SDRE control U = -R^-1 B^T P(X) (X - Xd).
+
+    Returns ``(U, P)``.  ``guess`` is handed to ``solve_are`` as a warm
+    start; passing the ``P`` of the previous control step lets the next
+    Riccati solve take a Newton step instead of a cold solve.
+    """
     A = sdc_matrix(state, kin, model, mu)
     try:
-        P = solve_are(A, B, Q, R)
+        P = solve_are(A, B, Q, R, guess)
     except Exception as exc:
         raise SdreError(f"pointwise Riccati failed at state {state}: {exc}") from exc
-    return -np.linalg.solve(R, B.T @ (P @ (state - Xd)))
+    return -np.linalg.solve(R, B.T @ (P @ (state - Xd))), P
 
 
 def finite_time_sdre_control(

@@ -123,6 +123,15 @@ class TestParseConfig:
         ("gmpsp", "max_iter", "-3", ">= 0"),
         ("mpsp", "tol_pct", "-5", "> 0"),
         ("gmpsp", "tol_pct", "0", "> 0"),
+        ("lqr", "r_weight", "-5", "> 0"),
+        ("lqr", "r_weight", "0", "> 0"),
+        ("lqr", "q_weight", "-1", ">= 0"),
+        ("sdre", "r_weight", "0", "> 0"),
+        ("sdre", "q_weight", "-1e-9", ">= 0"),
+        ("mpsp", "r_weight", "-1e9", "> 0"),
+        ("gmpsp", "r_weight", "0", "> 0"),
+        ("nnlqr", "r_weight", "-1", "> 0"),
+        ("nnlqr", "q_weight", "-200", ">= 0"),
     ])
     def test_out_of_range_solver_input_rejected_with_line(self, kind, key, value, bound):
         text = MINIMAL.replace("kind = lqr", f"kind = {kind}") + f"\n[{kind}]\n{key} = {value}\n"
@@ -133,6 +142,13 @@ class TestParseConfig:
     def test_zero_max_iter_accepted(self):
         text = MINIMAL.replace("kind = lqr", "kind = mpsp") + "\n[mpsp]\nmax_iter = 0\n"
         assert parse_config_text(text)["mpsp"]["max_iter"] == 0
+
+    def test_zero_state_weight_accepted(self):
+        text = MINIMAL.replace("kind = lqr", "kind = sdre\nhorizon = finite")
+        text += "\n[sdre]\nq_weight = 0\n"
+        scn = _scenario_from(text)
+        assert scn.controller.kind == "fsdre"
+        np.testing.assert_array_equal(scn.controller.options.Q, np.zeros((6, 6)))
 
     @pytest.mark.parametrize("key, edit", [
         ("kind", ("kind = lqr", "kind = pid")),
@@ -197,8 +213,11 @@ def _finite(lo=-1e6, hi=1e6):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-def _weight(size):
-    return _finite().map(lambda scale: scale * np.eye(size))
+def _weight(size, positive=False):
+    scales = _finite(0.0, 1e6)
+    if positive:
+        scales = scales.filter(lambda v: v > 0.0)
+    return scales.map(lambda scale: scale * np.eye(size))
 
 
 _ANGLE = _finite(-10.0, 10.0)
@@ -212,7 +231,7 @@ _FORMATIONS = st.builds(
 )
 # A strategy for every options field; a field added without one fails here.
 _OPTION_VALUES = {
-    "Q": _weight(6), "R": _weight(3), "open_loop": st.booleans(),
+    "Q": _weight(6), "R": _weight(3, positive=True), "open_loop": st.booleans(),
     "variant": st.sampled_from(["SDC1", "SDC2"]), "series_order": st.integers(1, 50),
     "tol_rho_pct": _finite(0.0, 100.0).filter(lambda v: v > 0.0),
     "max_iter": st.integers(0, 1000), "R1": _finite(), "k_tau": _finite(),
@@ -312,6 +331,15 @@ class TestSubcommands:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[chief]\na = ten\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+
+    def test_negative_control_weight_exits_2_with_line(self, tmp_path, capsys):
+        text = MINIMAL + "\n[lqr]\nr_weight = -5\n"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        line = len(text.splitlines())
+        assert f"line {line}: key 'r_weight' must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == EXIT_ERROR

@@ -94,6 +94,26 @@ class TestRunScenario:
         assert len(result.time) == len(result.states) == len(result.controls) == 61
         np.testing.assert_allclose(np.diff(result.time), 2.0)
 
+    def test_sdre_run_makes_one_cold_riccati_solve(self, care_calls):
+        run_scenario(_natural_scenario("sdre", tf=100.0))
+        assert len(care_calls) == 1
+
+    def test_sdre_warm_start_does_not_leak_between_runs(self, care_calls):
+        """Each run starts cold: R = 1e8 after R = 1e11, or after itself,
+        is bit-identical to R = 1e8 alone."""
+        def sdre(r):
+            return _natural_scenario("sdre", tf=100.0, R=r * np.eye(3))
+
+        alone = run_scenario(sdre(1e8))
+        run_scenario(sdre(1e11))
+        for after in (run_scenario(sdre(1e8)), run_scenario(sdre(1e8))):
+            np.testing.assert_array_equal(after.states, alone.states)
+            np.testing.assert_array_equal(after.controls, alone.controls)
+            assert metrics_row(after) == metrics_row(alone)
+        # A P carried over from the previous run of the same weight would
+        # warm-start the last run's first step and save its cold solve.
+        assert len(care_calls) == 4
+
 
 class TestControlEffort:
     def test_zero_history(self):

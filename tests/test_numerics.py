@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +80,75 @@ class TestSolveAre:
         B = np.array([[0.0], [0.0]])
         with pytest.raises(NumericsError):
             solve_are(A, B, np.eye(2), np.eye(1))
+
+
+def _contract_holds(A, B, Q, R, P):
+    res = P @ A + A.T @ P + Q - P @ B @ np.linalg.solve(R, B.T) @ P
+    closed = A - B @ np.linalg.solve(R, B.T @ P)
+    return (np.linalg.norm(res) <= 1e-8 * (1 + np.linalg.norm(P))
+            and np.max(np.linalg.eigvals(closed).real) < 0.0)
+
+
+class TestSolveAreWarmStart:
+    def test_non_stabilizing_guess_falls_back_to_cold(self, care_calls, monkeypatch):
+        # A = 1 is open-loop unstable, so P = 0 leaves A - G P unstable
+        # and the solve goes straight to the cold path.
+        lyapunov_calls = []
+        monkeypatch.setattr(
+            scipy.linalg, "solve_continuous_lyapunov", lambda a, q: lyapunov_calls.append(1)
+        )
+        A, B, Q, R = np.eye(1), np.eye(1), np.eye(1), np.eye(1)
+        P = solve_are(A, B, Q, R, guess=np.zeros((1, 1)))
+        assert (len(care_calls), len(lyapunov_calls)) == (1, 0)
+        assert P[0, 0] == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-12)
+        assert _contract_holds(A, B, Q, R, P)
+
+    def test_non_stabilizing_newton_result_retried_cold(self, care_calls, monkeypatch):
+        # 2P - P^2 = 0 has roots {0, 2}.  A Lyapunov solver that lands on
+        # the root 0 gives a zero residual but an unstable closed loop;
+        # the solve must retry cold instead of raising.
+        monkeypatch.setattr(
+            scipy.linalg, "solve_continuous_lyapunov", lambda a, q: np.zeros_like(q)
+        )
+        P = solve_are(np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1), guess=3.0 * np.eye(1))
+        assert len(care_calls) == 1
+        assert P[0, 0] == pytest.approx(2.0, abs=1e-10)
+
+    def test_slow_newton_falls_back_to_cold(self, care_calls):
+        # From P = 1e6 toward P = 1, Newton halves P per step and has not
+        # converged when it runs out of steps.
+        A, B, Q, R = np.zeros((1, 1)), np.eye(1), np.eye(1), np.eye(1)
+        P = solve_are(A, B, Q, R, guess=1e6 * np.eye(1))
+        assert len(care_calls) == 1
+        assert P[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_random_systems_with_perturbed_guess(self, care_calls):
+        """Acceptance criterion 11's 100 random systems, each solved from
+        its cold solution perturbed by 1e-6 relative: every result meets
+        the residual and Hurwitz contract and matches the cold solve."""
+        rng = np.random.default_rng(7)
+        noise = np.random.default_rng(11)
+        count = fallbacks = 0
+        while count < 100:
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(1, 3))
+            A = rng.normal(size=(n, n))
+            B = rng.normal(size=(n, m))
+            Q = np.eye(n)
+            R = 10.0 ** rng.uniform(-2, 2) * np.eye(m)
+            try:
+                cold = solve_are(A, B, Q, R)
+            except NumericsError:
+                continue
+            E = noise.normal(size=(n, n))
+            before = len(care_calls)
+            P = solve_are(A, B, Q, R, guess=cold + 1e-6 * np.linalg.norm(cold) * (E + E.T))
+            fallbacks += len(care_calls) - before
+            assert _contract_holds(A, B, Q, R, P)
+            assert np.linalg.norm(P - cold) <= 1e-10 * np.linalg.norm(cold)
+            count += 1
+        # Most of them are solved warm; a fallback shows up as a cold call.
+        assert fallbacks < 50
 
 
 class TestMatrixExponential:

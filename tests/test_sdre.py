@@ -11,9 +11,10 @@ from formation_guidance.dynamics import (
     cw_nonlinear_deriv,
     formation_to_hill,
     hill_linear_matrices,
+    propagate_nu,
 )
 from formation_guidance.lqr import design_lqr
-from formation_guidance.numerics import rk4_step
+from formation_guidance.numerics import rk4_step, solve_are
 from formation_guidance.sdre import (
     FiniteHorizonSpec,
     SdcModel,
@@ -95,15 +96,42 @@ class TestInfiniteHorizonControl:
     def test_zero_error_zero_control(self):
         kin = chief_kinematics(CIRC, nu=0.0)
         X = _sample_state(rho=5.0)
-        u = sdre_infinite_control(X, X, self.MODEL, kin, self.Q, self.R)
+        u, _ = sdre_infinite_control(X, X, self.MODEL, kin, self.Q, self.R)
         np.testing.assert_allclose(u, np.zeros(3), atol=1e-20)
 
     def test_origin_matches_lqr_gain(self):
         kin = chief_kinematics(CIRC, nu=0.0)
         design = design_lqr(OMEGA, self.Q, self.R)
         Xd = np.array([0.1, 0.0, -0.2, 0.0, 0.05, 0.0])
-        u = sdre_infinite_control(np.zeros(6), Xd, self.MODEL, kin, self.Q, self.R)
+        u, _ = sdre_infinite_control(np.zeros(6), Xd, self.MODEL, kin, self.Q, self.R)
         np.testing.assert_allclose(u, -design.K @ (np.zeros(6) - Xd), rtol=1e-6)
+
+    def test_warm_start_matches_cold_along_a_trajectory(self, care_calls):
+        """Fly a 300 s reconfiguration on an eccentric chief, each step
+        warm-started from the last; every step's P equals a cold solve of
+        the same SDC matrix to 1e-10 relative."""
+        orbit = ChiefOrbit(a=10000.0, e=0.15)
+        omega = orbit.mean_motion()
+        plant = RelativePlant(orbit)
+        n, dt = 300, 1.0
+        nus = propagate_nu(orbit, 0.0, n * dt, dt)
+        Xd = formation_to_hill(FormationParams(rho=25.0, theta=0.5, m_slope=1.5), omega, 0.0)
+        x0 = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), omega, 0.0)
+        P = None
+        warm = []
+
+        def policy(k, t, X):
+            nonlocal P
+            kin = chief_kinematics(orbit, nus[k])
+            u, P = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, self.R, guess=P)
+            warm.append((sdc1_matrix(X, kin), P))
+            return u
+
+        plant.simulate(x0, n, dt, policy)
+        assert len(care_calls) == 1
+        for A, P in warm:
+            cold = solve_are(A, B, self.Q, self.R)
+            assert np.linalg.norm(P - cold) <= 1e-10 * np.linalg.norm(cold)
 
 
 class TestFiniteTimeControl:
