@@ -6,18 +6,26 @@ and their circular-orbit linearization, the differential J2 perturbation
 with the chief triad), formation-parameter/state conversions, and
 Hill/ECI transforms.
 
+The truth plant flies the deputy with a fused RK4 step on the 6-state in
+Python floats (``_plant_step``).  The chief is passive, so its RK4 stages
+(radius and anomaly rates; with J2 also the polar axis in Hill axes and
+the chief's own J2 acceleration) are streamed step by step from one
+chief integrator (``_chief_stages``), which ``propagate_nu`` also reads.  ``RelativePlant.deriv`` integrated by
+``numerics.rk4_step`` is the readable reference for both.
+
 State ordering throughout is ``X = [x, xdot, y, ydot, z, zdot]`` with
 x radial, y along-track, z cross-track; units are km, km/s, rad.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import rk4_step
+from .numerics import NumericsError
 
 # Gravitational parameter of the Earth [km^3/s^2].
 MU_EARTH = 398601.0
@@ -147,22 +155,65 @@ def propagate_nu(
 ) -> np.ndarray:
     """True anomaly on the uniform grid t0, t0+dt, ..., t1 by RK4.
 
-    Integrates d(nu)/dt = sqrt(mu a (1-e^2)) / r_c(nu)^2 from nu0.
+    Integrates d(nu)/dt = sqrt(mu a (1-e^2)) / r_c(nu)^2 from nu0 by
+    reading the chief's streamed RK4 stages (:func:`_chief_stages`), the
+    one chief integrator, which also feeds the fused plant step of
+    :meth:`RelativePlant.simulate`; the two agree bit for bit, and both
+    match the reference ``rk4_step(RelativePlant.deriv)``.
     """
     if dt <= 0.0 or t1 <= t0:
         raise DynamicsError("propagate_nu requires t1 > t0 and dt > 0")
     n_steps = int(round((t1 - t0) / dt))
     nus = np.empty(n_steps + 1)
     nus[0] = orbit.nu0
-
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([chief_kinematics(orbit, y[0], mu).nu_dot])
-
-    y = np.array([orbit.nu0])
-    for k in range(n_steps):
-        y = rk4_step(deriv, t0 + k * dt, y, dt)
-        nus[k + 1] = y[0]
+    chief = _chief_stages(orbit, GravityModel(mu=mu), nus[0].item(), n_steps, dt)
+    nus[1:] = [nu for _, nu in chief]
     return nus
+
+
+def _chief_stages(
+    orbit: ChiefOrbit, gravity: GravityModel, nu: float, n: int, dt: float
+) -> Iterator[tuple[tuple[tuple, ...], float]]:
+    """Stream the chief's RK4 stages over n steps of length dt from ``nu``.
+
+    Yields, for each step, the four stage records and the true anomaly
+    at the end of the step.  A record is ``(r_c, nu_dot, nu_ddot)``.
+    With J2 on it also holds the triad data the J2 term needs: the
+    Earth's polar axis in Hill axes, ``C^T e_Z`` (the third row of the
+    chief triad ``C``), and the chief's own J2 acceleration
+    ``C^T a_J2(r_c C e_x)``.  The chief is passive, so nothing here
+    depends on the deputy.  The anomaly and the rates use the float
+    operations of :func:`chief_kinematics` and of
+    :func:`numerics.rk4_step` on nu, so they are bit-identical to the
+    reference ``rk4_step(deriv)``.
+    """
+    a, e, mu = orbit.a, orbit.e, gravity.mu
+    p = a * (1.0 - e**2)
+    sqrt_mu_p = float(np.sqrt(mu * p))
+    ndd_num = -2.0 * mu * e
+    ndd_den = a**3 * (1.0 - e**2) ** 3
+    k_j2 = 1.5 * gravity.mu * gravity.j2 * gravity.re**2
+    si, ci = math.sin(orbit.i), math.cos(orbit.i)
+
+    def record(nu: float) -> tuple:
+        q = 1.0 + e * float(np.cos(nu))
+        r_c = p / q
+        nu_dot = sqrt_mu_p / r_c**2
+        nu_ddot = ndd_num * q**3 * float(np.sin(nu)) / ndd_den
+        if not gravity.j2_enabled:
+            return r_c, nu_dot, nu_ddot
+        th = orbit.arg_perigee + nu
+        pole = (math.sin(th) * si, math.cos(th) * si, ci)
+        return r_c, nu_dot, nu_ddot, pole, _j2_hill(k_j2, pole, r_c, 0.0, 0.0, r_c * r_c)
+
+    h, c = 0.5 * dt, dt / 6.0
+    for _ in range(n):
+        s1 = record(nu)
+        s2 = record(nu + h * s1[1])
+        s3 = record(nu + h * s2[1])
+        s4 = record(nu + dt * s3[1])
+        nu = nu + c * (((s1[1] + 2.0 * s2[1]) + 2.0 * s3[1]) + s4[1])
+        yield (s1, s2, s3, s4), nu
 
 
 def cw_nonlinear_deriv(
@@ -362,16 +413,18 @@ def eci_to_hill(
 class RelativePlant:
     """Truth plant: nonlinear relative dynamics plus optional J2.
 
-    Carries the chief orbit alongside the relative state by augmenting
-    the state vector with the chief true anomaly, so RK4 stages see the
-    chief kinematics at the correct intermediate times.
+    ``simulate`` steps the 6-state with a fused RK4 step in Python
+    floats, fed by the chief's streamed RK4 stages, so every stage sees
+    the chief kinematics at its own intermediate time.  ``deriv``, the
+    derivative of ``[X, nu]`` integrated by ``numerics.rk4_step``, is
+    the readable reference that the fused step is tested against.
     """
 
     orbit: ChiefOrbit
     gravity: GravityModel = field(default_factory=GravityModel)
 
     def deriv(self, t: float, aug: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-        """Derivative of the augmented state [X(6), nu]."""
+        """Derivative of [X(6), nu]; the reference for ``simulate``'s step."""
         state, nu = aug[:6], aug[6]
         kin = chief_kinematics(self.orbit, nu, self.gravity.mu)
         d = None
@@ -407,18 +460,30 @@ class RelativePlant:
 
         The control u_k = policy(k, t_k, X_k), with t_k = t0 + k dt, is
         held over step k.  Returns the (n+1, 6) states, the (n+1,) chief
-        true anomalies and the (n, 3) applied controls.
+        true anomalies and the (n, 3) applied controls.  Raises
+        NumericsError for a non-finite state and DynamicsError for a
+        deputy at the geocenter, like ``rk4_step(deriv)``: J2 off, the
+        trajectory is bit-identical to it; J2 on, it agrees to round-off
+        (the J2 term is evaluated in Hill axes).
         """
         states = np.empty((n + 1, 6))
         nus = np.empty(n + 1)
         controls = np.empty((n, 3))
-        aug = np.append(np.asarray(x0, dtype=float), self.orbit.nu0 if nu0 is None else nu0)
-        states[0], nus[0] = aug[:6], aug[6]
-        for k in range(n):
+        states[0] = x0
+        nus[0] = self.orbit.nu0 if nu0 is None else nu0
+        X = tuple(states[0].tolist())
+        chief = _chief_stages(self.orbit, self.gravity, nus[0].item(), n, dt)
+        for k, (stages, nu) in enumerate(chief):
             t = t0 + k * dt
-            u = controls[k] = policy(k, t, states[k])
-            aug = rk4_step(lambda tt, a: self.deriv(tt, a, u), t, aug, dt)
-            states[k + 1], nus[k + 1] = aug[:6], aug[6]
+            controls[k] = policy(k, t, states[k])
+            try:
+                X = _plant_step(self.gravity, stages, X, controls[k].tolist(), dt)
+                finite = math.isfinite(nu) and all(map(math.isfinite, X))
+            except (OverflowError, ZeroDivisionError):  # where numpy gives inf
+                finite = False
+            if not finite:
+                raise NumericsError(f"non-finite state after RK4 step at t={t}")
+            states[k + 1], nus[k + 1] = X, nu
         return states, nus, controls
 
     def propagate(
@@ -496,3 +561,72 @@ def j2_differential_accel(
         return np.zeros(3)
     C, r_d = _deputy_inertial(chief, kin, state)
     return C.T @ (_j2_accel(g, r_d) - _j2_accel(g, kin.r_c * C[:, 0]))
+
+
+def _j2_hill(
+    k: float, pole: tuple, x: float, y: float, z: float, r2: float
+) -> tuple[float, float, float]:
+    """Inertial J2 field of :func:`_j2_accel` in rotated axes, in floats.
+
+    ``(x, y, z)`` is the position and ``pole`` the Earth's polar axis in
+    the same axes, ``r2 = x^2 + y^2 + z^2`` and ``k = 3/2 mu J2 Re^2``:
+    a = k / r^5 [(5 z_I^2 / r^2 - 1) r - 2 z_I pole], z_I = r . pole.
+    """
+    z_i = x * pole[0] + y * pole[1] + z * pole[2]
+    f = k / (r2 * r2 * math.sqrt(r2))
+    radial, polar = f * (5.0 * z_i * z_i / r2 - 1.0), 2.0 * f * z_i
+    return radial * x - polar * pole[0], radial * y - polar * pole[1], radial * z - polar * pole[2]
+
+
+def _plant_step(
+    g: GravityModel, stages: tuple[tuple, ...], X: tuple, u: list, dt: float
+) -> tuple[float, ...]:
+    """One fused RK4 step of the 6-state in floats, under held control u.
+
+    ``stages`` holds the chief's four stage records from
+    :func:`_chief_stages`.  Each stage evaluates ``RelativePlant.deriv``
+    with the float operations of :func:`cw_nonlinear_deriv`, in its
+    order, so with J2 off the step is bit-identical to
+    ``rk4_step(deriv)``.  The differential J2 term is evaluated in Hill
+    axes, where it needs only the polar axis and the chief's own term.
+    """
+    mu, u0, u1, u2 = g.mu, u[0], u[1], u[2]
+    j2 = g.j2_enabled
+    k_j2 = 1.5 * g.mu * g.j2 * g.re**2
+
+    def accel(rec, x, xd, y, yd, z):
+        r_c, nd, ndd = rec[0], rec[1], rec[2]
+        s = (r_c + x) ** 2 + y**2 + z**2
+        if s <= 0.0:
+            raise DynamicsError(
+                "deputy at the geocenter: " + ("J2 field undefined" if j2 else "gamma = 0")
+            )
+        gamma = s**1.5
+        ax = 2.0 * nd * yd + ndd * y + nd**2 * x - mu * (x + r_c) / gamma + mu / r_c**2 + u0
+        ay = -2.0 * nd * xd - ndd * x + nd**2 * y - mu * y / gamma + u1
+        az = -mu * z / gamma + u2
+        if j2:
+            a_d, a_c = _j2_hill(k_j2, rec[3], x + r_c, y, z, s), rec[4]
+            ax += a_d[0] - a_c[0]
+            ay += a_d[1] - a_c[1]
+            az += a_d[2] - a_c[2]
+        return ax, ay, az
+
+    x, xd, y, yd, z, zd = X
+    h = 0.5 * dt
+    a1 = accel(stages[0], x, xd, y, yd, z)
+    xd2, yd2, zd2 = xd + h * a1[0], yd + h * a1[1], zd + h * a1[2]
+    a2 = accel(stages[1], x + h * xd, xd2, y + h * yd, yd2, z + h * zd)
+    xd3, yd3, zd3 = xd + h * a2[0], yd + h * a2[1], zd + h * a2[2]
+    a3 = accel(stages[2], x + h * xd2, xd3, y + h * yd2, yd3, z + h * zd2)
+    xd4, yd4, zd4 = xd + dt * a3[0], yd + dt * a3[1], zd + dt * a3[2]
+    a4 = accel(stages[3], x + dt * xd3, xd4, y + dt * yd3, yd4, z + dt * zd3)
+    c = dt / 6.0
+    return (
+        x + c * (((xd + 2.0 * xd2) + 2.0 * xd3) + xd4),
+        xd + c * (((a1[0] + 2.0 * a2[0]) + 2.0 * a3[0]) + a4[0]),
+        y + c * (((yd + 2.0 * yd2) + 2.0 * yd3) + yd4),
+        yd + c * (((a1[1] + 2.0 * a2[1]) + 2.0 * a3[1]) + a4[1]),
+        z + c * (((zd + 2.0 * zd2) + 2.0 * zd3) + zd4),
+        zd + c * (((a1[2] + 2.0 * a2[2]) + 2.0 * a3[2]) + a4[2]),
+    )

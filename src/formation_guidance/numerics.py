@@ -86,7 +86,9 @@ def solve_are(
     close to the answer converges in one or two steps.  The warm start
     falls back to the cold solve when the guess does not stabilize the
     closed loop, or when Newton has not reached a relative residual of
-    ``NEWTON_TOL`` within ``NEWTON_MAX_STEPS`` steps.
+    ``NEWTON_TOL`` within ``NEWTON_MAX_STEPS`` steps.  The residual is
+    relative to ``1 + ||P||`` or, where larger, to the size of its terms,
+    ``||A|| ||P|| + ||P||^2 ||B R⁻¹ Bᵀ|| + ||Q||``.
 
     Either way the returned ``P`` is verified against a residual bound
     of ``1e-8 * (1 + ||P||)`` and a Hurwitz closed loop; a warm result
@@ -130,19 +132,26 @@ def _newton_kleinman(
 
     Returns the converged iterate, or None when ``A − G P`` is not
     Hurwitz, an iterate is not finite, or ``NEWTON_MAX_STEPS`` steps do
-    not reach the ``NEWTON_TOL`` residual.
+    not reach the ``NEWTON_TOL`` residual.  The residual is measured
+    against the larger of ``1 + ||P||`` and the size of its terms: the
+    round-off floor of a badly scaled system lies above
+    ``NEWTON_TOL (1 + ||P||)``, and Newton would stagnate there until
+    the fallback.
     """
     try:
         closed = A - G @ P
         if np.max(np.linalg.eigvals(closed).real) >= 0.0:
             return None
+        norm_A, norm_G, norm_Q = np.linalg.norm(A), np.linalg.norm(G), np.linalg.norm(Q)
         for _ in range(NEWTON_MAX_STEPS):
             # (A − G P_k)ᵀ P_{k+1} + P_{k+1} (A − G P_k) = −(Q + P_k G P_k)
             P = scipy.linalg.solve_continuous_lyapunov(closed.T, -(Q + P @ G @ P))
             P = 0.5 * (P + P.T)
             closed = A - G @ P
             residual = P @ closed + A.T @ P + Q
-            if np.linalg.norm(residual) <= NEWTON_TOL * (1.0 + np.linalg.norm(P)):
+            norm_P = np.linalg.norm(P)
+            scale = max(1.0 + norm_P, norm_A * norm_P + norm_P**2 * norm_G + norm_Q)
+            if np.linalg.norm(residual) <= NEWTON_TOL * scale:
                 return P
     except (np.linalg.LinAlgError, ValueError):  # non-finite or singular iterate
         pass

@@ -25,7 +25,7 @@ from formation_guidance.dynamics import (
     j2_differential_accel,
     propagate_nu,
 )
-from formation_guidance.numerics import fd_jacobian, rk4_step
+from formation_guidance.numerics import NumericsError, fd_jacobian, rk4_step
 
 
 CIRC = ChiefOrbit(a=10000.0)
@@ -424,6 +424,92 @@ class TestRelativePlant:
         r_c = chief_kinematics(orbit, 0.4).r_c
         with pytest.raises(DynamicsError):
             plant.deriv(0.0, np.array([-r_c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4]))
+
+
+def _reference_flight(plant, x0, controls, dt, t0=0.0):
+    """Flight of ``[X, nu]`` by ``rk4_step(plant.deriv)``, the reference
+    for ``RelativePlant.simulate``'s fused step."""
+    aug = np.append(x0, plant.orbit.nu0)
+    out = [aug]
+    for k, u in enumerate(controls):
+        aug = rk4_step(lambda t, a: plant.deriv(t, a, u), t0 + k * dt, aug, dt)
+        out.append(aug)
+    out = np.array(out)
+    return out[:, :6], out[:, 6]
+
+
+def _random_flight(rng):
+    """Random chief (any e < 0.6, i, omega, Omega, nu0), 0.1-50 km Hill
+    state, step and zero-order-hold control history."""
+    orbit, nu0, x0 = _random_geometry(rng)
+    orbit = ChiefOrbit(orbit.a, orbit.e, orbit.i, orbit.arg_perigee, orbit.raan, nu0)
+    n = int(rng.integers(50, 200))
+    controls = rng.uniform(-1e-5, 1e-5, size=(n, 3))
+    return orbit, x0, controls, rng.uniform(1.0, 30.0)
+
+
+class TestFusedPlantStep:
+    """``simulate`` steps the 6-state in floats from the chief's streamed
+    RK4 stages; ``rk4_step(deriv)`` is the reference."""
+
+    def test_matches_reference_bit_for_bit_without_j2(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            orbit, x0, controls, dt = _random_flight(rng)
+            plant = RelativePlant(orbit)
+            states, nus = plant.propagate(x0, controls, dt, t0=5.0)
+            ref_states, ref_nus = _reference_flight(plant, x0, controls, dt, t0=5.0)
+            np.testing.assert_array_equal(states, ref_states)
+            np.testing.assert_array_equal(nus, ref_nus)
+
+    def test_matches_reference_with_j2(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            orbit, x0, controls, dt = _random_flight(rng)
+            plant = RelativePlant(orbit, GravityModel(j2_enabled=True))
+            states, nus = plant.propagate(x0, controls, dt)
+            ref_states, ref_nus = _reference_flight(plant, x0, controls, dt)
+            scale = np.max(np.abs(ref_states), axis=0)
+            assert np.all(np.abs(states - ref_states) <= 1e-13 * scale)
+            np.testing.assert_array_equal(nus, ref_nus)
+
+    def test_propagate_nu_matches_simulate(self):
+        rng = np.random.default_rng(23)
+        for e in (0.0, 0.15, 0.5, rng.uniform(0.0, 0.6)):
+            orbit = ChiefOrbit(a=9000.0 / (1.0 - e), e=e, nu0=rng.uniform(0.0, 2.0 * math.pi))
+            n, dt = 500, 7.0
+            _, nus = RelativePlant(orbit).propagate(np.ones(6), np.zeros((n, 3)), dt)
+            np.testing.assert_array_equal(propagate_nu(orbit, 0.0, n * dt, dt), nus)
+
+    @pytest.mark.parametrize("j2", [False, True])
+    def test_non_finite_control_raises_the_rk4_step_error(self, j2):
+        plant = RelativePlant(ChiefOrbit(a=10000.0, e=0.2, i=1.0), GravityModel(j2_enabled=j2))
+        x0 = np.array([1.0, 0.0, 2.0, 0.0, 0.5, 0.0])
+        controls = np.zeros((6, 3))
+        controls[3, 1] = np.nan
+        with pytest.raises(NumericsError) as ref:
+            _reference_flight(plant, x0, controls, 2.0)
+        for bad in (np.nan, np.inf):
+            controls[3, 1] = bad
+            with pytest.raises(NumericsError) as fused:
+                plant.propagate(x0, controls, 2.0)
+            assert str(fused.value) == str(ref.value) == "non-finite state after RK4 step at t=6.0"
+
+    def test_overflowing_state_raises_numerics_error(self):
+        # Python float powers raise OverflowError where numpy gives inf.
+        plant = RelativePlant(CIRC)
+        with pytest.raises(NumericsError, match="non-finite state after RK4 step at t=0.0"):
+            plant.propagate(np.array([1e200, 0.0, 0.0, 0.0, 0.0, 0.0]), np.zeros((1, 3)), 1.0)
+
+    @pytest.mark.parametrize("j2", [False, True])
+    def test_deputy_at_geocenter_raises(self, j2):
+        plant = RelativePlant(CIRC, GravityModel(j2_enabled=j2))
+        x0 = np.array([-CIRC.a, 0.0, 0.0, 0.0, 0.0, 0.0])
+        message = "J2 field undefined" if j2 else "gamma = 0"
+        with pytest.raises(DynamicsError, match=message):
+            plant.propagate(x0, np.zeros((3, 3)), 1.0)
+        with pytest.raises(DynamicsError, match=message):
+            _reference_flight(plant, x0, np.zeros((3, 3)), 1.0)
 
 
 class TestTwoBodyInvariants:

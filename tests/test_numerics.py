@@ -122,13 +122,24 @@ class TestSolveAreWarmStart:
         assert len(care_calls) == 1
         assert P[0, 0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_random_systems_with_perturbed_guess(self, care_calls):
+    def test_random_systems_with_perturbed_guess(self, care_calls, monkeypatch):
         """Acceptance criterion 11's 100 random systems, each solved from
         its cold solution perturbed by 1e-6 relative: every result meets
-        the residual and Hurwitz contract and matches the cold solve."""
+        the residual and Hurwitz contract and matches the cold solve, and
+        Newton stops at the round-off floor of the residual's terms: no
+        system takes more than three Lyapunov solves or falls back."""
+        lyapunov_calls = []
+        lyapunov = scipy.linalg.solve_continuous_lyapunov
+
+        def counted(*args):
+            lyapunov_calls.append(1)
+            return lyapunov(*args)
+
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counted)
         rng = np.random.default_rng(7)
         noise = np.random.default_rng(11)
         count = fallbacks = 0
+        steps = []
         while count < 100:
             n = int(rng.integers(2, 6))
             m = int(rng.integers(1, 3))
@@ -141,14 +152,16 @@ class TestSolveAreWarmStart:
             except NumericsError:
                 continue
             E = noise.normal(size=(n, n))
-            before = len(care_calls)
+            before, solves_before = len(care_calls), len(lyapunov_calls)
             P = solve_are(A, B, Q, R, guess=cold + 1e-6 * np.linalg.norm(cold) * (E + E.T))
             fallbacks += len(care_calls) - before
+            steps.append(len(lyapunov_calls) - solves_before)
             assert _contract_holds(A, B, Q, R, P)
             assert np.linalg.norm(P - cold) <= 1e-10 * np.linalg.norm(cold)
             count += 1
-        # Most of them are solved warm; a fallback shows up as a cold call.
-        assert fallbacks < 50
+        # A fallback shows up as a cold call.
+        assert fallbacks == 0
+        assert max(steps) <= 3
 
 
 class TestMatrixExponential:
