@@ -77,9 +77,10 @@ def rbf_eval(net: RbfNetwork, X: np.ndarray) -> np.ndarray:
     return net.W_c.T @ rbf_features(net, X)
 
 
-def nn1_update(net: RbfNetwork, target: np.ndarray, X: np.ndarray, R1: float) -> None:
+def nn1_update(net: RbfNetwork, target: np.ndarray, phi: np.ndarray, R1: float) -> None:
     """Regularized least-squares weight update toward a costate target.
 
+    ``phi`` is ``rbf_features(net, X)`` at the training state X.
     Minimizes ||W^T phi - target||^2 + R1 ||W - W_prev||^2, whose exact
     minimizer for a single sample is the rank-one correction
 
@@ -87,7 +88,6 @@ def nn1_update(net: RbfNetwork, target: np.ndarray, X: np.ndarray, R1: float) ->
     """
     if R1 <= 0.0:
         raise ValueError("R1 must be positive")
-    phi = rbf_features(net, X)
     resid = target - net.W_c.T @ phi
     net.W_c += np.outer(phi, resid) / (phi @ phi + R1)
 
@@ -170,16 +170,16 @@ class DisturbanceNet:
         if self.weights is None:
             self.weights = np.zeros((3, self.basis.size))
 
-    def d_hat(self, X: np.ndarray, theta: float) -> np.ndarray:
-        """Estimated unmodeled acceleration as a 6-vector (rows 2, 4, 6)."""
-        phi = self.basis.eval(X, theta)
+    def d_hat(self, phi: np.ndarray) -> np.ndarray:
+        """Estimated unmodeled acceleration as a 6-vector (rows 2, 4, 6),
+        from the basis ``phi = basis.eval(X, theta)``."""
         out = np.zeros(6)
         out[ACCEL_ROWS] = self.weights @ phi
         return out
 
-    def d_hat_jacobian(self, X: np.ndarray, theta: float) -> np.ndarray:
-        """d d_hat / d X as a 6x6 matrix."""
-        J_phi = self.basis.jacobian(X, theta)
+    def d_hat_jacobian(self, J_phi: np.ndarray) -> np.ndarray:
+        """d d_hat / d X as a 6x6 matrix, from the basis Jacobian
+        ``J_phi = basis.jacobian(X, theta)``."""
         out = np.zeros((6, 6))
         out[ACCEL_ROWS, :] = self.weights @ J_phi
         return out
@@ -202,8 +202,8 @@ class AdaptationGains:
 def nn2_update(
     net: DisturbanceNet,
     e: np.ndarray,
-    X: np.ndarray,
-    theta: float,
+    phi: np.ndarray,
+    G: np.ndarray,
     gains: AdaptationGains,
     dt: float,
 ) -> None:
@@ -211,11 +211,11 @@ def nn2_update(
 
         dW_i/dt = beta_i e_i (I/gamma_i + G Theta G^T)^-1 Phi,
 
-    with G = d Phi / d X; e_i is the virtual-plant error on channel i.
-    The identity regularization keeps the solve nonsingular.
+    with the basis ``phi = Phi(X, theta)`` and its Jacobian
+    ``G = d Phi / d X`` at the measured state; e_i is the virtual-plant
+    error on channel i.  The identity regularization keeps the solve
+    nonsingular.
     """
-    phi = net.basis.eval(X, theta)
-    G = net.basis.jacobian(X, theta)
     M = np.eye(net.basis.size) / gains.gamma + G @ gains.Theta @ G.T
     direction = np.linalg.solve(M, phi)
     for row, ch in enumerate(ACCEL_ROWS):
@@ -326,18 +326,23 @@ def nnlqr_control_step(
     """
     design, dt = ctrl.design, ctrl.dt
     P, A, B, Q, R = design.P, design.A, design.B, design.Q, design.R
+    # The networks' features at the measured state, which no weight
+    # update below changes.
+    phi_c = rbf_features(ctrl.rbf, X)
+    phi_d = ctrl.dist.basis.eval(X, theta)
+    J_d = ctrl.dist.basis.jacobian(X, theta)
 
     # (1) costates at the measured state, then the control.
     lam1 = P @ (X - Xd)
-    lam2 = rbf_eval(ctrl.rbf, X)
+    lam2 = ctrl.rbf.W_c.T @ phi_c
     U = -np.linalg.solve(R, B.T @ (lam1 + lam2)) + lqr_feedforward(A, Xd, Xd_dot)
 
     # (2) NN2 training from the virtual-plant error.
     e = X - ctrl.vp.X_a
-    nn2_update(ctrl.dist, e, X, theta, ctrl.gains, dt)
+    nn2_update(ctrl.dist, e, phi_d, J_d, ctrl.gains, dt)
 
     # (3) virtual-plant propagation under the applied control.
-    d_hat = ctrl.dist.d_hat(X, theta)
+    d_hat = ctrl.dist.d_hat(phi_d)
     Xa_next = virtual_plant_step(ctrl.vp, X, U, d_hat, A, B, dt)
 
     # (4) costates at the predicted state.
@@ -345,11 +350,11 @@ def nnlqr_control_step(
     lam2_next = rbf_eval(ctrl.rbf, Xa_next)
 
     # (5) costate back-propagation to the current step.
-    d_jac = ctrl.dist.d_hat_jacobian(X, theta)
+    d_jac = ctrl.dist.d_hat_jacobian(J_d)
     lam_target = costate_backprop(
         Xa_next, Xd_next, lam1_next + lam2_next, A, Q, d_jac, dt
     )
 
     # (6) NN1 training toward the network share of the target.
-    nn1_update(ctrl.rbf, lam_target - lam1_next, X, ctrl.R1)
+    nn1_update(ctrl.rbf, lam_target - lam1_next, phi_c, ctrl.R1)
     return U

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import settings
+
+from formation_guidance import numerics
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite's result does not depend on machine speed or on
@@ -21,3 +24,36 @@ def care_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "solve_continuous_are", counted)
     return calls
+
+
+@pytest.fixture
+def lyapunov_calls(monkeypatch):
+    """List that grows by one at each Lyapunov equation the warm Riccati
+    solve finishes: a ``numerics._lyapunov`` call that returns a solution,
+    not one that stops at the Hurwitz test of its Schur form."""
+    calls = []
+    solve = numerics._lyapunov
+
+    def counted(closed, C):
+        X = solve(closed, C)
+        if X is not None:
+            calls.append(1)
+        return X
+
+    monkeypatch.setattr(numerics, "_lyapunov", counted)
+    return calls
+
+
+def _contract_holds(A, B, Q, R, P):
+    """The Riccati contract, recomputed from B and R: residual at most
+    1e-8 (1 + ||P||) and a Hurwitz closed loop by its eigenvalues."""
+    res = P @ A + A.T @ P + Q - P @ B @ np.linalg.solve(R, B.T) @ P
+    closed = A - B @ np.linalg.solve(R, B.T @ P)
+    return (np.linalg.norm(res) <= 1e-8 * (1 + np.linalg.norm(P))
+            and np.max(np.linalg.eigvals(closed).real) < 0.0)
+
+
+@pytest.fixture
+def contract_holds():
+    """The independent check of ``solve_are``'s residual/Hurwitz contract."""
+    return _contract_holds

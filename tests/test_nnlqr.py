@@ -78,7 +78,7 @@ class TestNn1Update:
             net = make_rbf_network(2.0, OMEGA)
             net.W_c[:] = 0.5
             before = net.W_c.copy()
-            nn1_update(net, target, X, r1)
+            nn1_update(net, target, rbf_features(net, X), r1)
             drifts.append(np.linalg.norm(net.W_c - before))
         assert drifts[0] < 1e-6 and drifts[1] < drifts[0]
 
@@ -89,7 +89,7 @@ class TestNn1Update:
         X = np.zeros(6)
         w_star = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -1.0])
         net = RbfNetwork(centers=X[None, :], width=1.0, vel_scale=1.0, W_c=np.zeros((1, 6)))
-        nn1_update(net, w_star.copy(), X, 1e-12)
+        nn1_update(net, w_star.copy(), rbf_features(net, X), 1e-12)
         np.testing.assert_allclose(rbf_eval(net, X), w_star, rtol=1e-10)
 
     def test_repeated_updates_converge_geometrically(self):
@@ -102,7 +102,7 @@ class TestNn1Update:
         steps = []
         for _ in range(12):
             before = net.W_c.copy()
-            nn1_update(net, target, X, 1.0)
+            nn1_update(net, target, rbf_features(net, X), 1.0)
             steps.append(np.linalg.norm(net.W_c - before))
         ratios = [b / a for a, b in zip(steps, steps[1:])]
         np.testing.assert_allclose(ratios, 0.5, rtol=1e-9)
@@ -119,8 +119,8 @@ class TestNn1Update:
         X = rng.normal(size=6)
         target = rng.normal(size=6)
         R1 = 0.7
-        nn1_update(net, target, X, R1)
         phi = rbf_features(net, X)
+        nn1_update(net, target, phi, R1)
 
         def cost(W):
             return (
@@ -135,7 +135,7 @@ class TestNn1Update:
     def test_nonpositive_regularizer_rejected(self):
         net = make_rbf_network(1.0, OMEGA)
         with pytest.raises(ValueError):
-            nn1_update(net, np.zeros(6), np.zeros(6), 0.0)
+            nn1_update(net, np.zeros(6), rbf_features(net, np.zeros(6)), 0.0)
 
 
 class TestDisturbanceBasis:
@@ -258,7 +258,9 @@ class TestNn2Update:
         net.weights[:] = 0.25
         before = net.weights.copy()
         gains = AdaptationGains(beta=0.1, gamma=10.0, Theta=np.eye(6))
-        nn2_update(net, np.zeros(6), np.ones(6), 0.3, gains, 1.0)
+        basis = net.basis
+        X = np.ones(6)
+        nn2_update(net, np.zeros(6), basis.eval(X, 0.3), basis.jacobian(X, 0.3), gains, 1.0)
         np.testing.assert_array_equal(net.weights, before)
 
     def test_zero_theta_reduces_to_gradient_rule(self):
@@ -270,8 +272,8 @@ class TestNn2Update:
         X = np.array([1.0, 0.0, 0.5, 0.0, -0.3, 0.0])
         e = np.zeros(6)
         e[3] = 2.0
-        nn2_update(net, e, X, 0.7, gains, 0.5)
         phi = basis.eval(X, 0.7)
+        nn2_update(net, e, phi, basis.jacobian(X, 0.7), gains, 0.5)
         expected = np.zeros((3, basis.size))
         expected[1] = 0.5 * 0.2 * 5.0 * 2.0 * phi
         np.testing.assert_allclose(net.weights, expected, rtol=1e-12)
@@ -291,8 +293,9 @@ class TestNn2Update:
         for k in range(6000):
             theta = OMEGA * k * dt
             e = X - vp.X_a
-            nn2_update(net, e, X, theta, gains, dt)
-            d_hat = net.d_hat(X, theta)
+            phi = net.basis.eval(X, theta)
+            nn2_update(net, e, phi, net.basis.jacobian(X, theta), gains, dt)
+            d_hat = net.d_hat(phi)
             virtual_plant_step(vp, X, np.zeros(3), d_hat, A, B, dt)
             X = rk4_step(lambda t, x: A @ x + delta, 0.0, X, dt)
         assert abs(e[1]) < 1e-8
@@ -359,3 +362,38 @@ class TestControlStep:
         U = nnlqr_control_step(ctrl, X, Xd, Xd_dot, Xd, 0.0)
         expected = lqr_tracking_control(design, X, Xd, Xd_dot)
         np.testing.assert_allclose(U, expected, rtol=1e-12)
+
+    def test_features_evaluated_once_per_state(self, monkeypatch):
+        """One step evaluates the RBF features at the measured and the
+        predicted state only, and the disturbance basis and its Jacobian
+        once, at the measured state: no weight update changes them."""
+        from formation_guidance import nnlqr
+        from formation_guidance.nnlqr import DisturbanceBasis
+
+        counts = {"rbf_features": 0, "eval": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(nnlqr, "rbf_features", counted("rbf_features", rbf_features))
+        for name in ("eval", "jacobian"):
+            monkeypatch.setattr(
+                DisturbanceBasis, name, counted(name, getattr(DisturbanceBasis, name))
+            )
+        design = design_lqr(OMEGA)
+        ctrl = NnLqrController(
+            design=design,
+            rbf=make_rbf_network(5.0, OMEGA),
+            dist=DisturbanceNet(build_disturbance_basis(ORBIT.a)),
+            vp=VirtualPlant(X_a=np.zeros(6), K_tau=0.1 * np.eye(6)),
+            gains=AdaptationGains(beta=0.01, gamma=100.0, Theta=np.eye(6)),
+            R1=1.0,
+            dt=1.0,
+        )
+        X = np.random.default_rng(9).normal(size=6)
+        Xd = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), OMEGA, 0.0)
+        nnlqr_control_step(ctrl, X, Xd, np.zeros(6), Xd, 0.0)
+        assert counts == {"rbf_features": 2, "eval": 1, "jacobian": 1}

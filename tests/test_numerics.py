@@ -4,6 +4,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formation_guidance import numerics
+from formation_guidance.dynamics import B as B_HILL
+from formation_guidance.dynamics import (
+    ChiefOrbit,
+    FormationParams,
+    chief_kinematics,
+    formation_to_hill,
+)
 from formation_guidance.numerics import (
     NumericsError,
     fd_jacobian,
@@ -11,6 +19,7 @@ from formation_guidance.numerics import (
     rk4_step,
     solve_are,
 )
+from formation_guidance.sdre import sdc1_matrix
 
 
 class TestRk4Step:
@@ -82,37 +91,37 @@ class TestSolveAre:
             solve_are(A, B, np.eye(2), np.eye(1))
 
 
-def _contract_holds(A, B, Q, R, P):
-    res = P @ A + A.T @ P + Q - P @ B @ np.linalg.solve(R, B.T) @ P
-    closed = A - B @ np.linalg.solve(R, B.T @ P)
-    return (np.linalg.norm(res) <= 1e-8 * (1 + np.linalg.norm(P))
-            and np.max(np.linalg.eigvals(closed).real) < 0.0)
-
-
 class TestSolveAreWarmStart:
-    def test_non_stabilizing_guess_falls_back_to_cold(self, care_calls, monkeypatch):
+    def test_non_stabilizing_guess_falls_back_to_cold(
+        self, care_calls, lyapunov_calls, contract_holds
+    ):
         # A = 1 is open-loop unstable, so P = 0 leaves A - G P unstable
         # and the solve goes straight to the cold path.
-        lyapunov_calls = []
-        monkeypatch.setattr(
-            scipy.linalg, "solve_continuous_lyapunov", lambda a, q: lyapunov_calls.append(1)
-        )
         A, B, Q, R = np.eye(1), np.eye(1), np.eye(1), np.eye(1)
         P = solve_are(A, B, Q, R, guess=np.zeros((1, 1)))
         assert (len(care_calls), len(lyapunov_calls)) == (1, 0)
         assert P[0, 0] == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-12)
-        assert _contract_holds(A, B, Q, R, P)
+        assert contract_holds(A, B, Q, R, P)
 
     def test_non_stabilizing_newton_result_retried_cold(self, care_calls, monkeypatch):
         # 2P - P^2 = 0 has roots {0, 2}.  A Lyapunov solver that lands on
         # the root 0 gives a zero residual but an unstable closed loop;
         # the solve must retry cold instead of raising.
-        monkeypatch.setattr(
-            scipy.linalg, "solve_continuous_lyapunov", lambda a, q: np.zeros_like(q)
-        )
+        monkeypatch.setattr(numerics, "_lyapunov", lambda closed, C: np.zeros_like(C))
         P = solve_are(np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1), guess=3.0 * np.eye(1))
         assert len(care_calls) == 1
         assert P[0, 0] == pytest.approx(2.0, abs=1e-10)
+
+    def test_newton_stop_short_of_the_contract_retried_cold(self, care_calls, monkeypatch):
+        # P^2 = Q with Q = 1e14: the Newton stop scales with ||Q|| = 1e14,
+        # the contract with 1 + ||P|| = 1e7.  A step landing 5e-8 off the
+        # root leaves a residual of about 1: inside the stop (2) but not
+        # the contract (0.1), so the solve must retry cold.
+        A, B, Q, R = np.zeros((1, 1)), np.eye(1), 1e14 * np.eye(1), np.eye(1)
+        monkeypatch.setattr(numerics, "_lyapunov", lambda closed, C: np.array([[1e7 + 5e-8]]))
+        P = solve_are(A, B, Q, R, guess=2e7 * np.eye(1))
+        assert len(care_calls) == 1
+        assert P[0, 0] == pytest.approx(1e7, rel=1e-12)
 
     def test_slow_newton_falls_back_to_cold(self, care_calls):
         # From P = 1e6 toward P = 1, Newton halves P per step and has not
@@ -122,20 +131,14 @@ class TestSolveAreWarmStart:
         assert len(care_calls) == 1
         assert P[0, 0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_random_systems_with_perturbed_guess(self, care_calls, monkeypatch):
+    def test_random_systems_with_perturbed_guess(
+        self, care_calls, lyapunov_calls, contract_holds
+    ):
         """Acceptance criterion 11's 100 random systems, each solved from
         its cold solution perturbed by 1e-6 relative: every result meets
         the residual and Hurwitz contract and matches the cold solve, and
         Newton stops at the round-off floor of the residual's terms: no
         system takes more than three Lyapunov solves or falls back."""
-        lyapunov_calls = []
-        lyapunov = scipy.linalg.solve_continuous_lyapunov
-
-        def counted(*args):
-            lyapunov_calls.append(1)
-            return lyapunov(*args)
-
-        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counted)
         rng = np.random.default_rng(7)
         noise = np.random.default_rng(11)
         count = fallbacks = 0
@@ -156,12 +159,102 @@ class TestSolveAreWarmStart:
             P = solve_are(A, B, Q, R, guess=cold + 1e-6 * np.linalg.norm(cold) * (E + E.T))
             fallbacks += len(care_calls) - before
             steps.append(len(lyapunov_calls) - solves_before)
-            assert _contract_holds(A, B, Q, R, P)
+            assert contract_holds(A, B, Q, R, P)
             assert np.linalg.norm(P - cold) <= 1e-10 * np.linalg.norm(cold)
             count += 1
         # A fallback shows up as a cold call.
         assert fallbacks == 0
         assert max(steps) <= 3
+
+    def test_undamped_closed_loop_falls_back_to_cold(self, care_calls):
+        """A guess whose closed loop keeps an undamped pair +-i w: the
+        Lyapunov operator is singular there (lambda_i + lambda_j = 0), so
+        the warm step gives up and the cold solve answers."""
+        w = 2.0
+        A = np.array([[0.0, 1.0], [-(w**2), 0.0]])
+        B = np.array([[0.0], [1.0]])
+        Q, R = np.eye(2), np.eye(1)
+        # G P = [[0, 0], [0, 0]] for P = 0: the closed loop is A itself.
+        P = solve_are(A, B, Q, R, guess=np.zeros((2, 2)))
+        assert len(care_calls) == 1
+        assert np.linalg.norm(P - solve_are(A, B, Q, R)) == 0.0
+
+
+def _random_hurwitz(rng, n):
+    """A random n x n matrix shifted so its spectrum lies in Re < -0.1."""
+    M = rng.normal(size=(n, n))
+    return M - (np.max(np.linalg.eigvals(M).real) + 0.1 + rng.uniform()) * np.eye(n)
+
+
+def _assert_matches_scipy(closed, C):
+    """Agreement with scipy to 1e-12 relative, and a backward residual at
+    round-off, which holds whatever the conditioning of the equation."""
+    X = numerics._lyapunov(closed, C)
+    expected = scipy.linalg.solve_continuous_lyapunov(closed.T, C)
+    assert np.linalg.norm(X - expected) <= 1e-12 * np.linalg.norm(expected)
+    residual = closed.T @ X + X @ closed - C
+    scale = 2.0 * np.linalg.norm(closed) * np.linalg.norm(X) + np.linalg.norm(C)
+    assert np.linalg.norm(residual) <= 1e-14 * scale
+
+
+class TestLyapunov:
+    """``numerics._lyapunov`` against scipy's Bartels-Stewart solver."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_hurwitz_matches_scipy(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            closed = _random_hurwitz(rng, n)
+            C = rng.normal(size=(n, n))
+            _assert_matches_scipy(closed, -(C @ C.T))
+            _assert_matches_scipy(closed, C)
+
+    def test_complex_pairs(self):
+        # Two lightly damped oscillators and a real pole, mixed by a
+        # random similarity: the Schur form has two 2x2 blocks.
+        rng = np.random.default_rng(5)
+        D = np.zeros((5, 5))
+        D[:2, :2] = [[-0.05, 3.0], [-3.0, -0.05]]
+        D[2:4, 2:4] = [[-1.0, 0.5], [-0.5, -1.0]]
+        D[4, 4] = -2.0
+        S = rng.normal(size=(5, 5))
+        closed = S @ D @ np.linalg.inv(S)
+        assert np.sum(np.linalg.eigvals(closed).imag != 0.0) == 4
+        _assert_matches_scipy(closed, rng.normal(size=(5, 5)))
+
+    def test_repeated_eigenvalue(self):
+        # A Jordan block: the eigenvalue -1 with multiplicity three.
+        rng = np.random.default_rng(6)
+        J = -np.eye(3) + np.diag([1.0, 1.0], 1)
+        S = rng.normal(size=(3, 3))
+        _assert_matches_scipy(S @ J @ np.linalg.inv(S), rng.normal(size=(3, 3)))
+
+    def test_sdc1_closed_loop_at_large_control_weight(self):
+        """The 6x6 closed loop of the pointwise SDRE at R = 1e11 I: poles
+        near the orbit rate, with a residual term as large as the Newton
+        step's right-hand side."""
+        orbit = ChiefOrbit(a=10000.0)
+        kin = chief_kinematics(orbit, nu=0.0)
+        X = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0),
+                              orbit.mean_motion(), 0.0)
+        A = sdc1_matrix(X, kin)
+        Q, R = np.eye(6), 1e11 * np.eye(3)
+        P = solve_are(A, B_HILL, Q, R)
+        G = B_HILL @ np.linalg.solve(R, B_HILL.T)
+        closed = A - G @ P
+        assert np.max(np.linalg.eigvals(closed).real) < 0.0
+        _assert_matches_scipy(closed, -(Q + P @ G @ P))
+
+    def test_undamped_pair_returns_none(self):
+        # lambda = +-2i: lambda_1 + lambda_2 = 0 makes the operator singular.
+        closed = np.array([[0.0, 1.0], [-4.0, 0.0]])
+        assert numerics._lyapunov(closed, np.eye(2)) is None
+
+    def test_near_singular_sum_reported_by_dtrsyl(self):
+        # A Hurwitz pair -1e-17 +- i in Schur form passes the real-part
+        # test, and dtrsyl reports the eigenvalue sum -2e-17 ~ 0.
+        closed = np.array([[-1e-17, 1.0], [-1.0, -1e-17]])
+        assert numerics._lyapunov(closed, np.eye(2)) is None
 
 
 class TestMatrixExponential:
