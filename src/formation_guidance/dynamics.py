@@ -307,8 +307,12 @@ def hill_linear_matrices(omega: float) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def formation_to_hill(params: FormationParams, omega: float, t: float) -> np.ndarray:
+def formation_to_hill(params: FormationParams, omega: float, t) -> np.ndarray:
     """Hill state realizing the commanded formation geometry at time ``t``.
+
+    ``t`` is a time or an array of times; an array gives one row per time,
+    equal bit for bit to the scalar calls where numpy's vector and scalar
+    ``sin``/``cos`` agree.
 
     Positions:
         x = rho sin(w t + theta) + a_off
@@ -327,11 +331,12 @@ def formation_to_hill(params: FormationParams, omega: float, t: float) -> np.nda
     xd = rho * omega * c
     yd = -2.0 * rho * omega * s - 1.5 * omega * aof
     zd = m * rho * omega * c - 2.0 * n * rho * omega * s
-    return np.array([x, xd, y, yd, z, zd])
+    return np.stack([x, xd, y, yd, z, zd], axis=-1)
 
 
-def formation_to_hill_deriv(params: FormationParams, omega: float, t: float) -> np.ndarray:
-    """Analytic time derivative of ``formation_to_hill`` (for feedforward)."""
+def formation_to_hill_deriv(params: FormationParams, omega: float, t) -> np.ndarray:
+    """Analytic time derivative of ``formation_to_hill`` (for feedforward),
+    at a time or, row by row, at an array of times."""
     rho, th = params.rho, params.theta
     aof = params.a_off
     m, n = params.m_slope, params.n_slope
@@ -343,7 +348,7 @@ def formation_to_hill_deriv(params: FormationParams, omega: float, t: float) -> 
     ydd = -2.0 * rho * omega**2 * c
     zd = m * rho * omega * c - 2.0 * n * rho * omega * s
     zdd = -m * rho * omega**2 * s - 2.0 * n * rho * omega**2 * c
-    return np.array([xd, xdd, yd, ydd, zd, zdd])
+    return np.stack([xd, xdd, yd, ydd, zd, zdd], axis=-1)
 
 
 def _chief_radial_rate(orbit: ChiefOrbit, nu: float, mu: float = MU_EARTH) -> float:

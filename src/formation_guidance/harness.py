@@ -20,7 +20,7 @@ from .dynamics import (
 )
 from .gmpsp import gmpsp_solve
 from .lqr import design_lqr, lqr_tracking_control
-from .mpsp import mpsp_solve, rho_error_pct
+from .mpsp import RENDEZVOUS_LENGTH_KM, mpsp_solve, rho_error_pct
 from .options import CONTROLLER_OPTIONS
 from .sdre import FiniteHorizonSpec, SdcModel, finite_time_sdre_control, sdre_infinite_control
 
@@ -117,13 +117,13 @@ def control_effort(controls: np.ndarray, dt: float) -> float:
 def desired_trajectory(
     scenario: Scenario, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Commanded states and their time derivatives on the grid."""
+    """Commanded states and their time derivatives on the grid, one row
+    per time."""
     omega = scenario.chief.mean_motion()
-    Xd = np.array([formation_to_hill(scenario.desired, omega, t) for t in times])
-    Xd_dot = np.array(
-        [formation_to_hill_deriv(scenario.desired, omega, t) for t in times]
+    return (
+        formation_to_hill(scenario.desired, omega, times),
+        formation_to_hill_deriv(scenario.desired, omega, times),
     )
-    return Xd, Xd_dot
 
 
 def settle_time(
@@ -136,13 +136,14 @@ def settle_time(
     """First time after which the position-error norm stays inside the band.
 
     The band is threshold_pct percent of the commanded baseline length
-    rho_command.  Returns 0.0 when the whole trajectory is inside and
-    NOT_SETTLED when the final sample is still outside.
+    rho_command, or of RENDEZVOUS_LENGTH_KM for a rendezvous target
+    (rho_command = 0).  Returns 0.0 when the whole trajectory is inside
+    and NOT_SETTLED when the final sample is still outside.
     """
     if threshold_pct <= 0.0:
         raise HarnessError("threshold_pct must be positive")
     err = np.linalg.norm((states - desired)[:, POSITION_ROWS], axis=1)
-    band = threshold_pct / 100.0 * rho_command
+    band = threshold_pct / 100.0 * (rho_command or RENDEZVOUS_LENGTH_KM)
     outside = np.flatnonzero(err >= band)
     if outside.size == 0:
         return 0.0
@@ -153,22 +154,23 @@ def settle_time(
 
 
 def _feedback_law(
-    scenario: Scenario, x0: np.ndarray
+    scenario: Scenario, x0: np.ndarray, Xd: np.ndarray, Xd_dot: np.ndarray
 ) -> Callable[[int, float, np.ndarray], np.ndarray]:
-    """Control u_k = law(k, t_k, X_k) of the feedback controller kinds."""
+    """Control u_k = law(k, t_k, X_k) of the feedback controller kinds.
+
+    Xd and Xd_dot are the commanded states and their derivatives on the
+    grid (see :func:`desired_trajectory`); law k reads their row k.
+    """
     kind, opts = scenario.controller.kind, scenario.controller.options
     believed, desired, dt = scenario.chief, scenario.desired, scenario.dt
     omega = believed.mean_motion()
-
-    def reference(t):
-        return formation_to_hill(desired, omega, t), formation_to_hill_deriv(desired, omega, t)
 
     if kind == "zero":
         return lambda k, t, X: np.zeros(3)
 
     if kind == "lqr":
         design = design_lqr(omega, Q=opts.Q, R=opts.R)
-        return lambda k, t, X: lqr_tracking_control(design, X, *reference(t))
+        return lambda k, t, X: lqr_tracking_control(design, X, Xd[k], Xd_dot[k])
 
     if kind == "nnlqr":
         if opts.basis == "global":
@@ -191,8 +193,7 @@ def _feedback_law(
 
         def nnlqr_law(k, t, X):
             theta = believed.arg_perigee + believed.nu0 + omega * t
-            Xd_next = formation_to_hill(desired, omega, t + dt)
-            return nnlqr.nnlqr_control_step(ctrl, X, *reference(t), Xd_next, theta)
+            return nnlqr.nnlqr_control_step(ctrl, X, Xd[k], Xd_dot[k], Xd[k + 1], theta)
 
         return nnlqr_law
 
@@ -208,8 +209,7 @@ def _feedback_law(
         def sdre_law(k, t, X):
             nonlocal P
             kin = chief_kinematics(believed, nus[k])
-            Xd = formation_to_hill(desired, omega, t)
-            u, P = sdre_infinite_control(X, Xd, model, kin, opts.Q, opts.R, guess=P)
+            u, P = sdre_infinite_control(X, Xd[k], model, kin, opts.Q, opts.R, guess=P)
             return u
 
         return sdre_law
@@ -225,10 +225,14 @@ def _feedback_law(
 
 
 def _run_closed_loop(
-    scenario: Scenario, plant: RelativePlant, x0: np.ndarray
+    scenario: Scenario, plant: RelativePlant, x0: np.ndarray,
+    reference: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fly the feedback law on the plant; returns states and (N, 3) controls."""
-    law = _feedback_law(scenario, x0)
+    """Fly the feedback law on the plant; returns states and (N, 3) controls.
+
+    reference is the (Xd, Xd_dot) pair of :func:`desired_trajectory`.
+    """
+    law = _feedback_law(scenario, x0, *reference)
 
     def policy(k, t, X):
         try:
@@ -241,11 +245,13 @@ def _run_closed_loop(
 
 
 def _solve_open_loop(
-    scenario: Scenario, plant: RelativePlant, x0: np.ndarray
+    scenario: Scenario, plant: RelativePlant, x0: np.ndarray,
+    reference: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """MPSP/G-MPSP seeded with the closed-loop LQR control history."""
     Y_star = formation_to_hill(scenario.desired, scenario.chief.mean_motion(), scenario.tf)
-    _, guess = _run_closed_loop(replace(scenario, controller=ControllerSpec("lqr")), plant, x0)
+    lqr = replace(scenario, controller=ControllerSpec("lqr"))
+    _, guess = _run_closed_loop(lqr, plant, x0, reference)
     solve = mpsp_solve if scenario.controller.kind == "mpsp" else gmpsp_solve
     return solve(plant, x0, Y_star, guess, scenario.dt, scenario.controller.options)
 
@@ -255,22 +261,23 @@ def run_scenario(scenario: Scenario, settle_threshold_pct: float = 1.0) -> RunRe
     plant = RelativePlant(scenario.plant_chief, scenario.gravity)
     n, dt = scenario.n_steps, scenario.dt
     x0 = formation_to_hill(scenario.initial, scenario.chief.mean_motion(), 0.0)
+    times = np.arange(n + 1) * dt
+    reference = desired_trajectory(scenario, times)
     log: list[dict] = []
     if scenario.controller.kind in ("mpsp", "gmpsp"):
-        U, log, states = _solve_open_loop(scenario, plant, x0)
+        U, log, states = _solve_open_loop(scenario, plant, x0, reference)
     elif getattr(scenario.controller.options, "open_loop", False):
         # Plan closed-loop against the believed, unperturbed model, then
         # replay the resulting control history on the truth plant.  This
         # matches how guess/comparison control histories are evaluated in
         # the predictive-guidance studies.
         plan_plant = RelativePlant(scenario.chief, GravityModel(j2_enabled=False))
-        _, U = _run_closed_loop(scenario, plan_plant, x0)
+        _, U = _run_closed_loop(scenario, plan_plant, x0, reference)
         states, _ = plant.propagate(x0, U, dt)
     else:
-        states, U = _run_closed_loop(scenario, plant, x0)
+        states, U = _run_closed_loop(scenario, plant, x0, reference)
     controls = np.vstack([U, U[-1]])
-    times = np.arange(n + 1) * dt
-    desired, _ = desired_trajectory(scenario, times)
+    desired = reference[0]
     return RunResult(
         time=times,
         states=states,
@@ -289,17 +296,18 @@ def run_scenario(scenario: Scenario, settle_threshold_pct: float = 1.0) -> RunRe
 # Report generation
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _row_template(n: int) -> str:
+    """%-format of n comma-separated floats, each written as
+    ``format(v, ".17g")`` writes it (17 significant digits)."""
+    return ",".join(["%.17g"] * n)
 
 
 def write_trajectory_csv(path, result: RunResult) -> None:
-    header = "t,x,xdot,y,ydot,z,zdot,ux,uy,uz"
+    table = np.column_stack([result.time, result.states, result.controls])
+    line = _row_template(table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(len(result.time)):
-            row = [result.time[i], *result.states[i], *result.controls[i]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("t,x,xdot,y,ydot,z,zdot,ux,uy,uz\n")
+        fh.writelines(line % tuple(row) for row in table.tolist())
 
 
 METRIC_COLUMNS = (
@@ -325,25 +333,20 @@ def metrics_row(result: RunResult) -> list[float]:
 
 
 def write_metrics_csv(path, named_results: Sequence[tuple[str, RunResult]]) -> None:
+    line = "%s," + _row_template(len(METRIC_COLUMNS)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("name," + ",".join(METRIC_COLUMNS) + "\n")
         for name, result in named_results:
-            fh.write(name + "," + ",".join(_fmt(v) for v in metrics_row(result)) + "\n")
+            fh.write(line % (name, *metrics_row(result)))
 
 
 def write_iteration_log_csv(path, result: RunResult) -> None:
+    line = "%d," + _row_template(7) + ",%d\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iteration,ex,exdot,ey,eydot,ez,ezdot,rho_error_pct,converged\n")
         for row in result.log:
-            vals = [row["iteration"], *row["terminal_errors"], row["rho_error_pct"]]
-            fh.write(
-                ",".join(
-                    [str(int(vals[0]))]
-                    + [_fmt(v) for v in vals[1:]]
-                    + [str(int(row["converged"]))]
-                )
-                + "\n"
-            )
+            fh.write(line % (row["iteration"], *row["terminal_errors"],
+                             row["rho_error_pct"], row["converged"]))
 
 
 @dataclass
@@ -379,17 +382,15 @@ def compare(
 
 
 def write_compare_csv(path, cells: Sequence[CompareCell]) -> None:
+    line = "%s,%s,ok," + _row_template(len(METRIC_COLUMNS)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("scenario,controller,status," + ",".join(METRIC_COLUMNS) + "\n")
         for cell in cells:
             if cell.result is None:
                 fh.write(f"{cell.scenario_name},{cell.controller_name},error\n")
             else:
-                fh.write(
-                    f"{cell.scenario_name},{cell.controller_name},ok,"
-                    + ",".join(_fmt(v) for v in metrics_row(cell.result))
-                    + "\n"
-                )
+                names = (cell.scenario_name, cell.controller_name)
+                fh.write(line % (*names, *metrics_row(cell.result)))
 
 
 def format_compare_table(cells: Sequence[CompareCell]) -> str:

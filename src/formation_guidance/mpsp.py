@@ -103,15 +103,23 @@ def mpsp_update(
     return np.linalg.solve(R_k, rhs.T).T
 
 
+#: Reference baseline length [km] of a rendezvous target, whose commanded
+#: baseline length is 0.  There :func:`rho_error_pct`, and with it the
+#: MPSP/G-MPSP stop, and the harness's settle band measure the absolute
+#: position error against 1 km: 1 % is 10 m.
+RENDEZVOUS_LENGTH_KM = 1.0
+
+
 def rho_error_pct(Y_N: np.ndarray, Y_star: np.ndarray) -> float:
     """Percent error between achieved and commanded terminal baseline.
 
     rho is the terminal position norm; the commanded value comes from
-    the desired terminal state.
+    the desired terminal state.  A commanded rho of 0 (rendezvous) is
+    measured against RENDEZVOUS_LENGTH_KM instead.
     """
     rho_f = np.linalg.norm(Y_N[POSITION_ROWS])
     rho_d = np.linalg.norm(Y_star[POSITION_ROWS])
-    return abs(rho_f - rho_d) / rho_d * 100.0
+    return abs(rho_f - rho_d) / (rho_d or RENDEZVOUS_LENGTH_KM) * 100.0
 
 
 def predict_correct(

@@ -10,13 +10,15 @@ Lyapunov-based weight update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
-from .dynamics import ACCEL_ROWS
-from .lqr import LqrDesign, lqr_feedforward
-from .numerics import rk4_step
+from .dynamics import ACCEL_ROWS, POSITION_ROWS
+from .lqr import LqrDesign
+from .numerics import NumericsError, rk4_step
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +69,8 @@ def make_rbf_network(rho: float, omega: float) -> RbfNetwork:
 def rbf_features(net: RbfNetwork, X: np.ndarray) -> np.ndarray:
     """Gaussian basis vector phi_c(X), shape (p,)."""
     diff = X[None, :] - net.centers
-    diff = diff.copy()
-    diff[:, (1, 3, 5)] *= net.vel_scale
-    return np.exp(-np.einsum("pj,pj->p", diff, diff) / (2.0 * net.width**2))
+    diff[:, 1::2] *= net.vel_scale
+    return np.exp(np.einsum("pj,pj->p", diff, diff) / (-2.0 * net.width**2))
 
 
 def rbf_eval(net: RbfNetwork, X: np.ndarray) -> np.ndarray:
@@ -115,9 +116,7 @@ class DisturbanceBasis:
 
     def eval(self, X: np.ndarray, theta: float) -> np.ndarray:
         x, _, y, _, z, _ = X
-        r = self.r_c
-        psi = -2.0 * x / r - (x**2 + y**2 + z**2) / r**2
-        p = psi * (1.0 + psi * (1.0 + psi * (1.0 + psi)))
+        p, _ = self.power_series(x, y, z)
         return np.array(
             [
                 p * x,
@@ -133,23 +132,23 @@ class DisturbanceBasis:
     def jacobian(self, X: np.ndarray, theta: float) -> np.ndarray:
         """Analytic d Phi / d X, shape (size, 6)."""
         x, _, y, _, z, _ = X
+        J = np.zeros((self.size, 6))
+        # Trig terms depend on time only; the constant term is flat.
+        J[:3, POSITION_ROWS] = self.power_series(x, y, z)[1]
+        return J
+
+    def power_series(self, x: float, y: float, z: float) -> tuple[float, list[list[float]]]:
+        """p(psi) at the position (x, y, z), and d (p x, p y, p z) / d (x, y, z)
+        as three rows: the only nonzero block of :meth:`jacobian`."""
         r = self.r_c
         psi = -2.0 * x / r - (x**2 + y**2 + z**2) / r**2
         p = psi * (1.0 + psi * (1.0 + psi * (1.0 + psi)))
         dp_dpsi = 1.0 + psi * (2.0 + psi * (3.0 + 4.0 * psi))
-        dpsi = np.zeros(6)
-        dpsi[0] = -2.0 / r - 2.0 * x / r**2
-        dpsi[2] = -2.0 * y / r**2
-        dpsi[4] = -2.0 * z / r**2
-        J = np.zeros((self.size, 6))
-        J[0] = dp_dpsi * dpsi * x
-        J[0, 0] += p
-        J[1] = dp_dpsi * dpsi * y
-        J[1, 2] += p
-        J[2] = dp_dpsi * dpsi * z
-        J[2, 4] += p
-        # Trig terms depend on time only; the constant term is flat.
-        return J
+        dpsi = (-2.0 / r - 2.0 * x / r**2, -2.0 * y / r**2, -2.0 * z / r**2)
+        block = [[dp_dpsi * d * c for d in dpsi] for c in (x, y, z)]
+        for i in range(3):
+            block[i][i] += p
+        return p, block
 
 
 def build_disturbance_basis(r_c: float) -> DisturbanceBasis:
@@ -284,7 +283,22 @@ def costate_backprop(
 
 @dataclass
 class NnLqrController:
-    """State of the augmented controller across a run."""
+    """State of the augmented controller across a run.
+
+    The design, the RBF centres and width, the disturbance basis, K_tau,
+    the gains, R1 and dt are fixed over a run; construction derives from
+    them the invariants each step reads, as float rows: R^-1 B^T, P, Q,
+    A^T, A's acceleration rows, A + K_tau, the position block of Theta,
+    and the virtual plant's exact one-step RK4 propagator.  With the
+    forcing f held over a step, RK4 on x_a' = f - K_tau x_a computes
+    x_a+ = Phi x_a + Psi f, where M = dt K_tau,
+
+        Phi = I - M + M^2/2 - M^3/6 + M^4/24,
+        Psi = dt (I - M/2 + M^2/6 - M^3/24).
+
+    The trained weights (rbf.W_c, dist.weights) and vp.X_a are read and
+    written at each step.
+    """
 
     design: LqrDesign
     rbf: RbfNetwork
@@ -293,6 +307,48 @@ class NnLqrController:
     gains: AdaptationGains
     R1: float
     dt: float
+
+    def __post_init__(self) -> None:
+        if self.R1 <= 0.0:
+            raise ValueError("R1 must be positive")
+        d, K_tau = self.design, self.vp.K_tau
+        M = self.dt * K_tau
+        M2 = M @ M
+        M3 = M2 @ M
+        eye = np.eye(6)
+        self._Phi = (eye - M + M2 / 2.0 - M3 / 6.0 + M3 @ M / 24.0).tolist()
+        self._Psi = (self.dt * (eye - M / 2.0 + M2 / 6.0 - M3 / 24.0)).tolist()
+        self._Rinv_Bt = np.linalg.solve(d.R, d.B.T).tolist()
+        self._P, self._Q, self._At = d.P.tolist(), d.Q.tolist(), d.A.T.tolist()
+        self._A_acc, self._A_K = d.A[ACCEL_ROWS].tolist(), (d.A + K_tau).tolist()
+        self._Theta = self.gains.Theta[np.ix_(POSITION_ROWS, POSITION_ROWS)].tolist()
+
+
+# ACCEL_ROWS and POSITION_ROWS as int tuples, to index float lists.
+_ACCEL = tuple(ACCEL_ROWS.tolist())
+_POSITION = tuple(POSITION_ROWS.tolist())
+
+
+def _matvec(rows: list[list[float]], v: list[float]) -> list[float]:
+    """rows @ v for a 6-vector v, in floats."""
+    v0, v1, v2, v3, v4, v5 = v
+    return [
+        r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4 + r5 * v5
+        for r0, r1, r2, r3, r4, r5 in rows
+    ]
+
+
+def _solve3(M: list[list[float]], v: list[float]) -> list[float]:
+    """Solve the 3x3 system M x = v by Cramer's rule."""
+    (a, b, c), (d, e, f), (g, h, i) = M
+    v0, v1, v2 = v
+    c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * c0 + b * c1 + c * c2
+    return [
+        (c0 * v0 + (c * h - b * i) * v1 + (b * f - c * e) * v2) / det,
+        (c1 * v0 + (a * i - c * g) * v1 + (c * d - a * f) * v2) / det,
+        (c2 * v0 + (b * g - a * h) * v1 + (a * e - b * d) * v2) / det,
+    ]
 
 
 def nnlqr_control_step(
@@ -323,38 +379,82 @@ def nnlqr_control_step(
     the update integrates the stationarity residual Q (X - Xd) + A^T
     lambda, whose unique fixed point is the disturbance-compensating
     costate.
+
+    Up to round-off this is the composition of ``lqr_feedforward``,
+    ``rbf_features``, ``nn2_update``, ``virtual_plant_step``,
+    ``costate_backprop`` and ``nn1_update``.  The fixed-size algebra runs
+    in floats on the controller's run invariants; the RBF layer stays in
+    numpy.  Raises NumericsError for a non-finite virtual-plant state,
+    like ``virtual_plant_step``.
     """
-    design, dt = ctrl.design, ctrl.dt
-    P, A, B, Q, R = design.P, design.A, design.B, design.Q, design.R
-    # The networks' features at the measured state, which no weight
-    # update below changes.
+    dt, W_c, gamma = ctrl.dt, ctrl.rbf.W_c, ctrl.gains.gamma
+    x, xd, xd_dot, xa = X.tolist(), Xd.tolist(), Xd_dot.tolist(), ctrl.vp.X_a.tolist()
+    # The RBF features at the measured state, which no weight update
+    # below changes.
     phi_c = rbf_features(ctrl.rbf, X)
-    phi_d = ctrl.dist.basis.eval(X, theta)
-    J_d = ctrl.dist.basis.jacobian(X, theta)
 
     # (1) costates at the measured state, then the control.
-    lam1 = P @ (X - Xd)
-    lam2 = ctrl.rbf.W_c.T @ phi_c
-    U = -np.linalg.solve(R, B.T @ (lam1 + lam2)) + lqr_feedforward(A, Xd, Xd_dot)
+    lam1 = _matvec(ctrl._P, [a - b for a, b in zip(x, xd)])
+    lam2 = (W_c.T @ phi_c).tolist()
+    lam = [a + b for a, b in zip(lam1, lam2)]
+    forcing = _matvec(ctrl._A_acc, xd)
+    U = [
+        xd_dot[r] - ff - u
+        for r, ff, u in zip(_ACCEL, forcing, _matvec(ctrl._Rinv_Bt, lam))
+    ]
 
-    # (2) NN2 training from the virtual-plant error.
-    e = X - ctrl.vp.X_a
-    nn2_update(ctrl.dist, e, phi_d, J_d, ctrl.gains, dt)
+    # (2) NN2 training from the virtual-plant error.  The basis Jacobian
+    # G is zero outside its position block, so I/gamma + G Theta G^T is
+    # block-diagonal: only its 3x3 position block is solved, and the
+    # other four entries of the direction are gamma phi.
+    p, G = ctrl.dist.basis.power_series(x[0], x[2], x[4])
+    sin, cos = math.sin(theta), math.cos(theta)
+    phi_d = [p * x[0], p * x[2], p * x[4], sin, cos, sin * cos, 1.0]
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = ctrl._Theta
+    G_Theta = [
+        (g0 * t00 + g1 * t10 + g2 * t20, g0 * t01 + g1 * t11 + g2 * t21,
+         g0 * t02 + g1 * t12 + g2 * t22)
+        for g0, g1, g2 in G
+    ]
+    M = [[a0 * g0 + a1 * g1 + a2 * g2 for g0, g1, g2 in G] for a0, a1, a2 in G_Theta]
+    for i in range(3):
+        M[i][i] += 1.0 / gamma
+    direction = _solve3(M, phi_d[:3]) + [gamma * v for v in phi_d[3:]]
+    rate = dt * ctrl.gains.beta
+    W = [
+        [w + rate * (x[r] - xa[r]) * d for w, d in zip(row, direction)]
+        for r, row in zip(_ACCEL, ctrl.dist.weights.tolist())
+    ]
+    ctrl.dist.weights = np.array(W)
 
-    # (3) virtual-plant propagation under the applied control.
-    d_hat = ctrl.dist.d_hat(phi_d)
-    Xa_next = virtual_plant_step(ctrl.vp, X, U, d_hat, A, B, dt)
+    # (3) virtual-plant propagation under the applied control, with the
+    # forcing f = (A + K_tau) X + B U + d_hat held over the step.
+    f = _matvec(ctrl._A_K, x)
+    for r, u, row in zip(_ACCEL, U, W):
+        f[r] += u + sum(map(mul, row, phi_d))
+    xa_next = [a + b for a, b in zip(_matvec(ctrl._Phi, xa), _matvec(ctrl._Psi, f))]
+    if not all(map(math.isfinite, xa_next)):
+        raise NumericsError("non-finite state after RK4 step at t=0.0")
+    Xa_next = ctrl.vp.X_a = np.array(xa_next)
 
     # (4) costates at the predicted state.
-    lam1_next = P @ (Xa_next - Xd_next)
-    lam2_next = rbf_eval(ctrl.rbf, Xa_next)
+    dx_next = [a - b for a, b in zip(xa_next, Xd_next.tolist())]
+    lam1_next = _matvec(ctrl._P, dx_next)
+    lam2_next = (W_c.T @ rbf_features(ctrl.rbf, Xa_next)).tolist()
+    lam_next = [a + b for a, b in zip(lam1_next, lam2_next)]
 
-    # (5) costate back-propagation to the current step.
-    d_jac = ctrl.dist.d_hat_jacobian(J_d)
-    lam_target = costate_backprop(
-        Xa_next, Xd_next, lam1_next + lam2_next, A, Q, d_jac, dt
-    )
+    # (5) costate back-propagation, lambda + dt (Q dX + (A + D)^T lambda),
+    # where D = d d_hat / d X is W G in its (acceleration, position) block.
+    back = _matvec(ctrl._At, lam_next)
+    lam_accel = [lam_next[r] for r in _ACCEL]
+    W_lam = [sum(map(mul, column, lam_accel)) for column in zip(*(row[:3] for row in W))]
+    for c, column in zip(_POSITION, zip(*G)):
+        back[c] += sum(map(mul, W_lam, column))
+    lam_target = [
+        lam_i + dt * (q + b) for lam_i, q, b in zip(lam_next, _matvec(ctrl._Q, dx_next), back)
+    ]
 
     # (6) NN1 training toward the network share of the target.
-    nn1_update(ctrl.rbf, lam_target - lam1_next, phi_c, ctrl.R1)
-    return U
+    resid = np.array([t - a - b for t, a, b in zip(lam_target, lam1_next, lam2)])
+    W_c += phi_c[:, None] * resid / (phi_c @ phi_c + ctrl.R1)
+    return np.array(U)

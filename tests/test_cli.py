@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -19,7 +20,7 @@ from formation_guidance.cli import (
 )
 from formation_guidance.dynamics import ChiefOrbit, FormationParams, GravityModel
 from formation_guidance.harness import ControllerSpec, Scenario
-from formation_guidance.options import CONTROLLER_OPTIONS
+from formation_guidance.options import CONTROLLER_OPTIONS, MpspOptions
 
 MINIMAL = """\
 [chief]
@@ -326,6 +327,29 @@ class TestSubcommands:
         assert "effort 0" in capsys.readouterr().out
         assert (tmp_path / "out" / "natural_metrics.csv").exists()
         assert (tmp_path / "out" / "natural_trajectory.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["lqr", "mpsp"])
+    def test_run_rendezvous_target(self, kind, tmp_path, capsys):
+        # [desired] rho = 0: errors are measured against 1 km, with no
+        # divide-by-zero, and MPSP's stop can be met.
+        text = MINIMAL.replace("[desired]\nrho = 5", "[desired]\nrho = 0").replace(
+            "kind = lqr", f"kind = {kind}"
+        )
+        cfg = tmp_path / "rdv.cfg"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        line = capsys.readouterr().out
+        pct = float(line.split("baseline error ")[1].split("%")[0])
+        assert math.isfinite(pct)
+        metrics = (tmp_path / "out" / "rdv_metrics.csv").read_text().splitlines()[1]
+        assert all(math.isfinite(float(v)) for v in metrics.split(",")[1:-1])
+        if kind == "mpsp":
+            log = (tmp_path / "out" / "rdv_iterations.csv").read_text().splitlines()
+            assert log[-1].split(",")[-1] == "1"  # converged
+            assert pct < MpspOptions().tol_rho_pct
 
     def test_run_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from formation_guidance.dynamics import ChiefOrbit, FormationParams, GravityModel
+from formation_guidance.dynamics import (
+    ChiefOrbit,
+    FormationParams,
+    GravityModel,
+    formation_to_hill,
+    formation_to_hill_deriv,
+)
 from formation_guidance.harness import (
     NOT_SETTLED,
     CompareCell,
@@ -163,6 +169,14 @@ class TestSettleTime:
         with pytest.raises(HarnessError):
             settle_time(np.arange(3.0), np.zeros((3, 6)), np.zeros((3, 6)), 1.0, 0.0)
 
+    def test_rendezvous_band_is_reference_length(self):
+        # rho_command = 0: the 1 % band is 1 % of 1 km, i.e. 10 m.
+        times = np.arange(4.0)
+        states = np.zeros((4, 6))
+        states[:, 0] = [0.05, 0.02, 0.009, 0.005]
+        desired = np.zeros((4, 6))
+        assert settle_time(times, states, desired, rho_command=0.0) == 2.0
+
 
 class TestCompare:
     def test_single_cell(self):
@@ -218,6 +232,27 @@ class TestCompare:
         assert lines[0].split()[:2] == ["scenario", "controller"]
 
 
+class TestDesiredTrajectory:
+    @pytest.mark.parametrize("dt", [1.0, 0.1, 7.3])
+    def test_tables_equal_the_scalar_calls_bit_for_bit(self, dt):
+        desired = FormationParams(
+            rho=5.0, theta=0.7, a_off=0.3, b_off=-1.2, m_slope=1.5, n_slope=0.4
+        )
+        scn = Scenario(
+            chief=CIRC, gravity=GravityModel(), initial=RING, desired=desired,
+            tf=2000 * dt, dt=dt, controller=ControllerSpec("zero"),
+        )
+        times = np.arange(scn.n_steps + 1) * dt
+        Xd, Xd_dot = desired_trajectory(scn, times)
+        assert Xd.shape == Xd_dot.shape == (len(times), 6)
+        np.testing.assert_array_equal(
+            Xd, [formation_to_hill(desired, OMEGA, t) for t in times]
+        )
+        np.testing.assert_array_equal(
+            Xd_dot, [formation_to_hill_deriv(desired, OMEGA, t) for t in times]
+        )
+
+
 class TestCsvWriters:
     def test_trajectory_schema_and_precision(self, tmp_path):
         result = run_scenario(_natural_scenario(tf=10.0))
@@ -239,6 +274,40 @@ class TestCsvWriters:
         assert lines[1].split(",")[0] == "nat"
         values = [float(v) for v in lines[1].split(",")[1:]]
         assert values == [float(v) for v in metrics_row(result)]
+
+    def test_rows_match_per_value_format(self, tmp_path):
+        # Special values (inf, nan, -0.0, subnormals) and seeded values of
+        # every scale are written exactly as format(v, ".17g") writes them.
+        rng = np.random.default_rng(17)
+        n = 64
+        values = rng.normal(size=(n, 10)) * 10.0 ** rng.integers(-300, 300, size=(n, 10))
+        special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-310,
+                   np.finfo(float).tiny, np.finfo(float).max, 0.1]
+        values[0] = special
+        values[1] = special[::-1]
+        result = RunResult(
+            time=values[:, 0], states=values[:, 1:7], controls=values[:, 7:],
+            terminal_errors=values[0, :6], rho_error_pct=math.nan,
+            control_effort=-0.0, settle_time=NOT_SETTLED,
+            log=[{"iteration": 3, "terminal_errors": values[1, :6],
+                  "rho_error_pct": -0.0, "converged": np.True_}],
+        )
+
+        def per_value(row):
+            return ",".join(format(float(v), ".17g") for v in row)
+
+        write_trajectory_csv(tmp_path / "traj.csv", result)
+        lines = (tmp_path / "traj.csv").read_text().splitlines()
+        assert lines[1:] == [per_value(row) for row in values]
+        write_metrics_csv(tmp_path / "metrics.csv", [("m", result)])
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert lines[1] == "m," + per_value(metrics_row(result))
+        write_compare_csv(tmp_path / "cmp.csv", [CompareCell("s", "c", result)])
+        lines = (tmp_path / "cmp.csv").read_text().splitlines()
+        assert lines[1] == "s,c,ok," + per_value(metrics_row(result))
+        write_iteration_log_csv(tmp_path / "iters.csv", result)
+        lines = (tmp_path / "iters.csv").read_text().splitlines()
+        assert lines[1] == "3," + per_value([*values[1, :6], -0.0]) + ",1"
 
     def test_iteration_log(self, tmp_path):
         scn = Scenario(

@@ -11,6 +11,7 @@ from formation_guidance.dynamics import (
     hill_linear_matrices,
 )
 from formation_guidance.mpsp import (
+    RENDEZVOUS_LENGTH_KM,
     MpspError,
     SensitivitySet,
     analytic_state_jacobians,
@@ -164,6 +165,13 @@ class TestRhoErrorPct:
         Y = np.array([3.0, 0.0, 4.0, 0.0, 0.3, 0.0])
         expected = abs(math.sqrt(9 + 16 + 0.09) - 5.0) / 5.0 * 100.0
         assert rho_error_pct(Y, Y_star) == pytest.approx(expected, rel=1e-12)
+
+    def test_rendezvous_target_measured_against_reference_length(self):
+        # A commanded rho of 0 is measured against 1 km: 0.01 km off is 1 %.
+        Y = np.array([0.006, 0.0, 0.008, 0.0, 0.0, 0.0])
+        assert RENDEZVOUS_LENGTH_KM == 1.0
+        assert rho_error_pct(Y, np.zeros(6)) == pytest.approx(1.0, rel=1e-12)
+        assert rho_error_pct(np.zeros(6), np.zeros(6)) == 0.0
 
 
 class TestMpspSolve:

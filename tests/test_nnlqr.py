@@ -11,10 +11,11 @@ from formation_guidance.dynamics import (
     chief_kinematics,
     cw_nonlinear_deriv,
     formation_to_hill,
+    formation_to_hill_deriv,
     hill_linear_matrices,
     j2_differential_accel,
 )
-from formation_guidance.lqr import design_lqr, lqr_tracking_control
+from formation_guidance.lqr import design_lqr, lqr_feedforward, lqr_tracking_control
 from formation_guidance.nnlqr import (
     AdaptationGains,
     DisturbanceNet,
@@ -31,7 +32,7 @@ from formation_guidance.nnlqr import (
     rbf_features,
     virtual_plant_step,
 )
-from formation_guidance.numerics import fd_jacobian, rk4_step
+from formation_guidance.numerics import NumericsError, fd_jacobian, rk4_step
 
 ORBIT = ChiefOrbit(a=10000.0)
 OMEGA = ORBIT.mean_motion()
@@ -345,7 +346,121 @@ class TestCostateBackprop:
         assert defects[0.25] < defects[0.5] / 3.0
 
 
+def _reference_step(ctrl, X, Xd, Xd_dot, Xd_next, theta):
+    """The NN-LQR step composed from the public pieces: the oracle of
+    ``nnlqr_control_step``, which computes the same up to round-off."""
+    design, dt = ctrl.design, ctrl.dt
+    P, A, B, Q, R = design.P, design.A, design.B, design.Q, design.R
+    phi_c = rbf_features(ctrl.rbf, X)
+    phi_d = ctrl.dist.basis.eval(X, theta)
+    J_d = ctrl.dist.basis.jacobian(X, theta)
+    # (1) costates at the measured state, then the control.
+    lam1 = P @ (X - Xd)
+    lam2 = ctrl.rbf.W_c.T @ phi_c
+    U = -np.linalg.solve(R, B.T @ (lam1 + lam2)) + lqr_feedforward(A, Xd, Xd_dot)
+    # (2) NN2 training from the virtual-plant error.
+    nn2_update(ctrl.dist, X - ctrl.vp.X_a, phi_d, J_d, ctrl.gains, dt)
+    # (3) virtual-plant propagation under the applied control.
+    Xa_next = virtual_plant_step(ctrl.vp, X, U, ctrl.dist.d_hat(phi_d), A, B, dt)
+    # (4) costates at the predicted state.
+    lam1_next = P @ (Xa_next - Xd_next)
+    lam2_next = rbf_eval(ctrl.rbf, Xa_next)
+    # (5) costate back-propagation to the current step.
+    lam_target = costate_backprop(
+        Xa_next, Xd_next, lam1_next + lam2_next, A, Q,
+        ctrl.dist.d_hat_jacobian(J_d), dt,
+    )
+    # (6) NN1 training toward the network share of the target.
+    nn1_update(ctrl.rbf, lam_target - lam1_next, phi_c, ctrl.R1)
+    return U
+
+
+def _controller(basis="grid", K_tau=0.1 * np.eye(6), Theta=np.eye(6)):
+    if basis == "global":
+        rbf = RbfNetwork(
+            centers=np.zeros((1, 6)), width=1e6, vel_scale=1.0, W_c=np.zeros((1, 6))
+        )
+    else:
+        rbf = make_rbf_network(5.0, OMEGA)
+    return NnLqrController(
+        design=design_lqr(OMEGA, Q=200.0 * np.eye(6)),
+        rbf=rbf,
+        dist=DisturbanceNet(build_disturbance_basis(ORBIT.a)),
+        vp=VirtualPlant(X_a=np.zeros(6), K_tau=K_tau),
+        gains=AdaptationGains(beta=0.01, gamma=100.0, Theta=Theta),
+        R1=0.09,
+        dt=1.0,
+    )
+
+
 class TestControlStep:
+    @pytest.mark.parametrize("basis", ["global", "grid"])
+    def test_matches_reference_composition(self, basis):
+        """50 seeded steps, each from a random state, weights, virtual
+        plant, K_tau and SPD Theta: the lean step agrees with the
+        composition of the public pieces within 1e-13 of each quantity's
+        largest magnitude."""
+        rng = np.random.default_rng(23)
+        scale = np.array([5.0, 5e-3, 5.0, 5e-3, 5.0, 5e-3])
+        form = FormationParams(rho=5.0, theta=0.2, m_slope=1.0)
+        for _ in range(50):
+            L = rng.normal(size=(6, 6))
+            settings = dict(
+                basis=basis,
+                K_tau=np.diag(rng.uniform(0.05, 0.5, 6)),
+                Theta=np.eye(6) + 0.1 * L @ L.T,
+            )
+            lean, ref = _controller(**settings), _controller(**settings)
+            W_c = 1e3 * rng.normal(size=lean.rbf.W_c.shape)
+            weights = 1e-6 * rng.normal(size=(3, 7))
+            X_a = scale * rng.normal(size=6)
+            for ctrl in (lean, ref):
+                ctrl.rbf.W_c[:] = W_c
+                ctrl.dist.weights[:] = weights
+                ctrl.vp.X_a = X_a.copy()
+            t = float(rng.integers(0, 10000))
+            args = (
+                scale * rng.normal(size=6),
+                formation_to_hill(form, OMEGA, t),
+                formation_to_hill_deriv(form, OMEGA, t),
+                formation_to_hill(form, OMEGA, t + 1.0),
+                rng.uniform(0.0, 2.0 * math.pi),
+            )
+            pairs = {
+                "U": (nnlqr_control_step(lean, *args), _reference_step(ref, *args)),
+                "W_c": (lean.rbf.W_c, ref.rbf.W_c),
+                "weights": (lean.dist.weights, ref.dist.weights),
+                "X_a": (lean.vp.X_a, ref.vp.X_a),
+            }
+            for name, (got, want) in pairs.items():
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+    def test_basis_jacobian_zero_outside_position_block(self):
+        # The lean step solves only the 3x3 position block of NN2's
+        # matrix, which relies on these zeros.
+        basis = build_disturbance_basis(ORBIT.a)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            X = rng.uniform(-50.0, 50.0, size=6)
+            J = basis.jacobian(X, rng.uniform(0.0, 2.0 * math.pi))
+            np.testing.assert_array_equal(J[3:], 0.0)
+            np.testing.assert_array_equal(J[:, 1::2], 0.0)
+
+    def test_non_finite_virtual_plant_raises(self):
+        ctrl = _controller()
+        ctrl.vp.X_a = np.full(6, np.nan)
+        Xd = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), OMEGA, 0.0)
+        with pytest.raises(NumericsError, match="non-finite state after RK4 step"):
+            nnlqr_control_step(ctrl, np.ones(6), Xd, np.zeros(6), Xd, 0.0)
+
+    def test_nonpositive_regularizer_rejected_at_construction(self):
+        ctrl = _controller()
+        with pytest.raises(ValueError):
+            NnLqrController(
+                design=ctrl.design, rbf=ctrl.rbf, dist=ctrl.dist, vp=ctrl.vp,
+                gains=ctrl.gains, R1=0.0, dt=1.0,
+            )
+
     def test_zero_nets_match_plain_tracking_control(self):
         design = design_lqr(OMEGA)
         rbf = make_rbf_network(5.0, OMEGA)
@@ -365,12 +480,12 @@ class TestControlStep:
 
     def test_features_evaluated_once_per_state(self, monkeypatch):
         """One step evaluates the RBF features at the measured and the
-        predicted state only, and the disturbance basis and its Jacobian
+        predicted state only, and the disturbance basis's power series
         once, at the measured state: no weight update changes them."""
         from formation_guidance import nnlqr
         from formation_guidance.nnlqr import DisturbanceBasis
 
-        counts = {"rbf_features": 0, "eval": 0, "jacobian": 0}
+        counts = {"rbf_features": 0, "power_series": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -379,21 +494,11 @@ class TestControlStep:
             return wrapper
 
         monkeypatch.setattr(nnlqr, "rbf_features", counted("rbf_features", rbf_features))
-        for name in ("eval", "jacobian"):
-            monkeypatch.setattr(
-                DisturbanceBasis, name, counted(name, getattr(DisturbanceBasis, name))
-            )
-        design = design_lqr(OMEGA)
-        ctrl = NnLqrController(
-            design=design,
-            rbf=make_rbf_network(5.0, OMEGA),
-            dist=DisturbanceNet(build_disturbance_basis(ORBIT.a)),
-            vp=VirtualPlant(X_a=np.zeros(6), K_tau=0.1 * np.eye(6)),
-            gains=AdaptationGains(beta=0.01, gamma=100.0, Theta=np.eye(6)),
-            R1=1.0,
-            dt=1.0,
+        monkeypatch.setattr(
+            DisturbanceBasis, "power_series",
+            counted("power_series", DisturbanceBasis.power_series),
         )
         X = np.random.default_rng(9).normal(size=6)
         Xd = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), OMEGA, 0.0)
-        nnlqr_control_step(ctrl, X, Xd, np.zeros(6), Xd, 0.0)
-        assert counts == {"rbf_features": 2, "eval": 1, "jacobian": 1}
+        nnlqr_control_step(_controller(), X, Xd, np.zeros(6), Xd, 0.0)
+        assert counts == {"rbf_features": 2, "power_series": 1}
