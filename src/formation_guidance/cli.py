@@ -42,7 +42,8 @@ named class (formation_guidance.dynamics, formation_guidance.options):
              apply = closed|open (closed; open plans on the believed
              unperturbed model and replays the control history)
   Numbers must be finite; max_iter (>= 0) and series_order (>= 1) must be
-  integers, tol_pct and r_weight must be > 0 and q_weight >= 0.  A bad
+  integers, tol_pct, r_weight, r1, k_tau, beta and gamma must be > 0 and
+  q_weight >= 0.  A bad
   number or a word outside its list is rejected with its line number;
   values the dataclasses reject (a <= 0, e outside [0, 1), rho < 0) and
   a tf that is not a whole number of dt steps raise ConfigError too.
@@ -107,9 +108,11 @@ _CHOICES = {
 
 # Lower bound of each bounded number: (comparison, bound).  A zero state
 # weight is legal (the finite-horizon SDRE's default); R must be positive
-# definite for the Riccati solve.
+# definite for the Riccati solve, and NN-LQR's regularizer, virtual-plant
+# gain and adaptation gains must be positive.
 _BOUNDS = {"series_order": (">=", 1), "max_iter": (">=", 0), "tol_pct": (">", 0),
-           "q_weight": (">=", 0), "r_weight": (">", 0)}
+           "q_weight": (">=", 0), "r_weight": (">", 0),
+           "r1": (">", 0), "k_tau": (">", 0), "beta": (">", 0), "gamma": (">", 0)}
 _COMPARE = {">=": operator.ge, ">": operator.gt}
 
 # Dataclass of each dataclass-backed section.

@@ -43,6 +43,9 @@ B = np.zeros((6, 3))
 B[ACCEL_ROWS, range(3)] = 1.0
 B.flags.writeable = False
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 
 class DynamicsError(ValueError):
     """Raised for degenerate geometry (e.g. deputy at the geocenter)."""
@@ -142,12 +145,20 @@ def chief_kinematics(orbit: ChiefOrbit, nu: float, mu: float = MU_EARTH) -> Chie
     nu_dot = sqrt(mu a (1-e^2)) / r_c^2,
     nu_ddot = -2 mu e (1 + e cos nu)^3 sin nu / (a^3 (1-e^2)^3).
     """
+    r_c, nu_dot, nu_ddot = _chief_rates(orbit, nu, mu)
+    return ChiefKinematics(nu=float(nu), nu_dot=float(nu_dot), nu_ddot=float(nu_ddot), r_c=float(r_c))
+
+
+def _chief_rates(orbit: ChiefOrbit, nu, mu: float = MU_EARTH):
+    """(r_c, nu_dot, nu_ddot) of :func:`chief_kinematics`, elementwise
+    over a true anomaly or an array of them."""
     a, e = orbit.a, orbit.e
     p = a * (1.0 - e**2)
-    r_c = p / (1.0 + e * np.cos(nu))
+    q = 1.0 + e * np.cos(nu)
+    r_c = p / q
     nu_dot = np.sqrt(mu * p) / r_c**2
-    nu_ddot = -2.0 * mu * e * (1.0 + e * np.cos(nu)) ** 3 * np.sin(nu) / (a**3 * (1.0 - e**2) ** 3)
-    return ChiefKinematics(nu=float(nu), nu_dot=float(nu_dot), nu_ddot=float(nu_ddot), r_c=float(r_c))
+    nu_ddot = -2.0 * mu * e * q**3 * np.sin(nu) / (a**3 * (1.0 - e**2) ** 3)
+    return r_c, nu_dot, nu_ddot
 
 
 def propagate_nu(
@@ -258,34 +269,47 @@ def cw_nonlinear_deriv(
 def cw_nonlinear_jacobian(
     state: np.ndarray, kin: ChiefKinematics, mu: float = MU_EARTH
 ) -> np.ndarray:
-    """Analytic Jacobian d f / d X of ``cw_nonlinear_deriv`` (no J2)."""
-    x, _, y, _, z, _ = state
-    r_c, nd, ndd = kin.r_c, kin.nu_dot, kin.nu_ddot
-    rx = r_c + x
-    s = rx**2 + y**2 + z**2
-    if s <= 0.0:
+    """Analytic Jacobian d f / d X of ``cw_nonlinear_deriv`` (no J2).
+
+    The one-point case of :func:`_hill_jacobian`, which
+    :meth:`RelativePlant.f_jacobian` evaluates over whole trajectories.
+    """
+    return _hill_jacobian(np.asarray(state, dtype=float), kin.r_c, kin.nu_dot, kin.nu_ddot, mu)
+
+
+def _hill_jacobian(X: np.ndarray, r_c, nd, ndd, mu: float) -> np.ndarray:
+    """Jacobians of ``cw_nonlinear_deriv`` at the (..., 6) states ``X``.
+
+    The chief's r_c, nu_dot and nu_ddot are given per point (arrays of
+    X's leading shape) or shared (floats); the result is (..., 6, 6).
+    The acceleration-row x position-column block is the frame terms
+    plus the point-mass gravity gradient -mu/r^3 (I - 3 u u^T) of the
+    deputy at r = rho + r_c e_x, u = r/|r|.  Raises DynamicsError if any
+    point puts the deputy at the geocenter.
+    """
+    r = _geocentric(X, r_c)
+    s = np.einsum("...i,...i->...", r, r)
+    if np.any(s <= 0.0):
         raise DynamicsError("deputy at the geocenter: gamma = 0")
-    s32 = s**1.5
-    s52 = s**2.5
-    J = np.zeros((6, 6))
-    J[0, 1] = 1.0
-    J[2, 3] = 1.0
-    J[4, 5] = 1.0
-    # radial acceleration row
-    J[1, 0] = nd**2 - mu / s32 + 3.0 * mu * rx**2 / s52
-    J[1, 2] = ndd + 3.0 * mu * rx * y / s52
-    J[1, 4] = 3.0 * mu * rx * z / s52
-    J[1, 3] = 2.0 * nd
-    # along-track acceleration row
-    J[3, 0] = -ndd + 3.0 * mu * y * rx / s52
-    J[3, 1] = -2.0 * nd
-    J[3, 2] = nd**2 - mu / s32 + 3.0 * mu * y**2 / s52
-    J[3, 4] = 3.0 * mu * y * z / s52
-    # cross-track acceleration row
-    J[5, 0] = 3.0 * mu * z * rx / s52
-    J[5, 2] = 3.0 * mu * z * y / s52
-    J[5, 4] = -mu / s32 + 3.0 * mu * z**2 / s52
+    u = r / np.sqrt(s)[..., None]
+    grad = (mu / s**1.5)[..., None, None] * (3.0 * u[..., :, None] * u[..., None, :] - _EYE3)
+    grad[..., 0, 0] += nd**2
+    grad[..., 1, 1] += nd**2
+    grad[..., 0, 1] += ndd
+    grad[..., 1, 0] -= ndd
+    J = np.zeros(X.shape[:-1] + (6, 6))
+    J[..., 1::2, ::2] = grad  # acceleration rows x position columns
+    J[..., ::2, 1::2] = _EYE3  # kinematic rows
+    J[..., 1, 3] = 2.0 * nd
+    J[..., 3, 1] = -2.0 * nd
     return J
+
+
+def _geocentric(X: np.ndarray, r_c) -> np.ndarray:
+    """Deputy positions rho + r_c e_x from the geocenter, in Hill axes."""
+    r = X[..., POSITION_ROWS]
+    r[..., 0] += r_c
+    return r
 
 
 def hill_linear_matrices(omega: float) -> tuple[np.ndarray, np.ndarray]:
@@ -438,18 +462,34 @@ class RelativePlant:
         dX = cw_nonlinear_deriv(state, kin, u, d, self.gravity.mu)
         return np.append(dX, kin.nu_dot)
 
-    def f_jacobian(self, state: np.ndarray, nu: float) -> np.ndarray:
-        """Jacobian of the unforced relative dynamics at (state, nu).
+    def f_jacobian(self, state: np.ndarray, nu) -> np.ndarray:
+        """Jacobian of the unforced relative dynamics, batched over points.
 
-        Fully analytic.  With J2 enabled, the rotated inertial gravity
-        gradient C^T G(r_d) C is added to the acceleration-row x
-        position-column block; the J2 term has no velocity dependence.
+        ``state`` is one (6,) state or a trajectory of (N, 6) states and
+        ``nu`` the matching chief true anomaly or (N,) anomalies; the
+        result is (6, 6) or (N, 6, 6), one Jacobian per point, from a
+        handful of array operations over the whole batch.  Fully
+        analytic: the chief kinematics at each nu, the nonlinear Hill
+        block (:func:`_hill_jacobian`) and, with J2 enabled, the rotated
+        inertial J2 gravity gradient C^T G(r_d) C added to the
+        acceleration-row x position-column block.  That term is
+        evaluated in Hill axes (:func:`_j2_gradient_hill`) from the
+        Earth's polar axis C^T e_Z, the third row of the chief triad C at
+        arg_perigee + nu; it has no velocity dependence.  Raises
+        DynamicsError if any point puts the deputy at the geocenter.
         """
-        kin = chief_kinematics(self.orbit, nu, self.gravity.mu)
-        J = cw_nonlinear_jacobian(state, kin, self.gravity.mu)
-        if self.gravity.j2_enabled:
-            C, r_d = _deputy_inertial(self.orbit, kin, state)
-            J[np.ix_(ACCEL_ROWS, POSITION_ROWS)] += C.T @ _j2_gradient(self.gravity, r_d) @ C
+        g, orbit = self.gravity, self.orbit
+        X, nu = np.asarray(state, dtype=float), np.asarray(nu, dtype=float)
+        r_c, nd, ndd = _chief_rates(orbit, nu, g.mu)
+        J = _hill_jacobian(X, r_c, nd, ndd, g.mu)
+        if g.j2_enabled:
+            th = orbit.arg_perigee + nu
+            pole = np.empty(th.shape + (3,))
+            pole[..., 0] = np.sin(th) * math.sin(orbit.i)
+            pole[..., 1] = np.cos(th) * math.sin(orbit.i)
+            pole[..., 2] = math.cos(orbit.i)
+            k_j2 = 1.5 * g.mu * g.j2 * g.re**2
+            J[..., 1::2, ::2] += _j2_gradient_hill(k_j2, pole, _geocentric(X, r_c))
         return J
 
     def simulate(
@@ -522,24 +562,6 @@ def _j2_accel(g: GravityModel, r: np.ndarray) -> np.ndarray:
     return a
 
 
-def _j2_gradient(g: GravityModel, r: np.ndarray) -> np.ndarray:
-    """Gravity-gradient tensor d a / d r of :func:`_j2_accel` (3x3).
-
-    With u = r/|r| and s = u_z:
-        G = k/|r| [(5 s^2 - 1) I + 5 (1 - 7 s^2) u u^T
-                   + 10 s (u e_z^T + e_z u^T) - 2 e_z e_z^T].
-    G is symmetric and, by Laplace's equation, traceless.
-    """
-    rn = np.sqrt(r @ r)
-    u = r / rn
-    s = u[2]
-    G = 5.0 * (1.0 - 7.0 * s**2) * np.outer(u, u) + (5.0 * s**2 - 1.0) * np.eye(3)
-    G[2] += 10.0 * s * u
-    G[:, 2] += 10.0 * s * u
-    G[2, 2] -= 2.0
-    return 1.5 * g.mu * g.j2 * g.re**2 / rn**5 * G
-
-
 def _deputy_inertial(
     chief: ChiefOrbit, kin: ChiefKinematics, state: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -581,6 +603,31 @@ def _j2_hill(
     f = k / (r2 * r2 * math.sqrt(r2))
     radial, polar = f * (5.0 * z_i * z_i / r2 - 1.0), 2.0 * f * z_i
     return radial * x - polar * pole[0], radial * y - polar * pole[1], radial * z - polar * pole[2]
+
+
+def _j2_gradient_hill(k: float, pole: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Gravity gradient d a / d r of the inertial J2 field in rotated axes.
+
+    ``r`` holds (..., 3) positions and ``pole`` the Earth's polar axis
+    in the same axes (one (3,) axis or one per point), and
+    ``k = 3/2 mu J2 Re^2``.  With u = r/|r| and s = u . pole:
+        G = k/|r|^5 [(5 s^2 - 1) I + 5 (1 - 7 s^2) u u^T
+                     + 10 s (u pole^T + pole u^T) - 2 pole pole^T],
+    which is C^T G_I(C r) C for the inertial gradient G_I and the triad
+    C whose third row is ``pole``.  G is symmetric and, by Laplace's
+    equation, traceless.
+    """
+    r2 = np.einsum("...i,...i->...", r, r)
+    u = r / np.sqrt(r2)[..., None]
+    s = np.einsum("...i,...i->...", u, pole)[..., None, None]
+    up = u[..., :, None] * pole[..., None, :]
+    G = (
+        (5.0 * s**2 - 1.0) * _EYE3
+        + 5.0 * (1.0 - 7.0 * s**2) * u[..., :, None] * u[..., None, :]
+        + 10.0 * s * (up + np.swapaxes(up, -1, -2))
+        - 2.0 * pole[..., :, None] * pole[..., None, :]
+    )
+    return (k / r2**2.5)[..., None, None] * G
 
 
 def _plant_step(

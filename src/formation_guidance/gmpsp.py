@@ -47,28 +47,33 @@ def integrate_W_backward(
 ) -> SensitivityField:
     """Integrate dW/dt = -W df/dX backward by RK4 from W(tf) = I.
 
-    The Jacobian at the half-step is evaluated at the midpoint of the
-    stored trajectory samples.
+    The Jacobians come from two batched ``f_jacobian`` calls: one on the
+    grid and one on the midpoints of the stored trajectory samples,
+    (X_k + X_{k+1}) / 2 at the averaged anomaly (nu_k + nu_{k+1}) / 2.
+    RK4 on this linear equation is linear in W, so each backward step
+    is W_k = W_{k+1} Phi_k with Phi_k the step's RK4 polynomial in
+    J_{k+1}, J_mid and J_k (the RK4 stages started from the identity);
+    all Phi_k are formed by batched products and the loop holds one
+    6x6 product per step.  Raises GmpspError at the highest grid index
+    whose weight is not finite.
     """
     n = len(states)
-    J = np.empty((n, 6, 6))
-    for k in range(n):
-        J[k] = plant.f_jacobian(states[k], nus[k])
+    J = plant.f_jacobian(states, nus)
+    J_mid = plant.f_jacobian(0.5 * (states[:-1] + states[1:]), 0.5 * (nus[:-1] + nus[1:]))
+    eye = np.eye(6)
+    h = -dt  # stepping backward in time
+    k1 = -J[1:]
+    k2 = -(eye + 0.5 * h * k1) @ J_mid
+    k3 = -(eye + 0.5 * h * k2) @ J_mid
+    k4 = -(eye + h * k3) @ J[:-1]
+    Phi = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     W = np.empty((n, 6, 6))
-    W[-1] = np.eye(6)
+    W[-1] = eye
     for k in range(n - 2, -1, -1):
-        J_mid = plant.f_jacobian(
-            0.5 * (states[k] + states[k + 1]), 0.5 * (nus[k] + nus[k + 1])
-        )
-        w = W[k + 1]
-        h = -dt  # stepping backward in time
-        k1 = -w @ J[k + 1]
-        k2 = -(w + 0.5 * h * k1) @ J_mid
-        k3 = -(w + 0.5 * h * k2) @ J_mid
-        k4 = -(w + h * k3) @ J[k]
-        W[k] = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(W[k])):
-            raise GmpspError(f"non-finite sensitivity weight at grid index {k}")
+        np.matmul(W[k + 1], Phi[k], out=W[k])
+    bad = np.flatnonzero(~np.isfinite(W).all(axis=(1, 2)))
+    if bad.size:
+        raise GmpspError(f"non-finite sensitivity weight at grid index {bad[-1]}")
     return SensitivityField(W=W, B_c=W @ B)
 
 

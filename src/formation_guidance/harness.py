@@ -178,7 +178,7 @@ def _feedback_law(
                 centers=np.zeros((1, 6)), width=1e6, vel_scale=1.0, W_c=np.zeros((1, 6))
             )
         else:
-            rbf = nnlqr.make_rbf_network(desired.rho, omega)
+            rbf = nnlqr.make_rbf_network(desired.rho or RENDEZVOUS_LENGTH_KM, omega)
         ctrl = nnlqr.NnLqrController(
             design=design_lqr(omega, Q=opts.Q, R=opts.R),
             rbf=rbf,

@@ -49,15 +49,11 @@ def analytic_state_jacobians(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler-discretized transition Jacobians along a trajectory.
 
-    dF_k/dX_k = I + dt * df/dX evaluated at (X_k, nu_k); the control
+    dF_k/dX_k = I + dt * df/dX evaluated at (X_k, nu_k) for k < N - 1,
+    from one batched ``f_jacobian`` call over the grid; the control
     Jacobian dF_k/dU_k = dt * B is constant.
     """
-    n = len(states) - 1
-    dF_dX = np.empty((n, 6, 6))
-    eye = np.eye(6)
-    for k in range(n):
-        dF_dX[k] = eye + dt * plant.f_jacobian(states[k], nus[k])
-    return dF_dX, dt * B
+    return np.eye(6) + dt * plant.f_jacobian(states[:-1], nus[:-1]), dt * B
 
 
 def compute_sensitivities(
@@ -106,7 +102,8 @@ def mpsp_update(
 #: Reference baseline length [km] of a rendezvous target, whose commanded
 #: baseline length is 0.  There :func:`rho_error_pct`, and with it the
 #: MPSP/G-MPSP stop, and the harness's settle band measure the absolute
-#: position error against 1 km: 1 % is 10 m.
+#: position error against 1 km: 1 % is 10 m.  NN-LQR's default grid basis
+#: is sized by it too.
 RENDEZVOUS_LENGTH_KM = 1.0
 
 

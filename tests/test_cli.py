@@ -133,6 +133,10 @@ class TestParseConfig:
         ("gmpsp", "r_weight", "0", "> 0"),
         ("nnlqr", "r_weight", "-1", "> 0"),
         ("nnlqr", "q_weight", "-200", ">= 0"),
+        ("nnlqr", "r1", "0", "> 0"),
+        ("nnlqr", "k_tau", "-1", "> 0"),
+        ("nnlqr", "beta", "0", "> 0"),
+        ("nnlqr", "gamma", "-100", "> 0"),
     ])
     def test_out_of_range_solver_input_rejected_with_line(self, kind, key, value, bound):
         text = MINIMAL.replace("kind = lqr", f"kind = {kind}") + f"\n[{kind}]\n{key} = {value}\n"
@@ -214,10 +218,12 @@ def _finite(lo=-1e6, hi=1e6):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+def _positive(hi=1e6):
+    return _finite(0.0, hi).filter(lambda v: v > 0.0)
+
+
 def _weight(size, positive=False):
-    scales = _finite(0.0, 1e6)
-    if positive:
-        scales = scales.filter(lambda v: v > 0.0)
+    scales = _positive() if positive else _finite(0.0, 1e6)
     return scales.map(lambda scale: scale * np.eye(size))
 
 
@@ -234,9 +240,9 @@ _FORMATIONS = st.builds(
 _OPTION_VALUES = {
     "Q": _weight(6), "R": _weight(3, positive=True), "open_loop": st.booleans(),
     "variant": st.sampled_from(["SDC1", "SDC2"]), "series_order": st.integers(1, 50),
-    "tol_rho_pct": _finite(0.0, 100.0).filter(lambda v: v > 0.0),
-    "max_iter": st.integers(0, 1000), "R1": _finite(), "k_tau": _finite(),
-    "beta": _finite(), "gamma": _finite(), "theta": _finite(),
+    "tol_rho_pct": _positive(100.0),
+    "max_iter": st.integers(0, 1000), "R1": _positive(), "k_tau": _positive(),
+    "beta": _positive(), "gamma": _positive(), "theta": _finite(),
     "basis": st.sampled_from(["grid", "global"]),
 }
 
@@ -328,10 +334,11 @@ class TestSubcommands:
         assert (tmp_path / "out" / "natural_metrics.csv").exists()
         assert (tmp_path / "out" / "natural_trajectory.csv").exists()
 
-    @pytest.mark.parametrize("kind", ["lqr", "mpsp"])
+    @pytest.mark.parametrize("kind", ["lqr", "mpsp", "nnlqr"])
     def test_run_rendezvous_target(self, kind, tmp_path, capsys):
         # [desired] rho = 0: errors are measured against 1 km, with no
-        # divide-by-zero, and MPSP's stop can be met.
+        # divide-by-zero, MPSP's stop can be met, and NN-LQR's default
+        # grid basis is sized by the 1 km reference length.
         text = MINIMAL.replace("[desired]\nrho = 5", "[desired]\nrho = 0").replace(
             "kind = lqr", f"kind = {kind}"
         )

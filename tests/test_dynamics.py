@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from formation_guidance.dynamics import (
     FormationParams,
     GravityModel,
     RelativePlant,
-    _j2_gradient,
+    _j2_gradient_hill,
     chief_kinematics,
     cw_nonlinear_deriv,
     cw_nonlinear_jacobian,
@@ -410,10 +411,12 @@ class TestRelativePlant:
     def test_j2_gradient_symmetric_and_traceless(self):
         rng = np.random.default_rng(8)
         g = GravityModel(j2_enabled=True)
-        for _ in range(200):
-            r = rng.normal(size=3)
-            r *= rng.uniform(6600.0, 42000.0) / np.linalg.norm(r)
-            G = _j2_gradient(g, r)
+        k = 1.5 * g.mu * g.j2 * g.re**2
+        r = rng.normal(size=(200, 3))
+        r *= rng.uniform(6600.0, 42000.0, size=(200, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
+        pole = rng.normal(size=(200, 3))
+        pole /= np.linalg.norm(pole, axis=1, keepdims=True)
+        for G in _j2_gradient_hill(k, pole, r):
             scale = np.linalg.norm(G)
             assert np.linalg.norm(G - G.T) <= 1e-12 * scale
             assert abs(np.trace(G)) <= 1e-12 * scale
@@ -424,6 +427,113 @@ class TestRelativePlant:
         r_c = chief_kinematics(orbit, 0.4).r_c
         with pytest.raises(DynamicsError):
             plant.deriv(0.0, np.array([-r_c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4]))
+
+
+def _j2_gradient(g, r):
+    """Gravity-gradient tensor d a / d r of the inertial J2 field at the
+    inertial position ``r`` (3x3).
+
+    With u = r/|r| and s = u_z:
+        G = k/|r| [(5 s^2 - 1) I + 5 (1 - 7 s^2) u u^T
+                   + 10 s (u e_z^T + e_z u^T) - 2 e_z e_z^T].
+    """
+    rn = np.sqrt(r @ r)
+    u = r / rn
+    s = u[2]
+    G = 5.0 * (1.0 - 7.0 * s**2) * np.outer(u, u) + (5.0 * s**2 - 1.0) * np.eye(3)
+    G[2] += 10.0 * s * u
+    G[:, 2] += 10.0 * s * u
+    G[2, 2] -= 2.0
+    return 1.5 * g.mu * g.j2 * g.re**2 / rn**5 * G
+
+
+def _point_jacobian(plant, X, nu):
+    """Per-point reference for ``RelativePlant.f_jacobian``: the Hill
+    block written entry by entry at the chief kinematics of ``nu`` and,
+    with J2, the inertial gradient rotated by the chief triad C^T G C."""
+    kin = chief_kinematics(plant.orbit, nu, plant.gravity.mu)
+    mu, r_c, nd, ndd = plant.gravity.mu, kin.r_c, kin.nu_dot, kin.nu_ddot
+    x, _, y, _, z, _ = X
+    rx = r_c + x
+    s = rx**2 + y**2 + z**2
+    s32, s52 = s**1.5, s**2.5
+    J = np.zeros((6, 6))
+    J[0, 1] = J[2, 3] = J[4, 5] = 1.0
+    J[1, 0] = nd**2 - mu / s32 + 3.0 * mu * rx**2 / s52
+    J[1, 2] = ndd + 3.0 * mu * rx * y / s52
+    J[1, 4] = 3.0 * mu * rx * z / s52
+    J[1, 3] = 2.0 * nd
+    J[3, 0] = -ndd + 3.0 * mu * y * rx / s52
+    J[3, 1] = -2.0 * nd
+    J[3, 2] = nd**2 - mu / s32 + 3.0 * mu * y**2 / s52
+    J[3, 4] = 3.0 * mu * y * z / s52
+    J[5, 0] = 3.0 * mu * z * rx / s52
+    J[5, 2] = 3.0 * mu * z * y / s52
+    J[5, 4] = -mu / s32 + 3.0 * mu * z**2 / s52
+    if plant.gravity.j2_enabled:
+        C, _ = eci_hill_transforms(plant.orbit, kin)
+        r_d = C @ (X[POSITION_ROWS] + np.array([r_c, 0.0, 0.0]))
+        J[np.ix_(ACCEL_ROWS, POSITION_ROWS)] += C.T @ _j2_gradient(plant.gravity, r_d) @ C
+    return J
+
+
+def _random_batch(rng, retrograde, n=31):
+    """Chief orbit (e < 0.6, prograde or retrograde) and n points of a
+    0.1-50 km formation at random anomalies."""
+    orbit, _, _ = _random_geometry(rng)
+    i = rng.uniform(0.05, 0.5 * math.pi - 0.05)
+    orbit = dataclasses.replace(orbit, i=math.pi - i if retrograde else i)
+    points = [_random_geometry(rng)[2] for _ in range(n)]
+    return orbit, np.array(points), rng.uniform(0.0, 2.0 * math.pi, size=n)
+
+
+class TestBatchedJacobian:
+    """``f_jacobian`` over a stacked trajectory against the per-point
+    reference."""
+
+    @pytest.mark.parametrize("j2", [False, True])
+    @pytest.mark.parametrize("retrograde", [False, True])
+    def test_matches_per_point_reference(self, j2, retrograde):
+        rng = np.random.default_rng(31 + 2 * j2 + retrograde)
+        for _ in range(20):
+            orbit, X, nus = _random_batch(rng, retrograde)
+            plant = RelativePlant(orbit, GravityModel(j2_enabled=j2))
+            J = plant.f_jacobian(X, nus)
+            for k in range(len(X)):
+                ref = _point_jacobian(plant, X[k], nus[k])
+                # Each acceleration block (position and velocity columns)
+                # to 1e-13 of its own largest entry.
+                for cols in (POSITION_ROWS, ACCEL_ROWS):
+                    block = np.ix_(ACCEL_ROWS, cols)
+                    scale = np.abs(ref[block]).max()
+                    assert np.abs(J[k][block] - ref[block]).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("j2", [False, True])
+    def test_kinematic_rows_exact(self, j2):
+        orbit, X, nus = _random_batch(np.random.default_rng(35), retrograde=False)
+        J = RelativePlant(orbit, GravityModel(j2_enabled=j2)).f_jacobian(X, nus)
+        kinematic = np.zeros((3, 6))
+        kinematic[range(3), ACCEL_ROWS] = 1.0
+        np.testing.assert_array_equal(J[:, POSITION_ROWS], np.broadcast_to(kinematic, (len(X), 3, 6)))
+
+    @pytest.mark.parametrize("j2", [False, True])
+    def test_output_shapes(self, j2):
+        orbit, X, nus = _random_batch(np.random.default_rng(36), retrograde=True, n=7)
+        plant = RelativePlant(orbit, GravityModel(j2_enabled=j2))
+        assert plant.f_jacobian(X[0], nus[0]).shape == (6, 6)
+        assert plant.f_jacobian(X[:1], nus[:1]).shape == (1, 6, 6)
+        assert plant.f_jacobian(X, nus).shape == (7, 6, 6)
+
+    @pytest.mark.parametrize("j2", [False, True])
+    def test_geocentric_point_mid_batch_raises(self, j2):
+        # A circular chief: r_c = a exactly at every anomaly.
+        plant = RelativePlant(ChiefOrbit(a=10000.0, i=1.0), GravityModel(j2_enabled=j2))
+        nus = np.linspace(0.0, 0.8, 5)
+        X = np.ones((5, 6))
+        X[2] = [-10000.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(DynamicsError, match="geocenter"):
+            plant.f_jacobian(X, nus)
+        plant.f_jacobian(np.delete(X, 2, axis=0), np.delete(nus, 2))
 
 
 def _reference_flight(plant, x0, controls, dt, t0=0.0):

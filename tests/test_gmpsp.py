@@ -12,6 +12,7 @@ from formation_guidance.dynamics import (
 )
 from formation_guidance.gmpsp import (
     GmpspAccumulators,
+    GmpspError,
     SensitivityField,
     gmpsp_accumulate,
     gmpsp_solve,
@@ -42,6 +43,41 @@ def _gmpsp_scenario():
     )
 
 
+def _W_per_step(plant, states, nus, dt):
+    """Reference for ``integrate_W_backward``'s weights: RK4 on
+    dW/dt = -W J stepped backward one stage at a time, with one
+    per-point Jacobian call at each grid point and each midpoint."""
+    n = len(states)
+    J = [plant.f_jacobian(states[k], nus[k]) for k in range(n)]
+    W = np.empty((n, 6, 6))
+    W[-1] = np.eye(6)
+    for k in range(n - 2, -1, -1):
+        J_mid = plant.f_jacobian(0.5 * (states[k] + states[k + 1]), 0.5 * (nus[k] + nus[k + 1]))
+        w = W[k + 1]
+        h = -dt
+        k1 = -w @ J[k + 1]
+        k2 = -(w + 0.5 * h * k1) @ J_mid
+        k3 = -(w + 0.5 * h * k2) @ J_mid
+        k4 = -(w + h * k3) @ J[k]
+        W[k] = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(W[k])):
+            raise GmpspError(f"non-finite sensitivity weight at grid index {k}")
+    return W
+
+
+class _SpikedPlant:
+    """A stand-in plant whose Jacobian is 0 except at the grid point with
+    anomaly ``spike``, where every entry is 1e200."""
+
+    def __init__(self, spike):
+        self.spike = spike
+
+    def f_jacobian(self, states, nus):
+        J = np.zeros(np.shape(nus) + (6, 6))
+        J[np.asarray(nus) == self.spike] = 1e200
+        return J
+
+
 class TestBackwardSensitivity:
     def test_constant_jacobian_matches_matrix_exponential(self):
         """With df/dX frozen at the origin, W(t) = exp(A (tf - t))."""
@@ -54,6 +90,34 @@ class TestBackwardSensitivity:
         for k in (0, 50, 100):
             expected = matrix_exponential(A, (n - 1 - k) * dt)
             np.testing.assert_allclose(field.W[k], expected, atol=1e-8)
+
+    @pytest.mark.parametrize("j2", [False, True])
+    def test_matches_per_step_rk4(self, j2):
+        """The per-step propagator form W_k = W_{k+1} Phi_k agrees with
+        RK4 stepped on W itself, eccentric inclined chief, 300 steps."""
+        plant = RelativePlant(
+            ChiefOrbit(a=10000.0, e=0.15, i=1.0, arg_perigee=0.4, nu0=0.2),
+            GravityModel(j2_enabled=j2),
+        )
+        x0 = formation_to_hill(FormationParams(rho=5.0, theta=0.4, m_slope=1.0), OMEGA, 0.0)
+        controls = np.random.default_rng(41).uniform(-1e-5, 1e-5, size=(300, 3))
+        states, nus = plant.propagate(x0, controls, 1.0)
+        W = integrate_W_backward(plant, states, nus, 1.0).W
+        W_ref = _W_per_step(plant, states, nus, 1.0)
+        for k in range(len(W)):
+            assert np.linalg.norm(W[k] - W_ref[k]) <= 1e-12 * np.linalg.norm(W_ref[k])
+
+    def test_non_finite_weight_reports_its_grid_index(self):
+        nus = np.arange(11.0)
+        states = np.zeros((11, 6))
+        plant = _SpikedPlant(spike=6.0)
+        # W_6 is about 1e200 and W_5 = W_6 Phi_5 overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(GmpspError, match="at grid index 5$") as ref:
+                _W_per_step(plant, states, nus, 1.0)
+            with pytest.raises(GmpspError) as got:
+                integrate_W_backward(plant, states, nus, 1.0)
+        assert str(got.value) == str(ref.value)
 
     def test_input_sensitivity_is_weighted_b(self):
         plant = RelativePlant(CIRC)
