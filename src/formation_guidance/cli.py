@@ -663,6 +663,10 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep_r(args) -> int:
     base = _apply_overrides(parse_config(args.config), args)
+    if "R" not in {f.name for f in fields(base.controller.options)}:
+        raise ConfigError(
+            f"sweep-r needs a controller with a control weight; kind {base.controller.kind!r} has none"
+        )
     results = []
     for value in args.values:
         options = replace(base.controller.options, R=value * np.eye(3))
@@ -672,8 +676,11 @@ def cmd_sweep_r(args) -> int:
     write_metrics_csv(out / "sweep_r_metrics.csv", results)
     for name, result in results:
         _print_metrics(name, result)
-    settles = [r.settle_time for _, r in results]
-    efforts = [r.control_effort for _, r in results]
+    # The trends are checked in order of increasing weight; the rows stay
+    # in the order given.
+    ascending = [r for _, (_, r) in sorted(zip(args.values, results), key=lambda p: p[0])]
+    settles = [r.settle_time for r in ascending]
+    efforts = [r.control_effort for r in ascending]
     monotone = all(a < b for a, b in zip(settles, settles[1:])) and all(
         a > b for a, b in zip(efforts, efforts[1:])
     )
@@ -732,6 +739,9 @@ _positive_float = _checked(float, _finite_positive, "finite and > 0")
 _positive_floats = _checked(
     _float_list, lambda values: all(map(_finite_positive, values)), "finite numbers > 0"
 )
+_weights = _checked(
+    _positive_floats, lambda values: len(set(values)) == len(values), "distinct weights"
+)
 _count = _checked(int, lambda v: v >= 0, ">= 0")
 
 
@@ -764,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep-r", help="sweep the control weight")
     p_swp.add_argument("config")
-    p_swp.add_argument("--values", type=_positive_floats, default="1e8,1e9,1e10,1e11")
+    p_swp.add_argument("--values", type=_weights, default="1e8,1e9,1e10,1e11")
     p_swp.add_argument("--threshold-pct", type=_positive_float, default=1.0)
     common(p_swp)
     p_swp.set_defaults(func=cmd_sweep_r)

@@ -149,6 +149,44 @@ def chief_kinematics(orbit: ChiefOrbit, nu: float, mu: float = MU_EARTH) -> Chie
     return ChiefKinematics(nu=float(nu), nu_dot=float(nu_dot), nu_ddot=float(nu_ddot), r_c=float(r_c))
 
 
+def chief_kinematics_table(
+    orbit: ChiefOrbit, nus: np.ndarray, mu: float = MU_EARTH
+) -> list[ChiefKinematics]:
+    """:func:`chief_kinematics` at each true anomaly of ``nus``, bit for bit.
+
+    The sines and cosines are taken over the whole array in one call
+    each and the rest in float arithmetic (:func:`_float_rates`): a
+    plain array pass of :func:`_chief_rates` can round differently,
+    since numpy's array power (a squaring loop and a vectorized ``pow``)
+    is not the scalar ``pow`` that :func:`chief_kinematics` uses.
+    """
+    rates = _float_rates(orbit, mu)
+    table = []
+    for nu, cos_nu, sin_nu in zip(nus.tolist(), np.cos(nus).tolist(), np.sin(nus).tolist()):
+        r_c, nu_dot, nu_ddot = rates(cos_nu, sin_nu)
+        table.append(ChiefKinematics(nu=nu, nu_dot=nu_dot, nu_ddot=nu_ddot, r_c=r_c))
+    return table
+
+
+def _float_rates(orbit: ChiefOrbit, mu: float) -> Callable[[float, float], tuple]:
+    """``rates(cos(nu), sin(nu)) -> (r_c, nu_dot, nu_ddot)`` in Python
+    floats, with the operations of :func:`chief_kinematics` and so its
+    bits; float ``**`` calls the scalar ``pow`` that numpy's scalar power
+    calls."""
+    a, e = orbit.a, orbit.e
+    p = a * (1.0 - e**2)
+    sqrt_mu_p = float(np.sqrt(mu * p))
+    ndd_num = -2.0 * mu * e
+    ndd_den = a**3 * (1.0 - e**2) ** 3
+
+    def rates(cos_nu: float, sin_nu: float) -> tuple[float, float, float]:
+        q = 1.0 + e * cos_nu
+        r_c = p / q
+        return r_c, sqrt_mu_p / r_c**2, ndd_num * q**3 * sin_nu / ndd_den
+
+    return rates
+
+
 def _chief_rates(orbit: ChiefOrbit, nu, mu: float = MU_EARTH):
     """(r_c, nu_dot, nu_ddot) of :func:`chief_kinematics`, elementwise
     over a true anomaly or an array of them."""
@@ -198,19 +236,12 @@ def _chief_stages(
     :func:`numerics.rk4_step` on nu, so they are bit-identical to the
     reference ``rk4_step(deriv)``.
     """
-    a, e, mu = orbit.a, orbit.e, gravity.mu
-    p = a * (1.0 - e**2)
-    sqrt_mu_p = float(np.sqrt(mu * p))
-    ndd_num = -2.0 * mu * e
-    ndd_den = a**3 * (1.0 - e**2) ** 3
+    rates = _float_rates(orbit, gravity.mu)
     k_j2 = 1.5 * gravity.mu * gravity.j2 * gravity.re**2
     si, ci = math.sin(orbit.i), math.cos(orbit.i)
 
     def record(nu: float) -> tuple:
-        q = 1.0 + e * float(np.cos(nu))
-        r_c = p / q
-        nu_dot = sqrt_mu_p / r_c**2
-        nu_ddot = ndd_num * q**3 * float(np.sin(nu)) / ndd_den
+        r_c, nu_dot, nu_ddot = rates(float(np.cos(nu)), float(np.sin(nu)))
         if not gravity.j2_enabled:
             return r_c, nu_dot, nu_ddot
         th = orbit.arg_perigee + nu

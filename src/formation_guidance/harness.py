@@ -13,7 +13,8 @@ from .dynamics import (
     FormationParams,
     GravityModel,
     RelativePlant,
-    chief_kinematics,
+    B,
+    chief_kinematics_table,
     formation_to_hill,
     formation_to_hill_deriv,
     propagate_nu,
@@ -21,6 +22,7 @@ from .dynamics import (
 from .gmpsp import gmpsp_solve
 from .lqr import design_lqr, lqr_tracking_control
 from .mpsp import RENDEZVOUS_LENGTH_KM, mpsp_solve, rho_error_pct
+from .numerics import NumericsError, riccati_weights
 from .options import CONTROLLER_OPTIONS
 from .sdre import FiniteHorizonSpec, SdcModel, finite_time_sdre_control, sdre_infinite_control
 
@@ -199,17 +201,23 @@ def _feedback_law(
 
     model = SdcModel(variant=opts.variant, series_order=opts.series_order)
     # Believed chief kinematics on the control grid.
-    nus = propagate_nu(believed, 0.0, scenario.tf, dt)
+    kins = chief_kinematics_table(believed, propagate_nu(believed, 0.0, scenario.tf, dt))
 
     if kind == "sdre":
-        # Each step's Riccati solution warm-starts the next; the state is
-        # local to this run's law.
+        # Each step's Riccati solution warm-starts the next, and the
+        # weights' invariants serve every step; both are local to this
+        # run's law.  Weights that cannot be factored are left to the
+        # first step's solve, which reports them with its state.
         P = None
+        try:
+            weights = riccati_weights(B, opts.Q, opts.R)
+        except NumericsError:
+            weights = None
 
         def sdre_law(k, t, X):
             nonlocal P
-            kin = chief_kinematics(believed, nus[k])
-            u, P = sdre_infinite_control(X, Xd[k], model, kin, opts.Q, opts.R, guess=P)
+            u, P = sdre_infinite_control(X, Xd[k], model, kins[k], opts.Q, opts.R,
+                                         guess=P, weights=weights)
             return u
 
         return sdre_law
@@ -218,8 +226,7 @@ def _feedback_law(
     horizon = FiniteHorizonSpec(tf=scenario.tf, Xf=Xf, Q=opts.Q, R=opts.R)
 
     def fsdre_law(k, t, X):
-        kin = chief_kinematics(believed, nus[k])
-        return finite_time_sdre_control(X, t, horizon, model, kin)
+        return finite_time_sdre_control(X, t, horizon, model, kins[k])
 
     return fsdre_law
 

@@ -10,6 +10,8 @@ concurrently.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,12 +66,52 @@ NEWTON_MAX_STEPS = 4
 NEWTON_TOL = 1e-14
 
 
+@dataclass(frozen=True)
+class RiccatiWeights:
+    """What ``solve_are`` needs of a fixed ``B``, ``Q`` and ``R``.
+
+    ``B_tilde = B L⁻ᵀ`` for the Cholesky factor ``R = L Lᵀ``, ``G =
+    B_tilde B_tildeᵀ = B R⁻¹ Bᵀ``, and the Frobenius norms of ``G`` and
+    ``Q``.  Built by :func:`riccati_weights`; a run that solves many
+    Riccati equations with the same weights builds it once.
+    """
+
+    B_tilde: np.ndarray
+    G: np.ndarray
+    norm_G: float
+    norm_Q: float
+
+
+def riccati_weights(B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> RiccatiWeights:
+    """The :class:`RiccatiWeights` of ``B``, ``Q`` and ``R``.
+
+    Raises NumericsError when ``R`` is not positive definite.
+    """
+    B = np.asarray(B, dtype=float)
+    try:
+        # Absorb R into the input map (B L^-T with R = L L^T) so widely
+        # scaled control weights keep the Hamiltonian pencil balanced.
+        # dtrtrs is the routine scipy's solve_triangular calls, with the
+        # same arguments, so B_tilde has the same bits.
+        L = np.linalg.cholesky(np.asarray(R, dtype=float))
+        LinvBT, info = lapack.dtrtrs(L.T, B.T, lower=0, trans=1)
+    except Exception as exc:  # numpy raises LinAlgError, f2py ValueError
+        raise NumericsError(f"Riccati solve failed: {exc}") from exc
+    if info != 0:
+        raise NumericsError("Riccati solve failed: R is singular")
+    B_tilde = LinvBT.T
+    G = B_tilde @ B_tilde.T
+    return RiccatiWeights(B_tilde, G, _norm(G), _norm(np.asarray(Q, dtype=float)))
+
+
 def solve_are(
     A: np.ndarray,
     B: np.ndarray,
     Q: np.ndarray,
     R: np.ndarray,
     guess: np.ndarray | None = None,
+    *,
+    weights: RiccatiWeights | None = None,
 ) -> np.ndarray:
     """Solve the continuous algebraic Riccati equation.
 
@@ -78,6 +120,11 @@ def solve_are(
         P A + Aᵀ P + Q − P B R⁻¹ Bᵀ P = 0
 
     such that the closed loop ``A − B R⁻¹ Bᵀ P`` is Hurwitz.
+
+    ``weights`` is ``riccati_weights(B, Q, R)``, built here when absent:
+    a caller that solves many equations with the same ``B``, ``Q`` and
+    ``R``, like the pointwise SDRE law over one run, passes it to skip
+    the factorization of ``R`` and the products of ``B``.
 
     Without ``guess`` the solution is obtained from the Hamiltonian
     invariant-subspace method (a cold solve).  With ``guess``, typically
@@ -101,10 +148,20 @@ def solve_are(
     pointwise SDRE of a circular chief for R = 1e8 ... 1e11).
 
     Either way the returned ``P`` is verified against a residual bound
-    of ``1e-8 * (1 + ||P||)`` and a Hurwitz closed loop checked with
-    ``np.linalg.eigvals``; a warm result that fails either check is
-    discarded for the cold solve, so a guess never makes the solve raise
-    where a cold solve succeeds.
+    of ``1e-8 * (1 + ||P||)`` and a Hurwitz closed loop; a warm result
+    that fails either check is discarded for the cold solve, so a guess
+    never makes the solve raise where a cold solve succeeds.  A cold
+    ``P`` has its closed loop checked with ``np.linalg.eigvals``.  A
+    warm one is first offered a Lyapunov certificate
+    (:func:`_lyapunov_certified`): ``P ≻ 0`` and ``−(closedᵀ P + P
+    closed) ≻ 0``, each shown by one Cholesky factorization of the
+    matrix shifted down by a proven bound on its rounding, prove the
+    closed loop Hurwitz without an eigenvalue solve.  Only when the
+    certificate is inconclusive, for example with a state weight so
+    small that ``Q + P G P`` is definite by less than the rounding
+    bound, does the warm check run ``np.linalg.eigvals``.  The
+    certificate decides nothing else, so it never changes a returned
+    ``P``.
 
     Raises
     ------
@@ -115,31 +172,21 @@ def solve_are(
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    try:
-        # Absorb R into the input map (B L^-T with R = L L^T) so widely
-        # scaled control weights keep the Hamiltonian pencil balanced.
-        # dtrtrs is the routine scipy's solve_triangular calls, with the
-        # same arguments, so B_tilde has the same bits.
-        L = np.linalg.cholesky(R)
-        LinvBT, info = lapack.dtrtrs(L.T, B.T, lower=0, trans=1)
-        B_tilde = LinvBT.T
-    except Exception as exc:  # numpy raises LinAlgError, f2py ValueError
-        raise NumericsError(f"Riccati solve failed: {exc}") from exc
-    if info != 0:
-        raise NumericsError("Riccati solve failed: R is singular")
+    if weights is None:
+        weights = riccati_weights(B, Q, R)
     if guess is not None:
-        P = _newton_kleinman(A, B_tilde @ B_tilde.T, Q, np.asarray(guess, dtype=float))
+        P = _newton_kleinman(A, Q, np.asarray(guess, dtype=float), weights)
         if P is not None:
             return P
     try:
-        P = scipy.linalg.solve_continuous_are(A, B_tilde, Q, np.eye(B.shape[1]))
+        P = scipy.linalg.solve_continuous_are(A, weights.B_tilde, Q, np.eye(B.shape[1]))
     except Exception as exc:  # scipy raises LinAlgError or ValueError
         raise NumericsError(f"Riccati solve failed: {exc}") from exc
     return _verified(A, B, Q, R, P)
 
 
 def _newton_kleinman(
-    A: np.ndarray, G: np.ndarray, Q: np.ndarray, P: np.ndarray
+    A: np.ndarray, Q: np.ndarray, P: np.ndarray, weights: RiccatiWeights
 ) -> np.ndarray | None:
     """Newton-Kleinman for P A + Aᵀ P + Q − P G P = 0 from ``P``.
 
@@ -150,10 +197,13 @@ def _newton_kleinman(
     residual is measured against the larger of ``1 + ||P||`` and the
     size of its terms: the round-off floor of a badly scaled system lies
     above ``NEWTON_TOL (1 + ||P||)``, and Newton would stagnate there
-    until the fallback.
+    until the fallback.  The Hurwitz half of the contract is the
+    Lyapunov certificate, or ``np.linalg.eigvals`` where that is
+    inconclusive.
     """
+    G = weights.G
     try:
-        norm_A, norm_G, norm_Q = np.linalg.norm(A), np.linalg.norm(G), np.linalg.norm(Q)
+        norm_A = _norm(A)
         closed = A - G @ P
         for _ in range(NEWTON_MAX_STEPS):
             # (A − G P_k)ᵀ P_{k+1} + P_{k+1} (A − G P_k) = −(Q + P_k G P_k)
@@ -163,18 +213,105 @@ def _newton_kleinman(
             P = 0.5 * (P + P.T)
             closed = A - G @ P
             # The Riccati residual, since G = B R⁻¹ Bᵀ.
-            res_norm = np.linalg.norm(P @ closed + A.T @ P + Q)
-            norm_P = np.linalg.norm(P)
-            scale = max(1.0 + norm_P, norm_A * norm_P + norm_P**2 * norm_G + norm_Q)
+            PC = P @ closed
+            res_norm = _norm(PC + A.T @ P + Q)
+            norm_P = _norm(P)
+            scale = max(1.0 + norm_P,
+                        norm_A * norm_P + norm_P**2 * weights.norm_G + weights.norm_Q)
             if res_norm <= NEWTON_TOL * scale:
-                # solve_are's contract, with a literal eigenvalue test.
-                if (res_norm <= 1e-8 * (1.0 + norm_P)
-                        and np.max(np.linalg.eigvals(closed).real) < 0.0):
+                # solve_are's contract: the residual bound, then the
+                # certificate or, where it is inconclusive, eigvals.
+                if res_norm <= 1e-8 * (1.0 + norm_P) and (
+                        _lyapunov_certified(P, closed, PC, norm_P)
+                        or np.max(np.linalg.eigvals(closed).real) < 0.0):
                     return P
                 return None
     except (np.linalg.LinAlgError, ValueError):  # wrong-shaped guess, non-finite iterate
         pass
     return None
+
+
+def _norm(X: np.ndarray) -> float:
+    """Frobenius norm by the operations of ``np.linalg.norm(X)``: the dot
+    product of ``X`` raveled in memory order with itself, then sqrt."""
+    v = X.ravel(order="K")
+    return math.sqrt(v @ v)
+
+
+#: Unit roundoff and the smallest subnormal of IEEE double precision.
+_U = 2.0**-53
+_ETA = 2.0**-1074
+
+
+def _lyapunov_certified(
+    P: np.ndarray, closed: np.ndarray, PC: np.ndarray, norm_P: float
+) -> bool:
+    """Certificate that ``closed`` is Hurwitz: ``P ≻ 0`` and ``M ≻ 0`` for
+    ``M = −(closedᵀ P + P closed)``.
+
+    ``P`` is the symmetric iterate, ``PC`` the computed ``P @ closed``
+    and ``norm_P`` the Frobenius norm of ``P``.  For an eigenpair
+    ``closed v = λ v``, ``v* M v = −2 Re(λ) v* P v``, so the two
+    definite matrices give ``Re λ < 0`` (Lyapunov).  True is a proof
+    about the stored ``closed`` and ``P``; False means only that the
+    certificate is inconclusive.  The rounding bounds (u = 2⁻⁵³, η =
+    2⁻¹⁰⁷⁴ the smallest subnormal, n the order, γ_k = k u / (1 − k u)):
+
+    * Forming ``M̂ = −(PC + PCᵀ)``, exactly symmetric: each entry of
+      ``PC`` is an inner product of length n, off by at most γ_n (|P|
+      |closed|) in any order of summation plus n η/2 of underflow, and
+      the sum adds one rounding, so ``‖M̂ − M‖₂ ≤ 2 γ_n ‖P‖_F
+      ‖closed‖_F + u/(1 − u) ‖M̂‖_F + n² η``.
+    * The shift also reserves ``2 ‖P‖_F · n² u ‖closed‖_F``, so the
+      certificate holds for every ``closed + E`` with ``‖E‖₂ ≤ n² u
+      ‖closed‖_F`` (``M`` moves by at most ``2 ‖P‖₂ ‖E‖₂``).  The
+      eigenvalues ``np.linalg.eigvals`` returns are those of such a
+      nearby matrix: the QR algorithm it runs has a backward error of
+      about u ‖closed‖₂ (Golub & Van Loan, Matrix Computations,
+      §7.5.6), at least n² times below that allowance.  So a certified
+      closed loop is one that the literal ``eigvals`` test also
+      accepts.
+    * :func:`_positive_definite` adds the bound of the Cholesky test.
+    """
+    n = P.shape[0]
+    M = -(PC + PC.T)
+    norm_M = _norm(M)
+    gamma_n = n * _U / (1.0 - n * _U)
+    err_M = ((2.0 * gamma_n + 2.0 * n * n * _U) * norm_P * _norm(closed)
+             + _U / (1.0 - _U) * norm_M + n * n * _ETA)
+    return _positive_definite(P, norm_P, 0.0) and _positive_definite(M, norm_M, err_M)
+
+
+def _positive_definite(S: np.ndarray, norm_S: float, err: float) -> bool:
+    """Whether one ``dpotrf`` shows every symmetric matrix within ``err``
+    (2-norm) of the exactly symmetric ``S`` positive definite.
+
+    ``norm_S`` is the Frobenius norm of ``S``.  Rump's test (BIT 2006):
+    factor ``fl(S − c I)``.  If ``dpotrf`` succeeds, its factor
+    satisfies ``R̂ᵀ R̂ = S − c I + D + ΔS`` with ``R̂ᵀ R̂ ≻ 0`` (positive
+    pivots), ``D`` the rounding of the shifted diagonal and ``|ΔS| ≤
+    γ_{n+2} |R̂ᵀ| |R̂|`` the Cholesky backward error (Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 10.3, with one more
+    rounding for an implementation that scales by a reciprocal pivot).
+    Success makes every diagonal entry of ``S`` exceed ``c``, so with
+    ``t = tr(S) ≤ √n ‖S‖_F``: ``‖D‖₂ ≤ u t``, ``‖ΔS‖₂ ≤ γ_{n+2}/(1 −
+    γ_{n+2}) (1 + u) t``, and ``λ_min(S) > c − (n + 3) u (1 + 5 (n + 3) u)
+    t``; underflow adds at most ``2 n (n + 3) η (1 + t)``.  ``c`` is
+    twice the sum of these bounds and ``err``; the factor two covers the
+    rounding of ``c``'s own arithmetic.  A non-finite entry of ``S``
+    makes ``norm_S``, and so ``c``, non-finite, and a non-finite ``c``
+    gives False: ``dpotrf`` does not stop at a NaN pivot.
+    """
+    n = S.shape[0]
+    t = math.sqrt(n) * norm_S
+    shift = 2.0 * ((n + 3) * _U * (1.0 + 5.0 * (n + 3) * _U) * t + err
+                   + 2.0 * n * (n + 3) * _ETA * (1.0 + t))
+    if not math.isfinite(shift):
+        return False
+    shifted = S.copy()
+    shifted.ravel()[::n + 1] -= shift
+    _, info = lapack.dpotrf(shifted, overwrite_a=1, clean=0)
+    return info == 0
 
 
 def _lyapunov(closed: np.ndarray, C: np.ndarray) -> np.ndarray | None:

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .dynamics import MU_EARTH, B, ChiefKinematics
-from .numerics import matrix_exponential, solve_are
+from .numerics import RiccatiWeights, matrix_exponential, solve_are
 from .options import SdreOptions
 
 
@@ -79,7 +80,7 @@ def sdc1_matrix(
     must satisfy |xi| < 1 for convergence.  A(X) X reproduces the
     unforced drift f(X) up to the series truncation.
     """
-    x, _, y, _, z, _ = state
+    x, _, y, _, z, _ = state.tolist()
     r_c, nd, ndd = kin.r_c, kin.nu_dot, kin.nu_ddot
     xi = -2.0 * x / r_c - (x**2 + y**2 + z**2) / r_c**2
     if abs(xi) >= 1.0:
@@ -92,19 +93,16 @@ def sdc1_matrix(
     s = (r_c + x) ** 2 + y**2 + z**2
     gamma = s**1.5
     c = 1.5 * mu / r_c**2 * psi
-    A = np.zeros((6, 6))
-    A[0, 1] = 1.0
-    A[2, 3] = 1.0
-    A[4, 5] = 1.0
-    A[1, 0] = nd**2 - mu / gamma + c * (2.0 / r_c + x / r_c**2)
-    A[1, 2] = ndd + c * y / r_c**2
-    A[1, 4] = c * z / r_c**2
-    A[1, 3] = 2.0 * nd
-    A[3, 0] = -ndd
-    A[3, 1] = -2.0 * nd
-    A[3, 2] = nd**2 - mu / gamma
-    A[5, 4] = -mu / gamma
-    return A
+    radial = nd**2 - mu / gamma
+    return np.array([
+        0.0, 1.0, 0.0, 0.0, 0.0, 0.0,
+        radial + c * (2.0 / r_c + x / r_c**2), 0.0, ndd + c * y / r_c**2, 2.0 * nd,
+        c * z / r_c**2, 0.0,
+        0.0, 0.0, 0.0, 1.0, 0.0, 0.0,
+        -ndd, -2.0 * nd, radial, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+        0.0, 0.0, 0.0, 0.0, -mu / gamma, 0.0,
+    ]).reshape(6, 6)
 
 
 def sdc2_matrix(state: np.ndarray, omega: float, mu: float = MU_EARTH) -> np.ndarray:
@@ -167,19 +165,26 @@ def sdre_infinite_control(
     R: np.ndarray,
     mu: float = MU_EARTH,
     guess: np.ndarray | None = None,
+    weights: RiccatiWeights | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise infinite-horizon SDRE control U = -R^-1 B^T P(X) (X - Xd).
 
     Returns ``(U, P)``.  ``guess`` is handed to ``solve_are`` as a warm
     start; passing the ``P`` of the previous control step lets the next
     Riccati solve take a Newton step instead of a cold solve.
+    ``weights``, ``riccati_weights(B, Q, R)``, is handed on too, so a
+    run computes it once.  ``R^-1`` is applied by LAPACK's ``dgesv``,
+    the routine ``np.linalg.solve`` runs.
     """
     A = sdc_matrix(state, kin, model, mu)
     try:
-        P = solve_are(A, B, Q, R, guess)
+        P = solve_are(A, B, Q, R, guess, weights=weights)
     except Exception as exc:
         raise SdreError(f"pointwise Riccati failed at state {state}: {exc}") from exc
-    return -np.linalg.solve(R, B.T @ (P @ (state - Xd))), P
+    _, _, x, info = lapack.dgesv(R, B.T @ (P @ (state - Xd)))
+    if info != 0:
+        raise SdreError("control weight R is singular")
+    return -x, P
 
 
 def finite_time_sdre_control(

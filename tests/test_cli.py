@@ -427,6 +427,8 @@ class TestSubcommands:
         ("--values", "1e8,nan"),
         ("--values", "1e8,-1e9"),
         ("--values", "0"),
+        ("--values", "1e9,1e9"),
+        ("--values", "1e8,1e9,100000000"),
         ("--threshold-pct", "-1"),
         ("--threshold-pct", "nan"),
     ])
@@ -438,21 +440,36 @@ class TestSubcommands:
         assert flag in capsys.readouterr().err
 
     def test_sweep_r_monotone_rows(self, tmp_path, capsys):
+        """The trends hold over 1e8, 1e9, and hold the same with the
+        weights given in descending order: the rows keep the order
+        given, and the trends are checked by increasing weight."""
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             MINIMAL.replace("rho = 5\ntheta = 30 deg\nm_slope = 1", "rho = 10\ntheta = 60 deg\nm_slope = 1.5", 1)
             .replace("kind = lqr", "kind = sdre")
             .replace("tf = 600", "tf = 9000")
         )
-        code = main([
-            "sweep-r", str(cfg), "--values", "1e8,1e9",
-            "--out", str(tmp_path / "out"),
-        ])
-        assert code == EXIT_OK
-        lines = (tmp_path / "out" / "sweep_r_metrics.csv").read_text().splitlines()
-        assert len(lines) == 3
-        efforts = [float(line.split(",")[8]) for line in lines[1:]]
+        rows = {}
+        for values in ("1e8,1e9", "1e9,1e8"):
+            out = tmp_path / values
+            assert main(["sweep-r", str(cfg), "--values", values, "--out", str(out)]) == EXIT_OK
+            assert "ordering violated" not in capsys.readouterr().out
+            rows[values] = (out / "sweep_r_metrics.csv").read_text().splitlines()
+        ascending, descending = rows["1e8,1e9"], rows["1e9,1e8"]
+        assert len(ascending) == 3
+        efforts = [float(line.split(",")[8]) for line in ascending[1:]]
         assert efforts[0] > efforts[1]
+        assert [line.split(",")[0] for line in descending[1:]] == ["R=1e+09", "R=1e+08"]
+        assert descending == [ascending[0], ascending[2], ascending[1]]
+
+    def test_sweep_r_without_control_weight_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(MINIMAL.replace("kind = lqr", "kind = zero"))
+        assert main(["sweep-r", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "kind 'zero'" in err and "control weight" in err
+        assert "unexpected keyword" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_reproduce_unknown_preset_exits_2(self, tmp_path):
         assert main(["reproduce", "no-such-table", "--out", str(tmp_path)]) == EXIT_ERROR

@@ -15,6 +15,7 @@ from formation_guidance.dynamics import (
     RelativePlant,
     _j2_gradient_hill,
     chief_kinematics,
+    chief_kinematics_table,
     cw_nonlinear_deriv,
     cw_nonlinear_jacobian,
     eci_hill_transforms,
@@ -130,6 +131,26 @@ class TestChiefKinematics:
         assert rates[0] == pytest.approx(kin.nu_dot, rel=1e-12)
         numeric_ddot = (rates[2] - rates[0]) / (2.0 * dt)
         assert numeric_ddot == pytest.approx(kin.nu_ddot, rel=1e-6)
+
+    @pytest.mark.parametrize("e", [0.0, 0.05, 0.15, 0.5, 0.7])
+    def test_table_matches_per_anomaly_calls_bit_for_bit(self, e):
+        """The per-run table against the per-step ``chief_kinematics(orbit,
+        nus[k])`` calls it replaces, on a propagated grid and on seeded
+        anomalies, compared as raw bits (so -0.0 differs from 0.0).  A
+        plain array pass of ``_chief_rates`` rounds differently here:
+        numpy's array power is not the scalar pow."""
+        rng = np.random.default_rng(round(100 * e))
+        orbit = ChiefOrbit(a=rng.uniform(7000.0, 42000.0), e=e, nu0=rng.uniform(0.0, 6.3))
+        nus = np.concatenate([propagate_nu(orbit, 0.0, 3000.0, 1.0),
+                              rng.uniform(-10.0, 20.0, 5000)])
+        table = chief_kinematics_table(orbit, nus)
+        assert len(table) == len(nus)
+
+        def bits(kins):
+            return np.array([dataclasses.astuple(kin) for kin in kins]).tobytes()
+
+        assert bits(table) == bits([chief_kinematics(orbit, nus[k]) for k in range(len(nus))])
+        assert all(type(v) is float for v in dataclasses.astuple(table[0]))
 
     def test_invalid_elements_rejected(self):
         with pytest.raises(DynamicsError):

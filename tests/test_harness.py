@@ -104,6 +104,28 @@ class TestRunScenario:
         run_scenario(_natural_scenario("sdre", tf=100.0))
         assert len(care_calls) == 1
 
+    def test_sdre_run_builds_riccati_weights_once(self, monkeypatch):
+        """chol(R), B R^-1 B^T and the weight norms are computed once per
+        run and handed to every step's solve."""
+        from formation_guidance import harness, numerics
+
+        calls = []
+        build = numerics.riccati_weights
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(numerics, "riccati_weights", counted)
+        monkeypatch.setattr(harness, "riccati_weights", counted)
+        run_scenario(_natural_scenario("sdre", tf=100.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("R", [-np.eye(3), np.zeros((3, 3))])
+    def test_sdre_unfactorable_weight_fails_at_first_step(self, R):
+        with pytest.raises(HarnessError, match=r"(?s)step 0 .*Riccati solve failed: Matrix is not"):
+            run_scenario(_natural_scenario("sdre", tf=10.0, R=R))
+
     def test_sdre_warm_start_does_not_leak_between_runs(self, care_calls):
         """Each run starts cold: R = 1e8 after R = 1e11, or after itself,
         is bit-identical to R = 1e8 alone."""

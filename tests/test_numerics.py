@@ -9,6 +9,7 @@ from formation_guidance.dynamics import B as B_HILL
 from formation_guidance.dynamics import (
     ChiefOrbit,
     FormationParams,
+    GravityModel,
     chief_kinematics,
     formation_to_hill,
 )
@@ -16,6 +17,7 @@ from formation_guidance.numerics import (
     NumericsError,
     fd_jacobian,
     matrix_exponential,
+    riccati_weights,
     rk4_step,
     solve_are,
 )
@@ -178,6 +180,257 @@ class TestSolveAreWarmStart:
         P = solve_are(A, B, Q, R, guess=np.zeros((2, 2)))
         assert len(care_calls) == 1
         assert np.linalg.norm(P - solve_are(A, B, Q, R)) == 0.0
+
+
+def _certified(P, closed):
+    """The certificate as the Newton loop calls it, from P and closed."""
+    return numerics._lyapunov_certified(P, closed, P @ closed, numerics._norm(P))
+
+
+def _eigvals_hurwitz(closed):
+    """The literal eigenvalue test the certificate stands in for."""
+    return bool(np.max(np.linalg.eigvals(closed).real) < 0.0)
+
+
+def _criterion_11_systems():
+    """Acceptance criterion 11's random stabilizable systems with their
+    cold Riccati solutions: (A, B, Q, R, P)."""
+    rng = np.random.default_rng(7)
+    systems = []
+    while len(systems) < 100:
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 3))
+        A = rng.normal(size=(n, n))
+        B = rng.normal(size=(n, m))
+        Q = np.eye(n)
+        R = 10.0 ** rng.uniform(-2, 2) * np.eye(m)
+        try:
+            systems.append((A, B, Q, R, solve_are(A, B, Q, R)))
+        except NumericsError:
+            continue
+    return systems
+
+
+def _sdc1_closed_loops(R):
+    """Cold closed loops of the pointwise SDRE along a reconfiguration on
+    an eccentric chief: (P, closed) at 20 states."""
+    orbit = ChiefOrbit(a=10000.0, e=0.15)
+    omega = orbit.mean_motion()
+    loops = []
+    for k, t in enumerate(np.linspace(0.0, 6000.0, 20)):
+        rho = 5.0 + k
+        X = formation_to_hill(FormationParams(rho=rho, theta=0.2 + 0.1 * k, m_slope=1.0),
+                              omega, t)
+        A = sdc1_matrix(X, chief_kinematics(orbit, nu=0.3 * k))
+        P = solve_are(A, B_HILL, np.eye(6), R)
+        loops.append((P, A - riccati_weights(B_HILL, np.eye(6), R).G @ P))
+    return loops
+
+
+class TestLyapunovCertificate:
+    """``numerics._lyapunov_certified``: a True answer must always be one
+    that the literal ``eigvals`` test also gives, and on well-posed
+    closed loops the certificate is conclusive."""
+
+    def test_criterion_11_closed_loops_certified(self):
+        for A, B, Q, R, P in _criterion_11_systems():
+            closed = A - riccati_weights(B, Q, R).G @ P
+            assert _eigvals_hurwitz(closed)
+            assert _certified(P, closed)
+
+    @pytest.mark.parametrize("r_weight", [1e8, 1e9, 1e10, 1e11])
+    def test_sdc1_closed_loops_certified(self, r_weight):
+        for P, closed in _sdc1_closed_loops(r_weight * np.eye(3)):
+            assert _eigvals_hurwitz(closed)
+            assert _certified(P, closed)
+
+    def test_random_guesses_never_certified_unless_hurwitz(self):
+        """Criterion 11's systems with stabilizing guesses (the cold P
+        perturbed by 1e-3 relative) and with random symmetric ones: the
+        certificate only accepts closed loops that eigvals accepts, and
+        the seeds give both outcomes."""
+        noise = np.random.default_rng(11)
+        outcomes = set()
+        for A, B, Q, R, P in _criterion_11_systems():
+            G = riccati_weights(B, Q, R).G
+            for scale, center in ((1e-3, P), (1.0, 0.0 * P)):
+                E = noise.normal(size=P.shape)
+                guess = center + scale * np.linalg.norm(P) * (E + E.T)
+                closed = A - G @ guess
+                certified, hurwitz = _certified(guess, closed), _eigvals_hurwitz(closed)
+                assert hurwitz or not certified
+                outcomes.add((certified, hurwitz))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_lyapunov_solution_of_unstable_loop_rejected(self):
+        """For a closed loop with eigenvalues on both sides, the solution
+        of closedᵀ P + P closed = −I makes M = I definite but P
+        indefinite (inertia theorem): the P ≻ 0 half must reject it."""
+        rng = np.random.default_rng(3)
+        checked = 0
+        while checked < 50:
+            n = int(rng.integers(2, 7))
+            closed = rng.normal(size=(n, n))
+            real = np.linalg.eigvals(closed).real
+            if np.min(np.abs(real)) < 0.05 or np.max(real) < 0.0:
+                continue
+            P = scipy.linalg.solve_continuous_lyapunov(closed.T, -np.eye(n))
+            P = 0.5 * (P + P.T)
+            PC = P @ closed
+            assert np.linalg.eigvalsh(-(PC + PC.T)).min() > 0.5
+            assert not _eigvals_hurwitz(closed)
+            assert not _certified(P, closed)
+            checked += 1
+
+    @pytest.mark.parametrize("eigenvalue", [-1.0, -1e-2, 0.0, 1e-2])
+    def test_jordan_block(self, eigenvalue):
+        """A 3x3 Jordan block, mixed by a random similarity, with P from
+        closedᵀ P + P closed = −I (P = I at the eigenvalue 0): the stable
+        block at −1 is certified, the marginal and unstable ones never."""
+        rng = np.random.default_rng(6)
+        J = eigenvalue * np.eye(3) + np.diag([1.0, 1.0], 1)
+        S = rng.normal(size=(3, 3))
+        closed = S @ J @ np.linalg.inv(S)
+        if eigenvalue == 0.0:
+            P = np.eye(3)
+        else:
+            P = scipy.linalg.solve_continuous_lyapunov(closed.T, -np.eye(3))
+            P = 0.5 * (P + P.T)
+        certified = _certified(P, closed)
+        assert _eigvals_hurwitz(closed) or not certified
+        if eigenvalue == -1.0:
+            assert certified
+        elif eigenvalue >= 0.0:
+            assert not certified
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_near_marginal_pair_left_to_eigvals(self, sign):
+        """The pair ∓1e-17 ± i with P = I: M = ±2e-17 I is far below the
+        rounding bound, so the certificate is inconclusive either way."""
+        closed = np.array([[sign * 1e-17, 1.0], [-1.0, sign * 1e-17]])
+        assert _eigvals_hurwitz(closed) == (sign < 0.0)
+        assert not _certified(np.eye(2), closed)
+
+    def test_rounding_shift_needed(self):
+        """Near-marginal loops closed = P⁻¹ (K + δ I), K skew, P ill
+        conditioned, |δ| ≤ 1e-12: the exact M = −2δ I is swamped by the
+        rounding of P @ closed.  Unshifted Cholesky factorizations accept
+        some of them that eigvals finds unstable; the certificate never
+        does."""
+        rng = np.random.default_rng(0)
+        unshifted_wrong = 0
+        for _ in range(600):
+            n = int(rng.integers(2, 5))
+            U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            P = U @ np.diag(10.0 ** rng.uniform(0.0, 8.0, n)) @ U.T
+            P = 0.5 * (P + P.T)
+            K = rng.normal(size=(n, n))
+            delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-18.0, -12.0)
+            closed = np.linalg.solve(P, K - K.T + delta * np.eye(n))
+            PC = P @ closed
+            hurwitz = _eigvals_hurwitz(closed)
+            assert hurwitz or not _certified(P, closed)
+            unshifted = (scipy.linalg.lapack.dpotrf(P)[1] == 0
+                         and scipy.linalg.lapack.dpotrf(-(PC + PC.T))[1] == 0)
+            unshifted_wrong += unshifted and not hurwitz
+        assert unshifted_wrong > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_not_certified(self, bad):
+        """dpotrf does not stop at a NaN pivot, so a non-finite entry off
+        the diagonal must make the certificate inconclusive by itself."""
+        P = np.eye(3)
+        P[0, 1] = P[1, 0] = bad
+        closed = -np.eye(3)
+        with np.errstate(invalid="ignore"):
+            assert not _certified(P, closed)
+            closed[0, 1] = bad
+            assert not _certified(np.eye(3), closed)
+
+
+class TestCertificateFallback:
+    """The pointwise SDRE law where the certificate cannot decide."""
+
+    @staticmethod
+    def _run(q_weight):
+        from formation_guidance.harness import ControllerSpec, Scenario, run_scenario
+
+        orbit = ChiefOrbit(a=10000.0, nu0=0.17)
+        spec = ControllerSpec("sdre", {"Q": q_weight * np.eye(6), "R": 1e8 * np.eye(3)})
+        return run_scenario(Scenario(
+            chief=orbit, gravity=GravityModel(), tf=300.0, dt=1.0, controller=spec,
+            initial=FormationParams(rho=5.0, theta=0.8, m_slope=1.0),
+            desired=FormationParams(rho=25.0, theta=1.0, m_slope=1.5),
+        ))
+
+    @pytest.mark.parametrize("q_weight, certified, cold", [
+        # Q = 0: no warm start reaches the contract, every step is cold.
+        (0.0, 0, 300),
+        # M = Q + P G P is definite by less than the rounding bound.
+        (1e-10, 0, 1),
+        (1.0, 299, 1),
+    ])
+    def test_fallback_to_eigvals_keeps_the_bits(
+        self, q_weight, certified, cold, care_calls, monkeypatch
+    ):
+        """Each warm step that the certificate leaves open runs the
+        literal eigvals test and keeps its warm P; trajectory and
+        controls equal, bit for bit, a run with the certificate off."""
+        answers, eigvals_calls = [], []
+        certificate, eigvals = numerics._lyapunov_certified, np.linalg.eigvals
+
+        def spied(*args):
+            answers.append(certificate(*args))
+            return answers[-1]
+
+        def counted(a):
+            eigvals_calls.append(1)
+            return eigvals(a)
+
+        monkeypatch.setattr(numerics, "_lyapunov_certified", spied)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        result = self._run(q_weight)
+        assert (sum(answers), len(care_calls)) == (certified, cold)
+        # One eigvals per cold solve and per warm step left open.
+        assert len(eigvals_calls) == cold + len(answers) - certified
+        monkeypatch.setattr(numerics, "_lyapunov_certified", lambda *args: False)
+        off = self._run(q_weight)
+        assert result.states.tobytes() == off.states.tobytes()
+        assert result.controls.tobytes() == off.controls.tobytes()
+
+
+class TestRiccatiWeights:
+    def test_passed_weights_keep_the_bits(self):
+        """solve_are with riccati_weights(B, Q, R) passed in returns the
+        bits it returns when it builds them, cold and warm."""
+        noise = np.random.default_rng(11)
+        for A, B, Q, R, P in _criterion_11_systems()[:30]:
+            weights = riccati_weights(B, Q, R)
+            assert solve_are(A, B, Q, R, weights=weights).tobytes() == P.tobytes()
+            E = noise.normal(size=P.shape)
+            guess = P + 1e-6 * np.linalg.norm(P) * (E + E.T)
+            assert (solve_are(A, B, Q, R, guess, weights=weights).tobytes()
+                    == solve_are(A, B, Q, R, guess).tobytes())
+
+    def test_invariants(self):
+        B = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 0.5]])
+        Q, R = 3.0 * np.eye(3), np.array([[4.0, 1.0], [1.0, 2.0]])
+        w = riccati_weights(B, Q, R)
+        np.testing.assert_allclose(w.G, B @ np.linalg.solve(R, B.T), rtol=1e-14)
+        np.testing.assert_allclose(w.B_tilde @ np.linalg.cholesky(R).T, B, rtol=0, atol=1e-15)
+        assert w.norm_G == np.linalg.norm(w.G) and w.norm_Q == np.linalg.norm(Q)
+
+    def test_frobenius_norm_matches_numpy_bits(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            X = rng.normal(size=(6, 6)) * 10.0 ** rng.uniform(-30, 30)
+            for Y in (X, X.T, X[:, ::2]):
+                assert numerics._norm(Y) == np.linalg.norm(Y)
+
+    @pytest.mark.parametrize("R", [-np.eye(2), np.zeros((2, 2))])
+    def test_bad_control_weight_rejected(self, R):
+        with pytest.raises(NumericsError, match="Riccati solve failed"):
+            riccati_weights(np.eye(2), np.eye(2), R)
 
 
 def _random_hurwitz(rng, n):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from formation_guidance.dynamics import (
+    MU_EARTH,
     ChiefOrbit,
     FormationParams,
     RelativePlant,
@@ -14,11 +15,12 @@ from formation_guidance.dynamics import (
     propagate_nu,
 )
 from formation_guidance.lqr import design_lqr
-from formation_guidance.numerics import rk4_step, solve_are
+from formation_guidance.numerics import riccati_weights, rk4_step, solve_are
 from formation_guidance.sdre import (
     FiniteHorizonSpec,
     SdcModel,
     SdreError,
+    _psi_series,
     finite_time_sdre_control,
     sdc1_matrix,
     sdc2_matrix,
@@ -37,7 +39,53 @@ def _sample_state(rho=25.0):
     )
 
 
+def _sdc1_reference(state, kin, order=4, mu=MU_EARTH):
+    """The SDC1 matrix as numpy scalars assigned into np.zeros: the form
+    ``sdc1_matrix`` had before it was built from floats, kept as its
+    bit-for-bit oracle."""
+    x, _, y, _, z, _ = state
+    r_c, nd, ndd = kin.r_c, kin.nu_dot, kin.nu_ddot
+    xi = -2.0 * x / r_c - (x**2 + y**2 + z**2) / r_c**2
+    psi = _psi_series(xi, order)
+    s = (r_c + x) ** 2 + y**2 + z**2
+    gamma = s**1.5
+    c = 1.5 * mu / r_c**2 * psi
+    A = np.zeros((6, 6))
+    A[0, 1] = 1.0
+    A[2, 3] = 1.0
+    A[4, 5] = 1.0
+    A[1, 0] = nd**2 - mu / gamma + c * (2.0 / r_c + x / r_c**2)
+    A[1, 2] = ndd + c * y / r_c**2
+    A[1, 4] = c * z / r_c**2
+    A[1, 3] = 2.0 * nd
+    A[3, 0] = -ndd
+    A[3, 1] = -2.0 * nd
+    A[3, 2] = nd**2 - mu / gamma
+    A[5, 4] = -mu / gamma
+    return A
+
+
 class TestSdc1:
+    def test_matches_reference_bit_for_bit(self):
+        """Seeded states from 1 m to 1000 km on prograde, retrograde and
+        eccentric chiefs, every series order from 1 to 6, compared as raw
+        bits."""
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(3000):
+            orbit = ChiefOrbit(a=rng.uniform(7000.0, 42000.0), e=rng.uniform(0.0, 0.7))
+            kin = chief_kinematics(orbit, rng.uniform(-4.0, 10.0))
+            X = rng.normal(size=6) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if rng.uniform() < 0.1:
+                X[[0, 2, 4]] = 0.0
+            order = int(rng.integers(1, 7))
+            xi = -2.0 * X[0] / kin.r_c - (X[0]**2 + X[2]**2 + X[4]**2) / kin.r_c**2
+            if abs(xi) >= 1.0:
+                continue
+            assert sdc1_matrix(X, kin, order).tobytes() == _sdc1_reference(X, kin, order).tobytes()
+            checked += 1
+        assert checked > 2500
+
     def test_origin_recovers_linear_model(self):
         kin = chief_kinematics(CIRC, nu=0.0)
         A = sdc1_matrix(np.zeros(6), kin)
@@ -99,6 +147,25 @@ class TestInfiniteHorizonControl:
         u, _ = sdre_infinite_control(X, X, self.MODEL, kin, self.Q, self.R)
         np.testing.assert_allclose(u, np.zeros(3), atol=1e-20)
 
+    def test_run_weights_keep_the_bits(self):
+        """Control and P with the run's Riccati weights passed in equal,
+        bit for bit, the call that builds them itself, cold and warm; and
+        the control equals -R^-1 B^T P (X - Xd) from np.linalg.solve."""
+        orbit = ChiefOrbit(a=10000.0, e=0.15)
+        kin = chief_kinematics(orbit, nu=0.7)
+        X, Xd = _sample_state(rho=5.0), _sample_state(rho=25.0)
+        for R in (1e8 * np.eye(3), np.diag([1e9, 3e9, 7e10])):
+            weights = riccati_weights(B, self.Q, R)
+            u, P = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R)
+            u_w, P_w = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R, weights=weights)
+            assert (u.tobytes(), P.tobytes()) == (u_w.tobytes(), P_w.tobytes())
+            assert u.tobytes() == (-np.linalg.solve(R, B.T @ (P @ (X - Xd)))).tobytes()
+            guess = P * (1.0 + 1e-9)
+            u, P = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R, guess=guess)
+            u_w, P_w = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R,
+                                             guess=guess, weights=weights)
+            assert (u.tobytes(), P.tobytes()) == (u_w.tobytes(), P_w.tobytes())
+
     def test_origin_matches_lqr_gain(self):
         kin = chief_kinematics(CIRC, nu=0.0)
         design = design_lqr(OMEGA, self.Q, self.R)
@@ -108,7 +175,8 @@ class TestInfiniteHorizonControl:
 
     def test_warm_start_matches_cold_along_a_trajectory(self, care_calls, contract_holds):
         """Fly a 300 s reconfiguration on an eccentric chief, each step
-        warm-started from the last, at a light and a heavy control weight:
+        warm-started from the last and handed the run's Riccati weights as
+        the harness hands them, at a light and a heavy control weight:
         every step's P meets the residual/Hurwitz contract, checked
         independently of the solver, and equals a cold solve of the same
         SDC matrix to 1e-10 relative."""
@@ -122,11 +190,13 @@ class TestInfiniteHorizonControl:
         for R in (1e8 * np.eye(3), 1e11 * np.eye(3)):
             P = None
             warm = []
+            weights = riccati_weights(B, self.Q, R)
 
             def policy(k, t, X):
                 nonlocal P
                 kin = chief_kinematics(orbit, nus[k])
-                u, P = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R, guess=P)
+                u, P = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R,
+                                             guess=P, weights=weights)
                 warm.append((sdc1_matrix(X, kin), P))
                 return u
 
