@@ -2,16 +2,19 @@
 
 Chief-orbit kinematics, the full nonlinear relative equations of motion
 and their circular-orbit linearization, the differential J2 perturbation
-(closed-form inertial field and its analytic gravity gradient, rotated
-with the chief triad), formation-parameter/state conversions, and
-Hill/ECI transforms.
+(the closed-form J2 field and its analytic gravity gradient, evaluated in
+Hill axes from the Earth's polar axis), formation-parameter/state
+conversions, and Hill/ECI transforms.  The gravity field is the Earth's:
+mu, Re and J2 are module constants, and only J2 itself can be switched
+off.
 
 The truth plant flies the deputy with a fused RK4 step on the 6-state in
 Python floats (``_plant_step``).  The chief is passive, so its RK4 stages
 (radius and anomaly rates; with J2 also the polar axis in Hill axes and
 the chief's own J2 acceleration) are streamed step by step from one
-chief integrator (``_chief_stages``), which ``propagate_nu`` also reads.  ``RelativePlant.deriv`` integrated by
-``numerics.rk4_step`` is the readable reference for both.
+chief integrator (``_chief_stages``), which ``propagate_nu`` also reads.
+``RelativePlant.deriv`` integrated by ``numerics.rk4_step`` is the
+readable reference for both, and matches the fused step bit for bit.
 
 State ordering throughout is ``X = [x, xdot, y, ydot, z, zdot]`` with
 x radial, y along-track, z cross-track; units are km, km/s, rad.
@@ -20,8 +23,8 @@ x radial, y along-track, z cross-track; units are km, km/s, rad.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
@@ -33,6 +36,8 @@ MU_EARTH = 398601.0
 R_EARTH = 6378.137
 # Second zonal harmonic coefficient (dimensionless).
 J2_EARTH = 0.0010826
+# k = 3/2 mu J2 Re^2 of the J2 field a = k / r^5 [...] (see _j2_hill).
+_K_J2 = 1.5 * MU_EARTH * J2_EARTH * R_EARTH**2
 
 # Indices of the position and the acceleration rows of the state vector.
 POSITION_ROWS = np.array([0, 2, 4])
@@ -49,6 +54,15 @@ _EYE3.flags.writeable = False
 
 class DynamicsError(ValueError):
     """Raised for degenerate geometry (e.g. deputy at the geocenter)."""
+
+
+def _require_finite(params) -> None:
+    """Raise DynamicsError naming the first non-finite field of a
+    dataclass of floats."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise DynamicsError(f"{type(params).__name__}.{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -79,18 +93,19 @@ class ChiefOrbit:
     nu0: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.a > 0.0:
             raise DynamicsError(f"semi-major axis must be positive, got {self.a}")
         if not 0.0 <= self.e < 1.0:
             raise DynamicsError(f"eccentricity must be in [0, 1), got {self.e}")
 
-    def mean_motion(self, mu: float = MU_EARTH) -> float:
+    def mean_motion(self) -> float:
         """Mean motion sqrt(mu / a^3) [rad/s]."""
-        return np.sqrt(mu / self.a**3)
+        return np.sqrt(MU_EARTH / self.a**3)
 
-    def period(self, mu: float = MU_EARTH) -> float:
+    def period(self) -> float:
         """Orbital period [s]."""
-        return 2.0 * np.pi / self.mean_motion(mu)
+        return 2.0 * np.pi / self.mean_motion()
 
 
 @dataclass(frozen=True)
@@ -124,34 +139,38 @@ class FormationParams:
     n_slope: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rho < 0.0:
+        _require_finite(self)
+        if not self.rho >= 0.0:
             raise DynamicsError(f"baseline rho must be >= 0, got {self.rho}")
 
 
 @dataclass(frozen=True)
 class GravityModel:
-    """Gravity-field constants and the J2 toggle."""
+    """The Earth's gravity field: point mass, plus J2 when ``j2_enabled``.
 
-    mu: float = MU_EARTH
-    re: float = R_EARTH
-    j2: float = J2_EARTH
+    ``mu``, ``re`` and ``j2`` are the fixed constants ``MU_EARTH``,
+    ``R_EARTH`` and ``J2_EARTH``, readable on the class and on every
+    instance; ``j2_enabled`` is the model's only setting.
+    """
+
+    mu: ClassVar[float] = MU_EARTH
+    re: ClassVar[float] = R_EARTH
+    j2: ClassVar[float] = J2_EARTH
     j2_enabled: bool = False
 
 
-def chief_kinematics(orbit: ChiefOrbit, nu: float, mu: float = MU_EARTH) -> ChiefKinematics:
+def chief_kinematics(orbit: ChiefOrbit, nu: float) -> ChiefKinematics:
     """Evaluate chief radius and true-anomaly rates at true anomaly ``nu``.
 
     r_c = a(1-e^2)/(1 + e cos nu),
     nu_dot = sqrt(mu a (1-e^2)) / r_c^2,
     nu_ddot = -2 mu e (1 + e cos nu)^3 sin nu / (a^3 (1-e^2)^3).
     """
-    r_c, nu_dot, nu_ddot = _chief_rates(orbit, nu, mu)
+    r_c, nu_dot, nu_ddot = _chief_rates(orbit, nu)
     return ChiefKinematics(nu=float(nu), nu_dot=float(nu_dot), nu_ddot=float(nu_ddot), r_c=float(r_c))
 
 
-def chief_kinematics_table(
-    orbit: ChiefOrbit, nus: np.ndarray, mu: float = MU_EARTH
-) -> list[ChiefKinematics]:
+def chief_kinematics_table(orbit: ChiefOrbit, nus: np.ndarray) -> list[ChiefKinematics]:
     """:func:`chief_kinematics` at each true anomaly of ``nus``, bit for bit.
 
     The sines and cosines are taken over the whole array in one call
@@ -160,7 +179,7 @@ def chief_kinematics_table(
     since numpy's array power (a squaring loop and a vectorized ``pow``)
     is not the scalar ``pow`` that :func:`chief_kinematics` uses.
     """
-    rates = _float_rates(orbit, mu)
+    rates = _float_rates(orbit)
     table = []
     for nu, cos_nu, sin_nu in zip(nus.tolist(), np.cos(nus).tolist(), np.sin(nus).tolist()):
         r_c, nu_dot, nu_ddot = rates(cos_nu, sin_nu)
@@ -168,15 +187,15 @@ def chief_kinematics_table(
     return table
 
 
-def _float_rates(orbit: ChiefOrbit, mu: float) -> Callable[[float, float], tuple]:
+def _float_rates(orbit: ChiefOrbit) -> Callable[[float, float], tuple]:
     """``rates(cos(nu), sin(nu)) -> (r_c, nu_dot, nu_ddot)`` in Python
     floats, with the operations of :func:`chief_kinematics` and so its
     bits; float ``**`` calls the scalar ``pow`` that numpy's scalar power
     calls."""
     a, e = orbit.a, orbit.e
     p = a * (1.0 - e**2)
-    sqrt_mu_p = float(np.sqrt(mu * p))
-    ndd_num = -2.0 * mu * e
+    sqrt_mu_p = float(np.sqrt(MU_EARTH * p))
+    ndd_num = -2.0 * MU_EARTH * e
     ndd_den = a**3 * (1.0 - e**2) ** 3
 
     def rates(cos_nu: float, sin_nu: float) -> tuple[float, float, float]:
@@ -187,37 +206,59 @@ def _float_rates(orbit: ChiefOrbit, mu: float) -> Callable[[float, float], tuple
     return rates
 
 
-def _chief_rates(orbit: ChiefOrbit, nu, mu: float = MU_EARTH):
+def _chief_rates(orbit: ChiefOrbit, nu):
     """(r_c, nu_dot, nu_ddot) of :func:`chief_kinematics`, elementwise
     over a true anomaly or an array of them."""
     a, e = orbit.a, orbit.e
     p = a * (1.0 - e**2)
     q = 1.0 + e * np.cos(nu)
     r_c = p / q
-    nu_dot = np.sqrt(mu * p) / r_c**2
-    nu_ddot = -2.0 * mu * e * q**3 * np.sin(nu) / (a**3 * (1.0 - e**2) ** 3)
+    nu_dot = np.sqrt(MU_EARTH * p) / r_c**2
+    nu_ddot = -2.0 * MU_EARTH * e * q**3 * np.sin(nu) / (a**3 * (1.0 - e**2) ** 3)
     return r_c, nu_dot, nu_ddot
 
 
-def propagate_nu(
-    orbit: ChiefOrbit, t0: float, t1: float, dt: float, mu: float = MU_EARTH
-) -> np.ndarray:
-    """True anomaly on the uniform grid t0, t0+dt, ..., t1 by RK4.
+def propagate_nu(orbit: ChiefOrbit, tf: float, dt: float) -> np.ndarray:
+    """True anomaly on the uniform grid 0, dt, ..., tf by RK4.
 
     Integrates d(nu)/dt = sqrt(mu a (1-e^2)) / r_c(nu)^2 from nu0 by
     reading the chief's streamed RK4 stages (:func:`_chief_stages`), the
     one chief integrator, which also feeds the fused plant step of
     :meth:`RelativePlant.simulate`; the two agree bit for bit, and both
-    match the reference ``rk4_step(RelativePlant.deriv)``.
+    match the reference ``rk4_step(RelativePlant.deriv)``.  ``tf`` must
+    be a whole number of ``dt`` steps, to 1e-9 of a step, as a
+    ``Scenario``'s, and at least one step; any other span raises
+    DynamicsError.
     """
-    if dt <= 0.0 or t1 <= t0:
-        raise DynamicsError("propagate_nu requires t1 > t0 and dt > 0")
-    n_steps = int(round((t1 - t0) / dt))
+    if not (tf > 0.0 and dt > 0.0):
+        raise DynamicsError("propagate_nu requires tf > 0 and dt > 0")
+    steps = tf / dt
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+        raise DynamicsError("tf must be an integral number of dt steps")
+    n_steps = round(steps)
+    if n_steps < 1:
+        raise DynamicsError("tf must span at least one dt step")
     nus = np.empty(n_steps + 1)
     nus[0] = orbit.nu0
-    chief = _chief_stages(orbit, GravityModel(mu=mu), nus[0].item(), n_steps, dt)
+    chief = _chief_stages(orbit, GravityModel(), nus[0].item(), n_steps, dt)
     nus[1:] = [nu for _, nu in chief]
     return nus
+
+
+def _polar_axis(orbit: ChiefOrbit) -> Callable[[float], tuple[float, float, float]]:
+    """``pole(nu)``: the Earth's polar axis in Hill axes at true anomaly nu.
+
+    That is ``C^T e_Z``, the third row of the chief triad ``C`` of
+    :func:`eci_hill_transforms`, at argument of latitude
+    ``arg_perigee + nu``, in Python floats.
+    """
+    si, ci, w = math.sin(orbit.i), math.cos(orbit.i), orbit.arg_perigee
+
+    def pole(nu: float) -> tuple[float, float, float]:
+        th = w + nu
+        return math.sin(th) * si, math.cos(th) * si, ci
+
+    return pole
 
 
 def _chief_stages(
@@ -227,26 +268,22 @@ def _chief_stages(
 
     Yields, for each step, the four stage records and the true anomaly
     at the end of the step.  A record is ``(r_c, nu_dot, nu_ddot)``.
-    With J2 on it also holds the triad data the J2 term needs: the
-    Earth's polar axis in Hill axes, ``C^T e_Z`` (the third row of the
-    chief triad ``C``), and the chief's own J2 acceleration
-    ``C^T a_J2(r_c C e_x)``.  The chief is passive, so nothing here
+    With J2 on it also holds what the J2 term needs: the Earth's polar
+    axis in Hill axes (:func:`_polar_axis`) and the chief's own J2
+    acceleration in Hill axes.  The chief is passive, so nothing here
     depends on the deputy.  The anomaly and the rates use the float
     operations of :func:`chief_kinematics` and of
     :func:`numerics.rk4_step` on nu, so they are bit-identical to the
     reference ``rk4_step(deriv)``.
     """
-    rates = _float_rates(orbit, gravity.mu)
-    k_j2 = 1.5 * gravity.mu * gravity.j2 * gravity.re**2
-    si, ci = math.sin(orbit.i), math.cos(orbit.i)
+    rates, polar_axis = _float_rates(orbit), _polar_axis(orbit)
 
     def record(nu: float) -> tuple:
         r_c, nu_dot, nu_ddot = rates(float(np.cos(nu)), float(np.sin(nu)))
         if not gravity.j2_enabled:
             return r_c, nu_dot, nu_ddot
-        th = orbit.arg_perigee + nu
-        pole = (math.sin(th) * si, math.cos(th) * si, ci)
-        return r_c, nu_dot, nu_ddot, pole, _j2_hill(k_j2, pole, r_c, 0.0, 0.0, r_c * r_c)
+        pole = polar_axis(nu)
+        return r_c, nu_dot, nu_ddot, pole, _j2_hill(pole, r_c, 0.0, 0.0, r_c * r_c)
 
     h, c = 0.5 * dt, dt / 6.0
     for _ in range(n):
@@ -263,7 +300,6 @@ def cw_nonlinear_deriv(
     kin: ChiefKinematics,
     u: np.ndarray | None = None,
     d: np.ndarray | None = None,
-    mu: float = MU_EARTH,
 ) -> np.ndarray:
     """Full nonlinear relative equations of motion in the Hill frame.
 
@@ -282,6 +318,7 @@ def cw_nonlinear_deriv(
     if s <= 0.0:
         raise DynamicsError("deputy at the geocenter: gamma = 0")
     gamma = s**1.5
+    mu = MU_EARTH
     ax = 2.0 * nd * yd + ndd * y + nd**2 * x - mu * (x + r_c) / gamma + mu / r_c**2
     ay = -2.0 * nd * xd - ndd * x + nd**2 * y - mu * y / gamma
     az = -mu * z / gamma
@@ -297,18 +334,16 @@ def cw_nonlinear_deriv(
     return out
 
 
-def cw_nonlinear_jacobian(
-    state: np.ndarray, kin: ChiefKinematics, mu: float = MU_EARTH
-) -> np.ndarray:
+def cw_nonlinear_jacobian(state: np.ndarray, kin: ChiefKinematics) -> np.ndarray:
     """Analytic Jacobian d f / d X of ``cw_nonlinear_deriv`` (no J2).
 
     The one-point case of :func:`_hill_jacobian`, which
     :meth:`RelativePlant.f_jacobian` evaluates over whole trajectories.
     """
-    return _hill_jacobian(np.asarray(state, dtype=float), kin.r_c, kin.nu_dot, kin.nu_ddot, mu)
+    return _hill_jacobian(np.asarray(state, dtype=float), kin.r_c, kin.nu_dot, kin.nu_ddot)
 
 
-def _hill_jacobian(X: np.ndarray, r_c, nd, ndd, mu: float) -> np.ndarray:
+def _hill_jacobian(X: np.ndarray, r_c, nd, ndd) -> np.ndarray:
     """Jacobians of ``cw_nonlinear_deriv`` at the (..., 6) states ``X``.
 
     The chief's r_c, nu_dot and nu_ddot are given per point (arrays of
@@ -323,7 +358,7 @@ def _hill_jacobian(X: np.ndarray, r_c, nd, ndd, mu: float) -> np.ndarray:
     if np.any(s <= 0.0):
         raise DynamicsError("deputy at the geocenter: gamma = 0")
     u = r / np.sqrt(s)[..., None]
-    grad = (mu / s**1.5)[..., None, None] * (3.0 * u[..., :, None] * u[..., None, :] - _EYE3)
+    grad = (MU_EARTH / s**1.5)[..., None, None] * (3.0 * u[..., :, None] * u[..., None, :] - _EYE3)
     grad[..., 0, 0] += nd**2
     grad[..., 1, 1] += nd**2
     grad[..., 0, 1] += ndd
@@ -349,7 +384,7 @@ def hill_linear_matrices(omega: float) -> tuple[np.ndarray, np.ndarray]:
     A is the classic 6x6 linear model with mean motion ``omega``;
     B selects the three acceleration rows.
     """
-    if omega <= 0.0:
+    if not omega > 0.0:
         raise DynamicsError("omega must be positive")
     A = np.zeros((6, 6))
     A[0, 1] = 1.0
@@ -406,10 +441,10 @@ def formation_to_hill_deriv(params: FormationParams, omega: float, t) -> np.ndar
     return np.stack([xd, xdd, yd, ydd, zd, zdd], axis=-1)
 
 
-def _chief_radial_rate(orbit: ChiefOrbit, nu: float, mu: float = MU_EARTH) -> float:
+def _chief_radial_rate(orbit: ChiefOrbit, nu: float) -> float:
     """d(r_c)/dt = sqrt(mu / p) * e * sin(nu)."""
     p = orbit.a * (1.0 - orbit.e**2)
-    return np.sqrt(mu / p) * orbit.e * np.sin(nu)
+    return np.sqrt(MU_EARTH / p) * orbit.e * np.sin(nu)
 
 
 def eci_hill_transforms(
@@ -437,17 +472,14 @@ def eci_hill_transforms(
 
 
 def hill_to_eci(
-    chief: ChiefOrbit,
-    kin: ChiefKinematics,
-    state: np.ndarray,
-    mu: float = MU_EARTH,
+    chief: ChiefOrbit, kin: ChiefKinematics, state: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Absolute inertial position/velocity of the deputy from a Hill state."""
     C, w = eci_hill_transforms(chief, kin)
     r_rel = np.array([state[0], state[2], state[4]])
     v_rel = np.array([state[1], state[3], state[5]])
     r_full = r_rel + np.array([kin.r_c, 0.0, 0.0])
-    rc_dot = _chief_radial_rate(chief, kin.nu, mu)
+    rc_dot = _chief_radial_rate(chief, kin.nu)
     v_full = v_rel + np.array([rc_dot, 0.0, 0.0]) + np.cross(w, r_full)
     return C @ r_full, C @ v_full
 
@@ -457,12 +489,11 @@ def eci_to_hill(
     kin: ChiefKinematics,
     r_eci: np.ndarray,
     v_eci: np.ndarray,
-    mu: float = MU_EARTH,
 ) -> np.ndarray:
     """Inverse of :func:`hill_to_eci`."""
     C, w = eci_hill_transforms(chief, kin)
     r_full = C.T @ r_eci
-    rc_dot = _chief_radial_rate(chief, kin.nu, mu)
+    rc_dot = _chief_radial_rate(chief, kin.nu)
     v_full = C.T @ v_eci - np.cross(w, r_full)
     r_rel = r_full - np.array([kin.r_c, 0.0, 0.0])
     v_rel = v_full - np.array([rc_dot, 0.0, 0.0])
@@ -486,11 +517,11 @@ class RelativePlant:
     def deriv(self, t: float, aug: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
         """Derivative of [X(6), nu]; the reference for ``simulate``'s step."""
         state, nu = aug[:6], aug[6]
-        kin = chief_kinematics(self.orbit, nu, self.gravity.mu)
+        kin = chief_kinematics(self.orbit, nu)
         d = None
         if self.gravity.j2_enabled:
             d = j2_differential_accel(self.gravity, self.orbit, kin, state)
-        dX = cw_nonlinear_deriv(state, kin, u, d, self.gravity.mu)
+        dX = cw_nonlinear_deriv(state, kin, u, d)
         return np.append(dX, kin.nu_dot)
 
     def f_jacobian(self, state: np.ndarray, nu) -> np.ndarray:
@@ -501,26 +532,25 @@ class RelativePlant:
         result is (6, 6) or (N, 6, 6), one Jacobian per point, from a
         handful of array operations over the whole batch.  Fully
         analytic: the chief kinematics at each nu, the nonlinear Hill
-        block (:func:`_hill_jacobian`) and, with J2 enabled, the rotated
-        inertial J2 gravity gradient C^T G(r_d) C added to the
-        acceleration-row x position-column block.  That term is
-        evaluated in Hill axes (:func:`_j2_gradient_hill`) from the
-        Earth's polar axis C^T e_Z, the third row of the chief triad C at
-        arg_perigee + nu; it has no velocity dependence.  Raises
-        DynamicsError if any point puts the deputy at the geocenter.
+        block (:func:`_hill_jacobian`) and, with J2 enabled, the J2
+        gravity gradient added to the acceleration-row x position-column
+        block.  That term is evaluated in Hill axes
+        (:func:`_j2_gradient_hill`) from the Earth's polar axis C^T e_Z,
+        the third row of the chief triad C at arg_perigee + nu; it has no
+        velocity dependence.  Raises DynamicsError if any point puts the
+        deputy at the geocenter.
         """
-        g, orbit = self.gravity, self.orbit
+        orbit = self.orbit
         X, nu = np.asarray(state, dtype=float), np.asarray(nu, dtype=float)
-        r_c, nd, ndd = _chief_rates(orbit, nu, g.mu)
-        J = _hill_jacobian(X, r_c, nd, ndd, g.mu)
-        if g.j2_enabled:
+        r_c, nd, ndd = _chief_rates(orbit, nu)
+        J = _hill_jacobian(X, r_c, nd, ndd)
+        if self.gravity.j2_enabled:
             th = orbit.arg_perigee + nu
             pole = np.empty(th.shape + (3,))
             pole[..., 0] = np.sin(th) * math.sin(orbit.i)
             pole[..., 1] = np.cos(th) * math.sin(orbit.i)
             pole[..., 2] = math.cos(orbit.i)
-            k_j2 = 1.5 * g.mu * g.j2 * g.re**2
-            J[..., 1::2, ::2] += _j2_gradient_hill(k_j2, pole, _geocentric(X, r_c))
+            J[..., 1::2, ::2] += _j2_gradient_hill(pole, _geocentric(X, r_c))
         return J
 
     def simulate(
@@ -529,28 +559,26 @@ class RelativePlant:
         n: int,
         dt: float,
         policy: Callable[[int, float, np.ndarray], np.ndarray],
-        t0: float = 0.0,
-        nu0: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """RK4 flight over n steps under a zero-order-hold control policy.
 
-        The control u_k = policy(k, t_k, X_k), with t_k = t0 + k dt, is
-        held over step k.  Returns the (n+1, 6) states, the (n+1,) chief
-        true anomalies and the (n, 3) applied controls.  Raises
-        NumericsError for a non-finite state and DynamicsError for a
-        deputy at the geocenter, like ``rk4_step(deriv)``: J2 off, the
-        trajectory is bit-identical to it; J2 on, it agrees to round-off
-        (the J2 term is evaluated in Hill axes).
+        The flight starts at t = 0 with the chief at its ``nu0``.  The
+        control u_k = policy(k, t_k, X_k), with t_k = k dt, is held over
+        step k.  Returns the (n+1, 6) states, the (n+1,) chief true
+        anomalies and the (n, 3) applied controls.  Raises NumericsError
+        for a non-finite state and DynamicsError for a deputy at the
+        geocenter, like ``rk4_step(deriv)``, to whose trajectory it is
+        bit-identical with J2 on and off.
         """
         states = np.empty((n + 1, 6))
         nus = np.empty(n + 1)
         controls = np.empty((n, 3))
         states[0] = x0
-        nus[0] = self.orbit.nu0 if nu0 is None else nu0
+        nus[0] = self.orbit.nu0
         X = tuple(states[0].tolist())
         chief = _chief_stages(self.orbit, self.gravity, nus[0].item(), n, dt)
         for k, (stages, nu) in enumerate(chief):
-            t = t0 + k * dt
+            t = k * dt
             controls[k] = policy(k, t, states[k])
             try:
                 X = _plant_step(self.gravity, stages, X, controls[k].tolist(), dt)
@@ -567,41 +595,13 @@ class RelativePlant:
         x0: np.ndarray,
         controls: np.ndarray,
         dt: float,
-        t0: float = 0.0,
-        nu0: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """RK4 propagation under a zero-order-hold control history.
 
         Returns the (N, 6) state trajectory and the (N,) chief true
         anomaly samples, where N = len(controls) + 1.
         """
-        return self.simulate(x0, len(controls), dt, lambda k, t, X: controls[k], t0, nu0)[:2]
-
-
-def _j2_accel(g: GravityModel, r: np.ndarray) -> np.ndarray:
-    """Inertial J2 acceleration at inertial position ``r`` (nonzero).
-
-    a = k [x (5 z^2/r^2 - 1), y (5 z^2/r^2 - 1), z (5 z^2/r^2 - 3)]
-    with k = 3/2 mu J2 Re^2 / r^5 (Montenbruck & Gill, Satellite Orbits,
-    sec. 3.2).
-    """
-    rn = np.sqrt(r @ r)
-    u = r / rn
-    k = 1.5 * g.mu * g.j2 * g.re**2 / rn**4
-    a = k * (5.0 * u[2] ** 2 - 1.0) * u
-    a[2] -= 2.0 * k * u[2]
-    return a
-
-
-def _deputy_inertial(
-    chief: ChiefOrbit, kin: ChiefKinematics, state: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chief triad C and the deputy's inertial position C (rho + r_c e_x)."""
-    C, _ = eci_hill_transforms(chief, kin)
-    r_d = C @ (state[POSITION_ROWS] + np.array([kin.r_c, 0.0, 0.0]))
-    if r_d @ r_d <= 0.0:
-        raise DynamicsError("deputy at the geocenter: J2 field undefined")
-    return C, r_d
+        return self.simulate(x0, len(controls), dt, lambda k, t, X: controls[k])[:2]
 
 
 def j2_differential_accel(
@@ -609,39 +609,46 @@ def j2_differential_accel(
 ) -> np.ndarray:
     """Differential J2 acceleration (deputy minus chief) in the Hill frame.
 
-    Both positions are mapped to the inertial frame with the chief triad
-    C, the closed-form inertial J2 field is differenced, and the result
-    is rotated back: C^T (a_J2(r_d) - a_J2(r_c)).  Velocities do not
-    enter.  Returns a 3-vector [km/s^2]; raises DynamicsError for a
-    deputy at the geocenter.
+    The J2 field is evaluated in Hill axes (:func:`_j2_hill`) at the
+    deputy, rho + r_c e_x, and at the chief, r_c e_x, from the Earth's
+    polar axis in Hill axes (:func:`_polar_axis`), and differenced; this
+    is C^T (a_J2(r_d) - a_J2(r_c)) for the inertial field a_J2 and the
+    chief triad C, without the inertial round trip.  Velocities do not
+    enter.  Returns a 3-vector [km/s^2], zeros when J2 is off; raises
+    DynamicsError for a deputy at the geocenter.
     """
     if not g.j2_enabled:
         return np.zeros(3)
-    C, r_d = _deputy_inertial(chief, kin, state)
-    return C.T @ (_j2_accel(g, r_d) - _j2_accel(g, kin.r_c * C[:, 0]))
+    x, y, z = state[POSITION_ROWS].tolist()
+    r_c = kin.r_c
+    s = (r_c + x) ** 2 + y**2 + z**2
+    if s <= 0.0:
+        raise DynamicsError("deputy at the geocenter: J2 field undefined")
+    pole = _polar_axis(chief)(kin.nu)
+    a_d, a_c = _j2_hill(pole, x + r_c, y, z, s), _j2_hill(pole, r_c, 0.0, 0.0, r_c * r_c)
+    return np.array([a_d[0] - a_c[0], a_d[1] - a_c[1], a_d[2] - a_c[2]])
 
 
-def _j2_hill(
-    k: float, pole: tuple, x: float, y: float, z: float, r2: float
-) -> tuple[float, float, float]:
-    """Inertial J2 field of :func:`_j2_accel` in rotated axes, in floats.
+def _j2_hill(pole: tuple, x: float, y: float, z: float, r2: float) -> tuple[float, float, float]:
+    """The J2 field at a position in rotated axes, in floats.
 
     ``(x, y, z)`` is the position and ``pole`` the Earth's polar axis in
-    the same axes, ``r2 = x^2 + y^2 + z^2`` and ``k = 3/2 mu J2 Re^2``:
+    the same axes, and ``r2 = x^2 + y^2 + z^2``.  With k = 3/2 mu J2 Re^2
+    (Montenbruck & Gill, Satellite Orbits, sec. 3.2):
     a = k / r^5 [(5 z_I^2 / r^2 - 1) r - 2 z_I pole], z_I = r . pole.
     """
     z_i = x * pole[0] + y * pole[1] + z * pole[2]
-    f = k / (r2 * r2 * math.sqrt(r2))
+    f = _K_J2 / (r2 * r2 * math.sqrt(r2))
     radial, polar = f * (5.0 * z_i * z_i / r2 - 1.0), 2.0 * f * z_i
     return radial * x - polar * pole[0], radial * y - polar * pole[1], radial * z - polar * pole[2]
 
 
-def _j2_gradient_hill(k: float, pole: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Gravity gradient d a / d r of the inertial J2 field in rotated axes.
+def _j2_gradient_hill(pole: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Gravity gradient d a / d r of the J2 field in rotated axes.
 
     ``r`` holds (..., 3) positions and ``pole`` the Earth's polar axis
-    in the same axes (one (3,) axis or one per point), and
-    ``k = 3/2 mu J2 Re^2``.  With u = r/|r| and s = u . pole:
+    in the same axes (one (3,) axis or one per point).  With
+    k = 3/2 mu J2 Re^2, u = r/|r| and s = u . pole:
         G = k/|r|^5 [(5 s^2 - 1) I + 5 (1 - 7 s^2) u u^T
                      + 10 s (u pole^T + pole u^T) - 2 pole pole^T],
     which is C^T G_I(C r) C for the inertial gradient G_I and the triad
@@ -658,7 +665,7 @@ def _j2_gradient_hill(k: float, pole: np.ndarray, r: np.ndarray) -> np.ndarray:
         + 10.0 * s * (up + np.swapaxes(up, -1, -2))
         - 2.0 * pole[..., :, None] * pole[..., None, :]
     )
-    return (k / r2**2.5)[..., None, None] * G
+    return (_K_J2 / r2**2.5)[..., None, None] * G
 
 
 def _plant_step(
@@ -669,13 +676,12 @@ def _plant_step(
     ``stages`` holds the chief's four stage records from
     :func:`_chief_stages`.  Each stage evaluates ``RelativePlant.deriv``
     with the float operations of :func:`cw_nonlinear_deriv`, in its
-    order, so with J2 off the step is bit-identical to
-    ``rk4_step(deriv)``.  The differential J2 term is evaluated in Hill
-    axes, where it needs only the polar axis and the chief's own term.
+    order, and the differential J2 term with those of
+    :func:`j2_differential_accel`, so the step is bit-identical to
+    ``rk4_step(deriv)``.
     """
-    mu, u0, u1, u2 = g.mu, u[0], u[1], u[2]
+    mu, u0, u1, u2 = MU_EARTH, u[0], u[1], u[2]
     j2 = g.j2_enabled
-    k_j2 = 1.5 * g.mu * g.j2 * g.re**2
 
     def accel(rec, x, xd, y, yd, z):
         r_c, nd, ndd = rec[0], rec[1], rec[2]
@@ -689,7 +695,7 @@ def _plant_step(
         ay = -2.0 * nd * xd - ndd * x + nd**2 * y - mu * y / gamma + u1
         az = -mu * z / gamma + u2
         if j2:
-            a_d, a_c = _j2_hill(k_j2, rec[3], x + r_c, y, z, s), rec[4]
+            a_d, a_c = _j2_hill(rec[3], x + r_c, y, z, s), rec[4]
             ax += a_d[0] - a_c[0]
             ay += a_d[1] - a_c[1]
             az += a_d[2] - a_c[2]

@@ -79,7 +79,7 @@ class Scenario:
     truth_chief: ChiefOrbit | None = None
 
     def __post_init__(self) -> None:
-        if self.tf <= 0.0 or self.dt <= 0.0:
+        if not (self.tf > 0.0 and self.dt > 0.0):
             raise HarnessError("tf and dt must be positive")
         steps = self.tf / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
@@ -142,7 +142,7 @@ def settle_time(
     (rho_command = 0).  Returns 0.0 when the whole trajectory is inside
     and NOT_SETTLED when the final sample is still outside.
     """
-    if threshold_pct <= 0.0:
+    if not threshold_pct > 0.0:
         raise HarnessError("threshold_pct must be positive")
     err = np.linalg.norm((states - desired)[:, POSITION_ROWS], axis=1)
     band = threshold_pct / 100.0 * (rho_command or RENDEZVOUS_LENGTH_KM)
@@ -201,7 +201,7 @@ def _feedback_law(
 
     model = SdcModel(variant=opts.variant, series_order=opts.series_order)
     # Believed chief kinematics on the control grid.
-    kins = chief_kinematics_table(believed, propagate_nu(believed, 0.0, scenario.tf, dt))
+    kins = chief_kinematics_table(believed, propagate_nu(believed, scenario.tf, dt))
 
     if kind == "sdre":
         # Each step's Riccati solution warm-starts the next, and the
@@ -367,7 +367,6 @@ class CompareCell:
 def compare(
     scenarios: Sequence[tuple[str, Scenario]],
     controllers: Sequence[tuple[str, ControllerSpec]],
-    settle_threshold_pct: float = 1.0,
 ) -> list[CompareCell]:
     """Run every scenario with every controller; failures become cells.
 
@@ -381,7 +380,7 @@ def compare(
     for s_name, scenario in scenarios:
         for c_name, spec in controllers:
             try:
-                result = run_scenario(replace(scenario, controller=spec), settle_threshold_pct)
+                result = run_scenario(replace(scenario, controller=spec))
                 cells.append(CompareCell(s_name, c_name, result))
             except Exception as exc:
                 cells.append(CompareCell(s_name, c_name, None, error=str(exc)))

@@ -19,7 +19,6 @@ from .options import LqrOptions
 class LqrDesign:
     """Immutable LQR design: weights, Riccati solution, and gain."""
 
-    omega: float
     Q: np.ndarray
     R: np.ndarray
     P: np.ndarray
@@ -42,7 +41,7 @@ def design_lqr(
     A, B = hill_linear_matrices(omega)
     P = solve_are(A, B, Q, R)
     K = np.linalg.solve(R, B.T @ P)
-    return LqrDesign(omega=omega, Q=Q, R=R, P=P, K=K, A=A, B=B)
+    return LqrDesign(Q=Q, R=R, P=P, K=K, A=A, B=B)
 
 
 def lqr_feedforward(A: np.ndarray, Xd: np.ndarray, Xd_dot: np.ndarray) -> np.ndarray:
@@ -61,12 +60,10 @@ def lqr_tracking_control(
     X: np.ndarray,
     Xd: np.ndarray,
     Xd_dot: np.ndarray,
-    A: np.ndarray | None = None,
 ) -> np.ndarray:
     """Tracking control U = -K (X - Xd) + U_ff.
 
     The feedforward makes the tracking-error dynamics homogeneous when
-    the desired trajectory is consistent with the linear model.
+    the desired trajectory is consistent with the design's linear model.
     """
-    A = design.A if A is None else A
-    return -design.K @ (X - Xd) + lqr_feedforward(A, Xd, Xd_dot)
+    return -design.K @ (X - Xd) + lqr_feedforward(design.A, Xd, Xd_dot)

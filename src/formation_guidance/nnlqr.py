@@ -40,7 +40,7 @@ class RbfNetwork:
     W_c: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.width <= 0.0 or len(self.centers) < 1:
+        if not self.width > 0.0 or len(self.centers) < 1:
             raise ValueError("RBF network needs at least one basis and width > 0")
 
 
@@ -87,7 +87,7 @@ def nn1_update(net: RbfNetwork, target: np.ndarray, phi: np.ndarray, R1: float) 
 
         W = W_prev + phi (target - W_prev^T phi)^T / (phi^T phi + R1).
     """
-    if R1 <= 0.0:
+    if not R1 > 0.0:
         raise ValueError("R1 must be positive")
     resid = target - net.W_c.T @ phi
     net.W_c += np.outer(phi, resid) / (phi @ phi + R1)
@@ -153,7 +153,7 @@ class DisturbanceBasis:
 
 def build_disturbance_basis(r_c: float) -> DisturbanceBasis:
     """Basis descriptor for a believed chief radius r_c [km]."""
-    if r_c <= 0.0:
+    if not r_c > 0.0:
         raise ValueError("r_c must be positive")
     return DisturbanceBasis(r_c=r_c)
 
@@ -194,7 +194,7 @@ class AdaptationGains:
     Theta: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.beta <= 0.0 or self.gamma <= 0.0:
+        if not (self.beta > 0.0 and self.gamma > 0.0):
             raise ValueError("adaptation gains must be positive")
 
 
@@ -234,7 +234,7 @@ class VirtualPlant:
     K_tau: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(np.diag(self.K_tau) <= 0.0):
+        if not np.all(np.diag(self.K_tau) > 0.0):
             raise ValueError("K_tau diagonal entries must be positive")
 
 
@@ -309,7 +309,7 @@ class NnLqrController:
     dt: float
 
     def __post_init__(self) -> None:
-        if self.R1 <= 0.0:
+        if not self.R1 > 0.0:
             raise ValueError("R1 must be positive")
         d, K_tau = self.design, self.vp.K_tau
         M = self.dt * K_tau

@@ -71,7 +71,6 @@ def sdc1_matrix(
     state: np.ndarray,
     kin: ChiefKinematics,
     order: int = SdreOptions.series_order,
-    mu: float = MU_EARTH,
 ) -> np.ndarray:
     """Power-series SDC factorization A(X) of the nonlinear dynamics.
 
@@ -92,8 +91,8 @@ def sdc1_matrix(
     psi = _psi_series(xi, order)
     s = (r_c + x) ** 2 + y**2 + z**2
     gamma = s**1.5
-    c = 1.5 * mu / r_c**2 * psi
-    radial = nd**2 - mu / gamma
+    c = 1.5 * MU_EARTH / r_c**2 * psi
+    radial = nd**2 - MU_EARTH / gamma
     return np.array([
         0.0, 1.0, 0.0, 0.0, 0.0, 0.0,
         radial + c * (2.0 / r_c + x / r_c**2), 0.0, ndd + c * y / r_c**2, 2.0 * nd,
@@ -101,11 +100,11 @@ def sdc1_matrix(
         0.0, 0.0, 0.0, 1.0, 0.0, 0.0,
         -ndd, -2.0 * nd, radial, 0.0, 0.0, 0.0,
         0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
-        0.0, 0.0, 0.0, 0.0, -mu / gamma, 0.0,
+        0.0, 0.0, 0.0, 0.0, -MU_EARTH / gamma, 0.0,
     ]).reshape(6, 6)
 
 
-def sdc2_matrix(state: np.ndarray, omega: float, mu: float = MU_EARTH) -> np.ndarray:
+def sdc2_matrix(state: np.ndarray, omega: float) -> np.ndarray:
     """Sigma-form SDC factorization, exact for a circular chief.
 
     The reference radius is tied to ``omega`` by the circular relation
@@ -115,7 +114,7 @@ def sdc2_matrix(state: np.ndarray, omega: float, mu: float = MU_EARTH) -> np.nda
     three-term series limit (sigma_x -> 3 at the origin).
     """
     x, _, y, _, z, _ = state
-    r_c = (mu / omega**2) ** (1.0 / 3.0)
+    r_c = (MU_EARTH / omega**2) ** (1.0 / 3.0)
     if r_c + x <= 0.0:
         raise SdreError("deputy radially below the geocenter")
     q = y**2 + z**2
@@ -147,13 +146,11 @@ def sdc2_matrix(state: np.ndarray, omega: float, mu: float = MU_EARTH) -> np.nda
     return A
 
 
-def sdc_matrix(
-    state: np.ndarray, kin: ChiefKinematics, model: SdcModel, mu: float = MU_EARTH
-) -> np.ndarray:
+def sdc_matrix(state: np.ndarray, kin: ChiefKinematics, model: SdcModel) -> np.ndarray:
     """Dispatch to the configured SDC factorization."""
     if model.variant == "SDC1":
-        return sdc1_matrix(state, kin, model.series_order, mu)
-    return sdc2_matrix(state, kin.nu_dot, mu)
+        return sdc1_matrix(state, kin, model.series_order)
+    return sdc2_matrix(state, kin.nu_dot)
 
 
 def sdre_infinite_control(
@@ -163,7 +160,6 @@ def sdre_infinite_control(
     kin: ChiefKinematics,
     Q: np.ndarray,
     R: np.ndarray,
-    mu: float = MU_EARTH,
     guess: np.ndarray | None = None,
     weights: RiccatiWeights | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +172,7 @@ def sdre_infinite_control(
     run computes it once.  ``R^-1`` is applied by LAPACK's ``dgesv``,
     the routine ``np.linalg.solve`` runs.
     """
-    A = sdc_matrix(state, kin, model, mu)
+    A = sdc_matrix(state, kin, model)
     try:
         P = solve_are(A, B, Q, R, guess, weights=weights)
     except Exception as exc:
@@ -193,7 +189,6 @@ def finite_time_sdre_control(
     horizon: FiniteHorizonSpec,
     model: SdcModel,
     kin: ChiefKinematics,
-    mu: float = MU_EARTH,
 ) -> np.ndarray:
     """Finite-horizon SDRE control with hard terminal constraint X(tf) = Xf.
 
@@ -207,7 +202,7 @@ def finite_time_sdre_control(
     tau = horizon.tf - t
     if tau <= 0.0:
         raise SdreError("finite-horizon control requested at or past tf")
-    A = sdc_matrix(state, kin, model, mu)
+    A = sdc_matrix(state, kin, model)
     R, Q = horizon.R, horizon.Q
     BRB = B @ np.linalg.solve(R, B.T)
     H = np.zeros((12, 12))

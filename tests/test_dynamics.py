@@ -6,8 +6,10 @@ import pytest
 
 from formation_guidance.dynamics import (
     ACCEL_ROWS,
+    J2_EARTH,
     MU_EARTH,
     POSITION_ROWS,
+    R_EARTH,
     ChiefOrbit,
     DynamicsError,
     FormationParams,
@@ -38,9 +40,9 @@ CIRC = ChiefOrbit(a=10000.0)
 # latitude and radius, in its own radial/transverse/normal axes.
 
 
-def deputy_elements_from_state(chief, kin, state, mu=MU_EARTH):
+def deputy_elements_from_state(chief, kin, state):
     """Osculating deputy inclination, argument of latitude, and radius."""
-    r_eci, v_eci = hill_to_eci(chief, kin, state, mu)
+    r_eci, v_eci = hill_to_eci(chief, kin, state)
     r_d = float(np.linalg.norm(r_eci))
     if r_d <= 0.0:
         raise DynamicsError("deputy radius is zero")
@@ -70,8 +72,8 @@ def _j2_osculating_reference(g, chief, kin, state):
     """Differential J2 (deputy minus chief) in the Hill frame, via elements."""
     C, _ = eci_hill_transforms(chief, kin)
     a_c = C @ _j2_accel_plane(g, chief.i, chief.arg_perigee + kin.nu, kin.r_c)
-    r_eci, v_eci = hill_to_eci(chief, kin, state, g.mu)
-    i_d, theta_d, r_d = deputy_elements_from_state(chief, kin, state, g.mu)
+    r_eci, v_eci = hill_to_eci(chief, kin, state)
+    i_d, theta_d, r_d = deputy_elements_from_state(chief, kin, state)
     r_hat = r_eci / np.linalg.norm(r_eci)
     h = np.cross(r_eci, v_eci)
     h_hat = h / np.linalg.norm(h)
@@ -141,7 +143,7 @@ class TestChiefKinematics:
         numpy's array power is not the scalar pow."""
         rng = np.random.default_rng(round(100 * e))
         orbit = ChiefOrbit(a=rng.uniform(7000.0, 42000.0), e=e, nu0=rng.uniform(0.0, 6.3))
-        nus = np.concatenate([propagate_nu(orbit, 0.0, 3000.0, 1.0),
+        nus = np.concatenate([propagate_nu(orbit, 3000.0, 1.0),
                               rng.uniform(-10.0, 20.0, 5000)])
         table = chief_kinematics_table(orbit, nus)
         assert len(table) == len(nus)
@@ -163,21 +165,27 @@ class TestPropagateNu:
     def test_circular_constant_rate(self):
         orbit = ChiefOrbit(a=10000.0, nu0=0.3)
         T = orbit.period()
-        nus = propagate_nu(orbit, 0.0, T, T / 1000.0)
+        nus = propagate_nu(orbit, T, T / 1000.0)
         expected = 0.3 + orbit.mean_motion() * np.linspace(0.0, T, 1001)
         np.testing.assert_allclose(nus, expected, atol=1e-10)
 
     def test_one_period_advances_two_pi(self):
         orbit = ChiefOrbit(a=10000.0, e=0.1, nu0=0.0)
         T = orbit.period()
-        nus = propagate_nu(orbit, 0.0, T, T / 20000.0)
+        nus = propagate_nu(orbit, T, T / 20000.0)
         assert nus[-1] - nus[0] == pytest.approx(2.0 * math.pi, abs=1e-6)
 
     def test_step_refinement_converges(self):
         orbit = ChiefOrbit(a=10000.0, e=0.15)
-        coarse = propagate_nu(orbit, 0.0, 1000.0, 1.0)[-1]
-        fine = propagate_nu(orbit, 0.0, 1000.0, 0.5)[-1]
+        coarse = propagate_nu(orbit, 1000.0, 1.0)[-1]
+        fine = propagate_nu(orbit, 1000.0, 0.5)[-1]
         assert abs(coarse - fine) < 1e-9
+
+    @pytest.mark.parametrize("tf, dt", [(10.0, 3.0), (10.0, 0.0), (0.0, 1.0), (math.nan, 1.0),
+                                        (10.0, math.inf)])
+    def test_span_not_a_whole_number_of_steps_rejected(self, tf, dt):
+        with pytest.raises(DynamicsError):
+            propagate_nu(CIRC, tf, dt)
 
 
 class TestNonlinearDeriv:
@@ -331,7 +339,7 @@ def _j2_inertial_oracle(g, chief, kin, state):
         return k * np.array([x * (zz - 1.0), y * (zz - 1.0), z * (zz - 3.0)])
 
     C, _ = eci_hill_transforms(chief, kin)
-    r_d, _ = hill_to_eci(chief, kin, state, g.mu)
+    r_d, _ = hill_to_eci(chief, kin, state)
     r_c = C @ np.array([kin.r_c, 0.0, 0.0])
     return C.T @ (accel(r_d) - accel(r_c))
 
@@ -379,6 +387,21 @@ class TestJ2Differential:
             d = j2_differential_accel(self.G_ON, orbit, kin, X)
             ref = _j2_osculating_reference(self.G_ON, orbit, kin, X)
             assert np.linalg.norm(d - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_matches_inertial_oracle_over_random_geometry(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(250):
+            orbit, nu, X = _random_geometry(rng)
+            kin = chief_kinematics(orbit, nu)
+            d = j2_differential_accel(self.G_ON, orbit, kin, X)
+            oracle = _j2_inertial_oracle(self.G_ON, orbit, kin, X)
+            assert np.linalg.norm(d - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+    def test_constants_are_the_earths(self):
+        assert (GravityModel.mu, GravityModel.re, GravityModel.j2) == (MU_EARTH, R_EARTH, J2_EARTH)
+        assert GravityModel(j2_enabled=True).mu == MU_EARTH
+        with pytest.raises(TypeError):
+            GravityModel(mu=1.0)
 
 
 class TestRelativePlant:
@@ -431,13 +454,11 @@ class TestRelativePlant:
 
     def test_j2_gradient_symmetric_and_traceless(self):
         rng = np.random.default_rng(8)
-        g = GravityModel(j2_enabled=True)
-        k = 1.5 * g.mu * g.j2 * g.re**2
         r = rng.normal(size=(200, 3))
         r *= rng.uniform(6600.0, 42000.0, size=(200, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
         pole = rng.normal(size=(200, 3))
         pole /= np.linalg.norm(pole, axis=1, keepdims=True)
-        for G in _j2_gradient_hill(k, pole, r):
+        for G in _j2_gradient_hill(pole, r):
             scale = np.linalg.norm(G)
             assert np.linalg.norm(G - G.T) <= 1e-12 * scale
             assert abs(np.trace(G)) <= 1e-12 * scale
@@ -472,7 +493,7 @@ def _point_jacobian(plant, X, nu):
     """Per-point reference for ``RelativePlant.f_jacobian``: the Hill
     block written entry by entry at the chief kinematics of ``nu`` and,
     with J2, the inertial gradient rotated by the chief triad C^T G C."""
-    kin = chief_kinematics(plant.orbit, nu, plant.gravity.mu)
+    kin = chief_kinematics(plant.orbit, nu)
     mu, r_c, nd, ndd = plant.gravity.mu, kin.r_c, kin.nu_dot, kin.nu_ddot
     x, _, y, _, z, _ = X
     rx = r_c + x
@@ -557,13 +578,13 @@ class TestBatchedJacobian:
         plant.f_jacobian(np.delete(X, 2, axis=0), np.delete(nus, 2))
 
 
-def _reference_flight(plant, x0, controls, dt, t0=0.0):
+def _reference_flight(plant, x0, controls, dt):
     """Flight of ``[X, nu]`` by ``rk4_step(plant.deriv)``, the reference
     for ``RelativePlant.simulate``'s fused step."""
     aug = np.append(x0, plant.orbit.nu0)
     out = [aug]
     for k, u in enumerate(controls):
-        aug = rk4_step(lambda t, a: plant.deriv(t, a, u), t0 + k * dt, aug, dt)
+        aug = rk4_step(lambda t, a: plant.deriv(t, a, u), k * dt, aug, dt)
         out.append(aug)
     out = np.array(out)
     return out[:, :6], out[:, 6]
@@ -588,8 +609,8 @@ class TestFusedPlantStep:
         for _ in range(20):
             orbit, x0, controls, dt = _random_flight(rng)
             plant = RelativePlant(orbit)
-            states, nus = plant.propagate(x0, controls, dt, t0=5.0)
-            ref_states, ref_nus = _reference_flight(plant, x0, controls, dt, t0=5.0)
+            states, nus = plant.propagate(x0, controls, dt)
+            ref_states, ref_nus = _reference_flight(plant, x0, controls, dt)
             np.testing.assert_array_equal(states, ref_states)
             np.testing.assert_array_equal(nus, ref_nus)
 
@@ -600,8 +621,7 @@ class TestFusedPlantStep:
             plant = RelativePlant(orbit, GravityModel(j2_enabled=True))
             states, nus = plant.propagate(x0, controls, dt)
             ref_states, ref_nus = _reference_flight(plant, x0, controls, dt)
-            scale = np.max(np.abs(ref_states), axis=0)
-            assert np.all(np.abs(states - ref_states) <= 1e-13 * scale)
+            np.testing.assert_array_equal(states, ref_states)
             np.testing.assert_array_equal(nus, ref_nus)
 
     def test_propagate_nu_matches_simulate(self):
@@ -610,7 +630,7 @@ class TestFusedPlantStep:
             orbit = ChiefOrbit(a=9000.0 / (1.0 - e), e=e, nu0=rng.uniform(0.0, 2.0 * math.pi))
             n, dt = 500, 7.0
             _, nus = RelativePlant(orbit).propagate(np.ones(6), np.zeros((n, 3)), dt)
-            np.testing.assert_array_equal(propagate_nu(orbit, 0.0, n * dt, dt), nus)
+            np.testing.assert_array_equal(propagate_nu(orbit, n * dt, dt), nus)
 
     @pytest.mark.parametrize("j2", [False, True])
     def test_non_finite_control_raises_the_rk4_step_error(self, j2):

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from formation_guidance import nnlqr
 from formation_guidance.dynamics import (
     ChiefOrbit,
+    DynamicsError,
     FormationParams,
     GravityModel,
     formation_to_hill,
     formation_to_hill_deriv,
+    hill_linear_matrices,
 )
 from formation_guidance.harness import (
     NOT_SETTLED,
@@ -29,6 +32,7 @@ from formation_guidance.harness import (
     write_metrics_csv,
     write_trajectory_csv,
 )
+from formation_guidance.lqr import design_lqr
 
 CIRC = ChiefOrbit(a=10000.0)
 OMEGA = CIRC.mean_motion()
@@ -68,6 +72,54 @@ class TestScenarioValidation:
         assert ControllerSpec("mpsp", {"tol_rho_pct": 1e-6}).options.tol_rho_pct == 1e-6
         with pytest.raises(HarnessError, match="tol_pct"):
             ControllerSpec("mpsp", {"tol_pct": 1e-6})
+
+
+def _nnlqr_controller(R1):
+    return nnlqr.NnLqrController(
+        design=design_lqr(OMEGA),
+        rbf=nnlqr.make_rbf_network(5.0, OMEGA),
+        dist=nnlqr.DisturbanceNet(nnlqr.build_disturbance_basis(CIRC.a)),
+        vp=nnlqr.VirtualPlant(X_a=np.zeros(6), K_tau=np.eye(6)),
+        gains=nnlqr.AdaptationGains(beta=0.01, gamma=100.0, Theta=np.eye(6)),
+        R1=R1,
+        dt=1.0,
+    )
+
+
+NAN, INF = math.nan, math.inf
+
+
+_GUARD_IDS = [
+    "FormationParams.rho", "FormationParams.theta", "ChiefOrbit.i", "ChiefOrbit.nu0",
+    "Scenario.tf", "Scenario.dt", "settle_time", "hill_linear_matrices", "RbfNetwork.width",
+    "AdaptationGains.beta", "AdaptationGains.gamma", "VirtualPlant.K_tau",
+    "NnLqrController.R1", "nn1_update", "build_disturbance_basis",
+]
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: FormationParams(rho=NAN), DynamicsError, "rho must be finite"),
+    (lambda: FormationParams(rho=1.0, theta=INF), DynamicsError, "theta must be finite"),
+    (lambda: ChiefOrbit(a=10000.0, i=NAN), DynamicsError, "i must be finite"),
+    (lambda: ChiefOrbit(a=10000.0, nu0=INF), DynamicsError, "nu0 must be finite"),
+    (lambda: _natural_scenario(tf=NAN), HarnessError, "must be positive"),
+    (lambda: _natural_scenario(dt=NAN), HarnessError, "must be positive"),
+    (lambda: settle_time(np.arange(3.0), np.ones((3, 6)), np.zeros((3, 6)), 1.0, NAN),
+     HarnessError, "must be positive"),
+    (lambda: hill_linear_matrices(NAN), DynamicsError, "must be positive"),
+    (lambda: nnlqr.RbfNetwork(centers=np.zeros((1, 6)), width=NAN, vel_scale=1.0,
+                              W_c=np.zeros((1, 6))), ValueError, "width > 0"),
+    (lambda: nnlqr.AdaptationGains(beta=NAN, gamma=1.0, Theta=np.eye(6)), ValueError, "positive"),
+    (lambda: nnlqr.AdaptationGains(beta=1.0, gamma=NAN, Theta=np.eye(6)), ValueError, "positive"),
+    (lambda: nnlqr.VirtualPlant(X_a=np.zeros(6), K_tau=NAN * np.eye(6)), ValueError, "positive"),
+    (lambda: _nnlqr_controller(R1=NAN), ValueError, "R1 must be positive"),
+    (lambda: nnlqr.nn1_update(nnlqr.make_rbf_network(5.0, OMEGA), np.zeros(6),
+                              np.zeros(27), NAN), ValueError, "R1 must be positive"),
+    (lambda: nnlqr.build_disturbance_basis(NAN), ValueError, "r_c must be positive"),
+], ids=_GUARD_IDS)
+def test_non_finite_value_rejected_by_its_guard(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 class TestRunScenario:
