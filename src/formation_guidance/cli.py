@@ -42,8 +42,8 @@ named class (formation_guidance.dynamics, formation_guidance.options):
              apply = closed|open (closed; open plans on the believed
              unperturbed model and replays the control history)
   Numbers must be finite; max_iter (>= 0) and series_order (>= 1) must be
-  integers, tol_pct, r_weight, r1, k_tau, beta and gamma must be > 0 and
-  q_weight >= 0.  A bad
+  integers, tol_pct, r_weight, r1, k_tau, beta and gamma must be > 0, and
+  q_weight must be > 0 in [lqr] and [nnlqr] and >= 0 in [sdre].  A bad
   number or a word outside its list is rejected with its line number;
   values the dataclasses reject (a <= 0, e outside [0, 1), rho < 0) and
   a tf that is not a whole number of dt steps raise ConfigError too.
@@ -106,12 +106,15 @@ _CHOICES = {
     "basis": ("grid", "global"),
 }
 
-# Lower bound of each bounded number: (comparison, bound).  A zero state
-# weight is legal (the finite-horizon SDRE's default); R must be positive
-# definite for the Riccati solve, and NN-LQR's regularizer, virtual-plant
-# gain and adaptation gains must be positive.
+# Lower bound of each bounded number: (comparison, bound), by key or, in
+# the one section where it differs, by (section, key).  A zero state
+# weight is legal for the SDRE (the finite-horizon default) but not for
+# LQR or NN-LQR: every mode of Hill's A is on the imaginary axis, so with
+# Q = 0 their Riccati equation has no stabilizing solution.  R must be
+# positive definite for the Riccati solve, and NN-LQR's regularizer,
+# virtual-plant gain and adaptation gains must be positive.
 _BOUNDS = {"series_order": (">=", 1), "max_iter": (">=", 0), "tol_pct": (">", 0),
-           "q_weight": (">=", 0), "r_weight": (">", 0),
+           "q_weight": (">", 0), ("sdre", "q_weight"): (">=", 0), "r_weight": (">", 0),
            "r1": (">", 0), "k_tau": (">", 0), "beta": (">", 0), "gamma": (">", 0)}
 _COMPARE = {">=": operator.ge, ">": operator.gt}
 
@@ -228,9 +231,10 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
         if key in sections[current]:
             raise ConfigError(f"line {line_no}: duplicate key {key!r} in [{current}]")
         value = _SCHEMA[current][key][1](raw_value, key, line_no)
-        if key in _BOUNDS:
+        bounded = _BOUNDS.get((current, key), _BOUNDS.get(key))
+        if bounded is not None:
             # Compare the number as written: weights parse to matrices.
-            comparison, bound = _BOUNDS[key]
+            comparison, bound = bounded
             if not _COMPARE[comparison](float(raw_value), bound):
                 raise ConfigError(
                     f"line {line_no}: key {key!r} must be {comparison} {bound}, got {raw_value!r}"

@@ -218,45 +218,39 @@ def _chief_rates(orbit: ChiefOrbit, nu):
     return r_c, nu_dot, nu_ddot
 
 
-def propagate_nu(orbit: ChiefOrbit, tf: float, dt: float) -> np.ndarray:
-    """True anomaly on the uniform grid 0, dt, ..., tf by RK4.
+def propagate_nu(orbit: ChiefOrbit, n: int, dt: float) -> np.ndarray:
+    """True anomaly on the uniform grid 0, dt, ..., n dt by RK4.
 
-    Integrates d(nu)/dt = sqrt(mu a (1-e^2)) / r_c(nu)^2 from nu0 by
+    Integrates d(nu)/dt = sqrt(mu a (1-e^2)) / r_c(nu)^2 from nu0 over n
+    steps of length dt, as :meth:`RelativePlant.simulate` takes them, by
     reading the chief's streamed RK4 stages (:func:`_chief_stages`), the
     one chief integrator, which also feeds the fused plant step of
-    :meth:`RelativePlant.simulate`; the two agree bit for bit, and both
-    match the reference ``rk4_step(RelativePlant.deriv)``.  ``tf`` must
-    be a whole number of ``dt`` steps, to 1e-9 of a step, as a
-    ``Scenario``'s, and at least one step; any other span raises
-    DynamicsError.
+    ``simulate``; the two agree bit for bit, and both match the
+    reference ``rk4_step(RelativePlant.deriv)``.  Returns the (n+1,)
+    anomalies.
     """
-    if not (tf > 0.0 and dt > 0.0):
-        raise DynamicsError("propagate_nu requires tf > 0 and dt > 0")
-    steps = tf / dt
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
-        raise DynamicsError("tf must be an integral number of dt steps")
-    n_steps = round(steps)
-    if n_steps < 1:
-        raise DynamicsError("tf must span at least one dt step")
-    nus = np.empty(n_steps + 1)
+    nus = np.empty(n + 1)
     nus[0] = orbit.nu0
-    chief = _chief_stages(orbit, GravityModel(), nus[0].item(), n_steps, dt)
-    nus[1:] = [nu for _, nu in chief]
+    nus[1:] = [nu for _, nu in _chief_stages(orbit, GravityModel(), nus[0].item(), n, dt)]
     return nus
 
 
-def _polar_axis(orbit: ChiefOrbit) -> Callable[[float], tuple[float, float, float]]:
+def _polar_axis(orbit: ChiefOrbit, lib=math) -> Callable:
     """``pole(nu)``: the Earth's polar axis in Hill axes at true anomaly nu.
 
     That is ``C^T e_Z``, the third row of the chief triad ``C`` of
     :func:`eci_hill_transforms`, at argument of latitude
-    ``arg_perigee + nu``, in Python floats.
+    ``arg_perigee + nu``, as its three components.  ``lib`` supplies
+    ``sin`` and ``cos`` of that argument: ``math`` for one anomaly in
+    Python floats, ``np`` for an array of them, whose first two
+    components are then arrays (the third is the float cos i).
     """
     si, ci, w = math.sin(orbit.i), math.cos(orbit.i), orbit.arg_perigee
+    sin, cos = lib.sin, lib.cos
 
-    def pole(nu: float) -> tuple[float, float, float]:
+    def pole(nu):
         th = w + nu
-        return math.sin(th) * si, math.cos(th) * si, ci
+        return sin(th) * si, cos(th) * si, ci
 
     return pole
 
@@ -535,9 +529,9 @@ class RelativePlant:
         block (:func:`_hill_jacobian`) and, with J2 enabled, the J2
         gravity gradient added to the acceleration-row x position-column
         block.  That term is evaluated in Hill axes
-        (:func:`_j2_gradient_hill`) from the Earth's polar axis C^T e_Z,
-        the third row of the chief triad C at arg_perigee + nu; it has no
-        velocity dependence.  Raises DynamicsError if any point puts the
+        (:func:`_j2_gradient_hill`) from the Earth's polar axis
+        (:func:`_polar_axis`, over the whole batch); it has no velocity
+        dependence.  Raises DynamicsError if any point puts the
         deputy at the geocenter.
         """
         orbit = self.orbit
@@ -545,11 +539,8 @@ class RelativePlant:
         r_c, nd, ndd = _chief_rates(orbit, nu)
         J = _hill_jacobian(X, r_c, nd, ndd)
         if self.gravity.j2_enabled:
-            th = orbit.arg_perigee + nu
-            pole = np.empty(th.shape + (3,))
-            pole[..., 0] = np.sin(th) * math.sin(orbit.i)
-            pole[..., 1] = np.cos(th) * math.sin(orbit.i)
-            pole[..., 2] = math.cos(orbit.i)
+            pole = np.empty(nu.shape + (3,))
+            pole[..., 0], pole[..., 1], pole[..., 2] = _polar_axis(orbit, np)(nu)
             J[..., 1::2, ::2] += _j2_gradient_hill(pole, _geocentric(X, r_c))
         return J
 

@@ -201,7 +201,7 @@ def _feedback_law(
 
     model = SdcModel(variant=opts.variant, series_order=opts.series_order)
     # Believed chief kinematics on the control grid.
-    kins = chief_kinematics_table(believed, propagate_nu(believed, scenario.tf, dt))
+    kins = chief_kinematics_table(believed, propagate_nu(believed, scenario.n_steps, dt))
 
     if kind == "sdre":
         # Each step's Riccati solution warm-starts the next, and the

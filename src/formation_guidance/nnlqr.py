@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import ACCEL_ROWS, POSITION_ROWS
 from .lqr import LqrDesign
-from .numerics import NumericsError, rk4_step
+from .numerics import NumericsError
 
 
 # ---------------------------------------------------------------------------
@@ -73,26 +73,6 @@ def rbf_features(net: RbfNetwork, X: np.ndarray) -> np.ndarray:
     return np.exp(np.einsum("pj,pj->p", diff, diff) / (-2.0 * net.width**2))
 
 
-def rbf_eval(net: RbfNetwork, X: np.ndarray) -> np.ndarray:
-    """Costate increment lambda_2 = W_c^T phi_c(X)."""
-    return net.W_c.T @ rbf_features(net, X)
-
-
-def nn1_update(net: RbfNetwork, target: np.ndarray, phi: np.ndarray, R1: float) -> None:
-    """Regularized least-squares weight update toward a costate target.
-
-    ``phi`` is ``rbf_features(net, X)`` at the training state X.
-    Minimizes ||W^T phi - target||^2 + R1 ||W - W_prev||^2, whose exact
-    minimizer for a single sample is the rank-one correction
-
-        W = W_prev + phi (target - W_prev^T phi)^T / (phi^T phi + R1).
-    """
-    if not R1 > 0.0:
-        raise ValueError("R1 must be positive")
-    resid = target - net.W_c.T @ phi
-    net.W_c += np.outer(phi, resid) / (phi @ phi + R1)
-
-
 # ---------------------------------------------------------------------------
 # NN2: disturbance identification network
 
@@ -114,32 +94,11 @@ class DisturbanceBasis:
     def size(self) -> int:
         return 7
 
-    def eval(self, X: np.ndarray, theta: float) -> np.ndarray:
-        x, _, y, _, z, _ = X
-        p, _ = self.power_series(x, y, z)
-        return np.array(
-            [
-                p * x,
-                p * y,
-                p * z,
-                np.sin(theta),
-                np.cos(theta),
-                np.sin(theta) * np.cos(theta),
-                1.0,
-            ]
-        )
-
-    def jacobian(self, X: np.ndarray, theta: float) -> np.ndarray:
-        """Analytic d Phi / d X, shape (size, 6)."""
-        x, _, y, _, z, _ = X
-        J = np.zeros((self.size, 6))
-        # Trig terms depend on time only; the constant term is flat.
-        J[:3, POSITION_ROWS] = self.power_series(x, y, z)[1]
-        return J
-
     def power_series(self, x: float, y: float, z: float) -> tuple[float, list[list[float]]]:
         """p(psi) at the position (x, y, z), and d (p x, p y, p z) / d (x, y, z)
-        as three rows: the only nonzero block of :meth:`jacobian`."""
+        as three rows: the only nonzero block of the basis's state
+        Jacobian, since the trigonometric and constant terms depend on
+        time only."""
         r = self.r_c
         psi = -2.0 * x / r - (x**2 + y**2 + z**2) / r**2
         p = psi * (1.0 + psi * (1.0 + psi * (1.0 + psi)))
@@ -169,20 +128,6 @@ class DisturbanceNet:
         if self.weights is None:
             self.weights = np.zeros((3, self.basis.size))
 
-    def d_hat(self, phi: np.ndarray) -> np.ndarray:
-        """Estimated unmodeled acceleration as a 6-vector (rows 2, 4, 6),
-        from the basis ``phi = basis.eval(X, theta)``."""
-        out = np.zeros(6)
-        out[ACCEL_ROWS] = self.weights @ phi
-        return out
-
-    def d_hat_jacobian(self, J_phi: np.ndarray) -> np.ndarray:
-        """d d_hat / d X as a 6x6 matrix, from the basis Jacobian
-        ``J_phi = basis.jacobian(X, theta)``."""
-        out = np.zeros((6, 6))
-        out[ACCEL_ROWS, :] = self.weights @ J_phi
-        return out
-
 
 @dataclass(frozen=True)
 class AdaptationGains:
@@ -196,29 +141,6 @@ class AdaptationGains:
     def __post_init__(self) -> None:
         if not (self.beta > 0.0 and self.gamma > 0.0):
             raise ValueError("adaptation gains must be positive")
-
-
-def nn2_update(
-    net: DisturbanceNet,
-    e: np.ndarray,
-    phi: np.ndarray,
-    G: np.ndarray,
-    gains: AdaptationGains,
-    dt: float,
-) -> None:
-    """Lyapunov-based weight update, explicit Euler at the control step.
-
-        dW_i/dt = beta_i e_i (I/gamma_i + G Theta G^T)^-1 Phi,
-
-    with the basis ``phi = Phi(X, theta)`` and its Jacobian
-    ``G = d Phi / d X`` at the measured state; e_i is the virtual-plant
-    error on channel i.  The identity regularization keeps the solve
-    nonsingular.
-    """
-    M = np.eye(net.basis.size) / gains.gamma + G @ gains.Theta @ G.T
-    direction = np.linalg.solve(M, phi)
-    for row, ch in enumerate(ACCEL_ROWS):
-        net.weights[row] += dt * gains.beta * e[ch] * direction
 
 
 @dataclass
@@ -236,45 +158,6 @@ class VirtualPlant:
     def __post_init__(self) -> None:
         if not np.all(np.diag(self.K_tau) > 0.0):
             raise ValueError("K_tau diagonal entries must be positive")
-
-
-def virtual_plant_step(
-    vp: VirtualPlant,
-    X: np.ndarray,
-    U: np.ndarray,
-    d_hat: np.ndarray,
-    A: np.ndarray,
-    B: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """Advance the virtual plant one RK4 step; returns the new X_a.
-
-    The measured state X (and hence d_hat(X)) is held over the step.
-    """
-    forcing = A @ X + B @ U + d_hat + vp.K_tau @ X
-
-    def deriv(t: float, xa: np.ndarray) -> np.ndarray:
-        return forcing - vp.K_tau @ xa
-
-    vp.X_a = rk4_step(deriv, 0.0, vp.X_a, dt)
-    return vp.X_a
-
-
-def costate_backprop(
-    Xa_next: np.ndarray,
-    Xd_next: np.ndarray,
-    lam_next: np.ndarray,
-    A: np.ndarray,
-    Q: np.ndarray,
-    d_jac: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """One backward Euler step of the costate equation.
-
-    lambda_dot = -Q (X - X_d) - (A + d d_hat/d X)^T lambda, evaluated at
-    the predicted state, stepped from t+dt back to t.
-    """
-    return lam_next + dt * (Q @ (Xa_next - Xd_next) + (A + d_jac).T @ lam_next)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +264,13 @@ def nnlqr_control_step(
     costate.
 
     Up to round-off this is the composition of ``lqr_feedforward``,
-    ``rbf_features``, ``nn2_update``, ``virtual_plant_step``,
-    ``costate_backprop`` and ``nn1_update``.  The fixed-size algebra runs
-    in floats on the controller's run invariants; the RBF layer stays in
-    numpy.  Raises NumericsError for a non-finite virtual-plant state,
-    like ``virtual_plant_step``.
+    ``rbf_features`` and the readable reference pieces kept beside its
+    oracle test in ``tests/test_nnlqr.py`` (``nn2_update``,
+    ``virtual_plant_step``, ``costate_backprop`` and ``nn1_update``).
+    The fixed-size algebra runs in floats on the controller's run
+    invariants; the RBF layer stays in numpy.  Raises NumericsError for a
+    non-finite virtual-plant state, with the message of
+    ``numerics.rk4_step``.
     """
     dt, W_c, gamma = ctrl.dt, ctrl.rbf.W_c, ctrl.gains.gamma
     x, xd, xd_dot, xa = X.tolist(), Xd.tolist(), Xd_dot.tolist(), ctrl.vp.X_a.tolist()

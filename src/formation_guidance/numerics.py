@@ -147,21 +147,20 @@ def solve_are(
     with the cold solve to about 1e-11 relative (at most 7e-12 on the
     pointwise SDRE of a circular chief for R = 1e8 ... 1e11).
 
-    Either way the returned ``P`` is verified against a residual bound
-    of ``1e-8 * (1 + ||P||)`` and a Hurwitz closed loop; a warm result
-    that fails either check is discarded for the cold solve, so a guess
-    never makes the solve raise where a cold solve succeeds.  A cold
-    ``P`` has its closed loop checked with ``np.linalg.eigvals``.  A
-    warm one is first offered a Lyapunov certificate
-    (:func:`_lyapunov_certified`): ``P ≻ 0`` and ``−(closedᵀ P + P
-    closed) ≻ 0``, each shown by one Cholesky factorization of the
-    matrix shifted down by a proven bound on its rounding, prove the
-    closed loop Hurwitz without an eigenvalue solve.  Only when the
+    The contract, for a cold and a warm ``P`` alike, is one check
+    (:func:`_contract_failure`): the Riccati residual, formed with
+    ``weights.G = B R⁻¹ Bᵀ``, is at most ``1e-8 (1 + ||P||)`` in the
+    Frobenius norm, and the closed loop is Hurwitz.  Hurwitz is first
+    offered a Lyapunov certificate (:func:`_lyapunov_certified`): ``P ≻
+    0`` and ``−(closedᵀ P + P closed) ≻ 0``, each shown by one Cholesky
+    factorization of the matrix shifted down by a proven bound on its
+    rounding, prove it without an eigenvalue solve.  Only when the
     certificate is inconclusive, for example with a state weight so
     small that ``Q + P G P`` is definite by less than the rounding
-    bound, does the warm check run ``np.linalg.eigvals``.  The
-    certificate decides nothing else, so it never changes a returned
-    ``P``.
+    bound, does the check run ``np.linalg.eigvals``.  The check decides
+    only whether a ``P`` is returned: a warm ``P`` that fails it is
+    discarded for the cold solve, so a guess never makes the solve raise
+    where a cold solve succeeds, and a cold ``P`` that fails it raises.
 
     Raises
     ------
@@ -182,7 +181,11 @@ def solve_are(
         P = scipy.linalg.solve_continuous_are(A, weights.B_tilde, Q, np.eye(B.shape[1]))
     except Exception as exc:  # scipy raises LinAlgError or ValueError
         raise NumericsError(f"Riccati solve failed: {exc}") from exc
-    return _verified(A, B, Q, R, P)
+    P = 0.5 * (P + P.T)
+    failure = _contract_failure(P, *_residual(A, Q, weights.G, P))
+    if failure is not None:
+        raise NumericsError(failure)
+    return P
 
 
 def _newton_kleinman(
@@ -197,9 +200,7 @@ def _newton_kleinman(
     residual is measured against the larger of ``1 + ||P||`` and the
     size of its terms: the round-off floor of a badly scaled system lies
     above ``NEWTON_TOL (1 + ||P||)``, and Newton would stagnate there
-    until the fallback.  The Hurwitz half of the contract is the
-    Lyapunov certificate, or ``np.linalg.eigvals`` where that is
-    inconclusive.
+    until the fallback.
     """
     G = weights.G
     try:
@@ -211,23 +212,44 @@ def _newton_kleinman(
             if P is None:
                 return None
             P = 0.5 * (P + P.T)
-            closed = A - G @ P
-            # The Riccati residual, since G = B R⁻¹ Bᵀ.
-            PC = P @ closed
-            res_norm = _norm(PC + A.T @ P + Q)
-            norm_P = _norm(P)
+            residual = _residual(A, Q, G, P)
+            closed, _, res_norm, norm_P = residual
             scale = max(1.0 + norm_P,
                         norm_A * norm_P + norm_P**2 * weights.norm_G + weights.norm_Q)
             if res_norm <= NEWTON_TOL * scale:
-                # solve_are's contract: the residual bound, then the
-                # certificate or, where it is inconclusive, eigvals.
-                if res_norm <= 1e-8 * (1.0 + norm_P) and (
-                        _lyapunov_certified(P, closed, PC, norm_P)
-                        or np.max(np.linalg.eigvals(closed).real) < 0.0):
-                    return P
-                return None
+                return P if _contract_failure(P, *residual) is None else None
     except (np.linalg.LinAlgError, ValueError):  # wrong-shaped guess, non-finite iterate
         pass
+    return None
+
+
+def _residual(
+    A: np.ndarray, Q: np.ndarray, G: np.ndarray, P: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``(closed, PC, res_norm, norm_P)`` of a symmetric ``P``: the closed
+    loop ``A − G P``, ``P @ closed``, the Frobenius norm of the Riccati
+    residual ``P A + Aᵀ P + Q − P G P`` (formed as ``PC + Aᵀ P + Q``,
+    since ``G = B R⁻¹ Bᵀ``) and the Frobenius norm of ``P``."""
+    closed = A - G @ P
+    PC = P @ closed
+    return closed, PC, _norm(PC + A.T @ P + Q), _norm(P)
+
+
+def _contract_failure(
+    P: np.ndarray, closed: np.ndarray, PC: np.ndarray, res_norm: float, norm_P: float
+) -> str | None:
+    """Why ``P`` breaks ``solve_are``'s contract, or None if it keeps it.
+
+    The arguments after ``P`` are its :func:`_residual`.  The contract is
+    a relative residual of at most ``1e-8 (1 + ||P||)``, then a Hurwitz
+    closed loop, shown by the Lyapunov certificate or, where that is
+    inconclusive, by ``np.linalg.eigvals``.
+    """
+    if not res_norm <= 1e-8 * (1.0 + norm_P):
+        return f"Riccati residual too large: {res_norm:.3e}"
+    if not (_lyapunov_certified(P, closed, PC, norm_P)
+            or np.max(np.linalg.eigvals(closed).real) < 0.0):
+        return "closed loop not Hurwitz; (A, B) may not be stabilizable"
     return None
 
 
@@ -249,7 +271,7 @@ def _lyapunov_certified(
     """Certificate that ``closed`` is Hurwitz: ``P ≻ 0`` and ``M ≻ 0`` for
     ``M = −(closedᵀ P + P closed)``.
 
-    ``P`` is the symmetric iterate, ``PC`` the computed ``P @ closed``
+    ``P`` is symmetric, ``PC`` the computed ``P @ closed``
     and ``norm_P`` the Frobenius norm of ``P``.  For an eigenpair
     ``closed v = λ v``, ``v* M v = −2 Re(λ) v* P v``, so the two
     definite matrices give ``Re λ < 0`` (Lyapunov).  True is a proof
@@ -337,24 +359,6 @@ def _lyapunov(closed: np.ndarray, C: np.ndarray) -> np.ndarray | None:
 def _no_sort(wr: float, wi: float) -> int:
     """Eigenvalue selector ``dgees`` requires; unused without sorting."""
     return 0
-
-
-def _verified(
-    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, P: np.ndarray
-) -> np.ndarray:
-    """Symmetrize ``P`` and check the residual and Hurwitz contract."""
-    P = 0.5 * (P + P.T)
-    Rinv_BT_P = np.linalg.solve(R, B.T @ P)
-    residual = P @ A + A.T @ P + Q - P @ B @ Rinv_BT_P
-    res_norm = np.linalg.norm(residual)
-    if res_norm > 1e-8 * (1.0 + np.linalg.norm(P)):
-        raise NumericsError(
-            f"Riccati residual too large: {res_norm:.3e}"
-        )
-    closed = A - B @ Rinv_BT_P
-    if np.max(np.linalg.eigvals(closed).real) >= 0.0:
-        raise NumericsError("closed loop not Hurwitz; (A, B) may not be stabilizable")
-    return P
 
 
 def matrix_exponential(M: np.ndarray, scale: float = 1.0) -> np.ndarray:

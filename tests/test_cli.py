@@ -126,13 +126,15 @@ class TestParseConfig:
         ("gmpsp", "tol_pct", "0", "> 0"),
         ("lqr", "r_weight", "-5", "> 0"),
         ("lqr", "r_weight", "0", "> 0"),
-        ("lqr", "q_weight", "-1", ">= 0"),
+        ("lqr", "q_weight", "-1", "> 0"),
+        ("lqr", "q_weight", "0", "> 0"),
         ("sdre", "r_weight", "0", "> 0"),
         ("sdre", "q_weight", "-1e-9", ">= 0"),
         ("mpsp", "r_weight", "-1e9", "> 0"),
         ("gmpsp", "r_weight", "0", "> 0"),
         ("nnlqr", "r_weight", "-1", "> 0"),
-        ("nnlqr", "q_weight", "-200", ">= 0"),
+        ("nnlqr", "q_weight", "-200", "> 0"),
+        ("nnlqr", "q_weight", "0", "> 0"),
         ("nnlqr", "r1", "0", "> 0"),
         ("nnlqr", "k_tau", "-1", "> 0"),
         ("nnlqr", "beta", "0", "> 0"),
@@ -247,11 +249,18 @@ _OPTION_VALUES = {
 }
 
 
+# LQR and NN-LQR need a positive state weight; the SDRE kinds allow zero.
+_POSITIVE_Q_KINDS = ("lqr", "nnlqr")
+
+
 @st.composite
 def _controllers(draw):
     kind = draw(st.sampled_from(sorted(CONTROLLER_OPTIONS)))
     names = [f.name for f in fields(CONTROLLER_OPTIONS[kind])]
-    options = draw(st.fixed_dictionaries({name: _OPTION_VALUES[name] for name in names}))
+    values = {name: _OPTION_VALUES[name] for name in names}
+    if kind in _POSITIVE_Q_KINDS:
+        values["Q"] = _weight(6, positive=True)
+    options = draw(st.fixed_dictionaries(values))
     return ControllerSpec(kind, options)
 
 

@@ -29,6 +29,7 @@ from formation_guidance.dynamics import (
     j2_differential_accel,
     propagate_nu,
 )
+from formation_guidance.harness import ControllerSpec, HarnessError, Scenario
 from formation_guidance.numerics import NumericsError, fd_jacobian, rk4_step
 
 
@@ -143,7 +144,7 @@ class TestChiefKinematics:
         numpy's array power is not the scalar pow."""
         rng = np.random.default_rng(round(100 * e))
         orbit = ChiefOrbit(a=rng.uniform(7000.0, 42000.0), e=e, nu0=rng.uniform(0.0, 6.3))
-        nus = np.concatenate([propagate_nu(orbit, 3000.0, 1.0),
+        nus = np.concatenate([propagate_nu(orbit, 3000, 1.0),
                               rng.uniform(-10.0, 20.0, 5000)])
         table = chief_kinematics_table(orbit, nus)
         assert len(table) == len(nus)
@@ -165,27 +166,32 @@ class TestPropagateNu:
     def test_circular_constant_rate(self):
         orbit = ChiefOrbit(a=10000.0, nu0=0.3)
         T = orbit.period()
-        nus = propagate_nu(orbit, T, T / 1000.0)
+        nus = propagate_nu(orbit, 1000, T / 1000.0)
         expected = 0.3 + orbit.mean_motion() * np.linspace(0.0, T, 1001)
         np.testing.assert_allclose(nus, expected, atol=1e-10)
 
     def test_one_period_advances_two_pi(self):
         orbit = ChiefOrbit(a=10000.0, e=0.1, nu0=0.0)
         T = orbit.period()
-        nus = propagate_nu(orbit, T, T / 20000.0)
+        nus = propagate_nu(orbit, 20000, T / 20000.0)
         assert nus[-1] - nus[0] == pytest.approx(2.0 * math.pi, abs=1e-6)
 
     def test_step_refinement_converges(self):
         orbit = ChiefOrbit(a=10000.0, e=0.15)
-        coarse = propagate_nu(orbit, 1000.0, 1.0)[-1]
-        fine = propagate_nu(orbit, 1000.0, 0.5)[-1]
+        coarse = propagate_nu(orbit, 1000, 1.0)[-1]
+        fine = propagate_nu(orbit, 2000, 0.5)[-1]
         assert abs(coarse - fine) < 1e-9
 
     @pytest.mark.parametrize("tf, dt", [(10.0, 3.0), (10.0, 0.0), (0.0, 1.0), (math.nan, 1.0),
                                         (10.0, math.inf)])
     def test_span_not_a_whole_number_of_steps_rejected(self, tf, dt):
-        with pytest.raises(DynamicsError):
-            propagate_nu(CIRC, tf, dt)
+        """propagate_nu takes a step count, which a run reads off its
+        Scenario: the one place that rejects a span that is not a whole
+        number of steps, before anything is propagated."""
+        ring = FormationParams(rho=1.0)
+        with pytest.raises(HarnessError):
+            Scenario(chief=CIRC, gravity=GravityModel(), initial=ring, desired=ring,
+                     tf=tf, dt=dt, controller=ControllerSpec("zero"))
 
 
 class TestNonlinearDeriv:
@@ -630,7 +636,7 @@ class TestFusedPlantStep:
             orbit = ChiefOrbit(a=9000.0 / (1.0 - e), e=e, nu0=rng.uniform(0.0, 2.0 * math.pi))
             n, dt = 500, 7.0
             _, nus = RelativePlant(orbit).propagate(np.ones(6), np.zeros((n, 3)), dt)
-            np.testing.assert_array_equal(propagate_nu(orbit, n * dt, dt), nus)
+            np.testing.assert_array_equal(propagate_nu(orbit, n, dt), nus)
 
     @pytest.mark.parametrize("j2", [False, True])
     def test_non_finite_control_raises_the_rk4_step_error(self, j2):

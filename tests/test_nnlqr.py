@@ -5,6 +5,7 @@ import pytest
 
 from formation_guidance.dynamics import (
     ACCEL_ROWS,
+    POSITION_ROWS,
     ChiefOrbit,
     FormationParams,
     GravityModel,
@@ -18,19 +19,15 @@ from formation_guidance.dynamics import (
 from formation_guidance.lqr import design_lqr, lqr_feedforward, lqr_tracking_control
 from formation_guidance.nnlqr import (
     AdaptationGains,
+    DisturbanceBasis,
     DisturbanceNet,
     NnLqrController,
     RbfNetwork,
     VirtualPlant,
     build_disturbance_basis,
-    costate_backprop,
     make_rbf_network,
-    nn1_update,
-    nn2_update,
     nnlqr_control_step,
-    rbf_eval,
     rbf_features,
-    virtual_plant_step,
 )
 from formation_guidance.numerics import NumericsError, fd_jacobian, rk4_step
 
@@ -38,6 +35,128 @@ ORBIT = ChiefOrbit(a=10000.0)
 OMEGA = ORBIT.mean_motion()
 B = np.zeros((6, 3))
 B[1, 0] = B[3, 1] = B[5, 2] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# The NN-LQR step in readable pieces, one per stage of the paper's loop.
+# Composed by ``_reference_step``, they are the oracle of the library's
+# single fused step, ``nnlqr_control_step``.
+
+
+def rbf_eval(net: RbfNetwork, X: np.ndarray) -> np.ndarray:
+    """Costate increment lambda_2 = W_c^T phi_c(X)."""
+    return net.W_c.T @ rbf_features(net, X)
+
+
+def nn1_update(net: RbfNetwork, target: np.ndarray, phi: np.ndarray, R1: float) -> None:
+    """Regularized least-squares weight update toward a costate target.
+
+    ``phi`` is ``rbf_features(net, X)`` at the training state X.
+    Minimizes ||W^T phi - target||^2 + R1 ||W - W_prev||^2, whose exact
+    minimizer for a single sample is the rank-one correction
+
+        W = W_prev + phi (target - W_prev^T phi)^T / (phi^T phi + R1).
+    """
+    if not R1 > 0.0:
+        raise ValueError("R1 must be positive")
+    resid = target - net.W_c.T @ phi
+    net.W_c += np.outer(phi, resid) / (phi @ phi + R1)
+
+
+def basis_eval(basis: DisturbanceBasis, X: np.ndarray, theta: float) -> np.ndarray:
+    """The disturbance basis Phi(X, theta), shape (basis.size,)."""
+    x, _, y, _, z, _ = X
+    p, _ = basis.power_series(x, y, z)
+    return np.array(
+        [p * x, p * y, p * z, np.sin(theta), np.cos(theta), np.sin(theta) * np.cos(theta), 1.0]
+    )
+
+
+def basis_jacobian(basis: DisturbanceBasis, X: np.ndarray, theta: float) -> np.ndarray:
+    """Analytic d Phi / d X, shape (basis.size, 6)."""
+    x, _, y, _, z, _ = X
+    J = np.zeros((basis.size, 6))
+    # Trig terms depend on time only; the constant term is flat.
+    J[:3, POSITION_ROWS] = basis.power_series(x, y, z)[1]
+    return J
+
+
+def d_hat(net: DisturbanceNet, phi: np.ndarray) -> np.ndarray:
+    """Estimated unmodeled acceleration as a 6-vector (rows 2, 4, 6),
+    from the basis ``phi = basis_eval(net.basis, X, theta)``."""
+    out = np.zeros(6)
+    out[ACCEL_ROWS] = net.weights @ phi
+    return out
+
+
+def d_hat_jacobian(net: DisturbanceNet, J_phi: np.ndarray) -> np.ndarray:
+    """d d_hat / d X as a 6x6 matrix, from the basis Jacobian
+    ``J_phi = basis_jacobian(net.basis, X, theta)``."""
+    out = np.zeros((6, 6))
+    out[ACCEL_ROWS, :] = net.weights @ J_phi
+    return out
+
+
+def nn2_update(
+    net: DisturbanceNet,
+    e: np.ndarray,
+    phi: np.ndarray,
+    G: np.ndarray,
+    gains: AdaptationGains,
+    dt: float,
+) -> None:
+    """Lyapunov-based weight update, explicit Euler at the control step.
+
+        dW_i/dt = beta_i e_i (I/gamma_i + G Theta G^T)^-1 Phi,
+
+    with the basis ``phi = Phi(X, theta)`` and its Jacobian
+    ``G = d Phi / d X`` at the measured state; e_i is the virtual-plant
+    error on channel i.  The identity regularization keeps the solve
+    nonsingular.
+    """
+    M = np.eye(net.basis.size) / gains.gamma + G @ gains.Theta @ G.T
+    direction = np.linalg.solve(M, phi)
+    for row, ch in enumerate(ACCEL_ROWS):
+        net.weights[row] += dt * gains.beta * e[ch] * direction
+
+
+def virtual_plant_step(
+    vp: VirtualPlant,
+    X: np.ndarray,
+    U: np.ndarray,
+    d_hat: np.ndarray,
+    A: np.ndarray,
+    B: np.ndarray,
+    dt: float,
+) -> np.ndarray:
+    """Advance the virtual plant one RK4 step; returns the new X_a.
+
+    The measured state X (and hence d_hat(X)) is held over the step.
+    """
+    forcing = A @ X + B @ U + d_hat + vp.K_tau @ X
+
+    def deriv(t: float, xa: np.ndarray) -> np.ndarray:
+        return forcing - vp.K_tau @ xa
+
+    vp.X_a = rk4_step(deriv, 0.0, vp.X_a, dt)
+    return vp.X_a
+
+
+def costate_backprop(
+    Xa_next: np.ndarray,
+    Xd_next: np.ndarray,
+    lam_next: np.ndarray,
+    A: np.ndarray,
+    Q: np.ndarray,
+    d_jac: np.ndarray,
+    dt: float,
+) -> np.ndarray:
+    """One backward Euler step of the costate equation.
+
+    lambda_dot = -Q (X - X_d) - (A + d d_hat/d X)^T lambda, evaluated at
+    the predicted state, stepped from t+dt back to t.
+    """
+    return lam_next + dt * (Q @ (Xa_next - Xd_next) + (A + d_jac).T @ lam_next)
 
 
 class TestRbfEval:
@@ -135,14 +254,15 @@ class TestNn1Update:
 
     def test_nonpositive_regularizer_rejected(self):
         net = make_rbf_network(1.0, OMEGA)
-        with pytest.raises(ValueError):
-            nn1_update(net, np.zeros(6), rbf_features(net, np.zeros(6)), 0.0)
+        for R1 in (0.0, math.nan):
+            with pytest.raises(ValueError, match="R1 must be positive"):
+                nn1_update(net, np.zeros(6), rbf_features(net, np.zeros(6)), R1)
 
 
 class TestDisturbanceBasis:
     def test_origin_zeros_power_series(self):
         basis = build_disturbance_basis(10000.0)
-        phi = basis.eval(np.zeros(6), 0.3)
+        phi = basis_eval(basis, np.zeros(6), 0.3)
         np.testing.assert_array_equal(phi[:3], np.zeros(3))
         # The trig/constant tail is independent of the state.
         np.testing.assert_allclose(
@@ -157,8 +277,8 @@ class TestDisturbanceBasis:
         for _ in range(20):
             X = rng.uniform(-50.0, 50.0, size=6)
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            J = basis.jacobian(X, theta)
-            J_fd = fd_jacobian(lambda s: basis.eval(s, theta), X)
+            J = basis_jacobian(basis, X, theta)
+            J_fd = fd_jacobian(lambda s: basis_eval(basis, s, theta), X)
             np.testing.assert_allclose(J, J_fd, atol=1e-6)
 
     def test_offline_least_squares_reconstruction(self):
@@ -178,7 +298,7 @@ class TestDisturbanceBasis:
             X = formation_to_hill(params, OMEGA, t)
             d = (cw_nonlinear_deriv(X, kin) - A @ X)[ACCEL_ROWS]
             d = d + j2_differential_accel(g, orbit, kin, X)
-            rows.append(basis.eval(X, theta))
+            rows.append(basis_eval(basis, X, theta))
             targets.append(d)
         Phi = np.array(rows)
         D = np.array(targets)
@@ -261,7 +381,9 @@ class TestNn2Update:
         gains = AdaptationGains(beta=0.1, gamma=10.0, Theta=np.eye(6))
         basis = net.basis
         X = np.ones(6)
-        nn2_update(net, np.zeros(6), basis.eval(X, 0.3), basis.jacobian(X, 0.3), gains, 1.0)
+        nn2_update(
+            net, np.zeros(6), basis_eval(basis, X, 0.3), basis_jacobian(basis, X, 0.3), gains, 1.0
+        )
         np.testing.assert_array_equal(net.weights, before)
 
     def test_zero_theta_reduces_to_gradient_rule(self):
@@ -273,8 +395,8 @@ class TestNn2Update:
         X = np.array([1.0, 0.0, 0.5, 0.0, -0.3, 0.0])
         e = np.zeros(6)
         e[3] = 2.0
-        phi = basis.eval(X, 0.7)
-        nn2_update(net, e, phi, basis.jacobian(X, 0.7), gains, 0.5)
+        phi = basis_eval(basis, X, 0.7)
+        nn2_update(net, e, phi, basis_jacobian(basis, X, 0.7), gains, 0.5)
         expected = np.zeros((3, basis.size))
         expected[1] = 0.5 * 0.2 * 5.0 * 2.0 * phi
         np.testing.assert_allclose(net.weights, expected, rtol=1e-12)
@@ -294,13 +416,13 @@ class TestNn2Update:
         for k in range(6000):
             theta = OMEGA * k * dt
             e = X - vp.X_a
-            phi = net.basis.eval(X, theta)
-            nn2_update(net, e, phi, net.basis.jacobian(X, theta), gains, dt)
-            d_hat = net.d_hat(phi)
-            virtual_plant_step(vp, X, np.zeros(3), d_hat, A, B, dt)
+            phi = basis_eval(net.basis, X, theta)
+            nn2_update(net, e, phi, basis_jacobian(net.basis, X, theta), gains, dt)
+            estimate = d_hat(net, phi)
+            virtual_plant_step(vp, X, np.zeros(3), estimate, A, B, dt)
             X = rk4_step(lambda t, x: A @ x + delta, 0.0, X, dt)
         assert abs(e[1]) < 1e-8
-        assert 0.5 * delta[1] < d_hat[1] < 1.5 * delta[1]
+        assert 0.5 * delta[1] < estimate[1] < 1.5 * delta[1]
 
     def test_invalid_gains_rejected(self):
         with pytest.raises(ValueError):
@@ -347,13 +469,14 @@ class TestCostateBackprop:
 
 
 def _reference_step(ctrl, X, Xd, Xd_dot, Xd_next, theta):
-    """The NN-LQR step composed from the public pieces: the oracle of
-    ``nnlqr_control_step``, which computes the same up to round-off."""
+    """The NN-LQR step composed from the reference pieces above: the
+    oracle of ``nnlqr_control_step``, which computes the same up to
+    round-off."""
     design, dt = ctrl.design, ctrl.dt
     P, A, B, Q, R = design.P, design.A, design.B, design.Q, design.R
     phi_c = rbf_features(ctrl.rbf, X)
-    phi_d = ctrl.dist.basis.eval(X, theta)
-    J_d = ctrl.dist.basis.jacobian(X, theta)
+    phi_d = basis_eval(ctrl.dist.basis, X, theta)
+    J_d = basis_jacobian(ctrl.dist.basis, X, theta)
     # (1) costates at the measured state, then the control.
     lam1 = P @ (X - Xd)
     lam2 = ctrl.rbf.W_c.T @ phi_c
@@ -361,14 +484,14 @@ def _reference_step(ctrl, X, Xd, Xd_dot, Xd_next, theta):
     # (2) NN2 training from the virtual-plant error.
     nn2_update(ctrl.dist, X - ctrl.vp.X_a, phi_d, J_d, ctrl.gains, dt)
     # (3) virtual-plant propagation under the applied control.
-    Xa_next = virtual_plant_step(ctrl.vp, X, U, ctrl.dist.d_hat(phi_d), A, B, dt)
+    Xa_next = virtual_plant_step(ctrl.vp, X, U, d_hat(ctrl.dist, phi_d), A, B, dt)
     # (4) costates at the predicted state.
     lam1_next = P @ (Xa_next - Xd_next)
     lam2_next = rbf_eval(ctrl.rbf, Xa_next)
     # (5) costate back-propagation to the current step.
     lam_target = costate_backprop(
         Xa_next, Xd_next, lam1_next + lam2_next, A, Q,
-        ctrl.dist.d_hat_jacobian(J_d), dt,
+        d_hat_jacobian(ctrl.dist, J_d), dt,
     )
     # (6) NN1 training toward the network share of the target.
     nn1_update(ctrl.rbf, lam_target - lam1_next, phi_c, ctrl.R1)
@@ -398,7 +521,7 @@ class TestControlStep:
     def test_matches_reference_composition(self, basis):
         """50 seeded steps, each from a random state, weights, virtual
         plant, K_tau and SPD Theta: the lean step agrees with the
-        composition of the public pieces within 1e-13 of each quantity's
+        composition of the reference pieces within 1e-13 of each quantity's
         largest magnitude."""
         rng = np.random.default_rng(23)
         scale = np.array([5.0, 5e-3, 5.0, 5e-3, 5.0, 5e-3])
@@ -442,7 +565,7 @@ class TestControlStep:
         rng = np.random.default_rng(4)
         for _ in range(20):
             X = rng.uniform(-50.0, 50.0, size=6)
-            J = basis.jacobian(X, rng.uniform(0.0, 2.0 * math.pi))
+            J = basis_jacobian(basis, X, rng.uniform(0.0, 2.0 * math.pi))
             np.testing.assert_array_equal(J[3:], 0.0)
             np.testing.assert_array_equal(J[:, 1::2], 0.0)
 

@@ -184,7 +184,7 @@ class TestInfiniteHorizonControl:
         omega = orbit.mean_motion()
         plant = RelativePlant(orbit)
         n, dt = 300, 1.0
-        nus = propagate_nu(orbit, n * dt, dt)
+        nus = propagate_nu(orbit, n, dt)
         Xd = formation_to_hill(FormationParams(rho=25.0, theta=0.5, m_slope=1.5), omega, 0.0)
         x0 = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), omega, 0.0)
         for R in (1e8 * np.eye(3), 1e11 * np.eye(3)):
