@@ -33,6 +33,7 @@ from formation_guidance.harness import (
     write_trajectory_csv,
 )
 from formation_guidance.lqr import design_lqr
+from test_nnlqr import nn1_update
 
 CIRC = ChiefOrbit(a=10000.0)
 OMEGA = CIRC.mean_motion()
@@ -93,7 +94,7 @@ _GUARD_IDS = [
     "FormationParams.rho", "FormationParams.theta", "ChiefOrbit.i", "ChiefOrbit.nu0",
     "Scenario.tf", "Scenario.dt", "settle_time", "hill_linear_matrices", "RbfNetwork.width",
     "AdaptationGains.beta", "AdaptationGains.gamma", "VirtualPlant.K_tau",
-    "NnLqrController.R1", "build_disturbance_basis",
+    "NnLqrController.R1", "nn1_update", "build_disturbance_basis",
 ]
 
 
@@ -113,6 +114,8 @@ _GUARD_IDS = [
     (lambda: nnlqr.AdaptationGains(beta=1.0, gamma=NAN, Theta=np.eye(6)), ValueError, "positive"),
     (lambda: nnlqr.VirtualPlant(X_a=np.zeros(6), K_tau=NAN * np.eye(6)), ValueError, "positive"),
     (lambda: _nnlqr_controller(R1=NAN), ValueError, "R1 must be positive"),
+    (lambda: nn1_update(nnlqr.make_rbf_network(5.0, OMEGA), np.zeros(6), np.zeros(27), NAN),
+     ValueError, "R1 must be positive"),
     (lambda: nnlqr.build_disturbance_basis(NAN), ValueError, "r_c must be positive"),
 ], ids=_GUARD_IDS)
 def test_non_finite_value_rejected_by_its_guard(build, error, match):
