@@ -67,7 +67,6 @@ import numpy as np
 from .dynamics import POSITION_ROWS, ChiefOrbit, FormationParams, GravityModel
 from .harness import (
     NOT_SETTLED,
-    CompareCell,
     ControllerSpec,
     HarnessError,
     RunResult,

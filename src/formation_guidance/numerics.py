@@ -4,23 +4,39 @@ A fixed-step classical RK4 integrator, an algebraic Riccati solver with
 residual verification, a matrix exponential, and a central-difference
 Jacobian used as an oracle for analytic derivatives.
 
+The cold Riccati solve, the factor of the control weight and the cold
+solve's contract check run on numpy alone.  ``scipy.linalg`` costs
+about 0.4 s and 30 MB to import, so it is reached only through
+:func:`scipy_linalg`, which imports it on first use: by the warm
+Riccati step of the pointwise SDRE law (raw LAPACK), by
+:func:`matrix_exponential`, and by the cold solve's fallback.  An LQR,
+NN-LQR or predictive run without the finite-horizon comparator never
+imports it.
+
 All operations are pure functions of their inputs and may be called
 concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 
 class NumericsError(RuntimeError):
     """Raised when a numerical kernel fails to meet its contract."""
+
+
+@functools.cache
+def scipy_linalg():
+    """The ``scipy.linalg`` module, imported at the first call."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def rk4_step(
@@ -65,6 +81,14 @@ NEWTON_MAX_STEPS = 4
 #: the 1e-8 contract so a warm ``P`` agrees with the cold one.
 NEWTON_TOL = 1e-14
 
+#: Most Newton steps of the matrix sign function before the cold solve
+#: falls back to scipy.  Well-posed problems take 3 to 7, and 21 with a
+#: state weight 1e-24 times the control weight.
+SIGN_MAX_STEPS = 40
+
+#: Relative change (1-norm) at which the sign iteration has converged.
+SIGN_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class RiccatiWeights:
@@ -91,15 +115,12 @@ def riccati_weights(B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> RiccatiWeigh
     try:
         # Absorb R into the input map (B L^-T with R = L L^T) so widely
         # scaled control weights keep the Hamiltonian pencil balanced.
-        # dtrtrs is the routine scipy's solve_triangular calls, with the
-        # same arguments, so B_tilde has the same bits.
+        # For a diagonal R, LU without a row exchange solves L X = Bᵀ
+        # with the bits of the triangular solve (LAPACK's dtrtrs).
         L = np.linalg.cholesky(np.asarray(R, dtype=float))
-        LinvBT, info = lapack.dtrtrs(L.T, B.T, lower=0, trans=1)
-    except Exception as exc:  # numpy raises LinAlgError, f2py ValueError
+        B_tilde = np.linalg.solve(L, B.T).T
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericsError(f"Riccati solve failed: {exc}") from exc
-    if info != 0:
-        raise NumericsError("Riccati solve failed: R is singular")
-    B_tilde = LinvBT.T
     G = B_tilde @ B_tilde.T
     return RiccatiWeights(B_tilde, G, _norm(G), _norm(np.asarray(Q, dtype=float)))
 
@@ -126,8 +147,26 @@ def solve_are(
     ``R``, like the pointwise SDRE law over one run, passes it to skip
     the factorization of ``R`` and the products of ``B``.
 
-    Without ``guess`` the solution is obtained from the Hamiltonian
-    invariant-subspace method (a cold solve).  With ``guess``, typically
+    Without ``guess`` the solve is cold (:func:`_cold_solve`).  It
+    computes ``W = sign(H)`` of the Hamiltonian ``H = [[A, −G], [−Q,
+    −Aᵀ]]``, ``G = B R⁻¹ Bᵀ``, by Newton's iteration with determinant
+    scaling (Byers, Linear Algebra Appl. 1987; Kenney & Laub, IEEE TAC
+    1995).  The iteration stops at a relative change of ``SIGN_TOL``, or
+    one step after a change of at most ``√SIGN_TOL``, when quadratic
+    convergence has reached the round-off floor.  ``P`` is the
+    symmetrized least-squares solution of ``[W₁₂; W₂₂ + I] P = −[W₁₁ +
+    I; W₂₁]``.  The iteration runs only for a symmetric positive
+    definite ``Q``: with a stabilizable ``(A, B)``, ``H`` then has no
+    eigenvalue on the imaginary axis, where the iteration could not
+    converge (with ``Q = 0`` it may have them).  scipy's
+    ``solve_continuous_are`` on the same ``(A, B L⁻ᵀ, Q, I)`` form
+    answers instead when ``Q`` fails that gate, when an iterate is
+    singular or not finite, when ``SIGN_MAX_STEPS`` steps do not
+    converge, or when the sign function's ``P`` breaks the contract.
+    So a cold solve raises only where scipy's raises or breaks the
+    contract.
+
+    With ``guess``, typically
     the solution for a nearby ``A``, Kleinman's Newton iteration (IEEE
     TAC 1968) starts from it instead: each step solves one Lyapunov
     equation for the closed loop of the previous iterate by the
@@ -150,17 +189,21 @@ def solve_are(
     The contract, for a cold and a warm ``P`` alike, is one check
     (:func:`_contract_failure`): the Riccati residual, formed with
     ``weights.G = B R⁻¹ Bᵀ``, is at most ``1e-8 (1 + ||P||)`` in the
-    Frobenius norm, and the closed loop is Hurwitz.  Hurwitz is first
-    offered a Lyapunov certificate (:func:`_lyapunov_certified`): ``P ≻
-    0`` and ``−(closedᵀ P + P closed) ≻ 0``, each shown by one Cholesky
-    factorization of the matrix shifted down by a proven bound on its
-    rounding, prove it without an eigenvalue solve.  Only when the
-    certificate is inconclusive, for example with a state weight so
-    small that ``Q + P G P`` is definite by less than the rounding
-    bound, does the check run ``np.linalg.eigvals``.  The check decides
-    only whether a ``P`` is returned: a warm ``P`` that fails it is
-    discarded for the cold solve, so a guess never makes the solve raise
-    where a cold solve succeeds, and a cold ``P`` that fails it raises.
+    Frobenius norm, and the closed loop is Hurwitz.  For a warm ``P``,
+    Hurwitz is first offered a Lyapunov certificate
+    (:func:`_lyapunov_certified`): ``P ≻ 0`` and ``−(closedᵀ P + P
+    closed) ≻ 0``, each shown by one Cholesky factorization of the
+    matrix shifted down by a proven bound on its rounding, prove it
+    without an eigenvalue solve.  Only when the certificate is
+    inconclusive, for example with a state weight so small that ``Q + P
+    G P`` is definite by less than the rounding bound, does the check
+    run ``np.linalg.eigvals``.  A cold ``P`` goes to ``eigvals``
+    directly: a certified loop is one that ``eigvals`` accepts, so the
+    decision is the same, and the cold check needs no LAPACK beyond
+    numpy's.  The check decides only whether a ``P`` is returned: a
+    warm ``P`` that fails it is discarded for the cold solve, so a
+    guess never makes the solve raise where a cold solve succeeds, and
+    a cold ``P`` that fails it raises.
 
     Raises
     ------
@@ -177,15 +220,74 @@ def solve_are(
         P = _newton_kleinman(A, Q, np.asarray(guess, dtype=float), weights)
         if P is not None:
             return P
+    return _cold_solve(A, Q, weights)
+
+
+def _cold_solve(A: np.ndarray, Q: np.ndarray, weights: RiccatiWeights) -> np.ndarray:
+    """The cold solve of ``solve_are``: the sign function of the
+    Hamiltonian, or scipy's ``solve_continuous_are`` where that fails.
+
+    Returns a ``P`` that meets the contract, or raises NumericsError.
+    """
+    P = _sign_solve(A, Q, weights)
+    if P is not None:
+        return P
+    B_tilde = weights.B_tilde
     try:
-        P = scipy.linalg.solve_continuous_are(A, weights.B_tilde, Q, np.eye(B.shape[1]))
+        P = scipy_linalg().solve_continuous_are(A, B_tilde, Q, np.eye(B_tilde.shape[1]))
     except Exception as exc:  # scipy raises LinAlgError or ValueError
         raise NumericsError(f"Riccati solve failed: {exc}") from exc
     P = 0.5 * (P + P.T)
-    failure = _contract_failure(P, *_residual(A, Q, weights.G, P))
+    failure = _contract_failure(P, *_residual(A, Q, weights.G, P), certify=False)
     if failure is not None:
         raise NumericsError(failure)
     return P
+
+
+def _sign_solve(A: np.ndarray, Q: np.ndarray, weights: RiccatiWeights) -> np.ndarray | None:
+    """The stabilizing ``P`` from the matrix sign function of the
+    Hamiltonian, or None when ``Q`` is not exactly symmetric and
+    positive definite, the sign iteration fails, or ``P`` breaks the
+    contract."""
+    try:
+        if not np.array_equal(Q, Q.T):
+            return None
+        np.linalg.cholesky(Q)
+        n = A.shape[0]
+        W = _matrix_sign(np.block([[A, -weights.G], [-Q, -A.T]]))
+        if W is None:
+            return None
+        eye = np.eye(n)
+        P = np.linalg.lstsq(np.vstack([W[:n, n:], W[n:, n:] + eye]),
+                            -np.vstack([W[:n, :n] + eye, W[n:, :n]]), rcond=None)[0]
+    except (np.linalg.LinAlgError, ValueError):  # Q not definite, shapes that do not fit
+        return None
+    P = 0.5 * (P + P.T)
+    if _contract_failure(P, *_residual(A, Q, weights.G, P), certify=False) is not None:
+        return None
+    return P
+
+
+def _matrix_sign(Z: np.ndarray) -> np.ndarray | None:
+    """``sign(Z)`` by the determinant-scaled Newton iteration ``Z ← (Z/c
+    + c Z⁻¹)/2``, ``c = |det Z|^(1/N)``; None when an iterate is singular
+    or not finite, or ``SIGN_MAX_STEPS`` steps do not converge."""
+    N = Z.shape[0]
+    near = False
+    for _ in range(SIGN_MAX_STEPS):
+        sign, logdet = np.linalg.slogdet(Z)
+        if sign == 0.0 or not math.isfinite(logdet):
+            return None
+        c = math.exp(logdet / N)
+        step = 0.5 * (Z / c + c * np.linalg.inv(Z))
+        change, size = np.linalg.norm(step - Z, 1), np.linalg.norm(step, 1)
+        Z = step
+        if not math.isfinite(size):
+            return None
+        if near or change <= SIGN_TOL * size:
+            return Z
+        near = change <= math.sqrt(SIGN_TOL) * size
+    return None
 
 
 def _newton_kleinman(
@@ -217,7 +319,7 @@ def _newton_kleinman(
             scale = max(1.0 + norm_P,
                         norm_A * norm_P + norm_P**2 * weights.norm_G + weights.norm_Q)
             if res_norm <= NEWTON_TOL * scale:
-                return P if _contract_failure(P, *residual) is None else None
+                return P if _contract_failure(P, *residual, certify=True) is None else None
     except (np.linalg.LinAlgError, ValueError):  # wrong-shaped guess, non-finite iterate
         pass
     return None
@@ -236,18 +338,20 @@ def _residual(
 
 
 def _contract_failure(
-    P: np.ndarray, closed: np.ndarray, PC: np.ndarray, res_norm: float, norm_P: float
+    P: np.ndarray, closed: np.ndarray, PC: np.ndarray, res_norm: float, norm_P: float,
+    *, certify: bool,
 ) -> str | None:
     """Why ``P`` breaks ``solve_are``'s contract, or None if it keeps it.
 
     The arguments after ``P`` are its :func:`_residual`.  The contract is
     a relative residual of at most ``1e-8 (1 + ||P||)``, then a Hurwitz
-    closed loop, shown by the Lyapunov certificate or, where that is
-    inconclusive, by ``np.linalg.eigvals``.
+    closed loop, shown with ``certify`` by the Lyapunov certificate or,
+    where that is inconclusive or not asked for, by ``np.linalg.eigvals``.
+    Both give the same decision; the certificate is the faster one.
     """
     if not res_norm <= 1e-8 * (1.0 + norm_P):
         return f"Riccati residual too large: {res_norm:.3e}"
-    if not (_lyapunov_certified(P, closed, PC, norm_P)
+    if not ((certify and _lyapunov_certified(P, closed, PC, norm_P))
             or np.max(np.linalg.eigvals(closed).real) < 0.0):
         return "closed loop not Hurwitz; (A, B) may not be stabilizable"
     return None
@@ -332,7 +436,7 @@ def _positive_definite(S: np.ndarray, norm_S: float, err: float) -> bool:
         return False
     shifted = S.copy()
     shifted.ravel()[::n + 1] -= shift
-    _, info = lapack.dpotrf(shifted, overwrite_a=1, clean=0)
+    _, info = scipy_linalg().lapack.dpotrf(shifted, overwrite_a=1, clean=0)
     return info == 0
 
 
@@ -347,6 +451,7 @@ def _lyapunov(closed: np.ndarray, C: np.ndarray) -> np.ndarray | None:
     of its Schur form) or when ``dgees`` or ``dtrsyl`` reports a failure,
     including eigenvalue sums near zero.
     """
+    lapack = scipy_linalg().lapack
     T, _, wr, _, Z, _, info = lapack.dgees(_no_sort, closed.T)
     if info != 0 or not wr.max() < 0.0:
         return None
@@ -367,7 +472,7 @@ def matrix_exponential(M: np.ndarray, scale: float = 1.0) -> np.ndarray:
     Accurate to about 1e-10 relative on well-conditioned inputs.
     """
     M = np.asarray(M, dtype=float)
-    out = scipy.linalg.expm(M * scale)
+    out = scipy_linalg().expm(M * scale)
     if not np.all(np.isfinite(out)):
         raise NumericsError("overflow in matrix exponential")
     return out

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .dynamics import MU_EARTH, B, ChiefKinematics
-from .numerics import RiccatiWeights, matrix_exponential, solve_are
+from .numerics import RiccatiWeights, matrix_exponential, scipy_linalg, solve_are
 from .options import SdreOptions
 
 
@@ -177,7 +176,7 @@ def sdre_infinite_control(
         P = solve_are(A, B, Q, R, guess, weights=weights)
     except Exception as exc:
         raise SdreError(f"pointwise Riccati failed at state {state}: {exc}") from exc
-    _, _, x, info = lapack.dgesv(R, B.T @ (P @ (state - Xd)))
+    _, _, x, info = scipy_linalg().lapack.dgesv(R, B.T @ (P @ (state - Xd)))
     if info != 0:
         raise SdreError("control weight R is singular")
     return -x, P

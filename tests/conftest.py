@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import settings
 
 from formation_guidance import numerics
@@ -14,15 +13,16 @@ settings.load_profile("deterministic")
 
 @pytest.fixture
 def care_calls(monkeypatch):
-    """List that grows by one at each cold scipy Riccati solve in the test."""
+    """List that grows by one at each cold Riccati solve in the test,
+    whether the sign function or its scipy fallback finishes it."""
     calls = []
-    solve = scipy.linalg.solve_continuous_are
+    solve = numerics._cold_solve
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", counted)
+    monkeypatch.setattr(numerics, "_cold_solve", counted)
     return calls
 
 

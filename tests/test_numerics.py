@@ -12,6 +12,7 @@ from formation_guidance.dynamics import (
     GravityModel,
     chief_kinematics,
     formation_to_hill,
+    hill_linear_matrices,
 )
 from formation_guidance.numerics import (
     NumericsError,
@@ -179,6 +180,139 @@ class TestSolveAreWarmStart:
         assert np.linalg.norm(P - solve_are(A, B, Q, R)) == 0.0
 
 
+@pytest.fixture
+def scipy_care_calls(monkeypatch):
+    """List that grows by one at each call of scipy's Riccati solver, the
+    cold solve's fallback."""
+    calls = []
+    solve = scipy.linalg.solve_continuous_are
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", counted)
+    return calls
+
+
+def _scipy_path(A, B, Q, R):
+    """The cold solve's scipy fallback alone: its contract-checked ``P``,
+    or None where it raises."""
+    weights = riccati_weights(B, Q, R)
+    try:
+        P = scipy.linalg.solve_continuous_are(A, weights.B_tilde, Q, np.eye(B.shape[1]))
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    P = 0.5 * (P + P.T)
+    failure = numerics._contract_failure(P, *numerics._residual(A, Q, weights.G, P),
+                                         certify=False)
+    return P if failure is None else None
+
+
+class TestColdSolve:
+    """The sign-function cold solve and its scipy fallback."""
+
+    def test_sign_and_scipy_fail_on_the_same_draws(self, scipy_care_calls):
+        """The first 200 draws of acceptance criterion 11's seed-7 loop,
+        those it would skip included: the sign function answers exactly
+        where the scipy solve answers, without calling it, and agrees
+        with it.  So the criterion checks the same systems whichever path
+        solves them."""
+        sign_failed, scipy_failed = [], []
+        for k, (A, B, Q, R) in enumerate(_criterion_11_draws(200)):
+            P = numerics._sign_solve(A, Q, riccati_weights(B, Q, R))
+            expected = _scipy_path(A, B, Q, R)
+            if P is None:
+                sign_failed.append(k)
+            if expected is None:
+                scipy_failed.append(k)
+            if P is not None and expected is not None:
+                assert np.linalg.norm(P - expected) <= 1e-9 * np.linalg.norm(expected)
+        assert sign_failed == scipy_failed
+        scipy_care_calls.clear()
+        for A, B, Q, R in _criterion_11_draws(100):
+            solve_are(A, B, Q, R)
+        assert scipy_care_calls == []
+
+    @pytest.mark.parametrize("Q_weight, R_weight", [
+        (1.0, 1e2), (1.0, 1e8), (1.0, 1e11), (200.0, 1e2), (200.0, 1e8), (200.0, 1e11),
+        (200.0, 0.09),
+    ])
+    def test_hill_pair_matches_scipy(self, Q_weight, R_weight, scipy_care_calls):
+        """The LQR design pairs of the presets: the sign function's ``P``
+        agrees with scipy's to 1e-12 relative."""
+        A, B = hill_linear_matrices(0.0006313)
+        Q, R = Q_weight * np.eye(6), R_weight * np.eye(3)
+        P = solve_are(A, B, Q, R)
+        assert scipy_care_calls == []
+        expected = _scipy_path(A, B, Q, R)
+        assert np.linalg.norm(P - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_zero_state_weight_goes_to_scipy(self, scipy_care_calls, contract_holds):
+        """With Q = 0 the Hamiltonian may have eigenvalues on the
+        imaginary axis, where the sign iteration cannot converge: the
+        gate sends the solve to scipy at once, which finds the
+        stabilizing root of 2P − P² = 0."""
+        A, B, Q, R = np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1)
+        P = solve_are(A, B, Q, R)
+        assert len(scipy_care_calls) == 1
+        assert P[0, 0] == pytest.approx(2.0, abs=1e-10)
+        assert contract_holds(A, B, Q, R, P)
+
+    def test_asymmetric_state_weight_goes_to_scipy(self, scipy_care_calls):
+        """scipy rejects a Q that is not symmetric to round-off; the sign
+        function, which would answer a nearby problem, leaves it to scipy."""
+        A, B = np.eye(2), np.eye(2)
+        Q = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(NumericsError, match="symmetric"):
+            solve_are(A, B, Q, np.eye(2))
+        assert len(scipy_care_calls) == 1
+
+    def test_step_cap_falls_back_to_scipy(self, scipy_care_calls, monkeypatch):
+        """A sign iteration that runs out of steps hands the solve to
+        scipy, whose answer is returned with its bits."""
+        monkeypatch.setattr(numerics, "SIGN_MAX_STEPS", 1)
+        for A, B, Q, R in _criterion_11_draws(10):
+            P = solve_are(A, B, Q, R)
+            assert P.tobytes() == _scipy_path(A, B, Q, R).tobytes()
+        assert len(scipy_care_calls) == 2 * 10
+
+    def test_contract_failure_falls_back_to_scipy(
+        self, scipy_care_calls, monkeypatch, contract_holds
+    ):
+        """With ``-sign(H)`` the subspace formula gives the anti-stabilizing
+        solution of the same equation: its residual is small but its
+        closed loop unstable, so the contract rejects it and scipy
+        answers."""
+        matrix_sign = numerics._matrix_sign
+        monkeypatch.setattr(numerics, "_matrix_sign", lambda Z: -matrix_sign(Z))
+        for A, B, Q, R in _criterion_11_draws(10):
+            weights = riccati_weights(B, Q, R)
+            H = np.block([[A, -weights.G], [-Q, -A.T]])
+            W = -matrix_sign(H)
+            n = A.shape[0]
+            anti = np.linalg.lstsq(np.vstack([W[:n, n:], W[n:, n:] + np.eye(n)]),
+                                   -np.vstack([W[:n, :n] + np.eye(n), W[n:, :n]]),
+                                   rcond=None)[0]
+            anti = 0.5 * (anti + anti.T)
+            closed, _, res_norm, norm_P = numerics._residual(A, Q, weights.G, anti)
+            assert res_norm <= 1e-8 * (1.0 + norm_P)
+            assert np.max(np.linalg.eigvals(closed).real) > 0.0
+            P = solve_are(A, B, Q, R)
+            assert contract_holds(A, B, Q, R, P)
+            assert P.tobytes() == _scipy_path(A, B, Q, R).tobytes()
+        assert len(scipy_care_calls) == 2 * 10
+
+    @pytest.mark.parametrize("A", [np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])])
+    def test_unstabilizable_pair_raises_after_scipy(self, A, scipy_care_calls):
+        """An uncontrolled unstable or undamped pair: the sign function's
+        answer is not stabilizing (or does not converge), and the solve
+        raises only after the scipy fallback has failed too."""
+        with pytest.raises(NumericsError):
+            solve_are(A, np.zeros((2, 1)), np.eye(2), np.eye(1))
+        assert len(scipy_care_calls) == 1
+
+
 def _certified(P, closed):
     """The certificate as the Newton loop calls it, from P and closed."""
     return numerics._lyapunov_certified(P, closed, P @ closed, numerics._norm(P))
@@ -189,11 +323,11 @@ def _eigvals_hurwitz(closed):
     return bool(np.max(np.linalg.eigvals(closed).real) < 0.0)
 
 
-def _criterion_11_draws():
-    """The first 100 systems (A, B, Q, R) that acceptance criterion 11's
-    seed-7 loop draws, drawn as it draws them."""
+def _criterion_11_draws(count=100):
+    """The first ``count`` systems (A, B, Q, R) that acceptance criterion
+    11's seed-7 loop draws, drawn as it draws them."""
     rng = np.random.default_rng(7)
-    for _ in range(100):
+    for _ in range(count):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(1, 3))
         A = rng.normal(size=(n, n))
@@ -373,34 +507,44 @@ class TestCertificateFallback:
     def test_fallback_to_eigvals_keeps_the_bits(
         self, q_weight, certified, cold, care_calls, monkeypatch
     ):
-        """Cold and warm solves share one contract check: each offers its
-        P to the certificate once, and each that the certificate leaves
-        open runs the literal eigvals test and keeps its P; trajectory
-        and controls equal, bit for bit, a run with the certificate off.
+        """Cold and warm solves share one contract check: each warm solve
+        offers its P to the certificate once, and each that the
+        certificate leaves open runs the literal eigvals test and keeps
+        its P; each cold solve runs eigvals once and never the
+        certificate, which would decide the same.  Trajectory and
+        controls equal, bit for bit, a run with the certificate off.
         ``certified`` counts the warm steps the certificate decides."""
-        answers, warm, eigvals_calls = [], [], []
-        cold_seen = [0]
+        # Keyed by whether the call is made inside a cold solve.
+        answers = {False: [], True: []}
+        eigvals_calls = {False: 0, True: 0}
+        in_cold = [False]
         certificate, eigvals = numerics._lyapunov_certified, np.linalg.eigvals
+        cold_solve = numerics._cold_solve
 
         def spied(*args):
-            answers.append(certificate(*args))
-            # A cold solve's check follows its scipy call at once.
-            if len(care_calls) == cold_seen[0]:
-                warm.append(answers[-1])
-            cold_seen[0] = len(care_calls)
-            return answers[-1]
+            answers[in_cold[0]].append(certificate(*args))
+            return answers[in_cold[0]][-1]
 
         def counted(a):
-            eigvals_calls.append(1)
+            eigvals_calls[in_cold[0]] += 1
             return eigvals(a)
+
+        def cold_spied(*args):
+            in_cold[0] = True
+            try:
+                return cold_solve(*args)
+            finally:
+                in_cold[0] = False
 
         monkeypatch.setattr(numerics, "_lyapunov_certified", spied)
         monkeypatch.setattr(np.linalg, "eigvals", counted)
+        monkeypatch.setattr(numerics, "_cold_solve", cold_spied)
         result = self._run(q_weight)
+        warm = answers[False]
         assert (sum(warm), len(care_calls)) == (certified, cold)
-        assert len(answers) - len(warm) == cold
-        # One eigvals per solve the certificate leaves open.
-        assert len(eigvals_calls) == len(answers) - sum(answers)
+        assert answers[True] == [] and eigvals_calls[True] == cold
+        # One eigvals per warm solve the certificate leaves open.
+        assert eigvals_calls[False] == len(warm) - sum(warm)
         monkeypatch.setattr(numerics, "_lyapunov_certified", lambda *args: False)
         off = self._run(q_weight)
         assert result.states.tobytes() == off.states.tobytes()
@@ -427,6 +571,35 @@ class TestRiccatiWeights:
         np.testing.assert_allclose(w.G, B @ np.linalg.solve(R, B.T), rtol=1e-14)
         np.testing.assert_allclose(w.B_tilde @ np.linalg.cholesky(R).T, B, rtol=0, atol=1e-15)
         assert w.norm_G == np.linalg.norm(w.G) and w.norm_Q == np.linalg.norm(Q)
+
+    @pytest.mark.parametrize("r", [0.09, 3.7, 1e2, 1e8, 1e9, 1e10, 1e11])
+    def test_input_map_has_the_triangular_solve_bits_on_diagonal_r(self, r):
+        """For a diagonal R, ``B_tilde = B L⁻ᵀ`` from numpy's LU solve has
+        the bits of LAPACK's triangular solve ``dtrtrs``, on Hill's B and
+        on random ones, with equal and with unequal diagonals."""
+        rng = np.random.default_rng(3)
+        for m in (1, 2, 3):
+            inputs = [rng.normal(size=(6, m)) for _ in range(10)] + [B_HILL[:, :m]]
+            for B in inputs:
+                for R in (r * np.eye(m), np.diag(r * 10.0 ** rng.uniform(-1.0, 1.0, m))):
+                    L = np.linalg.cholesky(R)
+                    X, info = scipy.linalg.lapack.dtrtrs(L.T, B.T, lower=0, trans=1)
+                    assert info == 0
+                    assert riccati_weights(B, np.eye(6), R).B_tilde.tobytes() == X.T.tobytes()
+
+    def test_input_map_matches_the_triangular_solve_on_full_r(self):
+        """For a full R, LU pivots and the bits may differ, by no more
+        than a backward-stable solve allows: 1e-15 cond(L) relative."""
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            m = int(rng.integers(2, 4))
+            B, M = rng.normal(size=(6, m)), rng.normal(size=(m, m))
+            R = (M @ M.T + 10.0 ** rng.uniform(-3.0, 1.0) * np.eye(m)) * 10.0 ** rng.uniform(-2, 11)
+            L = np.linalg.cholesky(R)
+            X, _ = scipy.linalg.lapack.dtrtrs(L.T, B.T, lower=0, trans=1)
+            B_tilde = riccati_weights(B, np.eye(6), R).B_tilde
+            assert (np.linalg.norm(B_tilde - X.T)
+                    <= 1e-15 * np.linalg.cond(L) * np.linalg.norm(X))
 
     def test_frobenius_norm_matches_numpy_bits(self):
         rng = np.random.default_rng(5)
