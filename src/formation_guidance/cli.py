@@ -530,8 +530,7 @@ def _preset_sweep_r():
     def check(results):
         settles = [results[f"R{v:.0e}"].settle_time for v in SWEEP_R_VALUES]
         efforts = [results[f"R{v:.0e}"].control_effort for v in SWEEP_R_VALUES]
-        mono_settle = all(a < b for a, b in zip(settles, settles[1:]))
-        mono_effort = all(a > b for a, b in zip(efforts, efforts[1:]))
+        mono_settle, mono_effort = _weight_trends(settles, efforts)
         in_band = all(
             lo <= s <= hi for s, (lo, hi) in zip(settles, SWEEP_R_SETTLE_BANDS)
         )
@@ -544,6 +543,13 @@ def _preset_sweep_r():
              bool(in_band), f"settle {settles} vs bands {SWEEP_R_SETTLE_BANDS}"),
         ]
     return runs, check
+
+
+def _weight_trends(settles, efforts) -> tuple[bool, bool]:
+    """Whether settle time strictly rises and control effort strictly
+    falls, both listed by increasing control weight."""
+    return (all(a < b for a, b in zip(settles, settles[1:])),
+            all(a > b for a, b in zip(efforts, efforts[1:])))
 
 
 # State weight shared by the plain baseline and the augmented run so the two
@@ -682,12 +688,8 @@ def cmd_sweep_r(args) -> int:
     # The trends are checked in order of increasing weight; the rows stay
     # in the order given.
     ascending = [r for _, (_, r) in sorted(zip(args.values, results), key=lambda p: p[0])]
-    settles = [r.settle_time for r in ascending]
-    efforts = [r.control_effort for r in ascending]
-    monotone = all(a < b for a, b in zip(settles, settles[1:])) and all(
-        a > b for a, b in zip(efforts, efforts[1:])
-    )
-    if not monotone:
+    if not all(_weight_trends([r.settle_time for r in ascending],
+                              [r.control_effort for r in ascending])):
         print("sweep-r: settle/effort ordering violated")
         return EXIT_CRITERION
     return EXIT_OK
@@ -795,10 +797,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except Exception as exc:  # simulation/controller failures
+    except Exception as exc:  # config errors and simulation/controller failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

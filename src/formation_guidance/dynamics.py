@@ -166,18 +166,18 @@ def chief_kinematics(orbit: ChiefOrbit, nu: float) -> ChiefKinematics:
     nu_dot = sqrt(mu a (1-e^2)) / r_c^2,
     nu_ddot = -2 mu e (1 + e cos nu)^3 sin nu / (a^3 (1-e^2)^3).
     """
-    r_c, nu_dot, nu_ddot = _chief_rates(orbit, nu)
-    return ChiefKinematics(nu=float(nu), nu_dot=float(nu_dot), nu_ddot=float(nu_ddot), r_c=float(r_c))
+    r_c, nu_dot, nu_ddot = _float_rates(orbit)(float(np.cos(nu)), float(np.sin(nu)))
+    return ChiefKinematics(nu=float(nu), nu_dot=nu_dot, nu_ddot=nu_ddot, r_c=r_c)
 
 
 def chief_kinematics_table(orbit: ChiefOrbit, nus: np.ndarray) -> list[ChiefKinematics]:
     """:func:`chief_kinematics` at each true anomaly of ``nus``, bit for bit.
 
     The sines and cosines are taken over the whole array in one call
-    each and the rest in float arithmetic (:func:`_float_rates`): a
-    plain array pass of :func:`_chief_rates` can round differently,
-    since numpy's array power (a squaring loop and a vectorized ``pow``)
-    is not the scalar ``pow`` that :func:`chief_kinematics` uses.
+    each and the rest in float arithmetic (:func:`_float_rates`, as in
+    :func:`chief_kinematics`): a plain array pass of :func:`_chief_rates`
+    can round differently, since numpy's array power (a squaring loop
+    and a vectorized ``pow``) is not the scalar ``pow``.
     """
     rates = _float_rates(orbit)
     table = []
@@ -189,9 +189,8 @@ def chief_kinematics_table(orbit: ChiefOrbit, nus: np.ndarray) -> list[ChiefKine
 
 def _float_rates(orbit: ChiefOrbit) -> Callable[[float, float], tuple]:
     """``rates(cos(nu), sin(nu)) -> (r_c, nu_dot, nu_ddot)`` in Python
-    floats, with the operations of :func:`chief_kinematics` and so its
-    bits; float ``**`` calls the scalar ``pow`` that numpy's scalar power
-    calls."""
+    floats: the formulas of :func:`chief_kinematics`, which reads them
+    here, as do its per-run table and the chief's RK4 stages."""
     a, e = orbit.a, orbit.e
     p = a * (1.0 - e**2)
     sqrt_mu_p = float(np.sqrt(MU_EARTH * p))
@@ -207,8 +206,9 @@ def _float_rates(orbit: ChiefOrbit) -> Callable[[float, float], tuple]:
 
 
 def _chief_rates(orbit: ChiefOrbit, nu):
-    """(r_c, nu_dot, nu_ddot) of :func:`chief_kinematics`, elementwise
-    over a true anomaly or an array of them."""
+    """(r_c, nu_dot, nu_ddot) of :func:`chief_kinematics` elementwise
+    over an array of true anomalies: the batched form that
+    :meth:`RelativePlant.f_jacobian` uses."""
     a, e = orbit.a, orbit.e
     p = a * (1.0 - e**2)
     q = 1.0 + e * np.cos(nu)

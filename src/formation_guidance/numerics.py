@@ -186,24 +186,17 @@ def solve_are(
     with the cold solve to about 1e-11 relative (at most 7e-12 on the
     pointwise SDRE of a circular chief for R = 1e8 ... 1e11).
 
-    The contract, for a cold and a warm ``P`` alike, is one check
-    (:func:`_contract_failure`): the Riccati residual, formed with
-    ``weights.G = B R⁻¹ Bᵀ``, is at most ``1e-8 (1 + ||P||)`` in the
-    Frobenius norm, and the closed loop is Hurwitz.  For a warm ``P``,
-    Hurwitz is first offered a Lyapunov certificate
-    (:func:`_lyapunov_certified`): ``P ≻ 0`` and ``−(closedᵀ P + P
-    closed) ≻ 0``, each shown by one Cholesky factorization of the
-    matrix shifted down by a proven bound on its rounding, prove it
-    without an eigenvalue solve.  Only when the certificate is
-    inconclusive, for example with a state weight so small that ``Q + P
-    G P`` is definite by less than the rounding bound, does the check
-    run ``np.linalg.eigvals``.  A cold ``P`` goes to ``eigvals``
-    directly: a certified loop is one that ``eigvals`` accepts, so the
-    decision is the same, and the cold check needs no LAPACK beyond
-    numpy's.  The check decides only whether a ``P`` is returned: a
-    warm ``P`` that fails it is discarded for the cold solve, so a
-    guess never makes the solve raise where a cold solve succeeds, and
-    a cold ``P`` that fails it raises.
+    The contract, for a cold and a warm ``P`` alike, is a Riccati
+    residual, formed with ``weights.G = B R⁻¹ Bᵀ``, of at most ``1e-8 (1
+    + ||P||)`` in the Frobenius norm (:func:`_residual_ok`), and a
+    Hurwitz closed loop.  A warm ``P`` is tested for Hurwitz as every
+    Newton iterate is, on the real parts of a ``dgees`` Schur form, here
+    one more of its own closed loop (:func:`_hurwitz_schur`); a cold
+    ``P`` by ``np.linalg.eigvals`` (:func:`_contract_failure`), which
+    needs no LAPACK beyond numpy's.  The check decides only whether a ``P`` is
+    returned: a warm ``P`` that fails it is discarded for the cold
+    solve, so a guess never makes the solve raise where a cold solve
+    succeeds, and a cold ``P`` that fails it raises.
 
     Raises
     ------
@@ -238,7 +231,7 @@ def _cold_solve(A: np.ndarray, Q: np.ndarray, weights: RiccatiWeights) -> np.nda
     except Exception as exc:  # scipy raises LinAlgError or ValueError
         raise NumericsError(f"Riccati solve failed: {exc}") from exc
     P = 0.5 * (P + P.T)
-    failure = _contract_failure(P, *_residual(A, Q, weights.G, P), certify=False)
+    failure = _contract_failure(*_residual(A, Q, weights.G, P))
     if failure is not None:
         raise NumericsError(failure)
     return P
@@ -263,7 +256,7 @@ def _sign_solve(A: np.ndarray, Q: np.ndarray, weights: RiccatiWeights) -> np.nda
     except (np.linalg.LinAlgError, ValueError):  # Q not definite, shapes that do not fit
         return None
     P = 0.5 * (P + P.T)
-    if _contract_failure(P, *_residual(A, Q, weights.G, P), certify=False) is not None:
+    if _contract_failure(*_residual(A, Q, weights.G, P)) is not None:
         return None
     return P
 
@@ -302,7 +295,8 @@ def _newton_kleinman(
     residual is measured against the larger of ``1 + ||P||`` and the
     size of its terms: the round-off floor of a badly scaled system lies
     above ``NEWTON_TOL (1 + ||P||)``, and Newton would stagnate there
-    until the fallback.
+    until the fallback.  The converged iterate's closed loop passes the
+    Schur-form Hurwitz test of every step (:func:`_hurwitz_schur`).
     """
     G = weights.G
     try:
@@ -314,12 +308,13 @@ def _newton_kleinman(
             if P is None:
                 return None
             P = 0.5 * (P + P.T)
-            residual = _residual(A, Q, G, P)
-            closed, _, res_norm, norm_P = residual
+            closed, res_norm, norm_P = _residual(A, Q, G, P)
             scale = max(1.0 + norm_P,
                         norm_A * norm_P + norm_P**2 * weights.norm_G + weights.norm_Q)
             if res_norm <= NEWTON_TOL * scale:
-                return P if _contract_failure(P, *residual, certify=True) is None else None
+                if _residual_ok(res_norm, norm_P) and _hurwitz_schur(closed) is not None:
+                    return P
+                return None
     except (np.linalg.LinAlgError, ValueError):  # wrong-shaped guess, non-finite iterate
         pass
     return None
@@ -327,32 +322,31 @@ def _newton_kleinman(
 
 def _residual(
     A: np.ndarray, Q: np.ndarray, G: np.ndarray, P: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """``(closed, PC, res_norm, norm_P)`` of a symmetric ``P``: the closed
-    loop ``A − G P``, ``P @ closed``, the Frobenius norm of the Riccati
-    residual ``P A + Aᵀ P + Q − P G P`` (formed as ``PC + Aᵀ P + Q``,
-    since ``G = B R⁻¹ Bᵀ``) and the Frobenius norm of ``P``."""
+) -> tuple[np.ndarray, float, float]:
+    """``(closed, res_norm, norm_P)`` of a symmetric ``P``: the closed
+    loop ``A − G P``, the Frobenius norm of the Riccati residual ``P A +
+    Aᵀ P + Q − P G P`` (formed as ``P closed + Aᵀ P + Q``, since ``G = B
+    R⁻¹ Bᵀ``) and the Frobenius norm of ``P``."""
     closed = A - G @ P
-    PC = P @ closed
-    return closed, PC, _norm(PC + A.T @ P + Q), _norm(P)
+    return closed, _norm(P @ closed + A.T @ P + Q), _norm(P)
 
 
-def _contract_failure(
-    P: np.ndarray, closed: np.ndarray, PC: np.ndarray, res_norm: float, norm_P: float,
-    *, certify: bool,
-) -> str | None:
-    """Why ``P`` breaks ``solve_are``'s contract, or None if it keeps it.
+def _residual_ok(res_norm: float, norm_P: float) -> bool:
+    """Whether a Riccati residual meets the contract's ``1e-8 (1 + ||P||)``."""
+    return res_norm <= 1e-8 * (1.0 + norm_P)
 
-    The arguments after ``P`` are its :func:`_residual`.  The contract is
-    a relative residual of at most ``1e-8 (1 + ||P||)``, then a Hurwitz
-    closed loop, shown with ``certify`` by the Lyapunov certificate or,
-    where that is inconclusive or not asked for, by ``np.linalg.eigvals``.
-    Both give the same decision; the certificate is the faster one.
+
+def _contract_failure(closed: np.ndarray, res_norm: float, norm_P: float) -> str | None:
+    """Why a cold ``P`` breaks ``solve_are``'s contract, or None if it
+    keeps it.
+
+    The arguments are its :func:`_residual`.  The contract is the
+    residual bound of :func:`_residual_ok`, then a closed loop that
+    ``np.linalg.eigvals`` finds Hurwitz.
     """
-    if not res_norm <= 1e-8 * (1.0 + norm_P):
+    if not _residual_ok(res_norm, norm_P):
         return f"Riccati residual too large: {res_norm:.3e}"
-    if not ((certify and _lyapunov_certified(P, closed, PC, norm_P))
-            or np.max(np.linalg.eigvals(closed).real) < 0.0):
+    if not np.max(np.linalg.eigvals(closed).real) < 0.0:
         return "closed loop not Hurwitz; (A, B) may not be stabilizable"
     return None
 
@@ -364,101 +358,35 @@ def _norm(X: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-#: Unit roundoff and the smallest subnormal of IEEE double precision.
-_U = 2.0**-53
-_ETA = 2.0**-1074
-
-
-def _lyapunov_certified(
-    P: np.ndarray, closed: np.ndarray, PC: np.ndarray, norm_P: float
-) -> bool:
-    """Certificate that ``closed`` is Hurwitz: ``P ≻ 0`` and ``M ≻ 0`` for
-    ``M = −(closedᵀ P + P closed)``.
-
-    ``P`` is symmetric, ``PC`` the computed ``P @ closed``
-    and ``norm_P`` the Frobenius norm of ``P``.  For an eigenpair
-    ``closed v = λ v``, ``v* M v = −2 Re(λ) v* P v``, so the two
-    definite matrices give ``Re λ < 0`` (Lyapunov).  True is a proof
-    about the stored ``closed`` and ``P``; False means only that the
-    certificate is inconclusive.  The rounding bounds (u = 2⁻⁵³, η =
-    2⁻¹⁰⁷⁴ the smallest subnormal, n the order, γ_k = k u / (1 − k u)):
-
-    * Forming ``M̂ = −(PC + PCᵀ)``, exactly symmetric: each entry of
-      ``PC`` is an inner product of length n, off by at most γ_n (|P|
-      |closed|) in any order of summation plus n η/2 of underflow, and
-      the sum adds one rounding, so ``‖M̂ − M‖₂ ≤ 2 γ_n ‖P‖_F
-      ‖closed‖_F + u/(1 − u) ‖M̂‖_F + n² η``.
-    * The shift also reserves ``2 ‖P‖_F · n² u ‖closed‖_F``, so the
-      certificate holds for every ``closed + E`` with ``‖E‖₂ ≤ n² u
-      ‖closed‖_F`` (``M`` moves by at most ``2 ‖P‖₂ ‖E‖₂``).  The
-      eigenvalues ``np.linalg.eigvals`` returns are those of such a
-      nearby matrix: the QR algorithm it runs has a backward error of
-      about u ‖closed‖₂ (Golub & Van Loan, Matrix Computations,
-      §7.5.6), at least n² times below that allowance.  So a certified
-      closed loop is one that the literal ``eigvals`` test also
-      accepts.
-    * :func:`_positive_definite` adds the bound of the Cholesky test.
-    """
-    n = P.shape[0]
-    M = -(PC + PC.T)
-    norm_M = _norm(M)
-    gamma_n = n * _U / (1.0 - n * _U)
-    err_M = ((2.0 * gamma_n + 2.0 * n * n * _U) * norm_P * _norm(closed)
-             + _U / (1.0 - _U) * norm_M + n * n * _ETA)
-    return _positive_definite(P, norm_P, 0.0) and _positive_definite(M, norm_M, err_M)
-
-
-def _positive_definite(S: np.ndarray, norm_S: float, err: float) -> bool:
-    """Whether one ``dpotrf`` shows every symmetric matrix within ``err``
-    (2-norm) of the exactly symmetric ``S`` positive definite.
-
-    ``norm_S`` is the Frobenius norm of ``S``.  Rump's test (BIT 2006):
-    factor ``fl(S − c I)``.  If ``dpotrf`` succeeds, its factor
-    satisfies ``R̂ᵀ R̂ = S − c I + D + ΔS`` with ``R̂ᵀ R̂ ≻ 0`` (positive
-    pivots), ``D`` the rounding of the shifted diagonal and ``|ΔS| ≤
-    γ_{n+2} |R̂ᵀ| |R̂|`` the Cholesky backward error (Higham, Accuracy
-    and Stability of Numerical Algorithms, Thm 10.3, with one more
-    rounding for an implementation that scales by a reciprocal pivot).
-    Success makes every diagonal entry of ``S`` exceed ``c``, so with
-    ``t = tr(S) ≤ √n ‖S‖_F``: ``‖D‖₂ ≤ u t``, ``‖ΔS‖₂ ≤ γ_{n+2}/(1 −
-    γ_{n+2}) (1 + u) t``, and ``λ_min(S) > c − (n + 3) u (1 + 5 (n + 3) u)
-    t``; underflow adds at most ``2 n (n + 3) η (1 + t)``.  ``c`` is
-    twice the sum of these bounds and ``err``; the factor two covers the
-    rounding of ``c``'s own arithmetic.  A non-finite entry of ``S``
-    makes ``norm_S``, and so ``c``, non-finite, and a non-finite ``c``
-    gives False: ``dpotrf`` does not stop at a NaN pivot.
-    """
-    n = S.shape[0]
-    t = math.sqrt(n) * norm_S
-    shift = 2.0 * ((n + 3) * _U * (1.0 + 5.0 * (n + 3) * _U) * t + err
-                   + 2.0 * n * (n + 3) * _ETA * (1.0 + t))
-    if not math.isfinite(shift):
-        return False
-    shifted = S.copy()
-    shifted.ravel()[::n + 1] -= shift
-    _, info = scipy_linalg().lapack.dpotrf(shifted, overwrite_a=1, clean=0)
-    return info == 0
-
-
 def _lyapunov(closed: np.ndarray, C: np.ndarray) -> np.ndarray | None:
     """Solve ``closedᵀ X + X closed = C`` for a Hurwitz ``closed``.
 
-    Bartels-Stewart: with the real Schur form ``closedᵀ = Z T Zᵀ`` the
-    equation becomes ``T Y + Y Tᵀ = Zᵀ C Z`` for ``Y = Zᵀ X Z``, which
-    ``dtrsyl`` solves up to a scale it reports against overflow.  This
-    is the arrangement of scipy's ``solve_continuous_lyapunov``.
-    Returns None when ``closed`` is not Hurwitz (read off the real parts
-    of its Schur form) or when ``dgees`` or ``dtrsyl`` reports a failure,
+    Bartels-Stewart: with the real Schur form ``closedᵀ = Z T Zᵀ`` of
+    :func:`_hurwitz_schur` the equation becomes ``T Y + Y Tᵀ = Zᵀ C Z``
+    for ``Y = Zᵀ X Z``, which ``dtrsyl`` solves up to a scale it reports
+    against overflow.  This is the arrangement of scipy's
+    ``solve_continuous_lyapunov``.  Returns None when ``closed`` is not
+    Hurwitz, when ``dgees`` fails or when ``dtrsyl`` reports a failure,
     including eigenvalue sums near zero.
     """
-    lapack = scipy_linalg().lapack
-    T, _, wr, _, Z, _, info = lapack.dgees(_no_sort, closed.T)
-    if info != 0 or not wr.max() < 0.0:
+    schur = _hurwitz_schur(closed)
+    if schur is None:
         return None
-    Y, scale, info = lapack.dtrsyl(T, T, Z.T @ (C @ Z), tranb="T")
+    T, Z = schur
+    Y, scale, info = scipy_linalg().lapack.dtrsyl(T, T, Z.T @ (C @ Z), tranb="T")
     if info != 0:
         return None
     return Z @ (Y / scale) @ Z.T
+
+
+def _hurwitz_schur(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The real Schur form ``closedᵀ = Z T Zᵀ`` from ``dgees`` as ``(T,
+    Z)``, or None when ``dgees`` fails or ``closed`` is not Hurwitz, read
+    off the real parts of the eigenvalues of that Schur form."""
+    T, _, wr, _, Z, _, info = scipy_linalg().lapack.dgees(_no_sort, closed.T)
+    if info != 0 or not wr.max() < 0.0:
+        return None
+    return T, Z
 
 
 def _no_sort(wr: float, wi: float) -> int:

@@ -1,4 +1,5 @@
-"""Every public function, class and method of the library has a user.
+"""Every public function, class and method of the library has a user,
+and every private module-level name has a reader in the library.
 
 A public name (no leading underscore) defined in ``src/formation_guidance``
 must be referenced somewhere in the library itself, be imported or used by
@@ -10,6 +11,10 @@ A reference is an identifier or attribute name read anywhere in those
 files, so a method counts as used when any object's attribute of that
 name is read.  An import counts only in the acceptance criteria: within
 the library, a name that is imported but never read has no user.
+
+A private (single leading underscore) function, class or constant at
+module level exists only for the library, so something in
+``src/formation_guidance`` must read it; a test alone does not count.
 """
 
 import ast
@@ -74,3 +79,38 @@ def test_every_public_name_has_a_user():
         if name not in used
     ]
     assert not unused, f"public names nothing uses: {', '.join(unused)}"
+
+
+def _private_definitions(module):
+    """Names of the module's private top-level functions, classes and
+    assigned constants."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _reads(tree):
+    """Every name the tree reads, as a name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_private_module_name_is_read_in_the_library():
+    trees = [_parse(path) for path in SOURCES]
+    read = set().union(*map(_reads, trees))
+    unread = [
+        f"{path.stem}.{name}"
+        for path, tree in zip(SOURCES, trees)
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+    assert not unread, f"private names nothing in the library reads: {', '.join(unread)}"

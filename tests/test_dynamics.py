@@ -15,6 +15,7 @@ from formation_guidance.dynamics import (
     FormationParams,
     GravityModel,
     RelativePlant,
+    _chief_rates,
     _j2_gradient_hill,
     chief_kinematics,
     chief_kinematics_table,
@@ -154,6 +155,21 @@ class TestChiefKinematics:
 
         assert bits(table) == bits([chief_kinematics(orbit, nus[k]) for k in range(len(nus))])
         assert all(type(v) is float for v in dataclasses.astuple(table[0]))
+
+    def test_float_rates_have_the_bits_of_the_batched_form_at_one_anomaly(self):
+        """``chief_kinematics`` reads the float formulas of the run's
+        table and chief stages; at a single anomaly they give the bits of
+        ``_chief_rates``, the numpy form that ``f_jacobian`` batches, on
+        seeded circular and eccentric orbits."""
+        rng = np.random.default_rng(2026)
+        for _ in range(40):
+            e = float(rng.choice([0.0, rng.uniform(0.0, 0.9)]))
+            orbit = ChiefOrbit(a=rng.uniform(6600.0, 45000.0), e=e)
+            for nu in rng.uniform(-20.0, 20.0, 250):
+                kin = chief_kinematics(orbit, nu)
+                expected = [nu, *(float(v) for v in _chief_rates(orbit, nu))]
+                got = [kin.nu, kin.r_c, kin.nu_dot, kin.nu_ddot]
+                assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     def test_invalid_elements_rejected(self):
         with pytest.raises(DynamicsError):

@@ -204,8 +204,7 @@ def _scipy_path(A, B, Q, R):
     except (np.linalg.LinAlgError, ValueError):
         return None
     P = 0.5 * (P + P.T)
-    failure = numerics._contract_failure(P, *numerics._residual(A, Q, weights.G, P),
-                                         certify=False)
+    failure = numerics._contract_failure(*numerics._residual(A, Q, weights.G, P))
     return P if failure is None else None
 
 
@@ -295,7 +294,7 @@ class TestColdSolve:
                                    -np.vstack([W[:n, :n] + np.eye(n), W[n:, :n]]),
                                    rcond=None)[0]
             anti = 0.5 * (anti + anti.T)
-            closed, _, res_norm, norm_P = numerics._residual(A, Q, weights.G, anti)
+            closed, res_norm, norm_P = numerics._residual(A, Q, weights.G, anti)
             assert res_norm <= 1e-8 * (1.0 + norm_P)
             assert np.max(np.linalg.eigvals(closed).real) > 0.0
             P = solve_are(A, B, Q, R)
@@ -311,16 +310,6 @@ class TestColdSolve:
         with pytest.raises(NumericsError):
             solve_are(A, np.zeros((2, 1)), np.eye(2), np.eye(1))
         assert len(scipy_care_calls) == 1
-
-
-def _certified(P, closed):
-    """The certificate as the Newton loop calls it, from P and closed."""
-    return numerics._lyapunov_certified(P, closed, P @ closed, numerics._norm(P))
-
-
-def _eigvals_hurwitz(closed):
-    """The literal eigenvalue test the certificate stands in for."""
-    return bool(np.max(np.linalg.eigvals(closed).real) < 0.0)
 
 
 def _criterion_11_draws(count=100):
@@ -345,145 +334,9 @@ def _criterion_11_systems():
     return [(A, B, Q, R, solve_are(A, B, Q, R)) for A, B, Q, R in _criterion_11_draws()]
 
 
-def _sdc1_closed_loops(R):
-    """Cold closed loops of the pointwise SDRE along a reconfiguration on
-    an eccentric chief: (P, closed) at 20 states."""
-    orbit = ChiefOrbit(a=10000.0, e=0.15)
-    omega = orbit.mean_motion()
-    loops = []
-    for k, t in enumerate(np.linspace(0.0, 6000.0, 20)):
-        rho = 5.0 + k
-        X = formation_to_hill(FormationParams(rho=rho, theta=0.2 + 0.1 * k, m_slope=1.0),
-                              omega, t)
-        A = sdc1_matrix(X, chief_kinematics(orbit, nu=0.3 * k))
-        P = solve_are(A, B_HILL, np.eye(6), R)
-        loops.append((P, A - riccati_weights(B_HILL, np.eye(6), R).G @ P))
-    return loops
-
-
-class TestLyapunovCertificate:
-    """``numerics._lyapunov_certified``: a True answer must always be one
-    that the literal ``eigvals`` test also gives, and on well-posed
-    closed loops the certificate is conclusive."""
-
-    def test_criterion_11_closed_loops_certified(self):
-        for A, B, Q, R, P in _criterion_11_systems():
-            closed = A - riccati_weights(B, Q, R).G @ P
-            assert _eigvals_hurwitz(closed)
-            assert _certified(P, closed)
-
-    @pytest.mark.parametrize("r_weight", [1e8, 1e9, 1e10, 1e11])
-    def test_sdc1_closed_loops_certified(self, r_weight):
-        for P, closed in _sdc1_closed_loops(r_weight * np.eye(3)):
-            assert _eigvals_hurwitz(closed)
-            assert _certified(P, closed)
-
-    def test_random_guesses_never_certified_unless_hurwitz(self):
-        """Criterion 11's systems with stabilizing guesses (the cold P
-        perturbed by 1e-3 relative) and with random symmetric ones: the
-        certificate only accepts closed loops that eigvals accepts, and
-        the seeds give both outcomes."""
-        noise = np.random.default_rng(11)
-        outcomes = set()
-        for A, B, Q, R, P in _criterion_11_systems():
-            G = riccati_weights(B, Q, R).G
-            for scale, center in ((1e-3, P), (1.0, 0.0 * P)):
-                E = noise.normal(size=P.shape)
-                guess = center + scale * np.linalg.norm(P) * (E + E.T)
-                closed = A - G @ guess
-                certified, hurwitz = _certified(guess, closed), _eigvals_hurwitz(closed)
-                assert hurwitz or not certified
-                outcomes.add((certified, hurwitz))
-        assert outcomes == {(True, True), (False, True), (False, False)}
-
-    def test_lyapunov_solution_of_unstable_loop_rejected(self):
-        """For a closed loop with eigenvalues on both sides, the solution
-        of closedᵀ P + P closed = −I makes M = I definite but P
-        indefinite (inertia theorem): the P ≻ 0 half must reject it."""
-        rng = np.random.default_rng(3)
-        checked = 0
-        while checked < 50:
-            n = int(rng.integers(2, 7))
-            closed = rng.normal(size=(n, n))
-            real = np.linalg.eigvals(closed).real
-            if np.min(np.abs(real)) < 0.05 or np.max(real) < 0.0:
-                continue
-            P = scipy.linalg.solve_continuous_lyapunov(closed.T, -np.eye(n))
-            P = 0.5 * (P + P.T)
-            PC = P @ closed
-            assert np.linalg.eigvalsh(-(PC + PC.T)).min() > 0.5
-            assert not _eigvals_hurwitz(closed)
-            assert not _certified(P, closed)
-            checked += 1
-
-    @pytest.mark.parametrize("eigenvalue", [-1.0, -1e-2, 0.0, 1e-2])
-    def test_jordan_block(self, eigenvalue):
-        """A 3x3 Jordan block, mixed by a random similarity, with P from
-        closedᵀ P + P closed = −I (P = I at the eigenvalue 0): the stable
-        block at −1 is certified, the marginal and unstable ones never."""
-        rng = np.random.default_rng(6)
-        J = eigenvalue * np.eye(3) + np.diag([1.0, 1.0], 1)
-        S = rng.normal(size=(3, 3))
-        closed = S @ J @ np.linalg.inv(S)
-        if eigenvalue == 0.0:
-            P = np.eye(3)
-        else:
-            P = scipy.linalg.solve_continuous_lyapunov(closed.T, -np.eye(3))
-            P = 0.5 * (P + P.T)
-        certified = _certified(P, closed)
-        assert _eigvals_hurwitz(closed) or not certified
-        if eigenvalue == -1.0:
-            assert certified
-        elif eigenvalue >= 0.0:
-            assert not certified
-
-    @pytest.mark.parametrize("sign", [-1.0, 1.0])
-    def test_near_marginal_pair_left_to_eigvals(self, sign):
-        """The pair ∓1e-17 ± i with P = I: M = ±2e-17 I is far below the
-        rounding bound, so the certificate is inconclusive either way."""
-        closed = np.array([[sign * 1e-17, 1.0], [-1.0, sign * 1e-17]])
-        assert _eigvals_hurwitz(closed) == (sign < 0.0)
-        assert not _certified(np.eye(2), closed)
-
-    def test_rounding_shift_needed(self):
-        """Near-marginal loops closed = P⁻¹ (K + δ I), K skew, P ill
-        conditioned, |δ| ≤ 1e-12: the exact M = −2δ I is swamped by the
-        rounding of P @ closed.  Unshifted Cholesky factorizations accept
-        some of them that eigvals finds unstable; the certificate never
-        does."""
-        rng = np.random.default_rng(0)
-        unshifted_wrong = 0
-        for _ in range(600):
-            n = int(rng.integers(2, 5))
-            U, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            P = U @ np.diag(10.0 ** rng.uniform(0.0, 8.0, n)) @ U.T
-            P = 0.5 * (P + P.T)
-            K = rng.normal(size=(n, n))
-            delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-18.0, -12.0)
-            closed = np.linalg.solve(P, K - K.T + delta * np.eye(n))
-            PC = P @ closed
-            hurwitz = _eigvals_hurwitz(closed)
-            assert hurwitz or not _certified(P, closed)
-            unshifted = (scipy.linalg.lapack.dpotrf(P)[1] == 0
-                         and scipy.linalg.lapack.dpotrf(-(PC + PC.T))[1] == 0)
-            unshifted_wrong += unshifted and not hurwitz
-        assert unshifted_wrong > 0
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input_not_certified(self, bad):
-        """dpotrf does not stop at a NaN pivot, so a non-finite entry off
-        the diagonal must make the certificate inconclusive by itself."""
-        P = np.eye(3)
-        P[0, 1] = P[1, 0] = bad
-        closed = -np.eye(3)
-        with np.errstate(invalid="ignore"):
-            assert not _certified(P, closed)
-            closed[0, 1] = bad
-            assert not _certified(np.eye(3), closed)
-
-
-class TestCertificateFallback:
-    """The pointwise SDRE law where the certificate cannot decide."""
+class TestWarmHurwitzDecision:
+    """A warm ``P``'s Hurwitz test is read off a ``dgees`` Schur form, the
+    test every Newton iterate passes, and never runs ``eigvals``."""
 
     @staticmethod
     def _run(q_weight):
@@ -497,37 +350,34 @@ class TestCertificateFallback:
             desired=FormationParams(rho=25.0, theta=1.0, m_slope=1.5),
         ))
 
-    @pytest.mark.parametrize("q_weight, certified, cold", [
-        # Q = 0: no warm start reaches the contract, every step is cold.
+    @pytest.mark.parametrize("q_weight, warm, cold", [
+        # Q = 0: dtrsyl reports the near-zero eigenvalue sums of the
+        # lightly controlled modes, so every step is cold.
         (0.0, 0, 300),
-        # M = Q + P G P is definite by less than the rounding bound.
-        (1e-10, 0, 1),
+        # Q + P G P is definite by less than its rounding: the Schur
+        # form still shows the closed loop Hurwitz.
+        (1e-10, 299, 1),
         (1.0, 299, 1),
     ])
-    def test_fallback_to_eigvals_keeps_the_bits(
-        self, q_weight, certified, cold, care_calls, monkeypatch
+    def test_warm_solves_decided_by_the_schur_form(
+        self, q_weight, warm, cold, care_calls, monkeypatch
     ):
-        """Cold and warm solves share one contract check: each warm solve
-        offers its P to the certificate once, and each that the
-        certificate leaves open runs the literal eigvals test and keeps
-        its P; each cold solve runs eigvals once and never the
-        certificate, which would decide the same.  Trajectory and
-        controls equal, bit for bit, a run with the certificate off.
-        ``certified`` counts the warm steps the certificate decides."""
-        # Keyed by whether the call is made inside a cold solve.
-        answers = {False: [], True: []}
-        eigvals_calls = {False: 0, True: 0}
+        """Over a 300-step pointwise SDRE run, the first step is cold and
+        every later one warm unless Newton gives up; ``eigvals`` runs only
+        inside cold solves, once per solve."""
         in_cold = [False]
-        certificate, eigvals = numerics._lyapunov_certified, np.linalg.eigvals
-        cold_solve = numerics._cold_solve
-
-        def spied(*args):
-            answers[in_cold[0]].append(certificate(*args))
-            return answers[in_cold[0]][-1]
+        eigvals_calls = {False: 0, True: 0}
+        results = []
+        eigvals, newton, cold_solve = (np.linalg.eigvals, numerics._newton_kleinman,
+                                       numerics._cold_solve)
 
         def counted(a):
             eigvals_calls[in_cold[0]] += 1
             return eigvals(a)
+
+        def newton_spied(*args):
+            results.append(newton(*args))
+            return results[-1]
 
         def cold_spied(*args):
             in_cold[0] = True
@@ -536,19 +386,31 @@ class TestCertificateFallback:
             finally:
                 in_cold[0] = False
 
-        monkeypatch.setattr(numerics, "_lyapunov_certified", spied)
         monkeypatch.setattr(np.linalg, "eigvals", counted)
+        monkeypatch.setattr(numerics, "_newton_kleinman", newton_spied)
         monkeypatch.setattr(numerics, "_cold_solve", cold_spied)
-        result = self._run(q_weight)
-        warm = answers[False]
-        assert (sum(warm), len(care_calls)) == (certified, cold)
-        assert answers[True] == [] and eigvals_calls[True] == cold
-        # One eigvals per warm solve the certificate leaves open.
-        assert eigvals_calls[False] == len(warm) - sum(warm)
-        monkeypatch.setattr(numerics, "_lyapunov_certified", lambda *args: False)
-        off = self._run(q_weight)
-        assert result.states.tobytes() == off.states.tobytes()
-        assert result.controls.tobytes() == off.controls.tobytes()
+        self._run(q_weight)
+        assert len(results) == 299
+        assert (sum(P is not None for P in results), len(care_calls)) == (warm, cold)
+        assert eigvals_calls == {False: 0, True: cold}
+
+    def test_random_guesses_return_only_contract_solutions(
+        self, care_calls, contract_holds
+    ):
+        """Criterion 11's systems with stabilizing guesses (the cold P
+        perturbed by 1e-3 relative) and with random symmetric ones: every
+        returned P meets the contract, and the seeds give both a warm
+        answer and a fall back to the cold solve."""
+        noise = np.random.default_rng(11)
+        outcomes = set()
+        for A, B, Q, R, P in _criterion_11_systems():
+            for scale, center in ((1e-3, P), (1.0, 0.0 * P)):
+                E = noise.normal(size=P.shape)
+                before = len(care_calls)
+                warm = solve_are(A, B, Q, R, guess=center + scale * np.linalg.norm(P) * (E + E.T))
+                assert contract_holds(A, B, Q, R, warm)
+                outcomes.add("cold" if len(care_calls) > before else "warm")
+        assert outcomes == {"warm", "cold"}
 
 
 class TestRiccatiWeights:
@@ -683,6 +545,20 @@ class TestLyapunov:
         # lambda = +-2i: lambda_1 + lambda_2 = 0 makes the operator singular.
         closed = np.array([[0.0, 1.0], [-4.0, 0.0]])
         assert numerics._lyapunov(closed, np.eye(2)) is None
+
+    @pytest.mark.parametrize("eigenvalue", [-1.0, -1e-2, 0.0, 1e-2])
+    def test_jordan_block_hurwitz_test(self, eigenvalue):
+        """A 3x3 Jordan block mixed by a random similarity: the Schur
+        form's Hurwitz test decides as ``eigvals`` does.  At the
+        eigenvalue 0 round-off splits the triple eigenvalue into three
+        cube roots 120° apart, so one always lies in Re > 0."""
+        rng = np.random.default_rng(6)
+        J = eigenvalue * np.eye(3) + np.diag([1.0, 1.0], 1)
+        S = rng.normal(size=(3, 3))
+        closed = S @ J @ np.linalg.inv(S)
+        hurwitz = numerics._hurwitz_schur(closed) is not None
+        assert hurwitz == (eigenvalue < 0.0)
+        assert hurwitz == (np.max(np.linalg.eigvals(closed).real) < 0.0)
 
     def test_near_singular_sum_reported_by_dtrsyl(self):
         # A Hurwitz pair -1e-17 +- i in Schur form passes the real-part
