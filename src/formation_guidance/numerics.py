@@ -4,14 +4,13 @@ A fixed-step classical RK4 integrator, an algebraic Riccati solver with
 residual verification, a matrix exponential, and a central-difference
 Jacobian used as an oracle for analytic derivatives.
 
-The cold Riccati solve, the factor of the control weight and the cold
-solve's contract check run on numpy alone.  ``scipy.linalg`` costs
-about 0.4 s and 30 MB to import, so it is reached only through
-:func:`scipy_linalg`, which imports it on first use: by the warm
-Riccati step of the pointwise SDRE law (raw LAPACK), by
-:func:`matrix_exponential`, and by the cold solve's fallback.  An LQR,
-NN-LQR or predictive run without the finite-horizon comparator never
-imports it.
+The cold Riccati solve, the factor of the control weight, the cold
+solve's contract check and the matrix exponential run on numpy alone.
+``scipy.linalg`` costs about 0.4 s and 30 MB to import, so it is
+reached only through :func:`scipy_linalg`, which imports it on first
+use, and only by the warm Riccati step of the pointwise SDRE law (raw
+LAPACK) and by the cold solve's fallback.  LQR, NN-LQR, MPSP, G-MPSP
+and finite-horizon SDRE runs never import it.
 
 All operations are pure functions of their inputs and may be called
 concurrently.
@@ -33,7 +32,11 @@ class NumericsError(RuntimeError):
 
 @functools.cache
 def scipy_linalg():
-    """The ``scipy.linalg`` module, imported at the first call."""
+    """The ``scipy.linalg`` module, imported at the first call.
+
+    Only the pointwise SDRE law's warm Riccati step and the cold solve's
+    fallback to ``solve_continuous_are`` call it.
+    """
     import scipy.linalg
 
     return scipy.linalg
@@ -394,13 +397,101 @@ def _no_sort(wr: float, wi: float) -> int:
     return 0
 
 
-def matrix_exponential(M: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Compute ``exp(M * scale)`` by Pade scaling-and-squaring.
+#: Coefficients b_0 ... b_m of the degree-m diagonal Padé approximant
+#: r_m(A) = q_m(A)^-1 p_m(A), p_m(A) = sum b_j A^j, q_m(A) = p_m(-A), of
+#: exp(A) (Higham, SIAM J. Matrix Anal. Appl. 2005, eqs. 2.3 and 2.7).
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
 
-    Accurate to about 1e-10 relative on well-conditioned inputs.
+#: Largest 1-norm θ_m at which r_m has a backward error below the unit
+#: roundoff 2^-53 (Higham 2005, Table 2.3), for m = 3, 5, 7, 9 and 13.
+PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+              7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
+
+
+def _pade_table(m: int) -> np.ndarray:
+    """Rows of coefficients that turn the stack ``I, A², A⁴, ...`` into
+    the sums of :func:`_pade_approximant`: for m ≤ 9 the odd sum ``u``,
+    with ``U = A u``, and ``V``; for m = 13 the inner and outer parts
+    of each, ``U = A (A⁶ u₁ + u₂)`` and ``V = A⁶ v₁ + v₂``."""
+    b = _PADE_B[m]
+    if m < 13:
+        return np.array([b[1::2], b[0::2]])
+    return np.array([(0.0, *b[9::2]), b[1:9:2], (0.0, *b[8::2]), b[0:8:2]])
+
+
+_PADE_TABLES = {m: _pade_table(m) for m in _PADE_B}
+
+
+def _pade_approximant(A: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``r_m(A) = (V − U)⁻¹ (V + U)`` for ``U`` and ``V`` the odd and even
+    parts of ``p_m(A)``, with ``table`` from :func:`_pade_table`.
+
+    The even powers are stacked so that one product with ``table`` forms
+    every sum of them.  ``ndarray.dot`` has the bits of ``@`` and a
+    fraction of its call cost on small matrices.
     """
-    M = np.asarray(M, dtype=float)
-    out = scipy_linalg().expm(M * scale)
+    k, n = table.shape[1], A.shape[0]
+    evens = np.empty((k, n, n))
+    evens[0] = np.eye(n)
+    np.dot(A, A, out=evens[1])
+    for j in range(2, k):
+        np.dot(evens[j - 1], evens[1], out=evens[j])
+    sums = table.dot(evens.reshape(k, n * n)).reshape(-1, n, n)
+    if len(sums) == 2:
+        odd, even = sums
+    else:
+        A6 = evens[3]
+        odd = A6.dot(sums[0]) + sums[1]
+        even = A6.dot(sums[2]) + sums[3]
+    odd = A.dot(odd)
+    return np.linalg.solve(even - odd, even + odd)
+
+
+def matrix_exponential(M: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Compute ``exp(M * scale)`` by Padé scaling-and-squaring in numpy.
+
+    The algorithm of Higham (SIAM J. Matrix Anal. Appl. 2005): with ``A
+    = M * scale``, the lowest degree m of 3, 5, 7 and 9 whose
+    ``PADE_THETA[m]`` bounds the 1-norm of ``A`` gives ``r_m(A)``; above
+    those, ``A`` is halved ``s = ⌈log₂(‖A‖₁ / θ₁₃)⌉`` times and ``r₁₃(A
+    / 2^s)`` squared ``s`` times.  scipy's ``expm``, the tests' oracle,
+    follows Al-Mohy & Higham (ibid. 2009), who keep these degrees and
+    thresholds but choose ``s`` from norms of powers of ``A``; where
+    ``‖A‖₁`` far exceeds the spectral radius the 2005 choice squares more
+    often and loses a few digits to it.  Agreement with scipy, relative:
+    at most 3.6e-13 on 3000 random 12 × 12 matrices of 1-norm 1e-4 ...
+    1e3, and 8.4e-12 on the finite-horizon SDRE Hamiltonians of a
+    2000 s horizon, whose ``‖H τ‖₁ = 2000`` takes 9 squarings; well
+    inside 1e-10.
+
+    Raises NumericsError when ``M * scale`` is not finite, read off its
+    1-norm before any power is formed, and when its 1-norm or the result
+    overflows.
+    """
+    A = np.asarray(M, dtype=float) * scale
+    norm = max(np.abs(A).sum(axis=0).tolist())
+    if not math.isfinite(norm):
+        if not np.isfinite(A).all():
+            raise NumericsError("non-finite argument of the matrix exponential")
+        raise NumericsError("overflow in matrix exponential")
+    for m in (3, 5, 7, 9):
+        if norm <= PADE_THETA[m]:
+            out = _pade_approximant(A, _PADE_TABLES[m])
+            break
+    else:
+        s = max(0, math.ceil(math.log2(norm / PADE_THETA[13])))
+        out = _pade_approximant(A * 2.0**-s, _PADE_TABLES[13])
+        for _ in range(s):
+            out = out.dot(out)
     if not np.all(np.isfinite(out)):
         raise NumericsError("overflow in matrix exponential")
     return out

@@ -8,7 +8,7 @@ the Hamiltonian state-transition matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +43,31 @@ class SdcModel:
 
 @dataclass(frozen=True)
 class FiniteHorizonSpec:
-    """Finite-horizon problem data: final time, hard terminal state, weights."""
+    """Finite-horizon problem data: final time, hard terminal state, weights.
+
+    What every step shares is built once, here: ``R_inv_BT = R⁻¹ Bᵀ``
+    and ``hamiltonian``, the 12 × 12 Hamiltonian ``[[A, −B R⁻¹ Bᵀ], [−Q,
+    −Aᵀ]]`` with zeros where each step's ``A`` and ``−Aᵀ`` go.  Raises
+    SdreError when ``R`` is singular.
+    """
 
     tf: float
     Xf: np.ndarray
     Q: np.ndarray
     R: np.ndarray
+    R_inv_BT: np.ndarray = field(init=False, repr=False, compare=False)
+    hamiltonian: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            R_inv_BT = np.linalg.solve(self.R, B.T)
+        except np.linalg.LinAlgError as exc:
+            raise SdreError(f"control weight R is singular: {exc}") from exc
+        H = np.zeros((12, 12))
+        H[:6, 6:] = -(B @ R_inv_BT)
+        H[6:, :6] = -self.Q
+        object.__setattr__(self, "R_inv_BT", R_inv_BT)
+        object.__setattr__(self, "hamiltonian", H)
 
 
 def _psi_series(xi: float, order: int) -> float:
@@ -197,25 +216,28 @@ def finite_time_sdre_control(
     current costate follows from the terminal constraint:
 
         lambda(t) = phi_12^-1 (Xf - phi_11 X(t)),   U = -R^-1 B^T lambda.
+
+    Only the SDC blocks ``A`` and ``−Aᵀ`` change from step to step: the
+    weight blocks and ``R⁻¹ Bᵀ`` come from ``horizon``.  The exponential
+    is :func:`~formation_guidance.numerics.matrix_exponential`'s, in
+    numpy, so the law never imports ``scipy.linalg``.  A ``phi_12``
+    whose 2-norm condition number, the ratio of its extreme singular
+    values, exceeds 1e12 is rejected as an ill-posed horizon.
     """
     tau = horizon.tf - t
-    if tau <= 0.0:
-        raise SdreError("finite-horizon control requested at or past tf")
+    if not tau > 0.0:
+        raise SdreError(f"finite-horizon control requested at t={t}, not before tf={horizon.tf}")
     A = sdc_matrix(state, kin, model)
-    R, Q = horizon.R, horizon.Q
-    BRB = B @ np.linalg.solve(R, B.T)
-    H = np.zeros((12, 12))
+    H = horizon.hamiltonian.copy()
     H[:6, :6] = A
-    H[:6, 6:] = -BRB
-    H[6:, :6] = -Q
     H[6:, 6:] = -A.T
     phi = matrix_exponential(H, tau)
-    phi11 = phi[:6, :6]
     phi12 = phi[:6, 6:]
-    if np.linalg.cond(phi12) > 1e12:
+    sv = np.linalg.svd(phi12, compute_uv=False).tolist()
+    if sv[-1] == 0.0 or sv[0] / sv[-1] > 1e12:
         raise SdreError(
             f"terminal-constraint transition block ill-conditioned at t={t}: "
             "horizon too short or too long"
         )
-    lam = np.linalg.solve(phi12, horizon.Xf - phi11 @ state)
-    return -np.linalg.solve(R, B.T @ lam)
+    lam = np.linalg.solve(phi12, horizon.Xf - phi[:6, :6].dot(state))
+    return -horizon.R_inv_BT.dot(lam)

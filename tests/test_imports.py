@@ -1,10 +1,13 @@
 """Which runs import ``scipy.linalg``.
 
 LQR, NN-LQR and uncontrolled runs solve their Riccati equations with
-numpy alone, so a process that only flies them never pays the import of
-``scipy.linalg``; the pointwise SDRE law reaches it for its warm LAPACK
-step.  Each case runs in a fresh interpreter, since any earlier import
-in the test process would hide the answer.
+numpy alone; MPSP and G-MPSP add only numpy algebra; the finite-horizon
+SDRE law, closed-loop or planned and replayed open-loop, takes its
+matrix exponential from numpy.  So a process that only flies these never
+pays the import of ``scipy.linalg``.  The pointwise SDRE law reaches it
+for its warm LAPACK step, and a cold Riccati solve for its fallback.
+Each case runs in a fresh interpreter, since any earlier import in the
+test process would hide the answer.
 """
 
 import os
@@ -54,6 +57,10 @@ CONTROLLERS = {
     "nnlqr": "[controller]\nkind = nnlqr\n[nnlqr]\nq_weight = 200\nr1 = 0.09\nbasis = global\n",
     "zero": "[controller]\nkind = zero\n",
     "sdre": "[controller]\nkind = sdre\n",
+    "fsdre": "[controller]\nkind = sdre\nhorizon = finite\n",
+    "fsdre-open": "[controller]\nkind = sdre\nhorizon = finite\napply = open\n",
+    "mpsp": "[controller]\nkind = mpsp\n[mpsp]\nmax_iter = 2\n",
+    "gmpsp": "[controller]\nkind = gmpsp\n[gmpsp]\nmax_iter = 2\n",
 }
 
 PROBE = """\
@@ -85,6 +92,11 @@ def _loads_scipy_linalg(tmp_path, kinds):
 
 def test_lqr_nnlqr_and_zero_runs_never_import_scipy_linalg(tmp_path):
     assert not _loads_scipy_linalg(tmp_path, ["lqr", "nnlqr", "zero"])
+
+
+@pytest.mark.parametrize("kind", ["fsdre", "fsdre-open", "mpsp", "gmpsp"])
+def test_finite_horizon_and_predictive_runs_never_import_scipy_linalg(tmp_path, kind):
+    assert not _loads_scipy_linalg(tmp_path, [kind])
 
 
 @pytest.mark.parametrize("kinds", [[], ["sdre"]])

@@ -266,6 +266,50 @@ class TestFiniteTimeControl:
         with pytest.raises(SdreError):
             finite_time_sdre_control(np.zeros(6), 10.0, horizon, SdcModel(), kin)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        kin = chief_kinematics(CIRC, nu=0.0)
+        horizon = FiniteHorizonSpec(tf=10.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=np.eye(3))
+        with pytest.raises(SdreError, match="not before tf"):
+            finite_time_sdre_control(np.zeros(6), t, horizon, SdcModel(), kin)
+
+    @pytest.mark.parametrize("R", [np.zeros((3, 3)), np.diag([1.0, 0.0, 1.0])])
+    def test_singular_weight_rejected_by_the_spec(self, R):
+        with pytest.raises(SdreError, match="R is singular"):
+            FiniteHorizonSpec(tf=10.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=R)
+
+    @pytest.mark.parametrize("variant", ["SDC1", "SDC2"])
+    @pytest.mark.parametrize("e", [0.0, 0.15])
+    def test_lean_step_matches_the_reference(self, e, variant):
+        """The step with its weights built once per spec and numpy's
+        exponential agrees with the per-step formula (two fresh solves
+        with R, scipy's expm, ``np.linalg.cond``) to 1e-10 relative on the
+        fsdre preset's geometry; measured at most 3.2e-12, at 2000 s to go."""
+        import scipy.linalg
+
+        tf = 2000.0
+        chief = ChiefOrbit(a=10000.0, e=e, nu0=math.radians(10.0))
+        omega = chief.mean_motion()
+        x0 = formation_to_hill(FormationParams(rho=10.0, theta=math.radians(5.0), m_slope=1.0),
+                               omega, 0.0)
+        Xf = formation_to_hill(FormationParams(rho=100.0, theta=math.radians(35.0), m_slope=1.5),
+                               omega, tf)
+        Q, R = np.zeros((6, 6)), 1e9 * np.eye(3)
+        horizon = FiniteHorizonSpec(tf=tf, Xf=Xf, Q=Q, R=R)
+        model = SdcModel(variant=variant)
+        for frac in (0.0, 0.3, 0.6, 0.9, 0.999):
+            t = frac * tf
+            kin = chief_kinematics(chief, chief.nu0 + omega * t)
+            X = x0 + frac * (Xf - x0)
+            A = sdc1_matrix(X, kin) if variant == "SDC1" else sdc2_matrix(X, kin.nu_dot)
+            H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
+            phi = scipy.linalg.expm(H * (tf - t))
+            assert np.linalg.cond(phi[:6, 6:]) < 1e12
+            lam = np.linalg.solve(phi[:6, 6:], Xf - phi[:6, :6] @ X)
+            expected = -np.linalg.solve(R, B.T @ lam)
+            u = finite_time_sdre_control(X, t, horizon, model, kin)
+            assert np.linalg.norm(u - expected) <= 1e-10 * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("tf", [1e-6, 1e6])
     def test_degenerate_horizon_conditioning_guard(self, tf):
         kin = chief_kinematics(CIRC, nu=0.0)
