@@ -43,8 +43,9 @@ named class (formation_guidance.dynamics, formation_guidance.options):
              unperturbed model and replays the control history)
   Numbers must be finite; max_iter (>= 0) and series_order (>= 1) must be
   integers, tol_pct, r_weight, r1, k_tau, beta and gamma must be > 0, and
-  q_weight must be > 0 in [lqr] and [nnlqr] and >= 0 in [sdre].  A bad
-  number or a word outside its list is rejected with its line number;
+  q_weight must be > 0 in [lqr], [nnlqr] and the infinite-horizon [sdre]
+  and >= 0 in [sdre] with horizon = finite.  A bad number or a word
+  outside its list is rejected with its line number;
   values the dataclasses reject (a <= 0, e outside [0, 1), rho < 0) and
   a tf that is not a whole number of dt steps raise ConfigError too.
 
@@ -105,15 +106,17 @@ _CHOICES = {
     "basis": ("grid", "global"),
 }
 
-# Lower bound of each bounded number: (comparison, bound), by key or, in
-# the one section where it differs, by (section, key).  A zero state
-# weight is legal for the SDRE (the finite-horizon default) but not for
-# LQR or NN-LQR: every mode of Hill's A is on the imaginary axis, so with
-# Q = 0 their Riccati equation has no stabilizing solution.  R must be
-# positive definite for the Riccati solve, and NN-LQR's regularizer,
-# virtual-plant gain and adaptation gains must be positive.
+# Lower bound of each bounded number: (comparison, bound), by key or, for
+# the one controller kind where it differs, by (resolved kind, key).  A
+# zero state weight is legal for the finite-horizon SDRE (its default)
+# but not for LQR, NN-LQR or the pointwise SDRE: every mode of Hill's A
+# is on the imaginary axis, so with Q = 0 their Riccati equation has no
+# stabilizing solution, and the pointwise SDRE's solve at every step
+# goes cold to give no control.  R must be positive definite for the
+# Riccati solve, and NN-LQR's regularizer, virtual-plant gain and
+# adaptation gains must be positive.
 _BOUNDS = {"series_order": (">=", 1), "max_iter": (">=", 0), "tol_pct": (">", 0),
-           "q_weight": (">", 0), ("sdre", "q_weight"): (">=", 0), "r_weight": (">", 0),
+           "q_weight": (">", 0), ("fsdre", "q_weight"): (">=", 0), "r_weight": (">", 0),
            "r1": (">", 0), "k_tau": (">", 0), "beta": (">", 0), "gamma": (">", 0)}
 _COMPARE = {">=": operator.ge, ">": operator.gt}
 
@@ -204,8 +207,13 @@ _SCHEMA = {section: _section_schema(section) for section in (*_DATACLASSES, *_PL
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:
-    """Parse config text into {section: {key: parsed value}} with checks."""
+    """Parse config text into {section: {key: parsed value}} with checks.
+
+    Bounded numbers are checked once every line is read, since the bound
+    on an [sdre] key depends on the horizon set in [controller].
+    """
     sections: dict[str, dict[str, object]] = {}
+    bounded: list[tuple[str, str, str, int]] = []
     current: str | None = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -229,16 +237,18 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
             raise ConfigError(f"line {line_no}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {line_no}: duplicate key {key!r} in [{current}]")
-        value = _SCHEMA[current][key][1](raw_value, key, line_no)
-        bounded = _BOUNDS.get((current, key), _BOUNDS.get(key))
-        if bounded is not None:
-            # Compare the number as written: weights parse to matrices.
-            comparison, bound = bounded
-            if not _COMPARE[comparison](float(raw_value), bound):
-                raise ConfigError(
-                    f"line {line_no}: key {key!r} must be {comparison} {bound}, got {raw_value!r}"
-                )
-        sections[current][key] = value
+        sections[current][key] = _SCHEMA[current][key][1](raw_value, key, line_no)
+        if key in _BOUNDS:
+            bounded.append((current, key, raw_value, line_no))
+    finite = sections.get("controller", {}).get("horizon") == "finite"
+    for section, key, raw_value, line_no in bounded:
+        kind = "fsdre" if section == "sdre" and finite else section
+        comparison, bound = _BOUNDS.get((kind, key), _BOUNDS[key])
+        # Compare the number as written: weights parse to matrices.
+        if not _COMPARE[comparison](float(raw_value), bound):
+            raise ConfigError(
+                f"line {line_no}: key {key!r} must be {comparison} {bound}, got {raw_value!r}"
+            )
     return sections
 
 

@@ -204,20 +204,21 @@ def _feedback_law(
     kins = chief_kinematics_table(believed, propagate_nu(believed, scenario.n_steps, dt))
 
     if kind == "sdre":
-        # Each step's Riccati solution warm-starts the next, and the
-        # weights' invariants serve every step; both are local to this
-        # run's law.  Weights that cannot be factored are left to the
-        # first step's solve, which reports them with its state.
-        P = None
+        # Each step's Riccati solution, with the Schur form of its closed
+        # loop, warm-starts the next, and the weights' invariants serve
+        # every step; both are local to this run's law.  Weights that
+        # cannot be factored are left to the first step's solve, which
+        # reports them with its state.
+        riccati = None
         try:
             weights = riccati_weights(B, opts.Q, opts.R)
         except NumericsError:
             weights = None
 
         def sdre_law(k, t, X):
-            nonlocal P
-            u, P = sdre_infinite_control(X, Xd[k], model, kins[k], opts.Q, opts.R,
-                                         guess=P, weights=weights)
+            nonlocal riccati
+            u, riccati = sdre_infinite_control(X, Xd[k], model, kins[k], opts.Q, opts.R,
+                                               guess=riccati, weights=weights)
             return u
 
         return sdre_law

@@ -269,8 +269,9 @@ def nnlqr_control_step(
     ``virtual_plant_step``, ``costate_backprop`` and ``nn1_update``).
     The fixed-size algebra runs in floats on the controller's run
     invariants; the RBF layer stays in numpy.  Raises NumericsError for a
-    non-finite virtual-plant state, with the message of
-    ``numerics.rk4_step``.
+    non-finite virtual-plant state, with the start of the message of
+    ``numerics.rk4_step``; the step knows no time, which the harness
+    adds with the step index.
     """
     dt, W_c, gamma = ctrl.dt, ctrl.rbf.W_c, ctrl.gains.gamma
     x, xd, xd_dot, xa = X.tolist(), Xd.tolist(), Xd_dot.tolist(), ctrl.vp.X_a.tolist()
@@ -319,7 +320,7 @@ def nnlqr_control_step(
         f[r] += u + sum(map(mul, row, phi_d))
     xa_next = [a + b for a, b in zip(_matvec(ctrl._Phi, xa), _matvec(ctrl._Psi, f))]
     if not all(map(math.isfinite, xa_next)):
-        raise NumericsError("non-finite state after RK4 step at t=0.0")
+        raise NumericsError("non-finite state after RK4 step of the virtual plant")
     Xa_next = ctrl.vp.X_a = np.array(xa_next)
 
     # (4) costates at the predicted state.

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import MU_EARTH, B, ChiefKinematics
-from .numerics import RiccatiWeights, matrix_exponential, scipy_linalg, solve_are
+from .numerics import (
+    RiccatiState,
+    RiccatiWeights,
+    matrix_exponential,
+    riccati_weights,
+    solve_are,
+)
 from .options import SdreOptions
 
 
@@ -178,27 +184,32 @@ def sdre_infinite_control(
     kin: ChiefKinematics,
     Q: np.ndarray,
     R: np.ndarray,
-    guess: np.ndarray | None = None,
+    guess: RiccatiState | None = None,
     weights: RiccatiWeights | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, RiccatiState]:
     """Pointwise infinite-horizon SDRE control U = -R^-1 B^T P(X) (X - Xd).
 
-    Returns ``(U, P)``.  ``guess`` is handed to ``solve_are`` as a warm
-    start; passing the ``P`` of the previous control step lets the next
-    Riccati solve take a Newton step instead of a cold solve.
-    ``weights``, ``riccati_weights(B, Q, R)``, is handed on too, so a
-    run computes it once.  ``R^-1`` is applied by LAPACK's ``dgesv``,
-    the routine ``np.linalg.solve`` runs.
+    Returns ``(U, riccati)``: ``riccati`` is the
+    :class:`~formation_guidance.numerics.RiccatiState` of this step's
+    ``solve_are``, its ``P`` and, after a warm solve, the Schur form of
+    its closed loop.  ``guess`` is handed to ``solve_are`` as a warm
+    start; passing the previous control step's ``riccati`` lets the next
+    Riccati solve take chord corrections on that Schur form instead of
+    a cold solve.  Without it the solve is cold.  ``weights``,
+    ``riccati_weights(B, Q, R)``, is handed on as well, so a run
+    computes it once; it is built here when absent.  ``R^-1 B^T`` is
+    its ``R_inv_BT``, so no step factors ``R``.
     """
     A = sdc_matrix(state, kin, model)
+    if guess is None:
+        guess = RiccatiState(None)
     try:
-        P = solve_are(A, B, Q, R, guess, weights=weights)
+        if weights is None:
+            weights = riccati_weights(B, Q, R)
+        riccati = solve_are(A, B, Q, R, guess, weights=weights)
     except Exception as exc:
         raise SdreError(f"pointwise Riccati failed at state {state}: {exc}") from exc
-    _, _, x, info = scipy_linalg().lapack.dgesv(R, B.T @ (P @ (state - Xd)))
-    if info != 0:
-        raise SdreError("control weight R is singular")
-    return -x, P
+    return -weights.R_inv_BT.dot(riccati.P.dot(state - Xd)), riccati
 
 
 def finite_time_sdre_control(

@@ -29,18 +29,19 @@ def care_calls(monkeypatch):
 @pytest.fixture
 def lyapunov_calls(monkeypatch):
     """List that grows by one at each Lyapunov equation the warm Riccati
-    solve finishes: a ``numerics._lyapunov`` call that returns a solution,
-    not one that stops at the Hurwitz test of its Schur form."""
+    solve finishes, in a Newton step or a chord correction: a
+    ``numerics._schur_lyapunov`` call that returns a solution.  A Newton
+    step that stops at the Hurwitz test of its Schur form solves none."""
     calls = []
-    solve = numerics._lyapunov
+    solve = numerics._schur_lyapunov
 
-    def counted(closed, C):
-        X = solve(closed, C)
+    def counted(T, Z, C):
+        X = solve(T, Z, C)
         if X is not None:
             calls.append(1)
         return X
 
-    monkeypatch.setattr(numerics, "_lyapunov", counted)
+    monkeypatch.setattr(numerics, "_schur_lyapunov", counted)
     return calls
 
 

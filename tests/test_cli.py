@@ -129,7 +129,9 @@ class TestParseConfig:
         ("lqr", "q_weight", "-1", "> 0"),
         ("lqr", "q_weight", "0", "> 0"),
         ("sdre", "r_weight", "0", "> 0"),
-        ("sdre", "q_weight", "-1e-9", ">= 0"),
+        ("sdre", "q_weight", "-1e-9", "> 0"),
+        ("sdre", "q_weight", "0", "> 0"),
+        ("fsdre", "q_weight", "-1e-9", ">= 0"),
         ("mpsp", "r_weight", "-1e9", "> 0"),
         ("gmpsp", "r_weight", "0", "> 0"),
         ("nnlqr", "r_weight", "-1", "> 0"),
@@ -141,7 +143,9 @@ class TestParseConfig:
         ("nnlqr", "gamma", "-100", "> 0"),
     ])
     def test_out_of_range_solver_input_rejected_with_line(self, kind, key, value, bound):
-        text = MINIMAL.replace("kind = lqr", f"kind = {kind}") + f"\n[{kind}]\n{key} = {value}\n"
+        # fsdre is the sdre section with the finite horizon.
+        kind, section = ("sdre\nhorizon = finite", "sdre") if kind == "fsdre" else (kind, kind)
+        text = MINIMAL.replace("kind = lqr", f"kind = {kind}") + f"\n[{section}]\n{key} = {value}\n"
         line = len(text.splitlines())
         with pytest.raises(ConfigError, match=f"line {line}: key '{key}' must be {bound}"):
             parse_config_text(text)
@@ -156,6 +160,19 @@ class TestParseConfig:
         scn = _scenario_from(text)
         assert scn.controller.kind == "fsdre"
         np.testing.assert_array_equal(scn.controller.options.Q, np.zeros((6, 6)))
+
+    @pytest.mark.parametrize("horizon, accepted", [("finite", True), ("infinite", False)])
+    def test_state_weight_bound_follows_a_later_horizon(self, horizon, accepted):
+        """The [sdre] bound on q_weight is that of the kind the horizon
+        resolves, also when [controller] comes after [sdre]."""
+        text = MINIMAL.replace("[controller]\nkind = lqr\n", "")
+        text += f"\n[sdre]\nq_weight = 0\n\n[controller]\nkind = sdre\nhorizon = {horizon}\n"
+        if accepted:
+            assert _scenario_from(text).controller.kind == "fsdre"
+        else:
+            line = text.splitlines().index("q_weight = 0") + 1
+            with pytest.raises(ConfigError, match=f"line {line}: key 'q_weight' must be > 0"):
+                parse_config_text(text)
 
     @pytest.mark.parametrize("key, edit", [
         ("kind", ("kind = lqr", "kind = pid")),
@@ -249,8 +266,9 @@ _OPTION_VALUES = {
 }
 
 
-# LQR and NN-LQR need a positive state weight; the SDRE kinds allow zero.
-_POSITIVE_Q_KINDS = ("lqr", "nnlqr")
+# LQR, NN-LQR and the pointwise SDRE need a positive state weight; the
+# finite-horizon SDRE allows zero.
+_POSITIVE_Q_KINDS = ("lqr", "nnlqr", "sdre")
 
 
 @st.composite

@@ -104,10 +104,11 @@ class TestSolveAreWarmStart:
         assert contract_holds(A, B, Q, R, P)
 
     def test_non_stabilizing_newton_result_retried_cold(self, care_calls, monkeypatch):
-        # 2P - P^2 = 0 has roots {0, 2}.  A Lyapunov solver that lands on
-        # the root 0 gives a zero residual but an unstable closed loop;
-        # the solve must retry cold instead of raising.
-        monkeypatch.setattr(numerics, "_lyapunov", lambda closed, C: np.zeros_like(C))
+        # 2P - P^2 = 0 has roots {0, 2}.  A Lyapunov solver whose
+        # correction takes the guess 3 to the root 0 gives a zero
+        # residual but an unstable closed loop; the solve must retry cold
+        # instead of raising.
+        monkeypatch.setattr(numerics, "_lyapunov", lambda closed, C: np.full_like(C, 3.0))
         P = solve_are(np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1), guess=3.0 * np.eye(1))
         assert len(care_calls) == 1
         assert P[0, 0] == pytest.approx(2.0, abs=1e-10)
@@ -116,9 +117,11 @@ class TestSolveAreWarmStart:
         # P^2 = Q with Q = 1e14: the Newton stop scales with ||Q|| = 1e14,
         # the contract with 1 + ||P|| = 1e7.  A step landing 5e-8 off the
         # root leaves a residual of about 1: inside the stop (2) but not
-        # the contract (0.1), so the solve must retry cold.
+        # the contract (0.1), so the solve must retry cold.  The solver's
+        # correction takes the guess 2e7 there, exactly.
         A, B, Q, R = np.zeros((1, 1)), np.eye(1), 1e14 * np.eye(1), np.eye(1)
-        monkeypatch.setattr(numerics, "_lyapunov", lambda closed, C: np.array([[1e7 + 5e-8]]))
+        monkeypatch.setattr(numerics, "_lyapunov",
+                            lambda closed, C: np.array([[2e7 - (1e7 + 5e-8)]]))
         P = solve_are(A, B, Q, R, guess=2e7 * np.eye(1))
         assert len(care_calls) == 1
         assert P[0, 0] == pytest.approx(1e7, rel=1e-12)
@@ -335,8 +338,9 @@ def _criterion_11_systems():
 
 
 class TestWarmHurwitzDecision:
-    """A warm ``P``'s Hurwitz test is read off a ``dgees`` Schur form, the
-    test every Newton iterate passes, and never runs ``eigvals``."""
+    """A warm ``P``'s Hurwitz test is read off a ``dgees`` Schur form of
+    its closed loop, the test every Newton iterate passes too, and never
+    runs ``eigvals``."""
 
     @staticmethod
     def _run(q_weight):
@@ -411,6 +415,68 @@ class TestWarmHurwitzDecision:
                 assert contract_holds(A, B, Q, R, warm)
                 outcomes.add("cold" if len(care_calls) > before else "warm")
         assert outcomes == {"warm", "cold"}
+
+    def test_stale_and_unstable_forms_return_only_contract_solutions(
+        self, care_calls, monkeypatch, contract_holds
+    ):
+        """Criterion 11's systems with guesses near the cold P (1e-3 and
+        1e-6 relative) handed in with a Schur form that is stale (of the
+        closed loop of a system with A changed by 1e-4 or 1e-1 relative)
+        or not Hurwitz (of the open loop shifted right), and with a guess
+        that overflows: every result is a RiccatiState whose P meets the
+        contract and whose form is the Hurwitz Schur form of P's closed
+        loop.  The seeds reach all three ends: chords that converge,
+        chords that hand over to Newton-Kleinman, and the cold solve."""
+        newton = []
+        lyapunov = numerics._lyapunov
+
+        def newton_counted(closed, C):
+            newton.append(1)
+            return lyapunov(closed, C)
+
+        monkeypatch.setattr(numerics, "_lyapunov", newton_counted)
+        noise = np.random.default_rng(13)
+        outcomes = set()
+        for A, B, Q, R, P in _criterion_11_systems():
+            weights = riccati_weights(B, Q, R)
+            n = A.shape[0]
+            forms = []
+            for change in (1e-4, 1e-1):
+                A_near = A + change * np.linalg.norm(A) * noise.normal(size=A.shape) / n
+                try:
+                    closed_near = A_near - weights.G @ solve_are(A_near, B, Q, R)
+                except NumericsError:
+                    continue
+                forms.append(numerics._hurwitz_schur(closed_near))
+            shifted = A + (1.0 + np.max(np.linalg.eigvals(A).real.clip(0.0))) * np.eye(n)
+            T, _, _, _, Z, _, _ = scipy.linalg.lapack.dgees(numerics._no_sort, shifted.T)
+            forms.append((T, Z))
+            for (T, Z), scale in zip(forms, (1e-6, 1e-3, 1e-3)):
+                E = noise.normal(size=P.shape)
+                guess = numerics.RiccatiState(P + scale * np.linalg.norm(P) * (E + E.T), T, Z)
+                cold, steps = len(care_calls), len(newton)
+                state = solve_are(A, B, Q, R, guess, weights=weights)
+                self._assert_contract_state(A, B, Q, R, state, weights, contract_holds)
+                if len(care_calls) > cold:
+                    outcomes.add("cold")
+                else:
+                    outcomes.add("newton" if len(newton) > steps else "chord")
+            huge = numerics.RiccatiState(1e150 * np.eye(n), *forms[-1])
+            cold = len(care_calls)
+            state = solve_are(A, B, Q, R, huge, weights=weights)
+            assert len(care_calls) == cold + 1
+            self._assert_contract_state(A, B, Q, R, state, weights, contract_holds)
+        assert outcomes == {"chord", "newton", "cold"}
+
+    @staticmethod
+    def _assert_contract_state(A, B, Q, R, state, weights, contract_holds):
+        assert isinstance(state, numerics.RiccatiState)
+        assert contract_holds(A, B, Q, R, state.P)
+        if state.T is not None:
+            closed = A - weights.G @ state.P
+            assert np.linalg.norm(state.Z @ state.T @ state.Z.T - closed.T) <= (
+                1e-12 * np.linalg.norm(closed))
+            assert np.max(np.linalg.eigvals(state.T).real) < 0.0
 
 
 class TestRiccatiWeights:
@@ -652,15 +718,18 @@ class TestMatrixExponential:
         (np.diag([1.0, -np.inf]), 0.5),
         (np.ones((2, 2)), np.nan),
         (np.ones((2, 2)), np.inf),
+        (np.zeros((3, 3)), np.inf),
     ])
     def test_non_finite_argument_rejected(self, M, scale):
         with pytest.raises(NumericsError, match="non-finite argument"):
             matrix_exponential(M, scale)
 
     def test_finite_overflow_keeps_its_message(self):
-        with np.errstate(over="ignore", invalid="ignore"):
+        """Overflow in the squarings, and in the 1-norm's powers, surfaces
+        as the library's error, with no numpy warning first."""
+        for M in (np.array([[1e3, 1.0], [0.0, 1e3]]), np.full((3, 3), 1e200)):
             with pytest.raises(NumericsError, match="overflow in matrix exponential"):
-                matrix_exponential(np.array([[1e3, 1.0], [0.0, 1e3]]))
+                matrix_exponential(M)
 
 
 class TestFdJacobian:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from formation_guidance import numerics
 from formation_guidance.dynamics import (
     MU_EARTH,
     ChiefOrbit,
@@ -15,7 +17,7 @@ from formation_guidance.dynamics import (
     propagate_nu,
 )
 from formation_guidance.lqr import design_lqr
-from formation_guidance.numerics import riccati_weights, rk4_step, solve_are
+from formation_guidance.numerics import RiccatiState, riccati_weights, rk4_step, solve_are
 from formation_guidance.sdre import (
     FiniteHorizonSpec,
     SdcModel,
@@ -148,23 +150,31 @@ class TestInfiniteHorizonControl:
         np.testing.assert_allclose(u, np.zeros(3), atol=1e-20)
 
     def test_run_weights_keep_the_bits(self):
-        """Control and P with the run's Riccati weights passed in equal,
-        bit for bit, the call that builds them itself, cold and warm; and
-        the control equals -R^-1 B^T P (X - Xd) from np.linalg.solve."""
+        """Control and Riccati state with the run's Riccati weights passed
+        in equal, bit for bit, the call that builds them itself: cold,
+        warm from a plain P, and warm from the state of a nearby step,
+        which hands in its Schur form.  The control is the product of
+        R^-1 B^T from np.linalg.solve with P (X - Xd)."""
         orbit = ChiefOrbit(a=10000.0, e=0.15)
         kin = chief_kinematics(orbit, nu=0.7)
         X, Xd = _sample_state(rho=5.0), _sample_state(rho=25.0)
         for R in (1e8 * np.eye(3), np.diag([1e9, 3e9, 7e10])):
             weights = riccati_weights(B, self.Q, R)
-            u, P = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R)
-            u_w, P_w = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R, weights=weights)
-            assert (u.tobytes(), P.tobytes()) == (u_w.tobytes(), P_w.tobytes())
-            assert u.tobytes() == (-np.linalg.solve(R, B.T @ (P @ (X - Xd)))).tobytes()
-            guess = P * (1.0 + 1e-9)
-            u, P = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R, guess=guess)
-            u_w, P_w = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R,
-                                             guess=guess, weights=weights)
-            assert (u.tobytes(), P.tobytes()) == (u_w.tobytes(), P_w.tobytes())
+            u, riccati = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R)
+            u_w, riccati_w = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R,
+                                                   weights=weights)
+            assert (u.tobytes(), riccati.P.tobytes()) == (u_w.tobytes(), riccati_w.P.tobytes())
+            gain = np.linalg.solve(R, B.T)
+            assert u.tobytes() == (-gain.dot(riccati.P.dot(X - Xd))).tobytes()
+            near = chief_kinematics(orbit, nu=0.7 + 1e-4)
+            for guess in (RiccatiState(riccati.P * (1.0 + 1e-9)), riccati):
+                u, riccati_g = sdre_infinite_control(X, Xd, self.MODEL, near, self.Q, R,
+                                                     guess=guess)
+                u_w, riccati_w = sdre_infinite_control(X, Xd, self.MODEL, near, self.Q, R,
+                                                       guess=guess, weights=weights)
+                assert (u.tobytes(), riccati_g.P.tobytes()) == (u_w.tobytes(),
+                                                                riccati_w.P.tobytes())
+                assert u.tobytes() == (-gain.dot(riccati_g.P.dot(X - Xd))).tobytes()
 
     def test_origin_matches_lqr_gain(self):
         kin = chief_kinematics(CIRC, nu=0.0)
@@ -175,38 +185,90 @@ class TestInfiniteHorizonControl:
 
     def test_warm_start_matches_cold_along_a_trajectory(self, care_calls, contract_holds):
         """Fly a 300 s reconfiguration on an eccentric chief, each step
-        warm-started from the last and handed the run's Riccati weights as
-        the harness hands them, at a light and a heavy control weight:
-        every step's P meets the residual/Hurwitz contract, checked
-        independently of the solver, and equals a cold solve of the same
-        SDC matrix to 1e-10 relative."""
+        warm-started from the last step's Riccati state and handed the
+        run's Riccati weights as the harness hands them, at a light and a
+        heavy control weight: every step's P meets the residual/Hurwitz
+        contract, checked independently of the solver, and equals a cold
+        solve of the same SDC matrix to 1e-10 relative."""
         orbit = ChiefOrbit(a=10000.0, e=0.15)
-        omega = orbit.mean_motion()
-        plant = RelativePlant(orbit)
-        n, dt = 300, 1.0
-        nus = propagate_nu(orbit, n, dt)
-        Xd = formation_to_hill(FormationParams(rho=25.0, theta=0.5, m_slope=1.5), omega, 0.0)
-        x0 = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), omega, 0.0)
         for R in (1e8 * np.eye(3), 1e11 * np.eye(3)):
-            P = None
-            warm = []
-            weights = riccati_weights(B, self.Q, R)
-
-            def policy(k, t, X):
-                nonlocal P
-                kin = chief_kinematics(orbit, nus[k])
-                u, P = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R,
-                                             guess=P, weights=weights)
-                warm.append((sdc1_matrix(X, kin), P))
-                return u
-
             cold_before = len(care_calls)
-            plant.simulate(x0, n, dt, policy)
+            warm = _fly_warm_chain(orbit, 1.0, self.Q, R)
             assert len(care_calls) - cold_before == 1
-            for A, P in warm:
-                assert contract_holds(A, B, self.Q, R, P)
+            for A, riccati, _, _ in warm:
+                assert contract_holds(A, B, self.Q, R, riccati.P)
                 cold = solve_are(A, B, self.Q, R)
-                assert np.linalg.norm(P - cold) <= 1e-10 * np.linalg.norm(cold)
+                assert np.linalg.norm(riccati.P - cold) <= 1e-10 * np.linalg.norm(cold)
+
+    @pytest.mark.parametrize("e, dt", [
+        (0.0, 1.0), (0.15, 1.0), (0.5, 1.0), (0.0, 30.0), (0.15, 30.0), (0.5, 30.0),
+    ])
+    def test_warm_chain_takes_one_schur_form_per_chord_step(
+        self, e, dt, care_calls, monkeypatch
+    ):
+        """300-step pointwise runs over chief geometries, at a light and a
+        heavy control weight: only the first step is cold, every warm P
+        equals a cold solve to 1e-10 relative, and a warm step takes one
+        ``dgees`` (the Hurwitz test of its result, whose Schur form the
+        next step reuses) plus one per Newton step, and a ``dtrsyl`` per
+        correction.  The first warm step starts from a cold P, which has
+        no Schur form, so it takes a Newton step.  On the circular chief
+        at dt = 1 s one chord correction on the handed-in form converges
+        at every later step."""
+        calls = {"dgees": [], "dtrsyl": [], "newton": []}
+        lapack, lyapunov = scipy.linalg.lapack, numerics._lyapunov
+
+        def counted(name, solve):
+            def call(*args, **kwargs):
+                calls[name].append(1)
+                return solve(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(lapack, "dgees", counted("dgees", lapack.dgees))
+        monkeypatch.setattr(lapack, "dtrsyl", counted("dtrsyl", lapack.dtrsyl))
+        monkeypatch.setattr(numerics, "_lyapunov", counted("newton", lyapunov))
+        orbit = ChiefOrbit(a=10000.0, e=e, nu0=0.17)
+        for R in (1e8 * np.eye(3), 1e11 * np.eye(3)):
+            care_calls.clear()
+            chain = _fly_warm_chain(orbit, dt, self.Q, R, list(calls.values()))
+            assert len(care_calls) == 1
+            for k, (A, riccati, before, after) in enumerate(chain[1:], start=1):
+                schur, solves, newton = (b - a for a, b in zip(before, after))
+                assert schur == 1 + newton
+                assert solves >= newton
+                if (e, dt) == (0.0, 1.0) and k > 1:
+                    assert (schur, solves) == (1, 1)
+                cold = solve_are(A, B, self.Q, R)
+                assert np.linalg.norm(riccati.P - cold) <= 1e-10 * np.linalg.norm(cold)
+
+
+def _fly_warm_chain(orbit, dt, Q, R, counters=()):
+    """Fly a 300-step pointwise SDRE reconfiguration (5 -> 25 km) from
+    the orbit's nu0, each step warm-started from the last step's Riccati
+    state and handed the run's weights, as the harness does.  Returns,
+    for each step, its SDC matrix, its Riccati state and the lengths of
+    the ``counters`` lists before and after its control call."""
+    omega = orbit.mean_motion()
+    n = 300
+    nus = propagate_nu(orbit, n, dt)
+    Xd = formation_to_hill(FormationParams(rho=25.0, theta=0.5, m_slope=1.5), omega, 0.0)
+    x0 = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), omega, 0.0)
+    model = TestInfiniteHorizonControl.MODEL
+    weights = riccati_weights(B, Q, R)
+    riccati = None
+    chain = []
+
+    def policy(k, t, X):
+        nonlocal riccati
+        kin = chief_kinematics(orbit, nus[k])
+        before = tuple(map(len, counters))
+        u, riccati = sdre_infinite_control(X, Xd, model, kin, Q, R, guess=riccati,
+                                           weights=weights)
+        chain.append((sdc1_matrix(X, kin), riccati, before, tuple(map(len, counters))))
+        return u
+
+    RelativePlant(orbit).simulate(x0, n, dt, policy)
+    return chain
 
 
 class TestFiniteTimeControl:
