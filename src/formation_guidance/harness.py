@@ -1,3 +1,11 @@
+"""Scenarios, runs and reports.
+
+``run_scenario`` builds a ``Scenario``'s controller, flies it on the
+truth plant (or solves MPSP/G-MPSP from a closed-loop LQR guess) and
+returns a ``RunResult`` with its metrics; ``compare`` runs scenarios
+against controllers, and the ``write_*`` functions write CSV reports.
+"""
+
 from __future__ import annotations
 
 import math
@@ -175,22 +183,12 @@ def _feedback_law(
         return lambda k, t, X: lqr_tracking_control(design, X, Xd[k], Xd_dot[k])
 
     if kind == "nnlqr":
-        if opts.basis == "global":
-            rbf = nnlqr.RbfNetwork(
-                centers=np.zeros((1, 6)), width=1e6, vel_scale=1.0, W_c=np.zeros((1, 6))
-            )
-        else:
-            rbf = nnlqr.make_rbf_network(desired.rho or RENDEZVOUS_LENGTH_KM, omega)
+        rbf = nnlqr.make_rbf_network(opts.basis, desired.rho or RENDEZVOUS_LENGTH_KM, omega)
         ctrl = nnlqr.NnLqrController(
-            design=design_lqr(omega, Q=opts.Q, R=opts.R),
-            rbf=rbf,
-            dist=nnlqr.DisturbanceNet(nnlqr.build_disturbance_basis(believed.a)),
-            vp=nnlqr.VirtualPlant(X_a=x0.copy(), K_tau=opts.k_tau * np.eye(6)),
-            gains=nnlqr.AdaptationGains(
-                beta=opts.beta, gamma=opts.gamma, Theta=opts.theta * np.eye(6)
-            ),
-            R1=opts.R1,
-            dt=dt,
+            design=design_lqr(omega, Q=opts.Q, R=opts.R), rbf=rbf,
+            basis=nnlqr.DisturbanceBasis(believed.a), X_a=x0.copy(),
+            K_tau=opts.k_tau * np.eye(6), beta=opts.beta, gamma=opts.gamma,
+            Theta=opts.theta * np.eye(6), R1=opts.R1, dt=dt,
         )
 
         def nnlqr_law(k, t, X):

@@ -51,7 +51,7 @@ def lqr_feedforward(A: np.ndarray, Xd: np.ndarray, Xd_dot: np.ndarray) -> np.nda
     column-selects the acceleration rows this is simply the extraction
     of rows 2, 4, 6 with flipped sign on the forcing term.
     """
-    forcing = A @ Xd - Xd_dot
+    forcing = A.dot(Xd) - Xd_dot
     return -forcing[ACCEL_ROWS]
 
 
@@ -66,4 +66,4 @@ def lqr_tracking_control(
     The feedforward makes the tracking-error dynamics homogeneous when
     the desired trajectory is consistent with the design's linear model.
     """
-    return -design.K @ (X - Xd) + lqr_feedforward(design.A, Xd, Xd_dot)
+    return (-design.K).dot(X - Xd) + lqr_feedforward(design.A, Xd, Xd_dot)

@@ -5,7 +5,8 @@ believed (possibly wrong) chief model: NN1 is a radial-basis-function
 network producing an additive costate correction, trained online from a
 back-propagated costate target; NN2 identifies the unmodeled dynamics
 channel-by-channel through a virtual plant whose tracking error drives a
-Lyapunov-based weight update.
+Lyapunov-based weight update.  One ``NnLqrController`` holds all of it,
+and ``nnlqr_control_step`` advances it by one step.
 """
 
 from __future__ import annotations
@@ -44,26 +45,26 @@ class RbfNetwork:
             raise ValueError("RBF network needs at least one basis and width > 0")
 
 
-def make_rbf_network(rho: float, omega: float) -> RbfNetwork:
-    """Default RBF layout: 27 centers on a 3x3x3 position grid.
+def make_rbf_network(basis: str, rho: float, omega: float) -> RbfNetwork:
+    """NN1's layout, with zero weights.
 
-    The grid spans +/- rho in each position axis (zero in the velocity
-    axes), the shared width equals the grid spacing rho, and velocity
+    "grid": 27 centres on a 3x3x3 position grid spanning +/- rho in each
+    position axis (zero in the velocity axes), x slowest and z fastest;
+    the shared width equals the grid spacing rho, and velocity
     deviations are weighted by 1/omega to bring them to position scale.
+    "global": one centre at the origin, so wide (1e6) that its feature
+    is near 1 wherever the formation flies; rho and omega are not read.
     """
-    pts = np.array([-rho, 0.0, rho])
-    centers = np.zeros((27, 6))
-    idx = 0
-    for cx in pts:
-        for cy in pts:
-            for cz in pts:
-                centers[idx, 0] = cx
-                centers[idx, 2] = cy
-                centers[idx, 4] = cz
-                idx += 1
-    return RbfNetwork(
-        centers=centers, width=rho, vel_scale=1.0 / omega, W_c=np.zeros((27, 6))
-    )
+    if basis == "grid":
+        pts = (-rho, 0.0, rho)
+        centers = np.array([[cx, 0.0, cy, 0.0, cz, 0.0] for cx in pts for cy in pts for cz in pts])
+        width, vel_scale = rho, 1.0 / omega
+    elif basis == "global":
+        centers, width, vel_scale = np.zeros((1, 6)), 1e6, 1.0
+    else:
+        raise ValueError(f"unknown RBF basis {basis!r}: expected 'grid' or 'global'")
+    W_c = np.zeros((len(centers), 6))
+    return RbfNetwork(centers=centers, width=width, vel_scale=vel_scale, W_c=W_c)
 
 
 def rbf_features(net: RbfNetwork, X: np.ndarray) -> np.ndarray:
@@ -85,14 +86,14 @@ class DisturbanceBasis:
     psi = -2x/r_c - (x^2+y^2+z^2)/r_c^2 and p(s) = s + s^2 + s^3 + s^4,
     plus trigonometric terms in the (believed) argument of latitude for
     the J2-type periodic content.  The basis and its analytic state
-    Jacobian are shared across channels.
+    Jacobian are shared across channels.  r_c: believed chief radius [km].
     """
 
     r_c: float
 
-    @property
-    def size(self) -> int:
-        return 7
+    def __post_init__(self) -> None:
+        if not self.r_c > 0.0:
+            raise ValueError("r_c must be positive")
 
     def power_series(self, x: float, y: float, z: float) -> tuple[float, list[list[float]]]:
         """p(psi) at the position (x, y, z), and d (p x, p y, p z) / d (x, y, z)
@@ -110,91 +111,52 @@ class DisturbanceBasis:
         return p, block
 
 
-def build_disturbance_basis(r_c: float) -> DisturbanceBasis:
-    """Basis descriptor for a believed chief radius r_c [km]."""
-    if not r_c > 0.0:
-        raise ValueError("r_c must be positive")
-    return DisturbanceBasis(r_c=r_c)
-
-
-@dataclass
-class DisturbanceNet:
-    """Per-channel weights over a shared basis; d_hat_i = W_i^T Phi."""
-
-    basis: DisturbanceBasis
-    weights: np.ndarray = field(default=None)  # (3, p), rows follow ACCEL_ROWS
-
-    def __post_init__(self) -> None:
-        if self.weights is None:
-            self.weights = np.zeros((3, self.basis.size))
-
-
-@dataclass(frozen=True)
-class AdaptationGains:
-    """Per-channel learning gains: rates beta, regularizers gamma, and the
-    Jacobian-weighting matrices Theta (6x6 PD, shared here)."""
-
-    beta: float
-    gamma: float
-    Theta: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (self.beta > 0.0 and self.gamma > 0.0):
-            raise ValueError("adaptation gains must be positive")
-
-
-@dataclass
-class VirtualPlant:
-    """Observer-like auxiliary system tracking the measured state.
-
-    X_a follows the believed linear model plus the identified
-    disturbance, pulled toward the measurement by the diagonal Hurwitz
-    gain K_tau; the residual E = X - X_a drives NN2 adaptation.
-    """
-
-    X_a: np.ndarray
-    K_tau: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.diag(self.K_tau) > 0.0):
-            raise ValueError("K_tau diagonal entries must be positive")
-
-
 # ---------------------------------------------------------------------------
 # Per-step training/control loop
 
 
 @dataclass
 class NnLqrController:
-    """State of the augmented controller across a run.
+    """The augmented controller: its settings and its trained state.
 
-    The design, the RBF centres and width, the disturbance basis, K_tau,
-    the gains, R1 and dt are fixed over a run; construction derives from
-    them the invariants each step reads, as float rows: R^-1 B^T, P, Q,
-    A^T, A's acceleration rows, A + K_tau, the position block of Theta,
-    and the virtual plant's exact one-step RK4 propagator.  With the
-    forcing f held over a step, RK4 on x_a' = f - K_tau x_a computes
-    x_a+ = Phi x_a + Psi f, where M = dt K_tau,
+    Fixed over a run: the baseline LQR design on the believed model; rbf,
+    NN1's layout (``make_rbf_network``); basis, NN2's; the virtual plant's
+    diagonal Hurwitz gain K_tau; NN2's rate beta, regularizer gamma and
+    Jacobian weight Theta (6x6 PD); NN1's regularizer R1; the step dt.
+    Trained at each step: rbf.W_c, NN2's (3, 7) weights W_dist (rows
+    follow ACCEL_ROWS), and the virtual plant's state X_a, which K_tau
+    pulls toward the measurement; the residual X - X_a drives NN2.
+
+    Construction also derives the invariants each step reads, as float
+    rows: R^-1 B^T, P, Q, A^T, A's acceleration rows, A + K_tau, Theta's
+    position block, and the virtual plant's exact one-step RK4
+    propagator: with f held over a step, RK4 on x_a' = f - K_tau x_a
+    gives x_a+ = Phi x_a + Psi f, where M = dt K_tau,
 
         Phi = I - M + M^2/2 - M^3/6 + M^4/24,
         Psi = dt (I - M/2 + M^2/6 - M^3/24).
-
-    The trained weights (rbf.W_c, dist.weights) and vp.X_a are read and
-    written at each step.
     """
 
     design: LqrDesign
     rbf: RbfNetwork
-    dist: DisturbanceNet
-    vp: VirtualPlant
-    gains: AdaptationGains
+    basis: DisturbanceBasis
+    X_a: np.ndarray
+    K_tau: np.ndarray
+    beta: float
+    gamma: float
+    Theta: np.ndarray
     R1: float
     dt: float
+    W_dist: np.ndarray = field(default_factory=lambda: np.zeros((3, 7)))
 
     def __post_init__(self) -> None:
+        if not np.all(np.diag(self.K_tau) > 0.0):
+            raise ValueError("K_tau diagonal entries must be positive")
+        if not (self.beta > 0.0 and self.gamma > 0.0):
+            raise ValueError("adaptation gains must be positive")
         if not self.R1 > 0.0:
             raise ValueError("R1 must be positive")
-        d, K_tau = self.design, self.vp.K_tau
+        d, K_tau = self.design, self.K_tau
         M = self.dt * K_tau
         M2 = M @ M
         M3 = M2 @ M
@@ -204,7 +166,7 @@ class NnLqrController:
         self._Rinv_Bt = np.linalg.solve(d.R, d.B.T).tolist()
         self._P, self._Q, self._At = d.P.tolist(), d.Q.tolist(), d.A.T.tolist()
         self._A_acc, self._A_K = d.A[ACCEL_ROWS].tolist(), (d.A + K_tau).tolist()
-        self._Theta = self.gains.Theta[np.ix_(POSITION_ROWS, POSITION_ROWS)].tolist()
+        self._Theta = self.Theta[np.ix_(POSITION_ROWS, POSITION_ROWS)].tolist()
 
 
 # ACCEL_ROWS and POSITION_ROWS as int tuples, to index float lists.
@@ -273,8 +235,8 @@ def nnlqr_control_step(
     ``numerics.rk4_step``; the step knows no time, which the harness
     adds with the step index.
     """
-    dt, W_c, gamma = ctrl.dt, ctrl.rbf.W_c, ctrl.gains.gamma
-    x, xd, xd_dot, xa = X.tolist(), Xd.tolist(), Xd_dot.tolist(), ctrl.vp.X_a.tolist()
+    dt, W_c, gamma = ctrl.dt, ctrl.rbf.W_c, ctrl.gamma
+    x, xd, xd_dot, xa = X.tolist(), Xd.tolist(), Xd_dot.tolist(), ctrl.X_a.tolist()
     # The RBF features at the measured state, which no weight update
     # below changes.
     phi_c = rbf_features(ctrl.rbf, X)
@@ -293,7 +255,7 @@ def nnlqr_control_step(
     # G is zero outside its position block, so I/gamma + G Theta G^T is
     # block-diagonal: only its 3x3 position block is solved, and the
     # other four entries of the direction are gamma phi.
-    p, G = ctrl.dist.basis.power_series(x[0], x[2], x[4])
+    p, G = ctrl.basis.power_series(x[0], x[2], x[4])
     sin, cos = math.sin(theta), math.cos(theta)
     phi_d = [p * x[0], p * x[2], p * x[4], sin, cos, sin * cos, 1.0]
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = ctrl._Theta
@@ -306,12 +268,12 @@ def nnlqr_control_step(
     for i in range(3):
         M[i][i] += 1.0 / gamma
     direction = _solve3(M, phi_d[:3]) + [gamma * v for v in phi_d[3:]]
-    rate = dt * ctrl.gains.beta
+    rate = dt * ctrl.beta
     W = [
         [w + rate * (x[r] - xa[r]) * d for w, d in zip(row, direction)]
-        for r, row in zip(_ACCEL, ctrl.dist.weights.tolist())
+        for r, row in zip(_ACCEL, ctrl.W_dist.tolist())
     ]
-    ctrl.dist.weights = np.array(W)
+    ctrl.W_dist = np.array(W)
 
     # (3) virtual-plant propagation under the applied control, with the
     # forcing f = (A + K_tau) X + B U + d_hat held over the step.
@@ -321,7 +283,7 @@ def nnlqr_control_step(
     xa_next = [a + b for a, b in zip(_matvec(ctrl._Phi, xa), _matvec(ctrl._Psi, f))]
     if not all(map(math.isfinite, xa_next)):
         raise NumericsError("non-finite state after RK4 step of the virtual plant")
-    Xa_next = ctrl.vp.X_a = np.array(xa_next)
+    Xa_next = ctrl.X_a = np.array(xa_next)
 
     # (4) costates at the predicted state.
     dx_next = [a - b for a, b in zip(xa_next, Xd_next.tolist())]

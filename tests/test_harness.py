@@ -32,8 +32,7 @@ from formation_guidance.harness import (
     write_metrics_csv,
     write_trajectory_csv,
 )
-from formation_guidance.lqr import design_lqr
-from test_nnlqr import nn1_update
+from test_nnlqr import _controller as _nnlqr_controller, nn1_update
 
 CIRC = ChiefOrbit(a=10000.0)
 OMEGA = CIRC.mean_motion()
@@ -75,26 +74,14 @@ class TestScenarioValidation:
             ControllerSpec("mpsp", {"tol_pct": 1e-6})
 
 
-def _nnlqr_controller(R1):
-    return nnlqr.NnLqrController(
-        design=design_lqr(OMEGA),
-        rbf=nnlqr.make_rbf_network(5.0, OMEGA),
-        dist=nnlqr.DisturbanceNet(nnlqr.build_disturbance_basis(CIRC.a)),
-        vp=nnlqr.VirtualPlant(X_a=np.zeros(6), K_tau=np.eye(6)),
-        gains=nnlqr.AdaptationGains(beta=0.01, gamma=100.0, Theta=np.eye(6)),
-        R1=R1,
-        dt=1.0,
-    )
-
-
 NAN, INF = math.nan, math.inf
 
 
 _GUARD_IDS = [
     "FormationParams.rho", "FormationParams.theta", "ChiefOrbit.i", "ChiefOrbit.nu0",
     "Scenario.tf", "Scenario.dt", "settle_time", "hill_linear_matrices", "RbfNetwork.width",
-    "AdaptationGains.beta", "AdaptationGains.gamma", "VirtualPlant.K_tau",
-    "NnLqrController.R1", "nn1_update", "build_disturbance_basis",
+    "NnLqrController.beta", "NnLqrController.gamma", "NnLqrController.K_tau",
+    "NnLqrController.R1", "nn1_update", "DisturbanceBasis.r_c",
 ]
 
 
@@ -110,17 +97,25 @@ _GUARD_IDS = [
     (lambda: hill_linear_matrices(NAN), DynamicsError, "must be positive"),
     (lambda: nnlqr.RbfNetwork(centers=np.zeros((1, 6)), width=NAN, vel_scale=1.0,
                               W_c=np.zeros((1, 6))), ValueError, "width > 0"),
-    (lambda: nnlqr.AdaptationGains(beta=NAN, gamma=1.0, Theta=np.eye(6)), ValueError, "positive"),
-    (lambda: nnlqr.AdaptationGains(beta=1.0, gamma=NAN, Theta=np.eye(6)), ValueError, "positive"),
-    (lambda: nnlqr.VirtualPlant(X_a=np.zeros(6), K_tau=NAN * np.eye(6)), ValueError, "positive"),
+    (lambda: _nnlqr_controller(beta=NAN), ValueError, "adaptation gains must be positive"),
+    (lambda: _nnlqr_controller(gamma=NAN), ValueError, "adaptation gains must be positive"),
+    (lambda: _nnlqr_controller(K_tau=NAN * np.eye(6)), ValueError,
+     "K_tau diagonal entries must be positive"),
     (lambda: _nnlqr_controller(R1=NAN), ValueError, "R1 must be positive"),
-    (lambda: nn1_update(nnlqr.make_rbf_network(5.0, OMEGA), np.zeros(6), np.zeros(27), NAN),
-     ValueError, "R1 must be positive"),
-    (lambda: nnlqr.build_disturbance_basis(NAN), ValueError, "r_c must be positive"),
+    (lambda: nn1_update(nnlqr.make_rbf_network("grid", 5.0, OMEGA), np.zeros(6), np.zeros(27),
+                        NAN), ValueError, "R1 must be positive"),
+    (lambda: nnlqr.DisturbanceBasis(NAN), ValueError, "r_c must be positive"),
 ], ids=_GUARD_IDS)
 def test_non_finite_value_rejected_by_its_guard(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+def test_unknown_nnlqr_basis_rejected_by_run_scenario():
+    # Only "grid" and "global" name a costate network; a misspelling
+    # must not fly either of them.
+    with pytest.raises(ValueError, match="'grid' or 'global'"):
+        run_scenario(_natural_scenario("nnlqr", tf=10.0, basis="grd"))
 
 
 class TestRunScenario:

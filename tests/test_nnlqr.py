@@ -18,13 +18,9 @@ from formation_guidance.dynamics import (
 )
 from formation_guidance.lqr import design_lqr, lqr_feedforward, lqr_tracking_control
 from formation_guidance.nnlqr import (
-    AdaptationGains,
     DisturbanceBasis,
-    DisturbanceNet,
     NnLqrController,
     RbfNetwork,
-    VirtualPlant,
-    build_disturbance_basis,
     make_rbf_network,
     nnlqr_control_step,
     rbf_features,
@@ -64,7 +60,7 @@ def nn1_update(net: RbfNetwork, target: np.ndarray, phi: np.ndarray, R1: float) 
 
 
 def basis_eval(basis: DisturbanceBasis, X: np.ndarray, theta: float) -> np.ndarray:
-    """The disturbance basis Phi(X, theta), shape (basis.size,)."""
+    """The disturbance basis Phi(X, theta), shape (7,)."""
     x, _, y, _, z, _ = X
     p, _ = basis.power_series(x, y, z)
     return np.array(
@@ -73,39 +69,43 @@ def basis_eval(basis: DisturbanceBasis, X: np.ndarray, theta: float) -> np.ndarr
 
 
 def basis_jacobian(basis: DisturbanceBasis, X: np.ndarray, theta: float) -> np.ndarray:
-    """Analytic d Phi / d X, shape (basis.size, 6)."""
+    """Analytic d Phi / d X, shape (7, 6)."""
     x, _, y, _, z, _ = X
-    J = np.zeros((basis.size, 6))
+    J = np.zeros((7, 6))
     # Trig terms depend on time only; the constant term is flat.
     J[:3, POSITION_ROWS] = basis.power_series(x, y, z)[1]
     return J
 
 
-def d_hat(net: DisturbanceNet, phi: np.ndarray) -> np.ndarray:
+def d_hat(W: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Estimated unmodeled acceleration as a 6-vector (rows 2, 4, 6),
-    from the basis ``phi = basis_eval(net.basis, X, theta)``."""
+    from NN2's (3, 7) weights W and the basis
+    ``phi = basis_eval(basis, X, theta)``."""
     out = np.zeros(6)
-    out[ACCEL_ROWS] = net.weights @ phi
+    out[ACCEL_ROWS] = W @ phi
     return out
 
 
-def d_hat_jacobian(net: DisturbanceNet, J_phi: np.ndarray) -> np.ndarray:
-    """d d_hat / d X as a 6x6 matrix, from the basis Jacobian
-    ``J_phi = basis_jacobian(net.basis, X, theta)``."""
+def d_hat_jacobian(W: np.ndarray, J_phi: np.ndarray) -> np.ndarray:
+    """d d_hat / d X as a 6x6 matrix, from NN2's weights W and the basis
+    Jacobian ``J_phi = basis_jacobian(basis, X, theta)``."""
     out = np.zeros((6, 6))
-    out[ACCEL_ROWS, :] = net.weights @ J_phi
+    out[ACCEL_ROWS, :] = W @ J_phi
     return out
 
 
 def nn2_update(
-    net: DisturbanceNet,
+    W: np.ndarray,
     e: np.ndarray,
     phi: np.ndarray,
     G: np.ndarray,
-    gains: AdaptationGains,
+    beta: float,
+    gamma: float,
+    Theta: np.ndarray,
     dt: float,
 ) -> None:
-    """Lyapunov-based weight update, explicit Euler at the control step.
+    """Lyapunov-based update of NN2's (3, 7) weights W in place,
+    explicit Euler at the control step.
 
         dW_i/dt = beta_i e_i (I/gamma_i + G Theta G^T)^-1 Phi,
 
@@ -114,14 +114,15 @@ def nn2_update(
     error on channel i.  The identity regularization keeps the solve
     nonsingular.
     """
-    M = np.eye(net.basis.size) / gains.gamma + G @ gains.Theta @ G.T
+    M = np.eye(len(phi)) / gamma + G @ Theta @ G.T
     direction = np.linalg.solve(M, phi)
     for row, ch in enumerate(ACCEL_ROWS):
-        net.weights[row] += dt * gains.beta * e[ch] * direction
+        W[row] += dt * beta * e[ch] * direction
 
 
 def virtual_plant_step(
-    vp: VirtualPlant,
+    X_a: np.ndarray,
+    K_tau: np.ndarray,
     X: np.ndarray,
     U: np.ndarray,
     d_hat: np.ndarray,
@@ -129,17 +130,17 @@ def virtual_plant_step(
     B: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """Advance the virtual plant one RK4 step; returns the new X_a.
+    """Advance the virtual plant's state X_a one RK4 step under the
+    gain K_tau; returns the new X_a.
 
     The measured state X (and hence d_hat(X)) is held over the step.
     """
-    forcing = A @ X + B @ U + d_hat + vp.K_tau @ X
+    forcing = A @ X + B @ U + d_hat + K_tau @ X
 
     def deriv(t: float, xa: np.ndarray) -> np.ndarray:
-        return forcing - vp.K_tau @ xa
+        return forcing - K_tau @ xa
 
-    vp.X_a = rk4_step(deriv, 0.0, vp.X_a, dt)
-    return vp.X_a
+    return rk4_step(deriv, 0.0, X_a, dt)
 
 
 def costate_backprop(
@@ -161,7 +162,7 @@ def costate_backprop(
 
 class TestRbfEval:
     def test_zero_weights_zero_costate(self):
-        net = make_rbf_network(5.0, OMEGA)
+        net = make_rbf_network("grid", 5.0, OMEGA)
         np.testing.assert_array_equal(rbf_eval(net, np.ones(6)), np.zeros(6))
 
     def test_single_center_unit_weight(self):
@@ -189,13 +190,38 @@ class TestRbfEval:
             RbfNetwork(centers=np.zeros((1, 6)), width=0.0, vel_scale=1.0, W_c=np.zeros((1, 6)))
 
 
+class TestMakeRbfNetwork:
+    def test_global_layout_is_one_wide_centre(self):
+        net = make_rbf_network("global", 5.0, OMEGA)
+        np.testing.assert_array_equal(net.centers, np.zeros((1, 6)))
+        assert (net.width, net.vel_scale) == (1e6, 1.0)
+        np.testing.assert_array_equal(net.W_c, np.zeros((1, 6)))
+
+    def test_grid_layout_keeps_the_triple_loop_order(self):
+        rho = 5.0
+        expected = []
+        for cx in (-rho, 0.0, rho):
+            for cy in (-rho, 0.0, rho):
+                for cz in (-rho, 0.0, rho):
+                    expected.append([cx, 0.0, cy, 0.0, cz, 0.0])
+        net = make_rbf_network("grid", rho, OMEGA)
+        np.testing.assert_array_equal(net.centers, expected)
+        assert (net.width, net.vel_scale) == (rho, 1.0 / OMEGA)
+        np.testing.assert_array_equal(net.W_c, np.zeros((27, 6)))
+
+    @pytest.mark.parametrize("basis", ["grd", "local"])
+    def test_unknown_basis_rejected(self, basis):
+        with pytest.raises(ValueError, match="'grid' or 'global'"):
+            make_rbf_network(basis, 5.0, OMEGA)
+
+
 class TestNn1Update:
     def test_huge_regularizer_freezes_weights(self):
         X = np.array([1.0, 0.0, -1.0, 0.0, 0.5, 0.0])
         target = np.ones(6)
         drifts = []
         for r1 in (1e12, 1e13):
-            net = make_rbf_network(2.0, OMEGA)
+            net = make_rbf_network("grid", 2.0, OMEGA)
             net.W_c[:] = 0.5
             before = net.W_c.copy()
             nn1_update(net, target, rbf_features(net, X), r1)
@@ -253,7 +279,7 @@ class TestNn1Update:
             assert cost(net.W_c + 1e-4 * rng.normal(size=(3, 6))) >= base
 
     def test_nonpositive_regularizer_rejected(self):
-        net = make_rbf_network(1.0, OMEGA)
+        net = make_rbf_network("grid", 1.0, OMEGA)
         for R1 in (0.0, math.nan):
             with pytest.raises(ValueError, match="R1 must be positive"):
                 nn1_update(net, np.zeros(6), rbf_features(net, np.zeros(6)), R1)
@@ -261,7 +287,7 @@ class TestNn1Update:
 
 class TestDisturbanceBasis:
     def test_origin_zeros_power_series(self):
-        basis = build_disturbance_basis(10000.0)
+        basis = DisturbanceBasis(10000.0)
         phi = basis_eval(basis, np.zeros(6), 0.3)
         np.testing.assert_array_equal(phi[:3], np.zeros(3))
         # The trig/constant tail is independent of the state.
@@ -272,7 +298,7 @@ class TestDisturbanceBasis:
         )
 
     def test_jacobian_matches_finite_differences(self):
-        basis = build_disturbance_basis(10000.0)
+        basis = DisturbanceBasis(10000.0)
         rng = np.random.default_rng(5)
         for _ in range(20):
             X = rng.uniform(-50.0, 50.0, size=6)
@@ -288,7 +314,7 @@ class TestDisturbanceBasis:
         orbit = ChiefOrbit(a=10000.0)
         g = GravityModel(j2_enabled=True)
         A = hill_linear_matrices(OMEGA)[0]
-        basis = build_disturbance_basis(orbit.a)
+        basis = DisturbanceBasis(orbit.a)
         params = FormationParams(rho=5.0, theta=0.3, m_slope=1.0)
         rows, targets = [], []
         for t in np.linspace(0.0, 6000.0, 240):
@@ -308,8 +334,9 @@ class TestDisturbanceBasis:
             assert rel < 0.05
 
     def test_invalid_radius_rejected(self):
-        with pytest.raises(ValueError):
-            build_disturbance_basis(-1.0)
+        for r_c in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="r_c must be positive"):
+                DisturbanceBasis(r_c=r_c)
 
 
 class TestVirtualPlant:
@@ -322,9 +349,8 @@ class TestVirtualPlant:
         d[1] = 1e-7
         defects = {}
         for dt in (0.1, 0.05):
-            vp = VirtualPlant(X_a=X.copy(), K_tau=0.5 * np.eye(6))
             X_next = rk4_step(lambda t, x: A @ x + d, 0.0, X, dt)
-            Xa_next = virtual_plant_step(vp, X, np.zeros(3), d, A, B, dt)
+            Xa_next = virtual_plant_step(X.copy(), 0.5 * np.eye(6), X, np.zeros(3), d, A, B, dt)
             defects[dt] = np.linalg.norm(X_next - Xa_next)
         assert defects[0.1] < 1e-4
         # Second order in the hold interval.
@@ -336,10 +362,12 @@ class TestVirtualPlant:
         A = hill_linear_matrices(OMEGA)[0]
         x_star = np.array([1.0, 0.0, -2.0, 0.0, 0.5, 0.0])
         for k_tau in (0.5, 1.0):
-            vp = VirtualPlant(X_a=np.zeros(6), K_tau=k_tau * np.eye(6))
+            X_a = np.zeros(6)
             for _ in range(200):
-                virtual_plant_step(vp, x_star, np.zeros(3), np.zeros(6), A, B, 0.5)
-            e = x_star - vp.X_a
+                X_a = virtual_plant_step(
+                    X_a, k_tau * np.eye(6), x_star, np.zeros(3), np.zeros(6), A, B, 0.5
+                )
+            e = x_star - X_a
             delta = -A @ x_star
             np.testing.assert_allclose(e, delta / k_tau, atol=1e-10)
 
@@ -348,10 +376,12 @@ class TestVirtualPlant:
         x_star = np.array([1.0, 0.0, -2.0, 0.0, 0.5, 0.0])
         errs = {}
         for k_tau in (0.5, 1.0):
-            vp = VirtualPlant(X_a=np.zeros(6), K_tau=k_tau * np.eye(6))
+            X_a = np.zeros(6)
             for _ in range(200):
-                virtual_plant_step(vp, x_star, np.zeros(3), np.zeros(6), A, B, 0.5)
-            errs[k_tau] = np.linalg.norm(x_star - vp.X_a)
+                X_a = virtual_plant_step(
+                    X_a, k_tau * np.eye(6), x_star, np.zeros(3), np.zeros(6), A, B, 0.5
+                )
+            errs[k_tau] = np.linalg.norm(x_star - X_a)
         np.testing.assert_allclose(errs[1.0], errs[0.5] / 2.0, rtol=1e-8)
 
     def test_error_decay_rate_matches_gain(self):
@@ -359,74 +389,71 @@ class TestVirtualPlant:
         # exponent agrees with the gain to better than 10%.
         A = np.zeros((6, 6))
         k_tau = 0.3
-        vp = VirtualPlant(X_a=np.ones(6), K_tau=k_tau * np.eye(6))
+        X_a = np.ones(6)
         dt, n = 0.2, 40
-        norms = [np.linalg.norm(vp.X_a)]
+        norms = [np.linalg.norm(X_a)]
         for _ in range(n):
-            virtual_plant_step(vp, np.zeros(6), np.zeros(3), np.zeros(6), A, B, dt)
-            norms.append(np.linalg.norm(vp.X_a))
+            X_a = virtual_plant_step(
+                X_a, k_tau * np.eye(6), np.zeros(6), np.zeros(3), np.zeros(6), A, B, dt
+            )
+            norms.append(np.linalg.norm(X_a))
         fitted = -np.polyfit(dt * np.arange(n + 1), np.log(norms), 1)[0]
         assert abs(fitted - k_tau) < 0.1 * k_tau
 
     def test_nonpositive_gain_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualPlant(X_a=np.zeros(6), K_tau=np.zeros((6, 6)))
+        with pytest.raises(ValueError, match="K_tau diagonal entries must be positive"):
+            _controller(K_tau=np.zeros((6, 6)))
 
 
 class TestNn2Update:
     def test_zero_error_leaves_weights(self):
-        net = DisturbanceNet(build_disturbance_basis(10000.0))
-        net.weights[:] = 0.25
-        before = net.weights.copy()
-        gains = AdaptationGains(beta=0.1, gamma=10.0, Theta=np.eye(6))
-        basis = net.basis
+        W = np.full((3, 7), 0.25)
+        basis = DisturbanceBasis(10000.0)
         X = np.ones(6)
-        nn2_update(
-            net, np.zeros(6), basis_eval(basis, X, 0.3), basis_jacobian(basis, X, 0.3), gains, 1.0
-        )
-        np.testing.assert_array_equal(net.weights, before)
+        phi, G = basis_eval(basis, X, 0.3), basis_jacobian(basis, X, 0.3)
+        nn2_update(W, np.zeros(6), phi, G, 0.1, 10.0, np.eye(6), 1.0)
+        np.testing.assert_array_equal(W, np.full((3, 7), 0.25))
 
     def test_zero_theta_reduces_to_gradient_rule(self):
         # With Theta = 0 the solve collapses to gamma * phi, i.e. the
         # pure gradient law dW = dt beta gamma e phi.
-        basis = build_disturbance_basis(10000.0)
-        net = DisturbanceNet(basis)
-        gains = AdaptationGains(beta=0.2, gamma=5.0, Theta=np.zeros((6, 6)))
+        basis = DisturbanceBasis(10000.0)
+        W = np.zeros((3, 7))
         X = np.array([1.0, 0.0, 0.5, 0.0, -0.3, 0.0])
         e = np.zeros(6)
         e[3] = 2.0
         phi = basis_eval(basis, X, 0.7)
-        nn2_update(net, e, phi, basis_jacobian(basis, X, 0.7), gains, 0.5)
-        expected = np.zeros((3, basis.size))
+        nn2_update(W, e, phi, basis_jacobian(basis, X, 0.7), 0.2, 5.0, np.zeros((6, 6)), 0.5)
+        expected = np.zeros((3, 7))
         expected[1] = 0.5 * 0.2 * 5.0 * 2.0 * phi
-        np.testing.assert_allclose(net.weights, expected, rtol=1e-12)
+        np.testing.assert_allclose(W, expected, rtol=1e-12)
 
     def test_constant_disturbance_identification(self):
         """Closed identification loop against a constant acceleration:
         the channel error falls into the dead zone and the estimate lands
         near the truth."""
         A = hill_linear_matrices(OMEGA)[0]
-        net = DisturbanceNet(build_disturbance_basis(ORBIT.a))
-        k_tau = 0.5
-        vp = VirtualPlant(X_a=np.zeros(6), K_tau=k_tau * np.eye(6))
-        gains = AdaptationGains(beta=0.01, gamma=100.0, Theta=np.eye(6))
+        basis = DisturbanceBasis(ORBIT.a)
+        W = np.zeros((3, 7))
+        K_tau = 0.5 * np.eye(6)
+        X_a = np.zeros(6)
         delta = np.zeros(6)
         delta[1] = 1e-6
         X, dt = np.zeros(6), 1.0
         for k in range(6000):
             theta = OMEGA * k * dt
-            e = X - vp.X_a
-            phi = basis_eval(net.basis, X, theta)
-            nn2_update(net, e, phi, basis_jacobian(net.basis, X, theta), gains, dt)
-            estimate = d_hat(net, phi)
-            virtual_plant_step(vp, X, np.zeros(3), estimate, A, B, dt)
+            e = X - X_a
+            phi = basis_eval(basis, X, theta)
+            nn2_update(W, e, phi, basis_jacobian(basis, X, theta), 0.01, 100.0, np.eye(6), dt)
+            estimate = d_hat(W, phi)
+            X_a = virtual_plant_step(X_a, K_tau, X, np.zeros(3), estimate, A, B, dt)
             X = rk4_step(lambda t, x: A @ x + delta, 0.0, X, dt)
         assert abs(e[1]) < 1e-8
         assert 0.5 * delta[1] < estimate[1] < 1.5 * delta[1]
 
     def test_invalid_gains_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptationGains(beta=0.0, gamma=1.0, Theta=np.eye(6))
+        with pytest.raises(ValueError, match="adaptation gains must be positive"):
+            _controller(beta=0.0, gamma=1.0)
 
 
 class TestCostateBackprop:
@@ -475,45 +502,47 @@ def _reference_step(ctrl, X, Xd, Xd_dot, Xd_next, theta):
     design, dt = ctrl.design, ctrl.dt
     P, A, B, Q, R = design.P, design.A, design.B, design.Q, design.R
     phi_c = rbf_features(ctrl.rbf, X)
-    phi_d = basis_eval(ctrl.dist.basis, X, theta)
-    J_d = basis_jacobian(ctrl.dist.basis, X, theta)
+    phi_d = basis_eval(ctrl.basis, X, theta)
+    J_d = basis_jacobian(ctrl.basis, X, theta)
     # (1) costates at the measured state, then the control.
     lam1 = P @ (X - Xd)
     lam2 = ctrl.rbf.W_c.T @ phi_c
     U = -np.linalg.solve(R, B.T @ (lam1 + lam2)) + lqr_feedforward(A, Xd, Xd_dot)
     # (2) NN2 training from the virtual-plant error.
-    nn2_update(ctrl.dist, X - ctrl.vp.X_a, phi_d, J_d, ctrl.gains, dt)
+    nn2_update(ctrl.W_dist, X - ctrl.X_a, phi_d, J_d, ctrl.beta, ctrl.gamma, ctrl.Theta, dt)
     # (3) virtual-plant propagation under the applied control.
-    Xa_next = virtual_plant_step(ctrl.vp, X, U, d_hat(ctrl.dist, phi_d), A, B, dt)
+    Xa_next = ctrl.X_a = virtual_plant_step(
+        ctrl.X_a, ctrl.K_tau, X, U, d_hat(ctrl.W_dist, phi_d), A, B, dt
+    )
     # (4) costates at the predicted state.
     lam1_next = P @ (Xa_next - Xd_next)
     lam2_next = rbf_eval(ctrl.rbf, Xa_next)
     # (5) costate back-propagation to the current step.
     lam_target = costate_backprop(
         Xa_next, Xd_next, lam1_next + lam2_next, A, Q,
-        d_hat_jacobian(ctrl.dist, J_d), dt,
+        d_hat_jacobian(ctrl.W_dist, J_d), dt,
     )
     # (6) NN1 training toward the network share of the target.
     nn1_update(ctrl.rbf, lam_target - lam1_next, phi_c, ctrl.R1)
     return U
 
 
-def _controller(basis="grid", K_tau=0.1 * np.eye(6), Theta=np.eye(6)):
-    if basis == "global":
-        rbf = RbfNetwork(
-            centers=np.zeros((1, 6)), width=1e6, vel_scale=1.0, W_c=np.zeros((1, 6))
-        )
-    else:
-        rbf = make_rbf_network(5.0, OMEGA)
-    return NnLqrController(
+def _controller(layout="grid", **fields):
+    """An NN-LQR controller on ORBIT with the ``layout`` costate network;
+    ``fields`` override its other settings."""
+    settings = dict(
         design=design_lqr(OMEGA, Q=200.0 * np.eye(6)),
-        rbf=rbf,
-        dist=DisturbanceNet(build_disturbance_basis(ORBIT.a)),
-        vp=VirtualPlant(X_a=np.zeros(6), K_tau=K_tau),
-        gains=AdaptationGains(beta=0.01, gamma=100.0, Theta=Theta),
+        rbf=make_rbf_network(layout, 5.0, OMEGA),
+        basis=DisturbanceBasis(ORBIT.a),
+        X_a=np.zeros(6),
+        K_tau=0.1 * np.eye(6),
+        beta=0.01,
+        gamma=100.0,
+        Theta=np.eye(6),
         R1=0.09,
         dt=1.0,
     )
+    return NnLqrController(**{**settings, **fields})
 
 
 class TestControlStep:
@@ -529,7 +558,7 @@ class TestControlStep:
         for _ in range(50):
             L = rng.normal(size=(6, 6))
             settings = dict(
-                basis=basis,
+                layout=basis,
                 K_tau=np.diag(rng.uniform(0.05, 0.5, 6)),
                 Theta=np.eye(6) + 0.1 * L @ L.T,
             )
@@ -539,8 +568,8 @@ class TestControlStep:
             X_a = scale * rng.normal(size=6)
             for ctrl in (lean, ref):
                 ctrl.rbf.W_c[:] = W_c
-                ctrl.dist.weights[:] = weights
-                ctrl.vp.X_a = X_a.copy()
+                ctrl.W_dist[:] = weights
+                ctrl.X_a = X_a.copy()
             t = float(rng.integers(0, 10000))
             args = (
                 scale * rng.normal(size=6),
@@ -552,8 +581,8 @@ class TestControlStep:
             pairs = {
                 "U": (nnlqr_control_step(lean, *args), _reference_step(ref, *args)),
                 "W_c": (lean.rbf.W_c, ref.rbf.W_c),
-                "weights": (lean.dist.weights, ref.dist.weights),
-                "X_a": (lean.vp.X_a, ref.vp.X_a),
+                "weights": (lean.W_dist, ref.W_dist),
+                "X_a": (lean.X_a, ref.X_a),
             }
             for name, (got, want) in pairs.items():
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
@@ -561,7 +590,7 @@ class TestControlStep:
     def test_basis_jacobian_zero_outside_position_block(self):
         # The lean step solves only the 3x3 position block of NN2's
         # matrix, which relies on these zeros.
-        basis = build_disturbance_basis(ORBIT.a)
+        basis = DisturbanceBasis(ORBIT.a)
         rng = np.random.default_rng(4)
         for _ in range(20):
             X = rng.uniform(-50.0, 50.0, size=6)
@@ -571,29 +600,19 @@ class TestControlStep:
 
     def test_non_finite_virtual_plant_raises(self):
         ctrl = _controller()
-        ctrl.vp.X_a = np.full(6, np.nan)
+        ctrl.X_a = np.full(6, np.nan)
         Xd = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), OMEGA, 0.0)
         with pytest.raises(NumericsError, match="non-finite state after RK4 step") as exc:
             nnlqr_control_step(ctrl, np.ones(6), Xd, np.zeros(6), Xd, 0.0)
         assert "t=" not in str(exc.value)
 
     def test_nonpositive_regularizer_rejected_at_construction(self):
-        ctrl = _controller()
-        with pytest.raises(ValueError):
-            NnLqrController(
-                design=ctrl.design, rbf=ctrl.rbf, dist=ctrl.dist, vp=ctrl.vp,
-                gains=ctrl.gains, R1=0.0, dt=1.0,
-            )
+        with pytest.raises(ValueError, match="R1 must be positive"):
+            _controller(R1=0.0)
 
     def test_zero_nets_match_plain_tracking_control(self):
         design = design_lqr(OMEGA)
-        rbf = make_rbf_network(5.0, OMEGA)
-        dist = DisturbanceNet(build_disturbance_basis(ORBIT.a))
-        vp = VirtualPlant(X_a=np.zeros(6), K_tau=0.1 * np.eye(6))
-        gains = AdaptationGains(beta=0.01, gamma=100.0, Theta=np.eye(6))
-        ctrl = NnLqrController(
-            design=design, rbf=rbf, dist=dist, vp=vp, gains=gains, R1=1.0, dt=1.0
-        )
+        ctrl = _controller(design=design, R1=1.0)
         rng = np.random.default_rng(9)
         X = rng.normal(size=6)
         Xd = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), OMEGA, 0.0)
@@ -607,7 +626,6 @@ class TestControlStep:
         predicted state only, and the disturbance basis's power series
         once, at the measured state: no weight update changes them."""
         from formation_guidance import nnlqr
-        from formation_guidance.nnlqr import DisturbanceBasis
 
         counts = {"rbf_features": 0, "power_series": 0}
 
