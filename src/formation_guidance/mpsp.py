@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import POSITION_ROWS, B, RelativePlant
+from .dynamics import POSITION_ROWS, B, ChiefEphemeris, RelativePlant
 from .options import MpspOptions
 
 
@@ -34,13 +34,15 @@ class SensitivitySet:
 
 
 def predict_trajectory(
-    plant: RelativePlant, x0: np.ndarray, controls: np.ndarray, dt: float
+    plant: RelativePlant, x0: np.ndarray, controls: np.ndarray, dt: float,
+    ephemeris: ChiefEphemeris | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 propagation of the truth plant under the control history.
+    """RK4 propagation of the truth plant under the control history,
+    reading the chief from ``ephemeris`` when one is given.
 
     Returns (states, nus, Y_N) where Y_N is the full terminal state.
     """
-    states, nus = plant.propagate(x0, controls, dt)
+    states, nus = plant.propagate(x0, controls, dt, ephemeris)
     return states, nus, states[-1]
 
 
@@ -126,21 +128,25 @@ def predict_correct(
     correct: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     tol_rho_pct: float,
     max_iter: int,
+    prediction: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """Outer prediction/correction loop shared by MPSP and G-MPSP.
 
     predict(U) returns the (states, nus) flown under the control history
     U; correct(states, nus, dY, U) returns the corrected history, where
-    dY is the achieved-minus-desired terminal state.  Returns (controls,
-    iteration log, final trajectory).  Each log row records the
-    iteration number, the six terminal errors, and %rho_e; the last row
-    carries converged=False if the tolerance was not met within max_iter
-    corrections.
+    dY is the achieved-minus-desired terminal state.  ``prediction`` is
+    the (states, nus) already flown under ``guess``, if any (the
+    harness's closed-loop guess flight, which ``predict(guess)`` would
+    repeat bit for bit); it is iteration 0's prediction, so the loop
+    flies once per correction.  Returns (controls, iteration log, final
+    trajectory).  Each log row records the iteration number, the six
+    terminal errors, and %rho_e; the last row carries converged=False if
+    the tolerance was not met within max_iter corrections.
     """
     U = np.asarray(guess, dtype=float).copy()
     log: list[dict] = []
+    states, nus = prediction if prediction is not None else predict(U)
     for it in itertools.count():
-        states, nus = predict(U)
         dY = states[-1] - Y_star
         pct = rho_error_pct(states[-1], Y_star)
         converged = pct < tol_rho_pct
@@ -155,6 +161,7 @@ def predict_correct(
         if converged or it >= max_iter:
             return U, log, states
         U = correct(states, nus, dY, U)
+        states, nus = predict(U)
 
 
 def mpsp_solve(
@@ -164,8 +171,12 @@ def mpsp_solve(
     guess: np.ndarray,
     dt: float,
     options: MpspOptions,
+    ephemeris: ChiefEphemeris | None = None,
+    prediction: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
-    """Discrete static programming; see :func:`predict_correct`.
+    """Discrete static programming; see :func:`predict_correct`, which
+    takes ``prediction``.  Every prediction reads the chief from
+    ``ephemeris`` when one is given.
 
     options.R is the continuous control weight; the per-step static
     weight is R_k = dt * R.
@@ -173,7 +184,7 @@ def mpsp_solve(
     R_kmat = dt * options.R
 
     def predict(U):
-        states, nus, _ = predict_trajectory(plant, x0, U, dt)
+        states, nus, _ = predict_trajectory(plant, x0, U, dt, ephemeris)
         return states, nus
 
     def correct(states, nus, dY, U):
@@ -181,4 +192,5 @@ def mpsp_solve(
         sens = compute_sensitivities(dF_dX, dF_dU, R_kmat, U)
         return mpsp_update(sens, dY, U, R_kmat)
 
-    return predict_correct(guess, Y_star, predict, correct, options.tol_rho_pct, options.max_iter)
+    return predict_correct(guess, Y_star, predict, correct, options.tol_rho_pct, options.max_iter,
+                           prediction)
