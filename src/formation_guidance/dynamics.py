@@ -11,13 +11,10 @@ off.
 The truth plant flies the deputy with a fused RK4 step on the 6-state in
 Python floats (``_plant_step``).  The chief is passive, so its RK4 stages
 (radius and anomaly rates; with J2 also the polar axis in Hill axes and
-the chief's own J2 acceleration) come from one chief integrator
-(``_chief_stages``): streamed step by step into a single flight, or
-stored once in a ``ChiefEphemeris`` that every flight of a run on that
-chief and grid reads, and from which a controller's kinematics table
-and ``propagate_nu``'s anomalies are read.  ``RelativePlant.deriv``
-integrated by ``numerics.rk4_step`` is the readable reference for both,
-and matches the fused step bit for bit.
+the chief's own J2 acceleration) are streamed step by step from one
+chief integrator (``_chief_stages``), which ``propagate_nu`` also reads.
+``RelativePlant.deriv`` integrated by ``numerics.rk4_step`` is the
+readable reference for both, and matches the fused step bit for bit.
 
 State ordering throughout is ``X = [x, xdot, y, ydot, z, zdot]`` with
 x radial, y along-track, z cross-track; units are km, km/s, rad.
@@ -26,9 +23,7 @@ x radial, y along-track, z cross-track; units are km, km/s, rad.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from typing import Callable, ClassVar, Iterator
 
 import numpy as np
@@ -175,10 +170,27 @@ def chief_kinematics(orbit: ChiefOrbit, nu: float) -> ChiefKinematics:
     return ChiefKinematics(nu=float(nu), nu_dot=nu_dot, nu_ddot=nu_ddot, r_c=r_c)
 
 
+def chief_kinematics_table(orbit: ChiefOrbit, nus: np.ndarray) -> list[ChiefKinematics]:
+    """:func:`chief_kinematics` at each true anomaly of ``nus``, bit for bit.
+
+    The sines and cosines are taken over the whole array in one call
+    each and the rest in float arithmetic (:func:`_float_rates`, as in
+    :func:`chief_kinematics`): a plain array pass of :func:`_chief_rates`
+    can round differently, since numpy's array power (a squaring loop
+    and a vectorized ``pow``) is not the scalar ``pow``.
+    """
+    rates = _float_rates(orbit)
+    table = []
+    for nu, cos_nu, sin_nu in zip(nus.tolist(), np.cos(nus).tolist(), np.sin(nus).tolist()):
+        r_c, nu_dot, nu_ddot = rates(cos_nu, sin_nu)
+        table.append(ChiefKinematics(nu=nu, nu_dot=nu_dot, nu_ddot=nu_ddot, r_c=r_c))
+    return table
+
+
 def _float_rates(orbit: ChiefOrbit) -> Callable[[float, float], tuple]:
     """``rates(cos(nu), sin(nu)) -> (r_c, nu_dot, nu_ddot)`` in Python
     floats: the formulas of :func:`chief_kinematics`, which reads them
-    here, as do the chief's RK4 stages."""
+    here, as do its per-run table and the chief's RK4 stages."""
     a, e = orbit.a, orbit.e
     p = a * (1.0 - e**2)
     sqrt_mu_p = float(np.sqrt(MU_EARTH * p))
@@ -210,14 +222,17 @@ def propagate_nu(orbit: ChiefOrbit, n: int, dt: float) -> np.ndarray:
     """True anomaly on the uniform grid 0, dt, ..., n dt by RK4.
 
     Integrates d(nu)/dt = sqrt(mu a (1-e^2)) / r_c(nu)^2 from nu0 over n
-    steps of length dt, as :meth:`RelativePlant.simulate` takes them:
-    these are the anomalies of the orbit's :class:`ChiefEphemeris`, from
-    the one chief integrator that also feeds the fused plant step, so
-    they equal a flight's anomalies bit for bit, and both match the
+    steps of length dt, as :meth:`RelativePlant.simulate` takes them, by
+    reading the chief's streamed RK4 stages (:func:`_chief_stages`), the
+    one chief integrator, which also feeds the fused plant step of
+    ``simulate``; the two agree bit for bit, and both match the
     reference ``rk4_step(RelativePlant.deriv)``.  Returns the (n+1,)
     anomalies.
     """
-    return ChiefEphemeris.integrate(orbit, n, dt).nus
+    nus = np.empty(n + 1)
+    nus[0] = orbit.nu0
+    nus[1:] = [nu for _, nu in _chief_stages(orbit, GravityModel(), nus[0].item(), n, dt)]
+    return nus
 
 
 def _polar_axis(orbit: ChiefOrbit, lib=math) -> Callable:
@@ -246,85 +261,32 @@ def _chief_stages(
     """Stream the chief's RK4 stages over n steps of length dt from ``nu``.
 
     Yields, for each step, the four stage records and the true anomaly
-    at the end of the step.  A record is a tuple of float triples: the
-    rates ``(r_c, nu_dot, nu_ddot)``, and with J2 on also what the J2
-    term needs, the Earth's polar axis in Hill axes (:func:`_polar_axis`)
-    and the chief's own J2 acceleration in Hill axes.  The chief is
-    passive, so nothing here depends on the deputy.  The anomaly and the
-    rates use the float operations of :func:`chief_kinematics` and of
+    at the end of the step.  A record is ``(r_c, nu_dot, nu_ddot)``.
+    With J2 on it also holds what the J2 term needs: the Earth's polar
+    axis in Hill axes (:func:`_polar_axis`) and the chief's own J2
+    acceleration in Hill axes.  The chief is passive, so nothing here
+    depends on the deputy.  The anomaly and the rates use the float
+    operations of :func:`chief_kinematics` and of
     :func:`numerics.rk4_step` on nu, so they are bit-identical to the
     reference ``rk4_step(deriv)``.
     """
     rates, polar_axis = _float_rates(orbit), _polar_axis(orbit)
 
     def record(nu: float) -> tuple:
-        rates_nu = rates(float(np.cos(nu)), float(np.sin(nu)))
+        r_c, nu_dot, nu_ddot = rates(float(np.cos(nu)), float(np.sin(nu)))
         if not gravity.j2_enabled:
-            return (rates_nu,)
-        r_c, pole = rates_nu[0], polar_axis(nu)
-        return rates_nu, pole, _j2_hill(pole, r_c, 0.0, 0.0, r_c * r_c)
+            return r_c, nu_dot, nu_ddot
+        pole = polar_axis(nu)
+        return r_c, nu_dot, nu_ddot, pole, _j2_hill(pole, r_c, 0.0, 0.0, r_c * r_c)
 
     h, c = 0.5 * dt, dt / 6.0
     for _ in range(n):
         s1 = record(nu)
-        s2 = record(nu + h * s1[0][1])
-        s3 = record(nu + h * s2[0][1])
-        s4 = record(nu + dt * s3[0][1])
-        nu = nu + c * (((s1[0][1] + 2.0 * s2[0][1]) + 2.0 * s3[0][1]) + s4[0][1])
+        s2 = record(nu + h * s1[1])
+        s3 = record(nu + h * s2[1])
+        s4 = record(nu + dt * s3[1])
+        nu = nu + c * (((s1[1] + 2.0 * s2[1]) + 2.0 * s3[1]) + s4[1])
         yield (s1, s2, s3, s4), nu
-
-
-@dataclass(frozen=True, eq=False)
-class ChiefEphemeris:
-    """The chief's RK4 stage records over n steps of length dt, integrated once.
-
-    A run that reads one chief orbit more than once (several flights, or
-    a flight and a controller's kinematics table) integrates it here and
-    hands the ephemeris to each :meth:`RelativePlant.simulate`; a single
-    flight streams its chief instead, so that its memory does not grow
-    with n.  ``records[k, s]`` is stage s of step k as
-    :func:`_chief_stages` yields it, one row per float triple, and
-    ``nus`` holds the n + 1 anomalies of the grid.  With ``j2`` the
-    records carry the J2 rows, which a J2-off plant step ignores.  They
-    are float arrays: 104 bytes a step, 296 with ``j2``.
-    """
-
-    orbit: ChiefOrbit
-    dt: float
-    j2: bool
-    nus: np.ndarray  # (n+1,)
-    records: np.ndarray  # (n, 4, 1, 3), or (n, 4, 3, 3) with j2
-
-    @classmethod
-    def integrate(cls, orbit: ChiefOrbit, n: int, dt: float, j2: bool = False) -> ChiefEphemeris:
-        """Integrate the chief over n steps of length dt from its nu0."""
-        triples = 3 if j2 else 1
-        nus, records = np.empty(n + 1), np.empty((n, 4, triples, 3))
-        nus[0] = orbit.nu0
-        step = struct.Struct(f"{12 * triples}d")
-        pack, size, flatten = step.pack_into, step.size, chain.from_iterable
-        chief = _chief_stages(orbit, GravityModel(j2_enabled=j2), nus[0].item(), n, dt)
-        for k, (stages, nu) in enumerate(chief, 1):
-            pack(records, (k - 1) * size, *flatten(flatten(stages)))
-            nus[k] = nu
-        return cls(orbit, dt, j2, nus, records)
-
-    def kinematics(self, k: int) -> ChiefKinematics:
-        """The chief at grid point k < n: the first stage record of step
-        k, which is ``chief_kinematics(orbit, nus[k])`` bit for bit."""
-        r_c, nu_dot, nu_ddot = self.records[k, 0, 0].tolist()
-        return ChiefKinematics(nu=self.nus[k].item(), nu_dot=nu_dot, nu_ddot=nu_ddot, r_c=r_c)
-
-    def steps(self, plant: RelativePlant, n: int, dt: float) -> Iterator[tuple[list, float]]:
-        """The stage records and end anomaly of each step of the plant's
-        flight over n steps of length dt, as :func:`_chief_stages` streams
-        them.  Raises DynamicsError unless the ephemeris was integrated
-        for that chief and grid, with J2 records for a J2 plant."""
-        if (plant.orbit != self.orbit or dt != self.dt or n != len(self.records)
-                or plant.gravity.j2_enabled and not self.j2):
-            raise DynamicsError("the ephemeris does not hold this flight's chief stages")
-        records = self.records if plant.gravity.j2_enabled else self.records[:, :, :1]
-        return zip(map(np.ndarray.tolist, records), map(float, self.nus[1:]))
 
 
 def cw_nonlinear_deriv(
@@ -537,11 +499,10 @@ class RelativePlant:
     """Truth plant: nonlinear relative dynamics plus optional J2.
 
     ``simulate`` steps the 6-state with a fused RK4 step in Python
-    floats, fed by the chief's RK4 stages (streamed, or read from a
-    :class:`ChiefEphemeris`), so every stage sees the chief kinematics
-    at its own intermediate time.  ``deriv``, the derivative of
-    ``[X, nu]`` integrated by ``numerics.rk4_step``, is the readable
-    reference that the fused step is tested against.
+    floats, fed by the chief's streamed RK4 stages, so every stage sees
+    the chief kinematics at its own intermediate time.  ``deriv``, the
+    derivative of ``[X, nu]`` integrated by ``numerics.rk4_step``, is
+    the readable reference that the fused step is tested against.
     """
 
     orbit: ChiefOrbit
@@ -589,20 +550,16 @@ class RelativePlant:
         n: int,
         dt: float,
         policy: Callable[[int, float, np.ndarray], np.ndarray],
-        ephemeris: ChiefEphemeris | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """RK4 flight over n steps under a zero-order-hold control policy.
 
         The flight starts at t = 0 with the chief at its ``nu0``.  The
         control u_k = policy(k, t_k, X_k), with t_k = k dt, is held over
-        step k.  The chief's stages are read from ``ephemeris`` when one
-        is given (see :meth:`ChiefEphemeris.steps`) and are streamed from
-        :func:`_chief_stages` otherwise, with the same bits.  Returns the
-        (n+1, 6) states, the (n+1,) chief true anomalies and the (n, 3)
-        applied controls.  Raises NumericsError for a non-finite state
-        and DynamicsError for a deputy at the geocenter, like
-        ``rk4_step(deriv)``, to whose trajectory it is bit-identical with
-        J2 on and off.
+        step k.  Returns the (n+1, 6) states, the (n+1,) chief true
+        anomalies and the (n, 3) applied controls.  Raises NumericsError
+        for a non-finite state and DynamicsError for a deputy at the
+        geocenter, like ``rk4_step(deriv)``, to whose trajectory it is
+        bit-identical with J2 on and off.
         """
         states = np.empty((n + 1, 6))
         nus = np.empty(n + 1)
@@ -610,10 +567,7 @@ class RelativePlant:
         states[0] = x0
         nus[0] = self.orbit.nu0
         X = tuple(states[0].tolist())
-        if ephemeris is None:
-            chief = _chief_stages(self.orbit, self.gravity, nus[0].item(), n, dt)
-        else:
-            chief = ephemeris.steps(self, n, dt)
+        chief = _chief_stages(self.orbit, self.gravity, nus[0].item(), n, dt)
         for k, (stages, nu) in enumerate(chief):
             t = k * dt
             controls[k] = policy(k, t, states[k])
@@ -632,15 +586,13 @@ class RelativePlant:
         x0: np.ndarray,
         controls: np.ndarray,
         dt: float,
-        ephemeris: ChiefEphemeris | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """RK4 propagation under a zero-order-hold control history.
 
         Returns the (N, 6) state trajectory and the (N,) chief true
-        anomaly samples, where N = len(controls) + 1; ``ephemeris`` is
-        as in :meth:`simulate`.
+        anomaly samples, where N = len(controls) + 1.
         """
-        return self.simulate(x0, len(controls), dt, lambda k, t, X: controls[k], ephemeris)[:2]
+        return self.simulate(x0, len(controls), dt, lambda k, t, X: controls[k])[:2]
 
 
 def j2_differential_accel(
@@ -713,8 +665,7 @@ def _plant_step(
     """One fused RK4 step of the 6-state in floats, under held control u.
 
     ``stages`` holds the chief's four stage records from
-    :func:`_chief_stages` or a :class:`ChiefEphemeris`; without J2 only
-    their rates are read.  Each stage evaluates ``RelativePlant.deriv``
+    :func:`_chief_stages`.  Each stage evaluates ``RelativePlant.deriv``
     with the float operations of :func:`cw_nonlinear_deriv`, in its
     order, and the differential J2 term with those of
     :func:`j2_differential_accel`, so the step is bit-identical to
@@ -724,7 +675,7 @@ def _plant_step(
     j2 = g.j2_enabled
 
     def accel(rec, x, xd, y, yd, z):
-        r_c, nd, ndd = rec[0]
+        r_c, nd, ndd = rec[0], rec[1], rec[2]
         s = (r_c + x) ** 2 + y**2 + z**2
         if s <= 0.0:
             raise DynamicsError(
@@ -735,7 +686,7 @@ def _plant_step(
         ay = -2.0 * nd * xd - ndd * x + nd**2 * y - mu * y / gamma + u1
         az = -mu * z / gamma + u2
         if j2:
-            a_d, a_c = _j2_hill(rec[1], x + r_c, y, z, s), rec[2]
+            a_d, a_c = _j2_hill(rec[3], x + r_c, y, z, s), rec[4]
             ax += a_d[0] - a_c[0]
             ay += a_d[1] - a_c[1]
             az += a_d[2] - a_c[2]

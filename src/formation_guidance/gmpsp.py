@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import B, ChiefEphemeris, RelativePlant
+from .dynamics import B, RelativePlant
 from .mpsp import predict_correct
 from .options import GmpspOptions
 
@@ -127,7 +127,6 @@ def gmpsp_solve(
     guess: np.ndarray,
     dt: float,
     options: GmpspOptions,
-    ephemeris: ChiefEphemeris | None = None,
     prediction: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """Outer prediction/correction loop of the continuous formulation.
@@ -135,8 +134,7 @@ def gmpsp_solve(
     Returns (controls, iteration log, final trajectory) with the same log
     schema as the discrete solver; see
     :func:`formation_guidance.mpsp.predict_correct`, which takes
-    ``prediction``.  Every prediction reads the chief from ``ephemeris``
-    when one is given.
+    ``prediction``.
     """
 
     def correct(states, nus, dY, U):
@@ -145,6 +143,6 @@ def gmpsp_solve(
         return gmpsp_update(acc, dY, field, options.R)
 
     return predict_correct(
-        guess, Y_star, lambda U: plant.propagate(x0, U, dt, ephemeris), correct,
+        guess, Y_star, lambda U: plant.propagate(x0, U, dt), correct,
         options.tol_rho_pct, options.max_iter, prediction,
     )

@@ -4,9 +4,6 @@
 truth plant (or solves MPSP/G-MPSP from a closed-loop LQR guess) and
 returns a ``RunResult`` with its metrics; ``compare`` runs scenarios
 against controllers, and the ``write_*`` functions write CSV reports.
-A run integrates each chief orbit once: an orbit that the run reads
-more than once, or whose kinematics table an SDRE law reads, is stored
-in one ``ChiefEphemeris`` that its flights and its table share.
 """
 
 from __future__ import annotations
@@ -20,14 +17,15 @@ import numpy as np
 from . import nnlqr
 from .dynamics import (
     POSITION_ROWS,
-    ChiefEphemeris,
     ChiefOrbit,
     FormationParams,
     GravityModel,
     RelativePlant,
     B,
+    chief_kinematics_table,
     formation_to_hill,
     formation_to_hill_deriv,
+    propagate_nu,
 )
 from .gmpsp import gmpsp_solve
 from .lqr import design_lqr, lqr_tracking_control
@@ -166,15 +164,12 @@ def settle_time(
 
 
 def _feedback_law(
-    scenario: Scenario, x0: np.ndarray, Xd: np.ndarray, Xd_dot: np.ndarray,
-    believed_chief: ChiefEphemeris | None,
+    scenario: Scenario, x0: np.ndarray, Xd: np.ndarray, Xd_dot: np.ndarray
 ) -> Callable[[int, float, np.ndarray], np.ndarray]:
     """Control u_k = law(k, t_k, X_k) of the feedback controller kinds.
 
     Xd and Xd_dot are the commanded states and their derivatives on the
-    grid (see :func:`desired_trajectory`); law k reads their row k.  The
-    SDRE laws read the believed chief's kinematics at grid point k off
-    ``believed_chief``, its ephemeris on the run's grid.
+    grid (see :func:`desired_trajectory`); law k reads their row k.
     """
     kind, opts = scenario.controller.kind, scenario.controller.options
     believed, desired, dt = scenario.chief, scenario.desired, scenario.dt
@@ -203,7 +198,8 @@ def _feedback_law(
         return nnlqr_law
 
     model = SdcModel(variant=opts.variant, series_order=opts.series_order)
-    kinematics = believed_chief.kinematics
+    # Believed chief kinematics on the control grid.
+    kins = chief_kinematics_table(believed, propagate_nu(believed, scenario.n_steps, dt))
 
     if kind == "sdre":
         # Each step's Riccati solution, with the Schur form of its closed
@@ -219,7 +215,7 @@ def _feedback_law(
 
         def sdre_law(k, t, X):
             nonlocal riccati
-            u, riccati = sdre_infinite_control(X, Xd[k], model, kinematics(k), opts.Q, opts.R,
+            u, riccati = sdre_infinite_control(X, Xd[k], model, kins[k], opts.Q, opts.R,
                                                guess=riccati, weights=weights)
             return u
 
@@ -229,53 +225,21 @@ def _feedback_law(
     horizon = FiniteHorizonSpec(tf=scenario.tf, Xf=Xf, Q=opts.Q, R=opts.R)
 
     def fsdre_law(k, t, X):
-        return finite_time_sdre_control(X, t, horizon, model, kinematics(k))
+        return finite_time_sdre_control(X, t, horizon, model, kins[k])
 
     return fsdre_law
-
-
-def _chief_ephemerides(
-    scenario: Scenario,
-) -> tuple[ChiefEphemeris | None, ChiefEphemeris | None]:
-    """Ephemerides of the believed and the truth chief on the run's grid.
-
-    The SDRE laws read the believed chief's kinematics table, an
-    open-loop run plans on the believed chief without J2, and MPSP and
-    G-MPSP fly the truth chief for their guess and again for each
-    prediction.  An orbit that the run reads more than once, or whose
-    table it reads, is integrated once here, with the J2 records when a
-    J2 plant flies it; the believed and the truth chief share one
-    ephemeris when they are one orbit.  An orbit flown once is streamed
-    by its flight (None).
-    """
-    kind, n, dt = scenario.controller.kind, scenario.n_steps, scenario.dt
-    table = kind in ("sdre", "fsdre")
-    plan = getattr(scenario.controller.options, "open_loop", False)
-    solver = kind in ("mpsp", "gmpsp")
-    j2 = scenario.gravity.j2_enabled
-    if scenario.plant_chief is scenario.chief:
-        if not (table or plan or solver):
-            return None, None
-        shared = ChiefEphemeris.integrate(scenario.chief, n, dt, j2)
-        return shared, shared
-    believed = ChiefEphemeris.integrate(scenario.chief, n, dt) if table else None
-    truth = ChiefEphemeris.integrate(scenario.plant_chief, n, dt, j2) if solver else None
-    return believed, truth
 
 
 def _run_closed_loop(
     scenario: Scenario, plant: RelativePlant, x0: np.ndarray,
     reference: tuple[np.ndarray, np.ndarray],
-    believed_chief: ChiefEphemeris | None, chief: ChiefEphemeris | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fly the feedback law on the plant; returns the states, the chief
     anomalies and the (N, 3) controls of ``RelativePlant.simulate``.
 
-    reference is the (Xd, Xd_dot) pair of :func:`desired_trajectory`;
-    the law reads ``believed_chief`` and the flight reads ``chief``
-    (streamed when None).
+    reference is the (Xd, Xd_dot) pair of :func:`desired_trajectory`.
     """
-    law = _feedback_law(scenario, x0, *reference, believed_chief)
+    law = _feedback_law(scenario, x0, *reference)
 
     def policy(k, t, X):
         try:
@@ -283,24 +247,21 @@ def _run_closed_loop(
         except Exception as exc:
             raise HarnessError(f"controller failed at step {k} (t={t}): {exc}") from exc
 
-    return plant.simulate(x0, scenario.n_steps, scenario.dt, policy, chief)
+    return plant.simulate(x0, scenario.n_steps, scenario.dt, policy)
 
 
 def _solve_open_loop(
     scenario: Scenario, plant: RelativePlant, x0: np.ndarray,
-    reference: tuple[np.ndarray, np.ndarray], chief: ChiefEphemeris,
+    reference: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
-    """MPSP/G-MPSP seeded with the closed-loop LQR control history.
-
-    The LQR guess flight is the solver's first prediction, and every
-    flight reads the truth chief from ``chief``.
-    """
+    """MPSP/G-MPSP seeded with the closed-loop LQR control history, whose
+    flight is the solver's first prediction."""
     Y_star = formation_to_hill(scenario.desired, scenario.chief.mean_motion(), scenario.tf)
     lqr = replace(scenario, controller=ControllerSpec("lqr"))
-    states, nus, guess = _run_closed_loop(lqr, plant, x0, reference, None, chief)
+    states, nus, guess = _run_closed_loop(lqr, plant, x0, reference)
     solve = mpsp_solve if scenario.controller.kind == "mpsp" else gmpsp_solve
     return solve(plant, x0, Y_star, guess, scenario.dt, scenario.controller.options,
-                 ephemeris=chief, prediction=(states, nus))
+                 prediction=(states, nus))
 
 
 def run_scenario(scenario: Scenario, settle_threshold_pct: float = 1.0) -> RunResult:
@@ -310,21 +271,19 @@ def run_scenario(scenario: Scenario, settle_threshold_pct: float = 1.0) -> RunRe
     x0 = formation_to_hill(scenario.initial, scenario.chief.mean_motion(), 0.0)
     times = np.arange(n + 1) * dt
     reference = desired_trajectory(scenario, times)
-    believed_chief, chief = _chief_ephemerides(scenario)
     log: list[dict] = []
     if scenario.controller.kind in ("mpsp", "gmpsp"):
-        U, log, states = _solve_open_loop(scenario, plant, x0, reference, chief)
+        U, log, states = _solve_open_loop(scenario, plant, x0, reference)
     elif getattr(scenario.controller.options, "open_loop", False):
         # Plan closed-loop against the believed, unperturbed model, then
         # replay the resulting control history on the truth plant.  This
         # matches how guess/comparison control histories are evaluated in
         # the predictive-guidance studies.
         plan_plant = RelativePlant(scenario.chief, GravityModel(j2_enabled=False))
-        _, _, U = _run_closed_loop(scenario, plan_plant, x0, reference, believed_chief,
-                                   believed_chief)
-        states, _ = plant.propagate(x0, U, dt, chief)
+        _, _, U = _run_closed_loop(scenario, plan_plant, x0, reference)
+        states, _ = plant.propagate(x0, U, dt)
     else:
-        states, _, U = _run_closed_loop(scenario, plant, x0, reference, believed_chief, chief)
+        states, _, U = _run_closed_loop(scenario, plant, x0, reference)
     controls = np.vstack([U, U[-1]])
     desired = reference[0]
     return RunResult(

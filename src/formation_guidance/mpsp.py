@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import POSITION_ROWS, B, ChiefEphemeris, RelativePlant
+from .dynamics import POSITION_ROWS, B, RelativePlant
 from .options import MpspOptions
 
 
@@ -34,15 +34,13 @@ class SensitivitySet:
 
 
 def predict_trajectory(
-    plant: RelativePlant, x0: np.ndarray, controls: np.ndarray, dt: float,
-    ephemeris: ChiefEphemeris | None = None,
+    plant: RelativePlant, x0: np.ndarray, controls: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 propagation of the truth plant under the control history,
-    reading the chief from ``ephemeris`` when one is given.
+    """RK4 propagation of the truth plant under the control history.
 
     Returns (states, nus, Y_N) where Y_N is the full terminal state.
     """
-    states, nus = plant.propagate(x0, controls, dt, ephemeris)
+    states, nus = plant.propagate(x0, controls, dt)
     return states, nus, states[-1]
 
 
@@ -171,12 +169,10 @@ def mpsp_solve(
     guess: np.ndarray,
     dt: float,
     options: MpspOptions,
-    ephemeris: ChiefEphemeris | None = None,
     prediction: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """Discrete static programming; see :func:`predict_correct`, which
-    takes ``prediction``.  Every prediction reads the chief from
-    ``ephemeris`` when one is given.
+    takes ``prediction``.
 
     options.R is the continuous control weight; the per-step static
     weight is R_k = dt * R.
@@ -184,7 +180,7 @@ def mpsp_solve(
     R_kmat = dt * options.R
 
     def predict(U):
-        states, nus, _ = predict_trajectory(plant, x0, U, dt, ephemeris)
+        states, nus, _ = predict_trajectory(plant, x0, U, dt)
         return states, nus
 
     def correct(states, nus, dY, U):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from formation_guidance import dynamics, numerics
+from formation_guidance import numerics
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite's result does not depend on machine speed or on
@@ -58,35 +58,3 @@ def _contract_holds(A, B, Q, R, P):
 def contract_holds():
     """The independent check of ``solve_are``'s residual/Hurwitz contract."""
     return _contract_holds
-
-
-@pytest.fixture
-def chief_integrations(monkeypatch):
-    """List that grows by one ``(orbit, n, dt)`` at each integration of a
-    chief: a call of ``dynamics._chief_stages``, the one chief
-    integrator, whether a flight streams it or an ephemeris stores it."""
-    calls = []
-    stages = dynamics._chief_stages
-
-    def counted(orbit, gravity, nu, n, dt):
-        calls.append((orbit, n, dt))
-        return stages(orbit, gravity, nu, n, dt)
-
-    monkeypatch.setattr(dynamics, "_chief_stages", counted)
-    return calls
-
-
-@pytest.fixture
-def flights(monkeypatch):
-    """List that grows by one ``(orbit, j2_enabled)`` at each flight of
-    the plant: a ``RelativePlant.simulate`` call, which ``propagate``
-    makes too."""
-    calls = []
-    simulate = dynamics.RelativePlant.simulate
-
-    def counted(plant, *args, **kwargs):
-        calls.append((plant.orbit, plant.gravity.j2_enabled))
-        return simulate(plant, *args, **kwargs)
-
-    monkeypatch.setattr(dynamics.RelativePlant, "simulate", counted)
-    return calls

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from formation_guidance.dynamics import (
     MU_EARTH,
     POSITION_ROWS,
     R_EARTH,
-    ChiefEphemeris,
     ChiefOrbit,
     DynamicsError,
     FormationParams,
@@ -20,6 +18,7 @@ from formation_guidance.dynamics import (
     _chief_rates,
     _j2_gradient_hill,
     chief_kinematics,
+    chief_kinematics_table,
     cw_nonlinear_deriv,
     cw_nonlinear_jacobian,
     eci_hill_transforms,
@@ -139,29 +138,23 @@ class TestChiefKinematics:
 
     @pytest.mark.parametrize("e", [0.0, 0.05, 0.15, 0.5, 0.7])
     def test_table_matches_per_anomaly_calls_bit_for_bit(self, e):
-        """The per-run table, read off the chief's ephemeris, against the
-        per-step ``chief_kinematics(orbit, nus[k])`` calls it replaces,
-        on a fine grid and on a coarse J2 grid from a seeded anomaly
-        that spans several revolutions, compared as raw bits (so -0.0
-        differs from 0.0).  A plain array pass of ``_chief_rates``
-        rounds differently here: numpy's array power is not the scalar
-        pow."""
+        """The per-run table against the per-step ``chief_kinematics(orbit,
+        nus[k])`` calls it replaces, on a propagated grid and on seeded
+        anomalies, compared as raw bits (so -0.0 differs from 0.0).  A
+        plain array pass of ``_chief_rates`` rounds differently here:
+        numpy's array power is not the scalar pow."""
         rng = np.random.default_rng(round(100 * e))
-        a = rng.uniform(7000.0, 42000.0)
-        grids = [(rng.uniform(0.0, 6.3), 3000, 1.0, False),
-                 (rng.uniform(-10.0, 20.0), 5000, rng.uniform(30.0, 300.0), True)]
-        for nu0, n, dt, j2 in grids:
-            orbit = ChiefOrbit(a=a, e=e, i=1.0, nu0=nu0)
-            ephemeris = ChiefEphemeris.integrate(orbit, n, dt, j2)
-            nus = ephemeris.nus
-            table = [ephemeris.kinematics(k) for k in range(n)]
-            assert len(table) == len(nus) - 1
+        orbit = ChiefOrbit(a=rng.uniform(7000.0, 42000.0), e=e, nu0=rng.uniform(0.0, 6.3))
+        nus = np.concatenate([propagate_nu(orbit, 3000, 1.0),
+                              rng.uniform(-10.0, 20.0, 5000)])
+        table = chief_kinematics_table(orbit, nus)
+        assert len(table) == len(nus)
 
-            def bits(kins):
-                return np.array([dataclasses.astuple(kin) for kin in kins]).tobytes()
+        def bits(kins):
+            return np.array([dataclasses.astuple(kin) for kin in kins]).tobytes()
 
-            assert bits(table) == bits([chief_kinematics(orbit, nus[k]) for k in range(n)])
-            assert all(type(v) is float for v in dataclasses.astuple(table[0]))
+        assert bits(table) == bits([chief_kinematics(orbit, nus[k]) for k in range(len(nus))])
+        assert all(type(v) is float for v in dataclasses.astuple(table[0]))
 
     def test_float_rates_have_the_bits_of_the_batched_form_at_one_anomaly(self):
         """``chief_kinematics`` reads the float formulas of the run's
@@ -630,9 +623,8 @@ def _random_flight(rng):
 
 
 class TestFusedPlantStep:
-    """``simulate`` steps the 6-state in floats from the chief's RK4
-    stages, streamed or read from a ``ChiefEphemeris``;
-    ``rk4_step(deriv)`` is the reference."""
+    """``simulate`` steps the 6-state in floats from the chief's streamed
+    RK4 stages; ``rk4_step(deriv)`` is the reference."""
 
     def test_matches_reference_bit_for_bit_without_j2(self):
         rng = np.random.default_rng(21)
@@ -662,59 +654,6 @@ class TestFusedPlantStep:
             _, nus = RelativePlant(orbit).propagate(np.ones(6), np.zeros((n, 3)), dt)
             np.testing.assert_array_equal(propagate_nu(orbit, n, dt), nus)
 
-    @pytest.mark.parametrize("dt", [1.0, 7.3])
-    @pytest.mark.parametrize("j2", [False, True])
-    def test_ephemeris_flight_matches_streamed_flight_bit_for_bit(self, j2, dt):
-        """A flight that reads the chief from a stored ephemeris gives
-        the streamed flight's states and anomalies, as raw bits."""
-        rng = np.random.default_rng(24 + 2 * j2 + (dt > 1.0))
-        for _ in range(5):
-            orbit, x0, controls, _ = _random_flight(rng)
-            plant = RelativePlant(orbit, GravityModel(j2_enabled=j2))
-            ephemeris = ChiefEphemeris.integrate(orbit, len(controls), dt, j2)
-            streamed = plant.propagate(x0, controls, dt)
-            read = plant.propagate(x0, controls, dt, ephemeris)
-            for got, expected in zip(read, streamed):
-                assert got.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("dt", [1.0, 7.3])
-    def test_j2_ephemeris_flown_without_j2_matches_streamed_flight(self, dt):
-        """A J2-off plant step ignores the J2 records of an ephemeris
-        that a J2 plant of the same run also flies."""
-        rng = np.random.default_rng(28 + (dt > 1.0))
-        for _ in range(5):
-            orbit, x0, controls, _ = _random_flight(rng)
-            plant = RelativePlant(orbit)
-            ephemeris = ChiefEphemeris.integrate(orbit, len(controls), dt, j2=True)
-            streamed = plant.propagate(x0, controls, dt)
-            read = plant.propagate(x0, controls, dt, ephemeris)
-            for got, expected in zip(read, streamed):
-                assert got.tobytes() == expected.tobytes()
-
-    def test_ephemeris_is_stored_as_float_arrays(self):
-        """296 bytes a J2 step and 104 without: the records and the
-        anomalies, and no per-step Python objects."""
-        orbit = ChiefOrbit(a=10000.0, e=0.1, i=1.0)
-        for j2, per_step in ((True, 296), (False, 104)):
-            ephemeris = ChiefEphemeris.integrate(orbit, 2000, 1.0, j2)
-            assert ephemeris.records.dtype == ephemeris.nus.dtype == np.float64
-            assert ephemeris.records.nbytes + ephemeris.nus.nbytes == 2000 * per_step + 8
-
-    def test_ephemeris_for_another_flight_rejected(self):
-        """An ephemeris serves only the chief, step count and step it was
-        integrated for, and a J2 plant only one with the J2 records."""
-        orbit = ChiefOrbit(a=10000.0, e=0.1, i=1.0)
-        plant = RelativePlant(orbit)
-        x0, controls = np.ones(6), np.zeros((10, 3))
-        ephemeris = ChiefEphemeris.integrate(orbit, 10, 2.0)
-        plant.propagate(x0, controls, 2.0, ephemeris)
-        j2_plant = RelativePlant(orbit, GravityModel(j2_enabled=True))
-        other = RelativePlant(dataclasses.replace(orbit, nu0=0.1))
-        for flyer, n, dt in ((plant, 9, 2.0), (plant, 10, 1.0), (other, 10, 2.0),
-                             (j2_plant, 10, 2.0)):
-            with pytest.raises(DynamicsError, match="ephemeris"):
-                flyer.propagate(x0, controls[:n], dt, ephemeris)
-
     @pytest.mark.parametrize("j2", [False, True])
     def test_non_finite_control_raises_the_rk4_step_error(self, j2):
         plant = RelativePlant(ChiefOrbit(a=10000.0, e=0.2, i=1.0), GravityModel(j2_enabled=j2))
@@ -723,11 +662,10 @@ class TestFusedPlantStep:
         controls[3, 1] = np.nan
         with pytest.raises(NumericsError) as ref:
             _reference_flight(plant, x0, controls, 2.0)
-        ephemeris = ChiefEphemeris.integrate(plant.orbit, len(controls), 2.0, j2)
-        for bad, chief in itertools.product((np.nan, np.inf), (None, ephemeris)):
+        for bad in (np.nan, np.inf):
             controls[3, 1] = bad
             with pytest.raises(NumericsError) as fused:
-                plant.propagate(x0, controls, 2.0, chief)
+                plant.propagate(x0, controls, 2.0)
             assert str(fused.value) == str(ref.value) == "non-finite state after RK4 step at t=6.0"
 
     def test_overflowing_state_raises_numerics_error(self):

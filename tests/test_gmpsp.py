@@ -20,8 +20,6 @@ from formation_guidance.gmpsp import (
     gmpsp_update,
     integrate_W_backward,
 )
-from formation_guidance.harness import ControllerSpec, run_scenario
-from formation_guidance.mpsp import rho_error_pct
 from formation_guidance.numerics import matrix_exponential
 from formation_guidance.options import GmpspOptions
 
@@ -299,47 +297,3 @@ class TestGmpspSolve:
             np.linalg.norm(res["gmpsp"].terminal_errors),
         )
         assert diff <= 0.05 * scale
-
-
-class TestGuessFlightIsFirstPrediction:
-    """A run flies the closed-loop LQR guess once, as the solver's first
-    prediction, and integrates its chief once for all of its flights."""
-
-    @staticmethod
-    def _scenario(tol_rho_pct):
-        return dataclasses.replace(
-            _gmpsp_scenario(), tf=200.0,
-            controller=ControllerSpec("gmpsp", {"tol_rho_pct": tol_rho_pct, "max_iter": 2}),
-        )
-
-    @pytest.mark.parametrize("tol_rho_pct, corrections", [(1e-9, 2), (1e3, 0)])
-    def test_j2_run_integrates_its_chief_once_and_flies_once_per_correction(
-        self, chief_integrations, flights, tol_rho_pct, corrections
-    ):
-        scn = self._scenario(tol_rho_pct)
-        result = run_scenario(scn)
-        assert len(result.log) - 1 == corrections
-        assert chief_integrations == [(scn.chief, 200, 1.0)]
-        assert flights == [(scn.chief, True)] * (1 + corrections)
-
-    @pytest.mark.parametrize("tol_rho_pct", [1e-9, 1e3])
-    def test_first_log_row_and_final_states_match_fresh_flights_bit_for_bit(self, tol_rho_pct):
-        """Iteration 0's row is that of a fresh flight of the LQR guess,
-        and the final states are a fresh flight of the final controls
-        (the guess itself when iteration 0 converges)."""
-        scn = self._scenario(tol_rho_pct)
-        result = run_scenario(scn)
-        guess = run_scenario(dataclasses.replace(scn, controller=ControllerSpec("lqr")))
-        plant = RelativePlant(scn.chief, scn.gravity)
-        omega = scn.chief.mean_motion()
-        x0 = formation_to_hill(scn.initial, omega, 0.0)
-        Y_star = formation_to_hill(scn.desired, omega, scn.tf)
-        states, _ = plant.propagate(x0, guess.controls[:-1], scn.dt)
-        row = result.log[0]
-        assert row["terminal_errors"].tobytes() == (states[-1] - Y_star).tobytes()
-        assert np.float64(row["rho_error_pct"]).tobytes() == np.float64(
-            rho_error_pct(states[-1], Y_star)).tobytes()
-        final, _ = plant.propagate(x0, result.controls[:-1], scn.dt)
-        assert result.states.tobytes() == final.tobytes()
-        if len(result.log) == 1:
-            assert result.states.tobytes() == states.tobytes()

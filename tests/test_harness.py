@@ -6,7 +6,6 @@ import pytest
 
 from formation_guidance import nnlqr
 from formation_guidance.dynamics import (
-    ChiefEphemeris,
     ChiefOrbit,
     DynamicsError,
     FormationParams,
@@ -35,6 +34,7 @@ from formation_guidance.harness import (
     write_metrics_csv,
     write_trajectory_csv,
 )
+from formation_guidance.mpsp import rho_error_pct
 from test_nnlqr import _controller as _nnlqr_controller, nn1_update
 
 CIRC = ChiefOrbit(a=10000.0)
@@ -194,80 +194,61 @@ class TestRunScenario:
         assert len(care_calls) == 4
 
 
-class TestOneChiefIntegrationPerOrbit:
-    """A run integrates each chief orbit once: an orbit that it reads more
-    than once, or whose kinematics table an SDRE law reads, is stored in
-    one ephemeris; a single flight streams its chief."""
-
-    ECC = ChiefOrbit(a=10000.0, e=0.1, i=math.radians(60.0), nu0=math.radians(10.0))
-
-    def _scenario(self, kind, truth=None, **options):
-        return Scenario(
-            chief=self.ECC, gravity=GravityModel(j2_enabled=True),
-            initial=FormationParams(rho=0.5, theta=math.radians(45.0), m_slope=1.0),
-            desired=FormationParams(rho=5.0, theta=math.radians(60.0), m_slope=1.5),
-            tf=100.0, dt=1.0, controller=ControllerSpec(kind, options), truth_chief=truth,
-        )
+@pytest.mark.parametrize("kind", ["mpsp", "gmpsp"])
+class TestGuessFlightIsFirstPrediction:
+    """A solver run flies the closed-loop LQR guess once, as iteration
+    0's prediction, and then once per correction."""
 
     @staticmethod
-    def _replayed(scn, result):
-        """The run's states, flown again from x0 under its controls on a
-        streamed chief."""
-        plant = RelativePlant(scn.plant_chief, scn.gravity)
-        x0 = formation_to_hill(scn.initial, scn.chief.mean_motion(), 0.0)
-        return plant.propagate(x0, result.controls[:-1], scn.dt)[0]
+    def _scenario(kind, tol_rho_pct):
+        """0.5 km -> 5 km reshaping, eccentric inclined chief, J2 on."""
+        return Scenario(
+            chief=ChiefOrbit(a=10000.0, e=0.15, i=math.radians(60.0), nu0=math.radians(10.0)),
+            gravity=GravityModel(j2_enabled=True),
+            initial=FormationParams(rho=0.5, theta=math.radians(45.0), m_slope=1.0),
+            desired=FormationParams(rho=5.0, theta=math.radians(60.0), m_slope=1.5),
+            tf=200.0,
+            dt=1.0,
+            controller=ControllerSpec(kind, {"tol_rho_pct": tol_rho_pct, "max_iter": 2}),
+        )
 
-    def test_j2_open_loop_fsdre_run_integrates_its_chief_once(self, chief_integrations,
-                                                               flights):
-        """The table, the J2-free plan and the J2 replay share one orbit,
-        and the replay equals a streamed flight bit for bit."""
-        scn = self._scenario("fsdre", open_loop=True)
+    @pytest.mark.parametrize("tol_rho_pct, corrections", [(1e-9, 2), (1e3, 0)])
+    def test_run_flies_once_plus_once_per_correction(self, monkeypatch, kind, tol_rho_pct,
+                                                     corrections):
+        flights = []
+        simulate = RelativePlant.simulate
+
+        def counted(plant, *args):
+            flights.append(plant.gravity.j2_enabled)
+            return simulate(plant, *args)
+
+        monkeypatch.setattr(RelativePlant, "simulate", counted)
+        result = run_scenario(self._scenario(kind, tol_rho_pct))
+        assert len(result.log) - 1 == corrections
+        assert flights == [True] * (1 + corrections)
+
+    @pytest.mark.parametrize("tol_rho_pct", [1e-9, 1e3])
+    def test_first_log_row_and_final_states_match_fresh_flights_bit_for_bit(self, kind,
+                                                                           tol_rho_pct):
+        """Iteration 0's row is that of a fresh flight of the LQR guess,
+        and the final states are a fresh flight of the final controls
+        (the guess itself when iteration 0 converges)."""
+        scn = self._scenario(kind, tol_rho_pct)
         result = run_scenario(scn)
-        assert chief_integrations == [(self.ECC, 100, 1.0)]
-        assert flights == [(self.ECC, False), (self.ECC, True)]
-        assert result.states.tobytes() == self._replayed(scn, result).tobytes()
-
-    @pytest.mark.parametrize("kind", ["sdre", "fsdre"])
-    def test_sdre_run_reads_its_table_off_its_flight_ephemeris(self, chief_integrations,
-                                                                flights, kind):
-        scn = self._scenario(kind)
-        result = run_scenario(scn)
-        assert chief_integrations == [(self.ECC, 100, 1.0)]
-        assert flights == [(self.ECC, True)]
-        assert result.states.tobytes() == self._replayed(scn, result).tobytes()
-
-    @pytest.mark.parametrize("kind, options", [("zero", {}), ("lqr", {}), ("nnlqr", {}),
-                                               ("lqr", {"open_loop": True})])
-    def test_single_flights_stream_their_chief(self, monkeypatch, chief_integrations,
-                                               flights, kind, options):
-        """One flight per orbit stores no ephemeris, so its memory does
-        not grow with the step count.  An open-loop LQR run plans and
-        replays on one orbit and shares one ephemeris."""
-        stored = []
-        integrate = ChiefEphemeris.integrate.__func__
-
-        def counted(cls, *args):
-            stored.append(args[0])
-            return integrate(cls, *args)
-
-        monkeypatch.setattr(ChiefEphemeris, "integrate", classmethod(counted))
-        run_scenario(self._scenario(kind, **options))
-        assert chief_integrations == [(self.ECC, 100, 1.0)]
-        assert stored == ([self.ECC] if options else [])
-        assert len(flights) == 1 + bool(options)
-
-    @pytest.mark.parametrize("kind", ["sdre", "fsdre", "mpsp", "lqr"])
-    def test_truth_chief_is_integrated_apart_from_the_believed_one(
-        self, chief_integrations, flights, kind
-    ):
-        """With a truth orbit, the believed chief is integrated only for
-        an SDRE law's table, and the truth chief once for all its
-        flights."""
-        truth = dataclasses.replace(self.ECC, a=10100.0)
-        result = run_scenario(self._scenario(kind, truth=truth))
-        table = [self.ECC] if kind in ("sdre", "fsdre") else []
-        assert [orbit for orbit, _, _ in chief_integrations] == table + [truth]
-        assert flights == [(truth, True)] * len(result.log or [None])
+        guess = run_scenario(dataclasses.replace(scn, controller=ControllerSpec("lqr")))
+        plant = RelativePlant(scn.chief, scn.gravity)
+        omega = scn.chief.mean_motion()
+        x0 = formation_to_hill(scn.initial, omega, 0.0)
+        Y_star = formation_to_hill(scn.desired, omega, scn.tf)
+        states, _ = plant.propagate(x0, guess.controls[:-1], scn.dt)
+        row = result.log[0]
+        assert row["terminal_errors"].tobytes() == (states[-1] - Y_star).tobytes()
+        assert np.float64(row["rho_error_pct"]).tobytes() == np.float64(
+            rho_error_pct(states[-1], Y_star)).tobytes()
+        final, _ = plant.propagate(x0, result.controls[:-1], scn.dt)
+        assert result.states.tobytes() == final.tobytes()
+        if len(result.log) == 1:
+            assert result.states.tobytes() == states.tobytes()
 
 
 class TestControlEffort:
