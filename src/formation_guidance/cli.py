@@ -68,6 +68,7 @@ import numpy as np
 from .dynamics import POSITION_ROWS, ChiefOrbit, FormationParams, GravityModel
 from .harness import (
     NOT_SETTLED,
+    SETTLE_THRESHOLD_PCT,
     ControllerSpec,
     HarnessError,
     RunResult,
@@ -714,7 +715,7 @@ def cmd_reproduce(args) -> int:
     scenarios, check = factory()
     out = _outdir(args)
     results = {}
-    settle_pct = SWEEP_R_THRESHOLD_PCT if args.preset == "sweep-r" else 1.0
+    settle_pct = SWEEP_R_THRESHOLD_PCT if args.preset == "sweep-r" else SETTLE_THRESHOLD_PCT
     for name, scn in scenarios.items():
         (out / f"{args.preset}_{name}.cfg").write_text(
             serialize_scenario(scn), encoding="utf-8"
@@ -789,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep-r", help="sweep the control weight")
     p_swp.add_argument("config")
-    p_swp.add_argument("--values", type=_weights, default="1e8,1e9,1e10,1e11")
-    p_swp.add_argument("--threshold-pct", type=_positive_float, default=1.0)
+    p_swp.add_argument("--values", type=_weights, default=SWEEP_R_VALUES)
+    p_swp.add_argument("--threshold-pct", type=_positive_float, default=SETTLE_THRESHOLD_PCT)
     common(p_swp)
     p_swp.set_defaults(func=cmd_sweep_r)
 

@@ -127,7 +127,7 @@ def gmpsp_solve(
     guess: np.ndarray,
     dt: float,
     options: GmpspOptions,
-    prediction: tuple[np.ndarray, np.ndarray] | None = None,
+    prediction: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """Outer prediction/correction loop of the continuous formulation.
 

@@ -30,12 +30,15 @@ from .dynamics import (
 from .gmpsp import gmpsp_solve
 from .lqr import design_lqr, lqr_tracking_control
 from .mpsp import RENDEZVOUS_LENGTH_KM, mpsp_solve, rho_error_pct
-from .numerics import NumericsError, riccati_weights
+from .numerics import NumericsError, RiccatiState, riccati_weights
 from .options import CONTROLLER_OPTIONS
 from .sdre import FiniteHorizonSpec, SdcModel, finite_time_sdre_control, sdre_infinite_control
 
 #: Sentinel returned by settle_time when the error never stays inside the band.
 NOT_SETTLED = math.inf
+
+#: Settle band [% of the commanded baseline length] of a run unless one is given.
+SETTLE_THRESHOLD_PCT = 1.0
 
 class HarnessError(RuntimeError):
     """Raised for invalid scenarios or failures inside a simulation run."""
@@ -141,7 +144,7 @@ def settle_time(
     states: np.ndarray,
     desired: np.ndarray,
     rho_command: float,
-    threshold_pct: float = 1.0,
+    threshold_pct: float,
 ) -> float:
     """First time after which the position-error norm stays inside the band.
 
@@ -169,7 +172,8 @@ def _feedback_law(
     """Control u_k = law(k, t_k, X_k) of the feedback controller kinds.
 
     Xd and Xd_dot are the commanded states and their derivatives on the
-    grid (see :func:`desired_trajectory`); law k reads their row k.
+    grid (see :func:`desired_trajectory`); law k reads their row k, and
+    the finite-time SDRE's terminal constraint is Xd's last row.
     """
     kind, opts = scenario.controller.kind, scenario.controller.options
     believed, desired, dt = scenario.chief, scenario.desired, scenario.dt
@@ -207,7 +211,7 @@ def _feedback_law(
         # every step; both are local to this run's law.  Weights that
         # cannot be factored are left to the first step's solve, which
         # reports them with its state.
-        riccati = None
+        riccati = RiccatiState(None)
         try:
             weights = riccati_weights(B, opts.Q, opts.R)
         except NumericsError:
@@ -216,13 +220,12 @@ def _feedback_law(
         def sdre_law(k, t, X):
             nonlocal riccati
             u, riccati = sdre_infinite_control(X, Xd[k], model, kins[k], opts.Q, opts.R,
-                                               guess=riccati, weights=weights)
+                                               riccati, weights)
             return u
 
         return sdre_law
 
-    Xf = formation_to_hill(desired, omega, scenario.tf)
-    horizon = FiniteHorizonSpec(tf=scenario.tf, Xf=Xf, Q=opts.Q, R=opts.R)
+    horizon = FiniteHorizonSpec(tf=scenario.tf, Xf=Xd[-1], Q=opts.Q, R=opts.R)
 
     def fsdre_law(k, t, X):
         return finite_time_sdre_control(X, t, horizon, model, kins[k])
@@ -255,8 +258,9 @@ def _solve_open_loop(
     reference: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """MPSP/G-MPSP seeded with the closed-loop LQR control history, whose
-    flight is the solver's first prediction."""
-    Y_star = formation_to_hill(scenario.desired, scenario.chief.mean_motion(), scenario.tf)
+    flight is the solver's first prediction.  The commanded terminal
+    state is the last row of ``reference``'s states."""
+    Y_star = reference[0][-1]
     lqr = replace(scenario, controller=ControllerSpec("lqr"))
     states, nus, guess = _run_closed_loop(lqr, plant, x0, reference)
     solve = mpsp_solve if scenario.controller.kind == "mpsp" else gmpsp_solve
@@ -264,7 +268,9 @@ def _solve_open_loop(
                  prediction=(states, nus))
 
 
-def run_scenario(scenario: Scenario, settle_threshold_pct: float = 1.0) -> RunResult:
+def run_scenario(
+    scenario: Scenario, settle_threshold_pct: float = SETTLE_THRESHOLD_PCT
+) -> RunResult:
     """Simulate one scenario and compute its metrics."""
     plant = RelativePlant(scenario.plant_chief, scenario.gravity)
     n, dt = scenario.n_steps, scenario.dt

@@ -12,7 +12,6 @@ import numpy as np
 
 from .dynamics import ACCEL_ROWS, hill_linear_matrices
 from .numerics import solve_are
-from .options import LqrOptions
 
 
 @dataclass(frozen=True)
@@ -27,17 +26,14 @@ class LqrDesign:
     B: np.ndarray
 
 
-def design_lqr(
-    omega: float, Q: np.ndarray | None = None, R: np.ndarray | None = None
-) -> LqrDesign:
+def design_lqr(omega: float, Q: np.ndarray, R: np.ndarray) -> LqrDesign:
     """Design the tracking LQR for a circular chief with mean motion ``omega``.
 
-    Q and R default to those of ``LqrOptions``.  The closed loop A - BK
-    is guaranteed Hurwitz by the Riccati solver contract.
+    Q is the 6x6 state weight and R the 3x3 control weight.  The closed
+    loop A - BK is guaranteed Hurwitz by the Riccati solver contract.
     """
-    defaults = LqrOptions()
-    Q = defaults.Q if Q is None else np.asarray(Q, dtype=float)
-    R = defaults.R if R is None else np.asarray(R, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    R = np.asarray(R, dtype=float)
     A, B = hill_linear_matrices(omega)
     P = solve_are(A, B, Q, R)
     K = np.linalg.solve(R, B.T @ P)

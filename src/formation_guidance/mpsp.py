@@ -81,13 +81,12 @@ def compute_sensitivities(
     return SensitivitySet(B_k=B_k, A_lambda=A_lambda, b_lambda=b_lambda)
 
 
-def mpsp_update(
-    sens: SensitivitySet, dY_N: np.ndarray, U0: np.ndarray, R_k: np.ndarray
-) -> np.ndarray:
+def mpsp_update(sens: SensitivitySet, dY_N: np.ndarray, R_k: np.ndarray) -> np.ndarray:
     """Closed-form control-history correction.
 
     U_k = R_k^-1 B_k^T A_lambda^-1 (dY_N - b_lambda), where dY_N is the
-    achieved-minus-desired terminal output of the previous prediction.
+    achieved-minus-desired terminal output of the previous prediction;
+    the previous history enters through ``sens.b_lambda``.
     """
     try:
         lam = np.linalg.solve(sens.A_lambda, dY_N - sens.b_lambda)
@@ -126,24 +125,24 @@ def predict_correct(
     correct: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     tol_rho_pct: float,
     max_iter: int,
-    prediction: tuple[np.ndarray, np.ndarray] | None = None,
+    prediction: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """Outer prediction/correction loop shared by MPSP and G-MPSP.
 
     predict(U) returns the (states, nus) flown under the control history
     U; correct(states, nus, dY, U) returns the corrected history, where
     dY is the achieved-minus-desired terminal state.  ``prediction`` is
-    the (states, nus) already flown under ``guess``, if any (the
-    harness's closed-loop guess flight, which ``predict(guess)`` would
-    repeat bit for bit); it is iteration 0's prediction, so the loop
-    flies once per correction.  Returns (controls, iteration log, final
-    trajectory).  Each log row records the iteration number, the six
-    terminal errors, and %rho_e; the last row carries converged=False if
-    the tolerance was not met within max_iter corrections.
+    the (states, nus) already flown under ``guess`` (the harness's
+    closed-loop guess flight, or ``predict(guess)``); it is iteration
+    0's prediction, so the loop flies once per correction.  Returns
+    (controls, iteration log, final trajectory).  Each log row records
+    the iteration number, the six terminal errors, and %rho_e; the last
+    row carries converged=False if the tolerance was not met within
+    max_iter corrections.
     """
     U = np.asarray(guess, dtype=float).copy()
     log: list[dict] = []
-    states, nus = prediction if prediction is not None else predict(U)
+    states, nus = prediction
     for it in itertools.count():
         dY = states[-1] - Y_star
         pct = rho_error_pct(states[-1], Y_star)
@@ -169,7 +168,7 @@ def mpsp_solve(
     guess: np.ndarray,
     dt: float,
     options: MpspOptions,
-    prediction: tuple[np.ndarray, np.ndarray] | None = None,
+    prediction: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """Discrete static programming; see :func:`predict_correct`, which
     takes ``prediction``.
@@ -186,7 +185,7 @@ def mpsp_solve(
     def correct(states, nus, dY, U):
         dF_dX, dF_dU = analytic_state_jacobians(plant, states, nus, dt)
         sens = compute_sensitivities(dF_dX, dF_dU, R_kmat, U)
-        return mpsp_update(sens, dY, U, R_kmat)
+        return mpsp_update(sens, dY, R_kmat)
 
     return predict_correct(guess, Y_star, predict, correct, options.tol_rho_pct, options.max_iter,
                            prediction)

@@ -123,9 +123,11 @@ class NnLqrController:
     NN1's layout (``make_rbf_network``); basis, NN2's; the virtual plant's
     diagonal Hurwitz gain K_tau; NN2's rate beta, regularizer gamma and
     Jacobian weight Theta (6x6 PD); NN1's regularizer R1; the step dt.
-    Trained at each step: rbf.W_c, NN2's (3, 7) weights W_dist (rows
-    follow ACCEL_ROWS), and the virtual plant's state X_a, which K_tau
-    pulls toward the measurement; the residual X - X_a drives NN2.
+    Trained at each step: rbf.W_c; NN2's (3, 7) weights W_dist (rows
+    follow ACCEL_ROWS), which start at zero and are not a constructor
+    argument; and the virtual plant's state X_a, which starts where it
+    is given and which K_tau pulls toward the measurement; the residual
+    X - X_a drives NN2.
 
     Construction also derives the invariants each step reads, as float
     rows: R^-1 B^T, P, Q, A^T, A's acceleration rows, A + K_tau, Theta's
@@ -147,7 +149,7 @@ class NnLqrController:
     Theta: np.ndarray
     R1: float
     dt: float
-    W_dist: np.ndarray = field(default_factory=lambda: np.zeros((3, 7)))
+    W_dist: np.ndarray = field(init=False, default_factory=lambda: np.zeros((3, 7)))
 
     def __post_init__(self) -> None:
         if not np.all(np.diag(self.K_tau) > 0.0):

@@ -148,7 +148,8 @@ class RiccatiState(NamedTuple):
     ``P`` is a Riccati solution, or None for no guess.  ``(T, Z)`` is
     the real Schur form ``closedᵀ = Z T Zᵀ`` of its closed loop ``closed
     = A − B R⁻¹ Bᵀ P`` for the ``A`` it solved, or None where no form
-    was computed: a plain guess, or a ``P`` from the cold solve.
+    was computed: a guess made of a ``P`` alone, or a ``P`` from the
+    cold solve.
     """
 
     P: np.ndarray | None
@@ -161,7 +162,7 @@ def solve_are(
     B: np.ndarray,
     Q: np.ndarray,
     R: np.ndarray,
-    guess: np.ndarray | RiccatiState | None = None,
+    guess: RiccatiState | None = None,
     *,
     weights: RiccatiWeights | None = None,
 ) -> np.ndarray | RiccatiState:
@@ -178,10 +179,10 @@ def solve_are(
     ``R``, like the pointwise SDRE law over one run, passes it to skip
     the factorization of ``R`` and the products of ``B``.
 
-    ``guess`` is None, a ``P`` or a :class:`RiccatiState`.  The result
-    is ``P``, or, when ``guess`` is a :class:`RiccatiState`, the
-    :class:`RiccatiState` of ``P``: a chain of solves, like the
-    pointwise SDRE law's, hands each result to the next solve.
+    ``guess`` is None or a :class:`RiccatiState`.  The result is ``P``
+    for None, and otherwise the :class:`RiccatiState` of ``P``: a chain
+    of solves, like the pointwise SDRE law's, hands each result to the
+    next solve, and ``RiccatiState(None)`` starts one with a cold solve.
 
     Without a guessed ``P`` the solve is cold (:func:`_cold_solve`).  It
     computes ``W = sign(H)`` of the Hamiltonian ``H = [[A, −G], [−Q,
@@ -211,9 +212,9 @@ def solve_are(
     a real Schur form of ``C`` from ``dgees``, and ``δ`` is symmetrized.  A Newton-Kleinman step
     (Kleinman, IEEE TAC 1968) takes ``C`` as the closed loop ``A − G
     P`` of the current iterate and a fresh Schur form of it, which must
-    show that loop Hurwitz.  A :class:`RiccatiState` guess also hands in
-    the Schur form of the closed loop it was solved for, and the
-    corrections are chord steps on that form (Kelley, SIAM 1995; the
+    show that loop Hurwitz.  When the guess also hands in the Schur
+    form of the closed loop it was solved for, the corrections are
+    chord steps on that form (Kelley, SIAM 1995; the
     inexact Newton-Kleinman of Feitzinger, Hylla & Sachs, SIAM J.
     Matrix Anal. Appl. 2009) for as long as each shrinks the residual by
     the factor ``CHORD_CONTRACTION``; after one that does not, the
@@ -258,16 +259,12 @@ def solve_are(
     R = np.asarray(R, dtype=float)
     if weights is None:
         weights = riccati_weights(B, Q, R)
-    if isinstance(guess, RiccatiState):
-        start = guess
-    else:
-        start = RiccatiState(None if guess is None else np.asarray(guess, dtype=float))
     solved = None
-    if start.P is not None:
-        solved = _newton_kleinman(A, Q, start, weights)
+    if guess is not None and guess.P is not None:
+        solved = _newton_kleinman(A, Q, guess, weights)
     if solved is None:
         solved = RiccatiState(_cold_solve(A, Q, weights))
-    return solved if isinstance(guess, RiccatiState) else solved.P
+    return solved.P if guess is None else solved
 
 
 def _cold_solve(A: np.ndarray, Q: np.ndarray, weights: RiccatiWeights) -> np.ndarray:
@@ -285,7 +282,7 @@ def _cold_solve(A: np.ndarray, Q: np.ndarray, weights: RiccatiWeights) -> np.nda
     except Exception as exc:  # scipy raises LinAlgError or ValueError
         raise NumericsError(f"Riccati solve failed: {exc}") from exc
     P = 0.5 * (P + P.T)
-    failure = _contract_failure(*_residual(A, Q, weights.G, P))
+    failure = _contract_failure(A, Q, weights.G, P)
     if failure is not None:
         raise NumericsError(failure)
     return P
@@ -310,7 +307,7 @@ def _sign_solve(A: np.ndarray, Q: np.ndarray, weights: RiccatiWeights) -> np.nda
     except (np.linalg.LinAlgError, ValueError):  # Q not definite, shapes that do not fit
         return None
     P = 0.5 * (P + P.T)
-    if _contract_failure(*_residual(A, Q, weights.G, P)) is not None:
+    if _contract_failure(A, Q, weights.G, P) is not None:
         return None
     return P
 
@@ -417,30 +414,22 @@ def _riccati_terms(
     return closed, res, _norm(res), _norm(P)
 
 
-def _residual(
-    A: np.ndarray, Q: np.ndarray, G: np.ndarray, P: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """``(closed, res_norm, norm_P)`` of a symmetric ``P``: the closed
-    loop ``A − G P``, the Frobenius norm of the Riccati residual ``P A +
-    Aᵀ P + Q − P G P`` (formed as ``P closed + Aᵀ P + Q``, since ``G = B
-    R⁻¹ Bᵀ``) and the Frobenius norm of ``P``."""
-    closed, _, res_norm, norm_P = _riccati_terms(A, Q, G, P)
-    return closed, res_norm, norm_P
-
-
 def _residual_ok(res_norm: float, norm_P: float) -> bool:
     """Whether a Riccati residual meets the contract's ``1e-8 (1 + ||P||)``."""
     return res_norm <= 1e-8 * (1.0 + norm_P)
 
 
-def _contract_failure(closed: np.ndarray, res_norm: float, norm_P: float) -> str | None:
-    """Why a cold ``P`` breaks ``solve_are``'s contract, or None if it
-    keeps it.
+def _contract_failure(
+    A: np.ndarray, Q: np.ndarray, G: np.ndarray, P: np.ndarray
+) -> str | None:
+    """Why a cold symmetric ``P`` breaks ``solve_are``'s contract, or
+    None if it keeps it.
 
-    The arguments are its :func:`_residual`.  The contract is the
-    residual bound of :func:`_residual_ok`, then a closed loop that
+    The contract is the residual bound of :func:`_residual_ok` on the
+    :func:`_riccati_terms` of ``P``, then a closed loop ``A − G P`` that
     ``np.linalg.eigvals`` finds Hurwitz.
     """
+    closed, _, res_norm, norm_P = _riccati_terms(A, Q, G, P)
     if not _residual_ok(res_norm, norm_P):
         return f"Riccati residual too large: {res_norm:.3e}"
     if not np.max(np.linalg.eigvals(closed).real) < 0.0:

@@ -1,10 +1,11 @@
 """Controller options: one frozen dataclass per controller kind.
 
-Every controller default is defined here once.  The harness reads these
-fields and hands ``mpsp_solve``/``gmpsp_solve`` their options object,
-``design_lqr`` takes its default weights from here, and the fields of
-each class are the keys of its CLI config section.  Weights are
-matrices: Q is the 6x6 state weight and R the 3x3 control weight.
+Every controller default is defined here, and only here.  The harness
+reads these fields and hands them to the library's entry points, which
+take them as required arguments (``mpsp_solve``/``gmpsp_solve`` take the
+options object itself), and the fields of each class are the keys of
+its CLI config section.  Weights are matrices: Q is the 6x6 state
+weight and R the 3x3 control weight.
 """
 
 from __future__ import annotations

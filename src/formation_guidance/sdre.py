@@ -20,7 +20,6 @@ from .numerics import (
     riccati_weights,
     solve_are,
 )
-from .options import SdreOptions
 
 
 class SdreError(RuntimeError):
@@ -37,8 +36,8 @@ class SdcModel:
     kept by SDC1.
     """
 
-    variant: str = SdreOptions.variant
-    series_order: int = SdreOptions.series_order
+    variant: str
+    series_order: int
 
     def __post_init__(self) -> None:
         if self.variant not in ("SDC1", "SDC2"):
@@ -91,17 +90,14 @@ def _psi_series(xi: float, order: int) -> float:
     return psi
 
 
-def sdc1_matrix(
-    state: np.ndarray,
-    kin: ChiefKinematics,
-    order: int = SdreOptions.series_order,
-) -> np.ndarray:
+def sdc1_matrix(state: np.ndarray, kin: ChiefKinematics, order: int) -> np.ndarray:
     """Power-series SDC factorization A(X) of the nonlinear dynamics.
 
     Exact in the along-track and cross-track rows; the radial row uses
-    the series factor psi in xi = -2x/r_c - (x^2+y^2+z^2)/r_c^2, which
-    must satisfy |xi| < 1 for convergence.  A(X) X reproduces the
-    unforced drift f(X) up to the series truncation.
+    the series factor psi, kept to ``order`` correction terms, in xi =
+    -2x/r_c - (x^2+y^2+z^2)/r_c^2, which must satisfy |xi| < 1 for
+    convergence.  A(X) X reproduces the unforced drift f(X) up to the
+    series truncation.
     """
     x, _, y, _, z, _ = state.tolist()
     r_c, nd, ndd = kin.r_c, kin.nu_dot, kin.nu_ddot
@@ -184,8 +180,8 @@ def sdre_infinite_control(
     kin: ChiefKinematics,
     Q: np.ndarray,
     R: np.ndarray,
-    guess: RiccatiState | None = None,
-    weights: RiccatiWeights | None = None,
+    guess: RiccatiState,
+    weights: RiccatiWeights | None,
 ) -> tuple[np.ndarray, RiccatiState]:
     """Pointwise infinite-horizon SDRE control U = -R^-1 B^T P(X) (X - Xd).
 
@@ -195,14 +191,13 @@ def sdre_infinite_control(
     its closed loop.  ``guess`` is handed to ``solve_are`` as a warm
     start; passing the previous control step's ``riccati`` lets the next
     Riccati solve take chord corrections on that Schur form instead of
-    a cold solve.  Without it the solve is cold.  ``weights``,
-    ``riccati_weights(B, Q, R)``, is handed on as well, so a run
-    computes it once; it is built here when absent.  ``R^-1 B^T`` is
-    its ``R_inv_BT``, so no step factors ``R``.
+    a cold solve.  ``RiccatiState(None)`` starts a chain with a cold
+    solve.  ``weights``, ``riccati_weights(B, Q, R)``, is handed on as
+    well, so a run computes it once; None, for weights that could not be
+    factored, builds it here, where its failure is reported with the
+    state.  ``R^-1 B^T`` is its ``R_inv_BT``, so no step factors ``R``.
     """
     A = sdc_matrix(state, kin, model)
-    if guess is None:
-        guess = RiccatiState(None)
     try:
         if weights is None:
             weights = riccati_weights(B, Q, R)

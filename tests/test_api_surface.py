@@ -1,5 +1,6 @@
 """Every public function, class and method of the library has a user,
-and every private module-level name has a reader in the library.
+every private module-level name has a reader in the library, and every
+default of a public parameter has a caller that takes it.
 
 A public name (no leading underscore) defined in ``src/formation_guidance``
 must be referenced somewhere in the library itself, be imported or used by
@@ -15,6 +16,14 @@ the library, a name that is imported but never read has no user.
 A private (single leading underscore) function, class or constant at
 module level exists only for the library, so something in
 ``src/formation_guidance`` must read it; a test alone does not count.
+
+A default of a public function or method parameter must be taken: at
+least one direct call in the library or the acceptance criteria leaves
+that parameter out (a call that unpacks ``*args`` or ``**kwargs``
+counts as leaving it out).  A default that every caller overrides is a
+second home for a value whose home is elsewhere, such as a controller
+default in ``formation_guidance.options``.  A function that nothing
+there calls by its name is exempt.
 """
 
 import ast
@@ -31,15 +40,15 @@ def _parse(path):
 
 
 def _public_definitions(module):
-    """(qualified name, name) of the module's public functions, classes
-    and methods."""
+    """(qualified name, node, whether it is a method) of the module's
+    public functions, classes and methods."""
     for node in module.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node.name
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item, True
 
 
 def _references(tree, imports=False):
@@ -75,8 +84,8 @@ def test_every_public_name_has_a_user():
     unused = [
         f"{path.stem}.{qualified}"
         for path, tree in zip(SOURCES, trees)
-        for qualified, name in _public_definitions(tree)
-        if name not in used
+        for qualified, node, _ in _public_definitions(tree)
+        if node.name not in used
     ]
     assert not unused, f"public names nothing uses: {', '.join(unused)}"
 
@@ -114,3 +123,63 @@ def test_every_private_module_name_is_read_in_the_library():
         if name not in read
     ]
     assert not unread, f"private names nothing in the library reads: {', '.join(unread)}"
+
+
+def _defaulted_parameters(function, is_method):
+    """(position, name) of each parameter with a default; position counts
+    the arguments a call passes (so a method's ``self`` or ``cls`` is
+    not one) and is None for a keyword-only parameter."""
+    arguments = function.args
+    positional = arguments.posonlyargs + arguments.args
+    first = len(positional) - len(arguments.defaults)
+    bound = is_method and not any(
+        getattr(d, "id", None) == "staticmethod" for d in function.decorator_list
+    )
+    for index, arg in enumerate(positional[first:], start=first):
+        yield index - bound, arg.arg
+    for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _calls(trees):
+    """Every call in the trees, by the name it calls (a bare name or the
+    last attribute)."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _omits(call, position, name):
+    """Whether ``call`` leaves the parameter to its default; a call that
+    unpacks ``*args`` or ``**kwargs`` may, so it counts as omitting."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    keywords = {keyword.arg for keyword in call.keywords}
+    if None in keywords:
+        return True
+    return name not in keywords and (position is None or position >= len(call.args))
+
+
+def test_every_default_is_taken_by_a_caller():
+    """Every default of a public function or method parameter is left to
+    its default by at least one direct call in the library or the
+    acceptance criteria; otherwise every caller passes the value, and
+    the default is a second home for it.  Functions that nothing there
+    calls by name, like those the harness calls through an alias, are
+    exempt."""
+    trees = [_parse(path) for path in SOURCES]
+    calls = _calls([*trees, _parse(ACCEPTANCE)])
+    unused = [
+        f"{path.stem}.{qualified}({name})"
+        for path, tree in zip(SOURCES, trees)
+        for qualified, function, is_method in _public_definitions(tree)
+        if isinstance(function, ast.FunctionDef) and function.name in calls
+        for position, name in _defaulted_parameters(function, is_method)
+        if not any(_omits(call, position, name) for call in calls[function.name])
+    ]
+    assert not unused, f"defaults that every call passes: {', '.join(unused)}"

@@ -229,7 +229,7 @@ class TestGmpspUpdate:
             dY = states[-1] - Y_star
             dF_dX, dF_dU = analytic_state_jacobians(plant, states, nus, dt)
             sens = compute_sensitivities(dF_dX, dF_dU, dt * R, guess)
-            U_disc = mpsp_update(sens, dY, guess, dt * R)
+            U_disc = mpsp_update(sens, dY, dt * R)
             field = integrate_W_backward(plant, states, nus, dt)
             acc = gmpsp_accumulate(field, guess, R, dt)
             U_cont = gmpsp_update(acc, dY, field, R)
@@ -246,7 +246,9 @@ class TestGmpspSolve:
         x0 = formation_to_hill(params, OMEGA, 0.0)
         n, dt = 50, 1.0
         Y_star = formation_to_hill(params, OMEGA, n * dt)
-        U, log, _ = gmpsp_solve(plant, x0, Y_star, np.zeros((n, 3)), dt, GmpspOptions())
+        guess = np.zeros((n, 3))
+        U, log, _ = gmpsp_solve(plant, x0, Y_star, guess, dt, GmpspOptions(),
+                                plant.propagate(x0, guess, dt))
         assert len(log) == 1 and log[0]["converged"]
         np.testing.assert_array_equal(U, np.zeros((n, 3)))
 

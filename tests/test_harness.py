@@ -17,6 +17,7 @@ from formation_guidance.dynamics import (
 )
 from formation_guidance.harness import (
     NOT_SETTLED,
+    SETTLE_THRESHOLD_PCT,
     CompareCell,
     ControllerSpec,
     HarnessError,
@@ -274,13 +275,15 @@ class TestSettleTime:
         times = np.arange(11.0)
         desired = np.zeros((11, 6))
         states = np.full((11, 6), 1e-6)
-        assert settle_time(times, states, desired, rho_command=5.0) == 0.0
+        assert settle_time(times, states, desired, rho_command=5.0,
+                           threshold_pct=SETTLE_THRESHOLD_PCT) == 0.0
 
     def test_never_settles(self):
         times = np.arange(11.0)
         desired = np.zeros((11, 6))
         states = np.ones((11, 6))
-        assert settle_time(times, states, desired, rho_command=5.0) is NOT_SETTLED
+        assert settle_time(times, states, desired, rho_command=5.0,
+                           threshold_pct=SETTLE_THRESHOLD_PCT) is NOT_SETTLED
 
     def test_exponential_decay_crossing(self):
         # Radial error e^{-t/tau}: the band entry time is tau ln(1/thr)
@@ -305,7 +308,8 @@ class TestSettleTime:
         states = np.zeros((4, 6))
         states[:, 0] = [0.05, 0.02, 0.009, 0.005]
         desired = np.zeros((4, 6))
-        assert settle_time(times, states, desired, rho_command=0.0) == 2.0
+        assert settle_time(times, states, desired, rho_command=0.0,
+                           threshold_pct=SETTLE_THRESHOLD_PCT) == 2.0
 
 
 class TestCompare:

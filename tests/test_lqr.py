@@ -16,13 +16,15 @@ from formation_guidance.lqr import (
     lqr_tracking_control,
 )
 from formation_guidance.numerics import NumericsError, solve_are
+from formation_guidance.options import LqrOptions
 
 OMEGA = ChiefOrbit(a=10000.0).mean_motion()
+DEFAULTS = LqrOptions()
 
 
 class TestDesignLqr:
     def test_default_weights_give_stable_loop(self):
-        design = design_lqr(OMEGA)
+        design = design_lqr(OMEGA, DEFAULTS.Q, DEFAULTS.R)
         np.testing.assert_array_equal(design.Q, np.eye(6))
         np.testing.assert_array_equal(design.R, 1e9 * np.eye(3))
         closed = design.A - design.B @ design.K
@@ -30,7 +32,7 @@ class TestDesignLqr:
 
     def test_full_state_weight_is_accepted(self):
         # Q = I makes (A, Q^1/2) trivially observable, so the design exists.
-        design = design_lqr(OMEGA, Q=np.eye(6))
+        design = design_lqr(OMEGA, Q=np.eye(6), R=DEFAULTS.R)
         assert design.K.shape == (3, 6)
 
     def test_scalar_reduction_gain(self):
@@ -40,13 +42,13 @@ class TestDesignLqr:
 
     def test_unobservable_zero_weight_rejected(self):
         with pytest.raises(NumericsError):
-            design_lqr(OMEGA, Q=np.zeros((6, 6)))
+            design_lqr(OMEGA, Q=np.zeros((6, 6)), R=DEFAULTS.R)
 
 
 class TestTrackingControl:
     def test_consistent_trajectory_zero_control(self):
         """On a natural relative orbit with matching rates, U = 0."""
-        design = design_lqr(OMEGA)
+        design = design_lqr(OMEGA, DEFAULTS.Q, DEFAULTS.R)
         params = FormationParams(rho=5.0, theta=0.7, m_slope=1.0)
         for t in (0.0, 500.0, 2500.0):
             Xd = formation_to_hill(params, OMEGA, t)
@@ -55,7 +57,7 @@ class TestTrackingControl:
             np.testing.assert_allclose(u, np.zeros(3), atol=1e-18)
 
     def test_unit_radial_error_pulls_first_gain_column(self):
-        design = design_lqr(OMEGA)
+        design = design_lqr(OMEGA, DEFAULTS.Q, DEFAULTS.R)
         params = FormationParams(rho=5.0, theta=0.7, m_slope=1.0)
         Xd = formation_to_hill(params, OMEGA, 0.0)
         Xd_dot = formation_to_hill_deriv(params, OMEGA, 0.0)

@@ -124,7 +124,7 @@ class TestMpspUpdate:
             A_lambda=-3.0 * B @ B.T - 1e-9 * np.eye(6),
             b_lambda=np.zeros(6),
         )
-        U = mpsp_update(sens, np.zeros(6), np.zeros((3, 3)), np.eye(3))
+        U = mpsp_update(sens, np.zeros(6), np.eye(3))
         np.testing.assert_allclose(U, np.zeros((3, 3)), atol=1e-18)
 
     def test_scalar_one_step_hand_solution(self):
@@ -143,7 +143,7 @@ class TestMpspUpdate:
         sens = SensitivitySet(B_k=B_k, A_lambda=A_lam, b_lambda=b_lam)
         dY_N = np.zeros(6)
         dY_N[0] = dY
-        U = mpsp_update(sens, dY_N, U0, r * np.eye(3))
+        U = mpsp_update(sens, dY_N, r * np.eye(3))
         expected = (b / r) * (-r / b**2) * (dY - b * u0)
         assert U[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -152,7 +152,7 @@ class TestMpspUpdate:
             B_k=np.zeros((2, 6, 3)), A_lambda=np.zeros((6, 6)), b_lambda=np.zeros(6)
         )
         with pytest.raises(MpspError):
-            mpsp_update(sens, np.ones(6), np.zeros((2, 3)), np.eye(3))
+            mpsp_update(sens, np.ones(6), np.eye(3))
 
 
 class TestRhoErrorPct:
@@ -181,7 +181,9 @@ class TestMpspSolve:
         x0 = formation_to_hill(params, OMEGA, 0.0)
         n, dt = 100, 1.0
         Y_star = formation_to_hill(params, OMEGA, n * dt)
-        U, log, _ = mpsp_solve(plant, x0, Y_star, np.zeros((n, 3)), dt, MpspOptions())
+        guess = np.zeros((n, 3))
+        U, log, _ = mpsp_solve(plant, x0, Y_star, guess, dt, MpspOptions(),
+                               plant.propagate(x0, guess, dt))
         assert len(log) == 1
         assert log[0]["iteration"] == 0
         assert log[0]["converged"]

@@ -26,6 +26,7 @@ from formation_guidance.nnlqr import (
     rbf_features,
 )
 from formation_guidance.numerics import NumericsError, fd_jacobian, rk4_step
+from formation_guidance.options import NnlqrOptions
 
 ORBIT = ChiefOrbit(a=10000.0)
 OMEGA = ORBIT.mean_motion()
@@ -531,7 +532,7 @@ def _controller(layout="grid", **fields):
     """An NN-LQR controller on ORBIT with the ``layout`` costate network;
     ``fields`` override its other settings."""
     settings = dict(
-        design=design_lqr(OMEGA, Q=200.0 * np.eye(6)),
+        design=design_lqr(OMEGA, Q=200.0 * np.eye(6), R=NnlqrOptions().R),
         rbf=make_rbf_network(layout, 5.0, OMEGA),
         basis=DisturbanceBasis(ORBIT.a),
         X_a=np.zeros(6),
@@ -611,7 +612,7 @@ class TestControlStep:
             _controller(R1=0.0)
 
     def test_zero_nets_match_plain_tracking_control(self):
-        design = design_lqr(OMEGA)
+        design = design_lqr(OMEGA, NnlqrOptions().Q, NnlqrOptions().R)
         ctrl = _controller(design=design, R1=1.0)
         rng = np.random.default_rng(9)
         X = rng.normal(size=6)

@@ -16,12 +16,14 @@ from formation_guidance.dynamics import (
 )
 from formation_guidance.numerics import (
     NumericsError,
+    RiccatiState,
     fd_jacobian,
     matrix_exponential,
     riccati_weights,
     rk4_step,
     solve_are,
 )
+from formation_guidance.options import SdreOptions
 from formation_guidance.sdre import FiniteHorizonSpec, SdcModel, sdc1_matrix, sdc_matrix
 
 
@@ -98,7 +100,7 @@ class TestSolveAreWarmStart:
         # A = 1 is open-loop unstable, so P = 0 leaves A - G P unstable
         # and the solve goes straight to the cold path.
         A, B, Q, R = np.eye(1), np.eye(1), np.eye(1), np.eye(1)
-        P = solve_are(A, B, Q, R, guess=np.zeros((1, 1)))
+        P = solve_are(A, B, Q, R, RiccatiState(np.zeros((1, 1)))).P
         assert (len(care_calls), len(lyapunov_calls)) == (1, 0)
         assert P[0, 0] == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-12)
         assert contract_holds(A, B, Q, R, P)
@@ -109,7 +111,8 @@ class TestSolveAreWarmStart:
         # residual but an unstable closed loop; the solve must retry cold
         # instead of raising.
         monkeypatch.setattr(numerics, "_lyapunov", lambda closed, C: np.full_like(C, 3.0))
-        P = solve_are(np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1), guess=3.0 * np.eye(1))
+        P = solve_are(np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1),
+                      RiccatiState(3.0 * np.eye(1))).P
         assert len(care_calls) == 1
         assert P[0, 0] == pytest.approx(2.0, abs=1e-10)
 
@@ -122,7 +125,7 @@ class TestSolveAreWarmStart:
         A, B, Q, R = np.zeros((1, 1)), np.eye(1), 1e14 * np.eye(1), np.eye(1)
         monkeypatch.setattr(numerics, "_lyapunov",
                             lambda closed, C: np.array([[2e7 - (1e7 + 5e-8)]]))
-        P = solve_are(A, B, Q, R, guess=2e7 * np.eye(1))
+        P = solve_are(A, B, Q, R, RiccatiState(2e7 * np.eye(1))).P
         assert len(care_calls) == 1
         assert P[0, 0] == pytest.approx(1e7, rel=1e-12)
 
@@ -130,7 +133,7 @@ class TestSolveAreWarmStart:
         # From P = 1e6 toward P = 1, Newton halves P per step and has not
         # converged when it runs out of steps.
         A, B, Q, R = np.zeros((1, 1)), np.eye(1), np.eye(1), np.eye(1)
-        P = solve_are(A, B, Q, R, guess=1e6 * np.eye(1))
+        P = solve_are(A, B, Q, R, RiccatiState(1e6 * np.eye(1))).P
         assert len(care_calls) == 1
         assert P[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -159,7 +162,8 @@ class TestSolveAreWarmStart:
                 continue
             E = noise.normal(size=(n, n))
             before, solves_before = len(care_calls), len(lyapunov_calls)
-            P = solve_are(A, B, Q, R, guess=cold + 1e-6 * np.linalg.norm(cold) * (E + E.T))
+            P = solve_are(A, B, Q, R,
+                          RiccatiState(cold + 1e-6 * np.linalg.norm(cold) * (E + E.T))).P
             fallbacks += len(care_calls) - before
             steps.append(len(lyapunov_calls) - solves_before)
             assert contract_holds(A, B, Q, R, P)
@@ -178,7 +182,7 @@ class TestSolveAreWarmStart:
         B = np.array([[0.0], [1.0]])
         Q, R = np.eye(2), np.eye(1)
         # G P = [[0, 0], [0, 0]] for P = 0: the closed loop is A itself.
-        P = solve_are(A, B, Q, R, guess=np.zeros((2, 2)))
+        P = solve_are(A, B, Q, R, RiccatiState(np.zeros((2, 2)))).P
         assert len(care_calls) == 1
         assert np.linalg.norm(P - solve_are(A, B, Q, R)) == 0.0
 
@@ -207,7 +211,7 @@ def _scipy_path(A, B, Q, R):
     except (np.linalg.LinAlgError, ValueError):
         return None
     P = 0.5 * (P + P.T)
-    failure = numerics._contract_failure(*numerics._residual(A, Q, weights.G, P))
+    failure = numerics._contract_failure(A, Q, weights.G, P)
     return P if failure is None else None
 
 
@@ -297,7 +301,7 @@ class TestColdSolve:
                                    -np.vstack([W[:n, :n] + np.eye(n), W[n:, :n]]),
                                    rcond=None)[0]
             anti = 0.5 * (anti + anti.T)
-            closed, res_norm, norm_P = numerics._residual(A, Q, weights.G, anti)
+            closed, _, res_norm, norm_P = numerics._riccati_terms(A, Q, weights.G, anti)
             assert res_norm <= 1e-8 * (1.0 + norm_P)
             assert np.max(np.linalg.eigvals(closed).real) > 0.0
             P = solve_are(A, B, Q, R)
@@ -411,7 +415,8 @@ class TestWarmHurwitzDecision:
             for scale, center in ((1e-3, P), (1.0, 0.0 * P)):
                 E = noise.normal(size=P.shape)
                 before = len(care_calls)
-                warm = solve_are(A, B, Q, R, guess=center + scale * np.linalg.norm(P) * (E + E.T))
+                guess = RiccatiState(center + scale * np.linalg.norm(P) * (E + E.T))
+                warm = solve_are(A, B, Q, R, guess).P
                 assert contract_holds(A, B, Q, R, warm)
                 outcomes.add("cold" if len(care_calls) > before else "warm")
         assert outcomes == {"warm", "cold"}
@@ -489,8 +494,8 @@ class TestRiccatiWeights:
             assert solve_are(A, B, Q, R, weights=weights).tobytes() == P.tobytes()
             E = noise.normal(size=P.shape)
             guess = P + 1e-6 * np.linalg.norm(P) * (E + E.T)
-            assert (solve_are(A, B, Q, R, guess, weights=weights).tobytes()
-                    == solve_are(A, B, Q, R, guess).tobytes())
+            assert (solve_are(A, B, Q, R, RiccatiState(guess), weights=weights).P.tobytes()
+                    == solve_are(A, B, Q, R, RiccatiState(guess)).P.tobytes())
 
     def test_invariants(self):
         B = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 0.5]])
@@ -599,7 +604,7 @@ class TestLyapunov:
         kin = chief_kinematics(orbit, nu=0.0)
         X = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0),
                               orbit.mean_motion(), 0.0)
-        A = sdc1_matrix(X, kin)
+        A = sdc1_matrix(X, kin, SdreOptions.series_order)
         Q, R = np.eye(6), 1e11 * np.eye(3)
         P = solve_are(A, B_HILL, Q, R)
         G = B_HILL @ np.linalg.solve(R, B_HILL.T)
@@ -706,7 +711,7 @@ class TestMatrixExponential:
             for variant in ("SDC1", "SDC2"):
                 for frac, tau in ((0.0, tf), (0.5, 1000.0), (0.85, 300.0), (0.99, 30.0), (1.0, 1.0)):
                     kin = chief_kinematics(chief, chief.nu0 + frac * omega * tf)
-                    A = sdc_matrix(x0 + frac * (xf - x0), kin, SdcModel(variant=variant))
+                    A = sdc_matrix(x0 + frac * (xf - x0), kin, SdcModel(variant, SdreOptions.series_order))
                     H = spec.hamiltonian.copy()
                     H[:6, :6] = A
                     H[6:, 6:] = -A.T

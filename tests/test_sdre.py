@@ -18,6 +18,7 @@ from formation_guidance.dynamics import (
 )
 from formation_guidance.lqr import design_lqr
 from formation_guidance.numerics import RiccatiState, riccati_weights, rk4_step, solve_are
+from formation_guidance.options import SdreOptions
 from formation_guidance.sdre import (
     FiniteHorizonSpec,
     SdcModel,
@@ -31,6 +32,8 @@ from formation_guidance.sdre import (
 
 CIRC = ChiefOrbit(a=10000.0)
 OMEGA = CIRC.mean_motion()
+ORDER = SdreOptions.series_order
+MODEL = SdcModel(SdreOptions.variant, ORDER)
 B = np.zeros((6, 3))
 B[1, 0] = B[3, 1] = B[5, 2] = 1.0
 
@@ -90,7 +93,7 @@ class TestSdc1:
 
     def test_origin_recovers_linear_model(self):
         kin = chief_kinematics(CIRC, nu=0.0)
-        A = sdc1_matrix(np.zeros(6), kin)
+        A = sdc1_matrix(np.zeros(6), kin, ORDER)
         A_hill, _ = hill_linear_matrices(OMEGA)
         np.testing.assert_allclose(A, A_hill, atol=1e-18)
 
@@ -114,7 +117,7 @@ class TestSdc1:
         X = np.zeros(6)
         X[0] = 9000.0  # xi close to -2: far outside the convergence disk
         with pytest.raises(SdreError):
-            sdc1_matrix(X, kin)
+            sdc1_matrix(X, kin, ORDER)
 
 
 class TestSdc2:
@@ -139,20 +142,20 @@ class TestSdc2:
 
 
 class TestInfiniteHorizonControl:
-    MODEL = SdcModel()
     Q = np.eye(6)
     R = 1e9 * np.eye(3)
 
     def test_zero_error_zero_control(self):
         kin = chief_kinematics(CIRC, nu=0.0)
         X = _sample_state(rho=5.0)
-        u, _ = sdre_infinite_control(X, X, self.MODEL, kin, self.Q, self.R)
+        u, _ = sdre_infinite_control(X, X, MODEL, kin, self.Q, self.R,
+                                     RiccatiState(None), None)
         np.testing.assert_allclose(u, np.zeros(3), atol=1e-20)
 
     def test_run_weights_keep_the_bits(self):
         """Control and Riccati state with the run's Riccati weights passed
         in equal, bit for bit, the call that builds them itself: cold,
-        warm from a plain P, and warm from the state of a nearby step,
+        warm from a P alone, and warm from the state of a nearby step,
         which hands in its Schur form.  The control is the product of
         R^-1 B^T from np.linalg.solve with P (X - Xd)."""
         orbit = ChiefOrbit(a=10000.0, e=0.15)
@@ -160,18 +163,19 @@ class TestInfiniteHorizonControl:
         X, Xd = _sample_state(rho=5.0), _sample_state(rho=25.0)
         for R in (1e8 * np.eye(3), np.diag([1e9, 3e9, 7e10])):
             weights = riccati_weights(B, self.Q, R)
-            u, riccati = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R)
-            u_w, riccati_w = sdre_infinite_control(X, Xd, self.MODEL, kin, self.Q, R,
-                                                   weights=weights)
+            u, riccati = sdre_infinite_control(X, Xd, MODEL, kin, self.Q, R,
+                                               RiccatiState(None), None)
+            u_w, riccati_w = sdre_infinite_control(X, Xd, MODEL, kin, self.Q, R,
+                                                   RiccatiState(None), weights)
             assert (u.tobytes(), riccati.P.tobytes()) == (u_w.tobytes(), riccati_w.P.tobytes())
             gain = np.linalg.solve(R, B.T)
             assert u.tobytes() == (-gain.dot(riccati.P.dot(X - Xd))).tobytes()
             near = chief_kinematics(orbit, nu=0.7 + 1e-4)
             for guess in (RiccatiState(riccati.P * (1.0 + 1e-9)), riccati):
-                u, riccati_g = sdre_infinite_control(X, Xd, self.MODEL, near, self.Q, R,
-                                                     guess=guess)
-                u_w, riccati_w = sdre_infinite_control(X, Xd, self.MODEL, near, self.Q, R,
-                                                       guess=guess, weights=weights)
+                u, riccati_g = sdre_infinite_control(X, Xd, MODEL, near, self.Q, R,
+                                                     guess, None)
+                u_w, riccati_w = sdre_infinite_control(X, Xd, MODEL, near, self.Q, R,
+                                                       guess, weights)
                 assert (u.tobytes(), riccati_g.P.tobytes()) == (u_w.tobytes(),
                                                                 riccati_w.P.tobytes())
                 assert u.tobytes() == (-gain.dot(riccati_g.P.dot(X - Xd))).tobytes()
@@ -180,7 +184,8 @@ class TestInfiniteHorizonControl:
         kin = chief_kinematics(CIRC, nu=0.0)
         design = design_lqr(OMEGA, self.Q, self.R)
         Xd = np.array([0.1, 0.0, -0.2, 0.0, 0.05, 0.0])
-        u, _ = sdre_infinite_control(np.zeros(6), Xd, self.MODEL, kin, self.Q, self.R)
+        u, _ = sdre_infinite_control(np.zeros(6), Xd, MODEL, kin, self.Q, self.R,
+                                     RiccatiState(None), None)
         np.testing.assert_allclose(u, -design.K @ (np.zeros(6) - Xd), rtol=1e-6)
 
     def test_warm_start_matches_cold_along_a_trajectory(self, care_calls, contract_holds):
@@ -253,18 +258,17 @@ def _fly_warm_chain(orbit, dt, Q, R, counters=()):
     nus = propagate_nu(orbit, n, dt)
     Xd = formation_to_hill(FormationParams(rho=25.0, theta=0.5, m_slope=1.5), omega, 0.0)
     x0 = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), omega, 0.0)
-    model = TestInfiniteHorizonControl.MODEL
+    model = MODEL
     weights = riccati_weights(B, Q, R)
-    riccati = None
+    riccati = RiccatiState(None)
     chain = []
 
     def policy(k, t, X):
         nonlocal riccati
         kin = chief_kinematics(orbit, nus[k])
         before = tuple(map(len, counters))
-        u, riccati = sdre_infinite_control(X, Xd, model, kin, Q, R, guess=riccati,
-                                           weights=weights)
-        chain.append((sdc1_matrix(X, kin), riccati, before, tuple(map(len, counters))))
+        u, riccati = sdre_infinite_control(X, Xd, model, kin, Q, R, riccati, weights)
+        chain.append((sdc1_matrix(X, kin, ORDER), riccati, before, tuple(map(len, counters))))
         return u
 
     RelativePlant(orbit).simulate(x0, n, dt, policy)
@@ -278,7 +282,7 @@ class TestFiniteTimeControl:
         horizon = FiniteHorizonSpec(
             tf=600.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=1e9 * np.eye(3)
         )
-        u = finite_time_sdre_control(np.zeros(6), 0.0, horizon, SdcModel(), kin)
+        u = finite_time_sdre_control(np.zeros(6), 0.0, horizon, MODEL, kin)
         np.testing.assert_allclose(u, np.zeros(3), atol=1e-18)
 
     def test_double_integrator_minimum_energy_law(self):
@@ -313,7 +317,7 @@ class TestFiniteTimeControl:
         tf, dt = 2000.0, 1.0
         Xf = formation_to_hill(FormationParams(rho=10.0, theta=0.5, m_slope=1.0), OMEGA, tf)
         horizon = FiniteHorizonSpec(tf=tf, Xf=Xf, Q=np.zeros((6, 6)), R=1e9 * np.eye(3))
-        model = SdcModel()
+        model = MODEL
         X = formation_to_hill(FormationParams(rho=1.0, theta=0.1, m_slope=1.0), OMEGA, 0.0)
         n = int(tf / dt)
         for k in range(n):
@@ -326,14 +330,14 @@ class TestFiniteTimeControl:
         kin = chief_kinematics(CIRC, nu=0.0)
         horizon = FiniteHorizonSpec(tf=10.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=np.eye(3))
         with pytest.raises(SdreError):
-            finite_time_sdre_control(np.zeros(6), 10.0, horizon, SdcModel(), kin)
+            finite_time_sdre_control(np.zeros(6), 10.0, horizon, MODEL, kin)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t):
         kin = chief_kinematics(CIRC, nu=0.0)
         horizon = FiniteHorizonSpec(tf=10.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=np.eye(3))
         with pytest.raises(SdreError, match="not before tf"):
-            finite_time_sdre_control(np.zeros(6), t, horizon, SdcModel(), kin)
+            finite_time_sdre_control(np.zeros(6), t, horizon, MODEL, kin)
 
     @pytest.mark.parametrize("R", [np.zeros((3, 3)), np.diag([1.0, 0.0, 1.0])])
     def test_singular_weight_rejected_by_the_spec(self, R):
@@ -358,12 +362,12 @@ class TestFiniteTimeControl:
                                omega, tf)
         Q, R = np.zeros((6, 6)), 1e9 * np.eye(3)
         horizon = FiniteHorizonSpec(tf=tf, Xf=Xf, Q=Q, R=R)
-        model = SdcModel(variant=variant)
+        model = SdcModel(variant, ORDER)
         for frac in (0.0, 0.3, 0.6, 0.9, 0.999):
             t = frac * tf
             kin = chief_kinematics(chief, chief.nu0 + omega * t)
             X = x0 + frac * (Xf - x0)
-            A = sdc1_matrix(X, kin) if variant == "SDC1" else sdc2_matrix(X, kin.nu_dot)
+            A = sdc1_matrix(X, kin, ORDER) if variant == "SDC1" else sdc2_matrix(X, kin.nu_dot)
             H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
             phi = scipy.linalg.expm(H * (tf - t))
             assert np.linalg.cond(phi[:6, 6:]) < 1e12
@@ -379,14 +383,14 @@ class TestFiniteTimeControl:
             tf=tf, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=1e9 * np.eye(3)
         )
         with pytest.raises(SdreError):
-            finite_time_sdre_control(np.ones(6) * 1e-3, 0.0, horizon, SdcModel(), kin)
+            finite_time_sdre_control(np.ones(6) * 1e-3, 0.0, horizon, MODEL, kin)
 
 
 class TestModelValidation:
     def test_unknown_variant_rejected(self):
         with pytest.raises(SdreError):
-            SdcModel(variant="SDC3")
+            SdcModel("SDC3", ORDER)
 
     def test_bad_series_order_rejected(self):
         with pytest.raises(SdreError):
-            SdcModel(series_order=0)
+            SdcModel(SdreOptions.variant, 0)
