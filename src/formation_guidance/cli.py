@@ -69,7 +69,6 @@ from .dynamics import POSITION_ROWS, ChiefOrbit, FormationParams, GravityModel
 from .harness import (
     NOT_SETTLED,
     SETTLE_THRESHOLD_PCT,
-    ControllerSpec,
     HarnessError,
     RunResult,
     Scenario,
@@ -81,7 +80,16 @@ from .harness import (
     write_metrics_csv,
     write_trajectory_csv,
 )
-from .options import CONTROLLER_OPTIONS
+from .options import (
+    CONTROLLER_OPTIONS,
+    SDC_VARIANTS,
+    FsdreOptions,
+    GmpspOptions,
+    LqrOptions,
+    MpspOptions,
+    NnlqrOptions,
+    SdreOptions,
+)
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
@@ -103,7 +111,7 @@ _CHOICES = {
     "kind": ("zero", *_OPTION_SECTIONS),
     "horizon": ("infinite", "finite"),
     "apply": ("closed", "open"),
-    "variant": ("SDC1", "SDC2"),
+    "variant": SDC_VARIANTS,
     "basis": ("grid", "global"),
 }
 
@@ -276,7 +284,8 @@ def _settings(section: str, values: dict) -> dict:
     return settings
 
 
-def _build_controller(sections: dict) -> ControllerSpec:
+def _build_controller(sections: dict):
+    """The controller options object that the config sections describe."""
     ctrl = _settings("controller", sections.get("controller", {}))
     kind, finite, open_loop = ctrl["kind"], ctrl["horizon"] == "finite", ctrl["apply"] == "open"
     if finite and kind != "sdre":
@@ -288,9 +297,7 @@ def _build_controller(sections: dict) -> ControllerSpec:
             raise ConfigError(f"[{name}] section does not match controller kind {kind!r}")
     resolved = "fsdre" if finite else kind
     options = _build(CONTROLLER_OPTIONS[resolved], kind, sections.get(kind, {}))
-    if open_loop:
-        options = replace(options, open_loop=True)
-    return ControllerSpec(resolved, options)
+    return replace(options, open_loop=True) if open_loop else options
 
 
 def config_to_scenario(sections: dict) -> Scenario:
@@ -367,15 +374,15 @@ def serialize_scenario(scenario: Scenario) -> str:
     lines += _section_lines("initial", scenario.initial) + [""]
     lines += _section_lines("desired", scenario.desired) + [""]
     lines += _section_lines("run", scenario) + [""]
-    spec = scenario.controller
-    kind = "sdre" if spec.kind == "fsdre" else spec.kind
+    options = scenario.controller
+    kind = "sdre" if options.kind == "fsdre" else options.kind
     lines += ["[controller]", f"kind = {kind}"]
-    if spec.kind in ("sdre", "fsdre"):
-        lines.append(f"horizon = {'finite' if spec.kind == 'fsdre' else 'infinite'}")
-    if getattr(spec.options, "open_loop", False):
+    if kind == "sdre":
+        lines.append(f"horizon = {'finite' if options.kind == 'fsdre' else 'infinite'}")
+    if getattr(options, "open_loop", False):
         lines.append("apply = open")
     if kind != "zero":
-        lines += [""] + _section_lines(kind, spec.options)
+        lines += [""] + _section_lines(kind, options)
     return "\n".join(lines) + "\n"
 
 
@@ -412,7 +419,7 @@ def _pos(result: RunResult) -> np.ndarray:
 def _preset_lqr_circular():
     scn = _scenario(
         _chief(), _form(1.0, 45.0, m=1.0), _form(10.0, 60.0, m=1.5),
-        6000.0, ControllerSpec("lqr"),
+        6000.0, LqrOptions(),
     )
     def check(results):
         e = np.abs(_pos(results["run"]))
@@ -429,7 +436,7 @@ def _preset_lqr_eccentric():
     circ, _ = _preset_lqr_circular()
     ecc = _scenario(
         _chief(e=0.15), _form(1.0, 45.0, m=1.0), _form(10.0, 60.0, m=1.5),
-        6000.0, ControllerSpec("lqr"),
+        6000.0, LqrOptions(),
     )
     def check(results):
         n_c = np.linalg.norm(_pos(results["circular"]))
@@ -448,7 +455,7 @@ _MPSP_TIGHT_TOL = 1e-9  # drive iterations to the terminal-error floor
 def _preset_mpsp_eccentric():
     scn = _scenario(
         _chief(e=0.15), _form(0.5, 45.0, m=1.0), _form(5.0, 60.0, m=1.5),
-        2000.0, ControllerSpec("mpsp", {"tol_rho_pct": _MPSP_TIGHT_TOL}),
+        2000.0, MpspOptions(tol_rho_pct=_MPSP_TIGHT_TOL),
     )
     def check(results):
         res = results["run"]
@@ -468,9 +475,9 @@ def _preset_mpsp_j2():
     chief = _chief(e=0.15, i=math.radians(60.0))
     base = dict(initial=_form(0.5, 45.0, m=1.0), desired=_form(5.0, 60.0, m=1.5))
     scn = _scenario(chief, base["initial"], base["desired"], 2000.0,
-                    ControllerSpec("mpsp", {"tol_rho_pct": _MPSP_TIGHT_TOL}), j2=True)
+                    MpspOptions(tol_rho_pct=_MPSP_TIGHT_TOL), j2=True)
     comparator = _scenario(chief, base["initial"], base["desired"], 2000.0,
-                           ControllerSpec("fsdre", {"open_loop": True}), j2=True)
+                           FsdreOptions(open_loop=True), j2=True)
     def check(results):
         e = np.abs(_pos(results["mpsp"]))
         n_m = np.linalg.norm(_pos(results["mpsp"]))
@@ -488,7 +495,7 @@ def _preset_gmpsp():
     scn = _scenario(
         _chief(e=0.1, i=math.radians(60.0)),
         _form(10.0, 45.0, m=1.0), _form(2.5, 60.0, m=1.5),
-        2000.0, ControllerSpec("gmpsp"), j2=True,
+        2000.0, GmpspOptions(), j2=True,
     )
     def check(results):
         res = results["run"]
@@ -510,7 +517,7 @@ def _preset_fsdre():
         for variant in ("SDC1", "SDC2"):
             runs[f"{variant}-{e_label}"] = _scenario(
                 _chief(e=ecc), _form(10.0, 5.0, m=1.0), _form(100.0, 35.0, m=1.5),
-                2000.0, ControllerSpec("fsdre", {"variant": variant}),
+                2000.0, FsdreOptions(variant=variant),
             )
     def check(results):
         n = {k: np.linalg.norm(_pos(r)) for k, r in results.items()}
@@ -536,7 +543,7 @@ def _preset_sweep_r():
     for value in SWEEP_R_VALUES:
         runs[f"R{value:.0e}"] = _scenario(
             _chief(), _form(5.0, 45.0, m=1.0), _form(25.0, 60.0, m=1.5),
-            18000.0, ControllerSpec("sdre", {"R": value * np.eye(3)}),
+            18000.0, SdreOptions(R=value * np.eye(3)),
         )
     def check(results):
         settles = [results[f"R{v:.0e}"].settle_time for v in SWEEP_R_VALUES]
@@ -567,20 +574,18 @@ def _weight_trends(settles, efforts) -> tuple[bool, bool]:
 # close the loop with the same tracking aggressiveness; only the network
 # differs between them.
 NNLQR_Q_SCALE = 200.0
-NNLQR_OPTIONS = {"R1": 0.09, "basis": "global"}
 
 
 def _preset_nnlqr():
     believed = _chief(i=math.radians(60.0))
     truth = _chief(a=11114.51658, e=0.5, i=math.radians(60.0))
     initial, desired = _form(0.5, 45.0, m=1.0), _form(5.0, 60.0, m=1.5)
-    opts = dict(NNLQR_OPTIONS, Q=NNLQR_Q_SCALE * np.eye(6))
+    Q = NNLQR_Q_SCALE * np.eye(6)
     runs = {
-        "lqr": _scenario(believed, initial, desired, 12000.0,
-                         ControllerSpec("lqr", {"Q": NNLQR_Q_SCALE * np.eye(6)}),
+        "lqr": _scenario(believed, initial, desired, 12000.0, LqrOptions(Q=Q),
                          j2=True, truth=truth),
         "nnlqr": _scenario(believed, initial, desired, 12000.0,
-                           ControllerSpec("nnlqr", opts), j2=True, truth=truth),
+                           NnlqrOptions(Q=Q, R1=0.09, basis="global"), j2=True, truth=truth),
     }
     def check(results):
         n_l = np.linalg.norm(_pos(results["lqr"]))
@@ -611,12 +616,12 @@ PRESETS = {
 # Subcommand implementations
 
 
-def _override_controller(spec: ControllerSpec, args) -> ControllerSpec:
+def _override_controller(options, args):
     """Apply --max-iter and --tol-pct to the controller kinds that have them."""
     given = {"max_iter": args.max_iter, "tol_rho_pct": args.tol_pct}
-    names = {f.name for f in fields(spec.options)}
+    names = {f.name for f in fields(options)}
     changes = {k: v for k, v in given.items() if v is not None and k in names}
-    return replace(spec, options=replace(spec.options, **changes))
+    return replace(options, **changes)
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -667,10 +672,8 @@ def cmd_compare(args) -> int:
     scenarios = []
     for path in args.configs:
         scenarios.append((Path(path).stem, _apply_overrides(parse_config(path), args)))
-    controllers = [
-        (kind, _override_controller(ControllerSpec(kind), args))
-        for kind in args.controllers.split(",")
-    ]
+    controllers = [_override_controller(CONTROLLER_OPTIONS[kind](), args)
+                   for kind in args.controllers]
     cells = compare(scenarios, controllers)
     out = _outdir(args)
     write_compare_csv(out / "compare.csv", cells)
@@ -683,14 +686,13 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep_r(args) -> int:
     base = _apply_overrides(parse_config(args.config), args)
-    if "R" not in {f.name for f in fields(base.controller.options)}:
+    if "R" not in {f.name for f in fields(base.controller)}:
         raise ConfigError(
             f"sweep-r needs a controller with a control weight; kind {base.controller.kind!r} has none"
         )
     results = []
     for value in args.values:
-        options = replace(base.controller.options, R=value * np.eye(3))
-        scn = replace(base, controller=replace(base.controller, options=options))
+        scn = replace(base, controller=replace(base.controller, R=value * np.eye(3)))
         results.append((f"R={value:g}", run_scenario(scn, args.threshold_pct)))
     out = _outdir(args)
     write_metrics_csv(out / "sweep_r_metrics.csv", results)
@@ -751,6 +753,10 @@ def _float_list(raw: str) -> list[float]:
     return [float(v) for v in raw.split(",")]
 
 
+def _word_list(raw: str) -> list[str]:
+    return raw.split(",")
+
+
 _positive_float = _checked(float, _finite_positive, "finite and > 0")
 _positive_floats = _checked(
     _float_list, lambda values: all(map(_finite_positive, values)), "finite numbers > 0"
@@ -759,6 +765,10 @@ _weights = _checked(
     _positive_floats, lambda values: len(set(values)) == len(values), "distinct weights"
 )
 _count = _checked(int, lambda v: v >= 0, ">= 0")
+_kinds = _checked(
+    _word_list, lambda kinds: all(k in CONTROLLER_OPTIONS for k in kinds),
+    f"comma-separated kinds among {', '.join(CONTROLLER_OPTIONS)}",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -784,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run scenarios against controllers")
     p_cmp.add_argument("configs", nargs="+")
-    p_cmp.add_argument("--controllers", default="lqr", help="comma-separated kinds")
+    p_cmp.add_argument("--controllers", type=_kinds, default="lqr", help="comma-separated kinds")
     common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -1,15 +1,16 @@
 """Scenarios, runs and reports.
 
-``run_scenario`` builds a ``Scenario``'s controller, flies it on the
-truth plant (or solves MPSP/G-MPSP from a closed-loop LQR guess) and
-returns a ``RunResult`` with its metrics; ``compare`` runs scenarios
-against controllers, and the ``write_*`` functions write CSV reports.
+``run_scenario`` builds the control law of a ``Scenario``'s controller
+options, flies it on the truth plant (or solves MPSP/G-MPSP from a
+closed-loop LQR guess) and returns a ``RunResult`` with its metrics;
+``compare`` runs scenarios against controllers, and the ``write_*``
+functions write CSV reports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,8 +32,8 @@ from .gmpsp import gmpsp_solve
 from .lqr import design_lqr, lqr_tracking_control
 from .mpsp import RENDEZVOUS_LENGTH_KM, mpsp_solve, rho_error_pct
 from .numerics import NumericsError, RiccatiState, riccati_weights
-from .options import CONTROLLER_OPTIONS
-from .sdre import FiniteHorizonSpec, SdcModel, finite_time_sdre_control, sdre_infinite_control
+from .options import CONTROLLER_OPTIONS, LqrOptions
+from .sdre import FiniteHorizonSpec, finite_time_sdre_control, sdre_infinite_control
 
 #: Sentinel returned by settle_time when the error never stays inside the band.
 NOT_SETTLED = math.inf
@@ -45,39 +46,16 @@ class HarnessError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ControllerSpec:
-    """Controller selection plus kind-specific options.
-
-    options is the kind's options dataclass from
-    :mod:`formation_guidance.options` (``LqrOptions``, ``SdreOptions``,
-    ``FsdreOptions``, ``MpspOptions``, ``GmpspOptions``, ``NnlqrOptions``
-    or ``ZeroOptions``), which holds every default.  A mapping of field
-    names to values is converted to it at construction; an unknown name
-    raises HarnessError.
-    """
-
-    kind: str
-    options: object = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in CONTROLLER_OPTIONS:
-            raise HarnessError(f"unknown controller kind {self.kind!r}")
-        options_class = CONTROLLER_OPTIONS[self.kind]
-        if type(self.options) is options_class:
-            return
-        try:
-            object.__setattr__(self, "options", options_class(**self.options))
-        except TypeError as exc:
-            raise HarnessError(f"invalid {self.kind} options: {exc}") from exc
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Complete description of one simulation experiment.
 
     chief is the believed chief orbit used for control design; when
     truth_chief is set the plant flies that orbit instead (uncertainty
-    studies).  gravity applies to the truth plant.
+    studies).  gravity applies to the truth plant.  controller is an
+    instance of one of the options classes of
+    :data:`~formation_guidance.options.CONTROLLER_OPTIONS`; its ``kind``
+    selects the control law and its fields configure it.  Anything else
+    raises HarnessError.
     """
 
     chief: ChiefOrbit
@@ -86,10 +64,12 @@ class Scenario:
     desired: FormationParams
     tf: float
     dt: float
-    controller: ControllerSpec
+    controller: object
     truth_chief: ChiefOrbit | None = None
 
     def __post_init__(self) -> None:
+        if type(self.controller) not in CONTROLLER_OPTIONS.values():
+            raise HarnessError(f"controller {self.controller!r} is not a controller options object")
         if not (self.tf > 0.0 and self.dt > 0.0):
             raise HarnessError("tf and dt must be positive")
         steps = self.tf / self.dt
@@ -118,7 +98,7 @@ class RunResult:
     rho_error_pct: float
     control_effort: float
     settle_time: float
-    log: list[dict] = field(default_factory=list)
+    log: list[dict]  # MPSP/G-MPSP iteration rows; empty for other kinds
 
 
 def control_effort(controls: np.ndarray, dt: float) -> float:
@@ -175,18 +155,18 @@ def _feedback_law(
     grid (see :func:`desired_trajectory`); law k reads their row k, and
     the finite-time SDRE's terminal constraint is Xd's last row.
     """
-    kind, opts = scenario.controller.kind, scenario.controller.options
+    opts = scenario.controller
     believed, desired, dt = scenario.chief, scenario.desired, scenario.dt
     omega = believed.mean_motion()
 
-    if kind == "zero":
+    if opts.kind == "zero":
         return lambda k, t, X: np.zeros(3)
 
-    if kind == "lqr":
+    if opts.kind == "lqr":
         design = design_lqr(omega, Q=opts.Q, R=opts.R)
         return lambda k, t, X: lqr_tracking_control(design, X, Xd[k], Xd_dot[k])
 
-    if kind == "nnlqr":
+    if opts.kind == "nnlqr":
         rbf = nnlqr.make_rbf_network(opts.basis, desired.rho or RENDEZVOUS_LENGTH_KM, omega)
         ctrl = nnlqr.NnLqrController(
             design=design_lqr(omega, Q=opts.Q, R=opts.R), rbf=rbf,
@@ -201,11 +181,10 @@ def _feedback_law(
 
         return nnlqr_law
 
-    model = SdcModel(variant=opts.variant, series_order=opts.series_order)
     # Believed chief kinematics on the control grid.
     kins = chief_kinematics_table(believed, propagate_nu(believed, scenario.n_steps, dt))
 
-    if kind == "sdre":
+    if opts.kind == "sdre":
         # Each step's Riccati solution, with the Schur form of its closed
         # loop, warm-starts the next, and the weights' invariants serve
         # every step; both are local to this run's law.  Weights that
@@ -219,8 +198,7 @@ def _feedback_law(
 
         def sdre_law(k, t, X):
             nonlocal riccati
-            u, riccati = sdre_infinite_control(X, Xd[k], model, kins[k], opts.Q, opts.R,
-                                               riccati, weights)
+            u, riccati = sdre_infinite_control(X, Xd[k], opts, kins[k], riccati, weights)
             return u
 
         return sdre_law
@@ -228,7 +206,7 @@ def _feedback_law(
     horizon = FiniteHorizonSpec(tf=scenario.tf, Xf=Xd[-1], Q=opts.Q, R=opts.R)
 
     def fsdre_law(k, t, X):
-        return finite_time_sdre_control(X, t, horizon, model, kins[k])
+        return finite_time_sdre_control(X, t, horizon, opts, kins[k])
 
     return fsdre_law
 
@@ -261,10 +239,10 @@ def _solve_open_loop(
     flight is the solver's first prediction.  The commanded terminal
     state is the last row of ``reference``'s states."""
     Y_star = reference[0][-1]
-    lqr = replace(scenario, controller=ControllerSpec("lqr"))
+    lqr = replace(scenario, controller=LqrOptions())
     states, nus, guess = _run_closed_loop(lqr, plant, x0, reference)
     solve = mpsp_solve if scenario.controller.kind == "mpsp" else gmpsp_solve
-    return solve(plant, x0, Y_star, guess, scenario.dt, scenario.controller.options,
+    return solve(plant, x0, Y_star, guess, scenario.dt, scenario.controller,
                  prediction=(states, nus))
 
 
@@ -280,7 +258,7 @@ def run_scenario(
     log: list[dict] = []
     if scenario.controller.kind in ("mpsp", "gmpsp"):
         U, log, states = _solve_open_loop(scenario, plant, x0, reference)
-    elif getattr(scenario.controller.options, "open_loop", False):
+    elif getattr(scenario.controller, "open_loop", False):
         # Plan closed-loop against the believed, unperturbed model, then
         # replay the resulting control history on the truth plant.  This
         # matches how guess/comparison control histories are evaluated in
@@ -373,24 +351,24 @@ class CompareCell:
 
 def compare(
     scenarios: Sequence[tuple[str, Scenario]],
-    controllers: Sequence[tuple[str, ControllerSpec]],
+    controllers: Sequence[object],
 ) -> list[CompareCell]:
     """Run every scenario with every controller; failures become cells.
 
-    The scenario's own controller spec is replaced by each entry of
-    controllers in turn.  Cells are emitted in (scenario, controller)
-    order, deterministically.
+    The scenario's own controller is replaced by each options object of
+    controllers in turn, and the cell is named by its ``kind``.  Cells
+    are emitted in (scenario, controller) order, deterministically.
     """
     if not scenarios or not controllers:
         raise HarnessError("compare needs at least one scenario and controller")
     cells: list[CompareCell] = []
     for s_name, scenario in scenarios:
-        for c_name, spec in controllers:
+        for options in controllers:
             try:
-                result = run_scenario(replace(scenario, controller=spec))
-                cells.append(CompareCell(s_name, c_name, result))
+                result = run_scenario(replace(scenario, controller=options))
+                cells.append(CompareCell(s_name, options.kind, result))
             except Exception as exc:
-                cells.append(CompareCell(s_name, c_name, None, error=str(exc)))
+                cells.append(CompareCell(s_name, options.kind, None, error=str(exc)))
     return cells
 
 

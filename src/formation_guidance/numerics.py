@@ -6,11 +6,13 @@ Jacobian used as an oracle for analytic derivatives.
 
 The cold Riccati solve, the factor of the control weight, the cold
 solve's contract check and the matrix exponential run on numpy alone.
-``scipy.linalg`` costs about 0.4 s and 30 MB to import, so it is
-reached only through :func:`scipy_linalg`, which imports it on first
-use, and only by the warm Riccati solve (raw LAPACK ``dgees`` and
-``dtrsyl``), which the pointwise SDRE law runs at every step after the
-first, and by the cold solve's fallback.  LQR, NN-LQR, MPSP, G-MPSP and
+Importing ``scipy.linalg`` after numpy takes 0.26-0.28 s and raises
+peak RSS from about 27 MB to 55 MB (2-vCPU Xeon, Python 3.11.7, numpy
+2.4.6, scipy 1.17.1), so it is reached only through
+:func:`scipy_linalg`, which imports it on first use, and only by the
+warm Riccati solve (raw LAPACK ``dgees`` and ``dtrsyl``), which the
+pointwise SDRE law runs at every step after the first, and by the cold
+solve's fallback.  LQR, NN-LQR, MPSP, G-MPSP and
 finite-horizon SDRE runs never import it.
 
 All operations are pure functions of their inputs and may be called

@@ -20,30 +20,11 @@ from .numerics import (
     riccati_weights,
     solve_are,
 )
+from .options import SdreOptions
 
 
 class SdreError(RuntimeError):
     """Raised when an SDC factorization or gain computation fails."""
-
-
-@dataclass(frozen=True)
-class SdcModel:
-    """Choice of SDC factorization.
-
-    variant is "SDC1" (power-series factorization, valid for eccentric
-    chiefs) or "SDC2" (sigma-form factorization, exact only for circular
-    chiefs); series_order is the number of power-series correction terms
-    kept by SDC1.
-    """
-
-    variant: str
-    series_order: int
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("SDC1", "SDC2"):
-            raise SdreError(f"unknown SDC variant {self.variant!r}")
-        if self.series_order < 1:
-            raise SdreError("series_order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -166,26 +147,26 @@ def sdc2_matrix(state: np.ndarray, omega: float) -> np.ndarray:
     return A
 
 
-def sdc_matrix(state: np.ndarray, kin: ChiefKinematics, model: SdcModel) -> np.ndarray:
-    """Dispatch to the configured SDC factorization."""
-    if model.variant == "SDC1":
-        return sdc1_matrix(state, kin, model.series_order)
+def sdc_matrix(state: np.ndarray, kin: ChiefKinematics, options: SdreOptions) -> np.ndarray:
+    """The SDC factorization ``options.variant`` names: SDC1 keeps
+    ``options.series_order`` series terms, SDC2 is the sigma form."""
+    if options.variant == "SDC1":
+        return sdc1_matrix(state, kin, options.series_order)
     return sdc2_matrix(state, kin.nu_dot)
 
 
 def sdre_infinite_control(
     state: np.ndarray,
     Xd: np.ndarray,
-    model: SdcModel,
+    options: SdreOptions,
     kin: ChiefKinematics,
-    Q: np.ndarray,
-    R: np.ndarray,
     guess: RiccatiState,
     weights: RiccatiWeights | None,
 ) -> tuple[np.ndarray, RiccatiState]:
     """Pointwise infinite-horizon SDRE control U = -R^-1 B^T P(X) (X - Xd).
 
-    Returns ``(U, riccati)``: ``riccati`` is the
+    ``options`` gives the SDC factorization and the weights ``Q`` and
+    ``R``.  Returns ``(U, riccati)``: ``riccati`` is the
     :class:`~formation_guidance.numerics.RiccatiState` of this step's
     ``solve_are``, its ``P`` and, after a warm solve, the Schur form of
     its closed loop.  ``guess`` is handed to ``solve_are`` as a warm
@@ -197,11 +178,11 @@ def sdre_infinite_control(
     factored, builds it here, where its failure is reported with the
     state.  ``R^-1 B^T`` is its ``R_inv_BT``, so no step factors ``R``.
     """
-    A = sdc_matrix(state, kin, model)
+    A = sdc_matrix(state, kin, options)
     try:
         if weights is None:
-            weights = riccati_weights(B, Q, R)
-        riccati = solve_are(A, B, Q, R, guess, weights=weights)
+            weights = riccati_weights(B, options.Q, options.R)
+        riccati = solve_are(A, B, options.Q, options.R, guess, weights=weights)
     except Exception as exc:
         raise SdreError(f"pointwise Riccati failed at state {state}: {exc}") from exc
     return -weights.R_inv_BT.dot(riccati.P.dot(state - Xd)), riccati
@@ -211,13 +192,13 @@ def finite_time_sdre_control(
     state: np.ndarray,
     t: float,
     horizon: FiniteHorizonSpec,
-    model: SdcModel,
+    options: SdreOptions,
     kin: ChiefKinematics,
 ) -> np.ndarray:
     """Finite-horizon SDRE control with hard terminal constraint X(tf) = Xf.
 
-    The Hamiltonian matrix is assembled from the SDC factorization frozen
-    at the current state; its matrix exponential over the remaining
+    The Hamiltonian matrix is assembled from the SDC factorization that
+    ``options`` names, frozen at the current state; its matrix exponential over the remaining
     horizon gives the state/costate transition blocks, from which the
     current costate follows from the terminal constraint:
 
@@ -233,7 +214,7 @@ def finite_time_sdre_control(
     tau = horizon.tf - t
     if not tau > 0.0:
         raise SdreError(f"finite-horizon control requested at t={t}, not before tf={horizon.tf}")
-    A = sdc_matrix(state, kin, model)
+    A = sdc_matrix(state, kin, options)
     H = horizon.hamiltonian.copy()
     H[:6, :6] = A
     H[6:, 6:] = -A.T

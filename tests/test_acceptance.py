@@ -32,7 +32,7 @@ from formation_guidance.dynamics import (
     hill_to_eci,
     j2_differential_accel,
 )
-from formation_guidance.harness import ControllerSpec, Scenario, run_scenario
+from formation_guidance.harness import Scenario, run_scenario
 from formation_guidance.mpsp import (
     analytic_state_jacobians,
     compute_sensitivities,
@@ -44,6 +44,7 @@ from formation_guidance.numerics import (
     rk4_step,
     solve_are,
 )
+from formation_guidance.options import CONTROLLER_OPTIONS, FsdreOptions, MpspOptions
 
 POS = [0, 2, 4]
 
@@ -94,9 +95,9 @@ def test_criterion_04_mpsp_effort_below_sdre():
     ini, des = _form(0.5, 45.0, m=1.0), _form(5.0, 60.0, m=1.5)
     mpsp = run_scenario(
         _scenario(chief, ini, des, 2000.0,
-                  ControllerSpec("mpsp", {"tol_rho_pct": _MPSP_TIGHT_TOL}))
+                  MpspOptions(tol_rho_pct=_MPSP_TIGHT_TOL))
     )
-    fsdre = run_scenario(_scenario(chief, ini, des, 2000.0, ControllerSpec("fsdre")))
+    fsdre = run_scenario(_scenario(chief, ini, des, 2000.0, FsdreOptions()))
     ratio = mpsp.control_effort / fsdre.control_effort
     assert 0.7 <= ratio < 1.0
 
@@ -124,7 +125,7 @@ def test_criterion_07_mpsp_gmpsp_cross_consistency():
         scn = Scenario(
             chief=base.chief, gravity=base.gravity, initial=base.initial,
             desired=base.desired, tf=base.tf, dt=base.dt,
-            controller=ControllerSpec(kind),
+            controller=CONTROLLER_OPTIONS[kind](),
         )
         res[kind] = run_scenario(scn)
     diff = np.linalg.norm(res["mpsp"].states[-1] - res["gmpsp"].states[-1])

@@ -23,7 +23,11 @@ that parameter out (a call that unpacks ``*args`` or ``**kwargs``
 counts as leaving it out).  A default that every caller overrides is a
 second home for a value whose home is elsewhere, such as a controller
 default in ``formation_guidance.options``.  A function that nothing
-there calls by its name is exempt.
+there calls by its name is exempt.  The same holds for the default of a
+public dataclass's ``__init__`` field and the calls that construct the
+class by name, except in the classes behind config sections (the
+options classes, ``ChiefOrbit`` and ``FormationParams``), whose defaults
+the config parser reads through ``dataclasses.fields``.
 """
 
 import ast
@@ -165,13 +169,69 @@ def _omits(call, position, name):
     return name not in keywords and (position is None or position >= len(call.args))
 
 
+#: Classes behind config sections, besides every class in ``options``:
+#: the parser reads their defaults through ``dataclasses.fields``.
+CONFIG_SECTION_CLASSES = {"ChiefOrbit", "FormationParams"}
+
+
+def _is_dataclass(node):
+    """Whether a class is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list
+    )
+
+
+def _init_fields(classes, name):
+    """{field name: whether it has a default} of each ``__init__`` field
+    of the named dataclass, in order, its dataclass bases' fields first
+    (a redefined field keeps its base's place, as in ``dataclasses``).
+    ``ClassVar`` and ``init=False`` fields are not ``__init__`` fields."""
+    node = classes[name]
+    merged = {}
+    for base in node.bases:
+        if getattr(base, "id", None) in classes:
+            merged.update(_init_fields(classes, base.id))
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        annotation = item.annotation
+        if getattr(getattr(annotation, "value", annotation), "id", None) == "ClassVar":
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            merged[item.target.id] = bool({"default", "default_factory"} & set(keywords))
+        else:
+            merged[item.target.id] = value is not None
+    return merged
+
+
+def _defaulted_fields(trees):
+    """(module, class name, position, field name) of each defaulted
+    ``__init__`` field of the public dataclasses outside the config
+    sections."""
+    classes = {node.name: node for tree in trees for node in tree.body if _is_dataclass(node)}
+    for path, tree in zip(SOURCES, trees):
+        if path.stem == "options":
+            continue
+        for node in tree.body:
+            if (_is_dataclass(node) and not node.name.startswith("_")
+                    and node.name not in CONFIG_SECTION_CLASSES):
+                fields = _init_fields(classes, node.name)
+                for position, (name, default) in enumerate(fields.items()):
+                    if default:
+                        yield path.stem, node.name, position, name
+
+
 def test_every_default_is_taken_by_a_caller():
-    """Every default of a public function or method parameter is left to
-    its default by at least one direct call in the library or the
-    acceptance criteria; otherwise every caller passes the value, and
-    the default is a second home for it.  Functions that nothing there
-    calls by name, like those the harness calls through an alias, are
-    exempt."""
+    """Every default of a public function or method parameter, or of a
+    public dataclass field outside the config sections, is left to its
+    default by at least one direct call in the library or the acceptance
+    criteria; otherwise every caller passes the value, and the default is
+    a second home for it.  Functions and classes that nothing there calls
+    by name, like those the harness calls through an alias, are exempt."""
     trees = [_parse(path) for path in SOURCES]
     calls = _calls([*trees, _parse(ACCEPTANCE)])
     unused = [
@@ -181,5 +241,9 @@ def test_every_default_is_taken_by_a_caller():
         if isinstance(function, ast.FunctionDef) and function.name in calls
         for position, name in _defaulted_parameters(function, is_method)
         if not any(_omits(call, position, name) for call in calls[function.name])
+    ] + [
+        f"{module}.{cls}.{name}"
+        for module, cls, position, name in _defaulted_fields(trees)
+        if cls in calls and not any(_omits(call, position, name) for call in calls[cls])
     ]
     assert not unused, f"defaults that every call passes: {', '.join(unused)}"

@@ -19,7 +19,7 @@ from formation_guidance.cli import (
     serialize_scenario,
 )
 from formation_guidance.dynamics import ChiefOrbit, FormationParams, GravityModel
-from formation_guidance.harness import ControllerSpec, Scenario
+from formation_guidance.harness import Scenario
 from formation_guidance.options import CONTROLLER_OPTIONS, MpspOptions
 
 MINIMAL = """\
@@ -58,8 +58,8 @@ class TestParseConfig:
         scn = _scenario_from(MINIMAL)
         assert scn.chief.a == 10000.0 and scn.chief.e == 0.0
         assert scn.dt == 1.0
-        np.testing.assert_array_equal(scn.controller.options.Q, np.eye(6))
-        np.testing.assert_array_equal(scn.controller.options.R, 1e9 * np.eye(3))
+        np.testing.assert_array_equal(scn.controller.Q, np.eye(6))
+        np.testing.assert_array_equal(scn.controller.R, 1e9 * np.eye(3))
         assert scn.gravity.j2_enabled is False
 
     def test_hyperbolic_eccentricity_rejected(self):
@@ -159,7 +159,7 @@ class TestParseConfig:
         text += "\n[sdre]\nq_weight = 0\n"
         scn = _scenario_from(text)
         assert scn.controller.kind == "fsdre"
-        np.testing.assert_array_equal(scn.controller.options.Q, np.zeros((6, 6)))
+        np.testing.assert_array_equal(scn.controller.Q, np.zeros((6, 6)))
 
     @pytest.mark.parametrize("horizon, accepted", [("finite", True), ("infinite", False)])
     def test_state_weight_bound_follows_a_later_horizon(self, horizon, accepted):
@@ -278,8 +278,7 @@ def _controllers(draw):
     values = {name: _OPTION_VALUES[name] for name in names}
     if kind in _POSITIVE_Q_KINDS:
         values["Q"] = _weight(6, positive=True)
-    options = draw(st.fixed_dictionaries(values))
-    return ControllerSpec(kind, options)
+    return CONTROLLER_OPTIONS[kind](**draw(st.fixed_dictionaries(values)))
 
 
 @st.composite
@@ -300,9 +299,10 @@ def _scenarios(draw):
 def _assert_same_scenario(a, b):
     assert (a.chief, a.truth_chief, a.gravity) == (b.chief, b.truth_chief, b.gravity)
     assert (a.initial, a.desired, a.tf, a.dt) == (b.initial, b.desired, b.tf, b.dt)
+    assert type(a.controller) is type(b.controller)
     assert a.controller.kind == b.controller.kind
-    for f in fields(a.controller.options):
-        x, y = getattr(a.controller.options, f.name), getattr(b.controller.options, f.name)
+    for f in fields(a.controller):
+        x, y = getattr(a.controller, f.name), getattr(b.controller, f.name)
         assert np.array_equal(x, y), f.name
 
 
@@ -412,6 +412,17 @@ class TestSubcommands:
         assert code == EXIT_OK
         table = (tmp_path / "out" / "compare.txt").read_text()
         assert len(table.splitlines()) == 3
+
+    @pytest.mark.parametrize("kinds", ["pid", "lqr,pid", "lqr,", "LQR"])
+    def test_compare_unknown_kind_exits_before_any_run(self, tmp_path, capsys, kinds):
+        cfg = tmp_path / "nat.cfg"
+        cfg.write_text(MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(cfg), "--controllers", kinds, "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "--controllers" in err and ", ".join(CONTROLLER_OPTIONS) in err
+        assert not (tmp_path / "out").exists()
 
     def test_compare_applies_solver_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "m.cfg"

@@ -30,8 +30,9 @@ from formation_guidance.dynamics import (
     j2_differential_accel,
     propagate_nu,
 )
-from formation_guidance.harness import ControllerSpec, HarnessError, Scenario
+from formation_guidance.harness import HarnessError, Scenario
 from formation_guidance.numerics import NumericsError, fd_jacobian, rk4_step
+from formation_guidance.options import ZeroOptions
 
 
 CIRC = ChiefOrbit(a=10000.0)
@@ -207,7 +208,7 @@ class TestPropagateNu:
         ring = FormationParams(rho=1.0)
         with pytest.raises(HarnessError):
             Scenario(chief=CIRC, gravity=GravityModel(), initial=ring, desired=ring,
-                     tf=tf, dt=dt, controller=ControllerSpec("zero"))
+                     tf=tf, dt=dt, controller=ZeroOptions())
 
 
 class TestNonlinearDeriv:

@@ -21,7 +21,7 @@ from formation_guidance.gmpsp import (
     integrate_W_backward,
 )
 from formation_guidance.numerics import matrix_exponential
-from formation_guidance.options import GmpspOptions
+from formation_guidance.options import CONTROLLER_OPTIONS, GmpspOptions
 
 CIRC = ChiefOrbit(a=10000.0)
 OMEGA = CIRC.mean_motion()
@@ -31,7 +31,7 @@ B[1, 0] = B[3, 1] = B[5, 2] = 1.0
 
 def _gmpsp_scenario():
     """10 km -> 2.5 km shrink, eccentric inclined chief, J2 on."""
-    from formation_guidance.harness import ControllerSpec, Scenario
+    from formation_guidance.harness import Scenario
 
     return Scenario(
         chief=ChiefOrbit(a=10000.0, e=0.1, i=math.radians(60.0), nu0=math.radians(10.0)),
@@ -40,7 +40,7 @@ def _gmpsp_scenario():
         desired=FormationParams(rho=2.5, theta=math.radians(60.0), m_slope=1.5),
         tf=2000.0,
         dt=1.0,
-        controller=ControllerSpec("gmpsp"),
+        controller=GmpspOptions(),
     )
 
 
@@ -257,10 +257,10 @@ class TestGmpspSolve:
         tolerance; a 0.01 % tolerance makes the solver correct it, so the
         backward field, the accumulation and the update all run through
         ``run_scenario``."""
-        from formation_guidance.harness import ControllerSpec, run_scenario
+        from formation_guidance.harness import run_scenario
 
         scn = dataclasses.replace(
-            _gmpsp_scenario(), controller=ControllerSpec("gmpsp", {"tol_rho_pct": 0.01})
+            _gmpsp_scenario(), controller=GmpspOptions(tol_rho_pct=0.01)
         )
         result = run_scenario(scn)
         pcts = [row["rho_error_pct"] for row in result.log]
@@ -280,7 +280,7 @@ class TestGmpspSolve:
         counts), so agreement is asserted in the operating configuration
         where both accept the shared initialization.
         """
-        from formation_guidance.harness import ControllerSpec, Scenario, run_scenario
+        from formation_guidance.harness import Scenario, run_scenario
 
         base = _gmpsp_scenario()
         res = {}
@@ -288,7 +288,7 @@ class TestGmpspSolve:
             scn = Scenario(
                 chief=base.chief, gravity=base.gravity, initial=base.initial,
                 desired=base.desired, tf=base.tf, dt=base.dt,
-                controller=ControllerSpec(kind),
+                controller=CONTROLLER_OPTIONS[kind](),
             )
             res[kind] = run_scenario(scn)
         assert res["mpsp"].log[-1]["converged"]

@@ -19,7 +19,6 @@ from formation_guidance.harness import (
     NOT_SETTLED,
     SETTLE_THRESHOLD_PCT,
     CompareCell,
-    ControllerSpec,
     HarnessError,
     RunResult,
     Scenario,
@@ -36,6 +35,16 @@ from formation_guidance.harness import (
     write_trajectory_csv,
 )
 from formation_guidance.mpsp import rho_error_pct
+from formation_guidance.options import (
+    CONTROLLER_OPTIONS,
+    FsdreOptions,
+    GmpspOptions,
+    LqrOptions,
+    MpspOptions,
+    NnlqrOptions,
+    SdreOptions,
+    ZeroOptions,
+)
 from test_nnlqr import _controller as _nnlqr_controller, nn1_update
 
 CIRC = ChiefOrbit(a=10000.0)
@@ -51,7 +60,7 @@ def _natural_scenario(controller="zero", tf=600.0, dt=1.0, **options):
         desired=RING,
         tf=tf,
         dt=dt,
-        controller=ControllerSpec(controller, options),
+        controller=CONTROLLER_OPTIONS[controller](**options),
     )
 
 
@@ -68,14 +77,25 @@ class TestScenarioValidation:
         with pytest.raises(HarnessError, match="at least one dt step"):
             _natural_scenario(tf=1e-12)
 
-    def test_unknown_controller_rejected(self):
-        with pytest.raises(HarnessError):
-            ControllerSpec("pid")
+    @pytest.mark.parametrize("controller", ["pid", "lqr", {"kind": "lqr"}, LqrOptions])
+    def test_unknown_controller_rejected(self, controller):
+        scn = _natural_scenario()
+        with pytest.raises(HarnessError, match="not a controller options object"):
+            dataclasses.replace(scn, controller=controller)
 
     def test_unknown_option_rejected(self):
-        assert ControllerSpec("mpsp", {"tol_rho_pct": 1e-6}).options.tol_rho_pct == 1e-6
-        with pytest.raises(HarnessError, match="tol_pct"):
-            ControllerSpec("mpsp", {"tol_pct": 1e-6})
+        assert MpspOptions(tol_rho_pct=1e-6).tol_rho_pct == 1e-6
+        with pytest.raises(TypeError, match="tol_pct"):
+            MpspOptions(tol_pct=1e-6)
+
+    def test_each_options_class_names_its_kind(self):
+        assert CONTROLLER_OPTIONS == {
+            "zero": ZeroOptions, "lqr": LqrOptions, "sdre": SdreOptions, "fsdre": FsdreOptions,
+            "mpsp": MpspOptions, "gmpsp": GmpspOptions, "nnlqr": NnlqrOptions,
+        }
+        for kind, options_class in CONTROLLER_OPTIONS.items():
+            assert options_class.kind == kind
+            assert _natural_scenario(kind).controller.kind == kind
 
 
 NAN, INF = math.nan, math.inf
@@ -210,7 +230,7 @@ class TestGuessFlightIsFirstPrediction:
             desired=FormationParams(rho=5.0, theta=math.radians(60.0), m_slope=1.5),
             tf=200.0,
             dt=1.0,
-            controller=ControllerSpec(kind, {"tol_rho_pct": tol_rho_pct, "max_iter": 2}),
+            controller=CONTROLLER_OPTIONS[kind](tol_rho_pct=tol_rho_pct, max_iter=2),
         )
 
     @pytest.mark.parametrize("tol_rho_pct, corrections", [(1e-9, 2), (1e3, 0)])
@@ -236,7 +256,7 @@ class TestGuessFlightIsFirstPrediction:
         (the guess itself when iteration 0 converges)."""
         scn = self._scenario(kind, tol_rho_pct)
         result = run_scenario(scn)
-        guess = run_scenario(dataclasses.replace(scn, controller=ControllerSpec("lqr")))
+        guess = run_scenario(dataclasses.replace(scn, controller=LqrOptions()))
         plant = RelativePlant(scn.chief, scn.gravity)
         omega = scn.chief.mean_motion()
         x0 = formation_to_hill(scn.initial, omega, 0.0)
@@ -316,7 +336,7 @@ class TestCompare:
     def test_single_cell(self):
         cells = compare(
             [("nat", _natural_scenario(tf=120.0))],
-            [("zero", ControllerSpec("zero"))],
+            [ZeroOptions()],
         )
         assert len(cells) == 1
         assert cells[0].scenario_name == "nat" and cells[0].controller_name == "zero"
@@ -331,22 +351,19 @@ class TestCompare:
             desired=FormationParams(rho=9500.0),
             tf=10.0,
             dt=1.0,
-            controller=ControllerSpec("zero"),
+            controller=ZeroOptions(),
         )
-        cells = compare(
-            [("far", far)],
-            [("sdre", ControllerSpec("sdre")), ("zero", ControllerSpec("zero"))],
-        )
+        cells = compare([("far", far)], [SdreOptions(), ZeroOptions()])
         assert cells[0].result is None and cells[0].error
         assert cells[1].result is not None
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(HarnessError):
-            compare([], [("zero", ControllerSpec("zero"))])
+            compare([], [ZeroOptions()])
 
     def test_repeat_invocation_identical_bytes(self, tmp_path):
         scenarios = [("nat", _natural_scenario(tf=120.0))]
-        controllers = [("zero", ControllerSpec("zero")), ("lqr", ControllerSpec("lqr"))]
+        controllers = [ZeroOptions(), LqrOptions()]
         paths = []
         for name in ("a.csv", "b.csv"):
             cells = compare(scenarios, controllers)
@@ -358,7 +375,7 @@ class TestCompare:
     def test_table_layout(self):
         cells = compare(
             [("nat", _natural_scenario(tf=120.0))],
-            [("zero", ControllerSpec("zero")), ("lqr", ControllerSpec("lqr"))],
+            [ZeroOptions(), LqrOptions()],
         )
         table = format_compare_table(cells)
         lines = table.splitlines()
@@ -374,7 +391,7 @@ class TestDesiredTrajectory:
         )
         scn = Scenario(
             chief=CIRC, gravity=GravityModel(), initial=RING, desired=desired,
-            tf=2000 * dt, dt=dt, controller=ControllerSpec("zero"),
+            tf=2000 * dt, dt=dt, controller=ZeroOptions(),
         )
         times = np.arange(scn.n_steps + 1) * dt
         Xd, Xd_dot = desired_trajectory(scn, times)
@@ -451,7 +468,7 @@ class TestCsvWriters:
             desired=FormationParams(rho=5.0, theta=math.radians(60.0), m_slope=1.5),
             tf=2000.0,
             dt=1.0,
-            controller=ControllerSpec("mpsp"),
+            controller=MpspOptions(),
         )
         result = run_scenario(scn)
         path = tmp_path / "iters.csv"

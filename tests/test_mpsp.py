@@ -193,7 +193,7 @@ class TestMpspSolve:
         """0.5 km -> 5 km reshaping on an eccentric chief reaches the
         sub-half-percent band within ten iterations and drives terminal
         position errors far below the baseline scale."""
-        from formation_guidance.harness import ControllerSpec, Scenario, run_scenario
+        from formation_guidance.harness import Scenario, run_scenario
         from formation_guidance.dynamics import GravityModel
 
         scn = Scenario(
@@ -205,7 +205,7 @@ class TestMpspSolve:
             dt=1.0,
             # The stock 0.5% stopping rule halts with ~0.03 km of terminal
             # error; iterate to the numerical floor instead.
-            controller=ControllerSpec("mpsp", {"tol_rho_pct": 1e-9}),
+            controller=MpspOptions(tol_rho_pct=1e-9),
         )
         result = run_scenario(scn)
         assert result.log[-1]["converged"]

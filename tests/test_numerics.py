@@ -24,7 +24,7 @@ from formation_guidance.numerics import (
     solve_are,
 )
 from formation_guidance.options import SdreOptions
-from formation_guidance.sdre import FiniteHorizonSpec, SdcModel, sdc1_matrix, sdc_matrix
+from formation_guidance.sdre import FiniteHorizonSpec, sdc1_matrix, sdc_matrix
 
 
 class TestRk4Step:
@@ -348,10 +348,10 @@ class TestWarmHurwitzDecision:
 
     @staticmethod
     def _run(q_weight):
-        from formation_guidance.harness import ControllerSpec, Scenario, run_scenario
+        from formation_guidance.harness import Scenario, run_scenario
 
         orbit = ChiefOrbit(a=10000.0, nu0=0.17)
-        spec = ControllerSpec("sdre", {"Q": q_weight * np.eye(6), "R": 1e8 * np.eye(3)})
+        spec = SdreOptions(Q=q_weight * np.eye(6), R=1e8 * np.eye(3))
         return run_scenario(Scenario(
             chief=orbit, gravity=GravityModel(), tf=300.0, dt=1.0, controller=spec,
             initial=FormationParams(rho=5.0, theta=0.8, m_slope=1.0),
@@ -711,7 +711,7 @@ class TestMatrixExponential:
             for variant in ("SDC1", "SDC2"):
                 for frac, tau in ((0.0, tf), (0.5, 1000.0), (0.85, 300.0), (0.99, 30.0), (1.0, 1.0)):
                     kin = chief_kinematics(chief, chief.nu0 + frac * omega * tf)
-                    A = sdc_matrix(x0 + frac * (xf - x0), kin, SdcModel(variant, SdreOptions.series_order))
+                    A = sdc_matrix(x0 + frac * (xf - x0), kin, SdreOptions(variant=variant))
                     H = spec.hamiltonian.copy()
                     H[:6, :6] = A
                     H[6:, 6:] = -A.T

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,22 +19,22 @@ from formation_guidance.dynamics import (
 )
 from formation_guidance.lqr import design_lqr
 from formation_guidance.numerics import RiccatiState, riccati_weights, rk4_step, solve_are
-from formation_guidance.options import SdreOptions
+from formation_guidance.options import FsdreOptions, SdreOptions
 from formation_guidance.sdre import (
     FiniteHorizonSpec,
-    SdcModel,
     SdreError,
     _psi_series,
     finite_time_sdre_control,
     sdc1_matrix,
     sdc2_matrix,
+    sdc_matrix,
     sdre_infinite_control,
 )
 
 CIRC = ChiefOrbit(a=10000.0)
 OMEGA = CIRC.mean_motion()
 ORDER = SdreOptions.series_order
-MODEL = SdcModel(SdreOptions.variant, ORDER)
+FSDRE_OPTIONS = FsdreOptions()
 B = np.zeros((6, 3))
 B[1, 0] = B[3, 1] = B[5, 2] = 1.0
 
@@ -141,6 +142,15 @@ class TestSdc2:
         assert A[1, 0] == pytest.approx(3.0 * OMEGA**2, rel=1e-6)
 
 
+@pytest.mark.parametrize("variant, order", [("SDC1", 1), ("SDC1", 7), ("SDC2", 1)])
+def test_sdc_matrix_is_the_factorization_the_options_name(variant, order):
+    kin = chief_kinematics(ChiefOrbit(a=10000.0, e=0.15), nu=0.7)
+    X = _sample_state()
+    expected = sdc1_matrix(X, kin, order) if variant == "SDC1" else sdc2_matrix(X, kin.nu_dot)
+    A = sdc_matrix(X, kin, SdreOptions(variant=variant, series_order=order))
+    assert A.tobytes() == expected.tobytes()
+
+
 class TestInfiniteHorizonControl:
     Q = np.eye(6)
     R = 1e9 * np.eye(3)
@@ -148,8 +158,8 @@ class TestInfiniteHorizonControl:
     def test_zero_error_zero_control(self):
         kin = chief_kinematics(CIRC, nu=0.0)
         X = _sample_state(rho=5.0)
-        u, _ = sdre_infinite_control(X, X, MODEL, kin, self.Q, self.R,
-                                     RiccatiState(None), None)
+        options = SdreOptions(Q=self.Q, R=self.R)
+        u, _ = sdre_infinite_control(X, X, options, kin, RiccatiState(None), None)
         np.testing.assert_allclose(u, np.zeros(3), atol=1e-20)
 
     def test_run_weights_keep_the_bits(self):
@@ -162,20 +172,18 @@ class TestInfiniteHorizonControl:
         kin = chief_kinematics(orbit, nu=0.7)
         X, Xd = _sample_state(rho=5.0), _sample_state(rho=25.0)
         for R in (1e8 * np.eye(3), np.diag([1e9, 3e9, 7e10])):
+            options = SdreOptions(Q=self.Q, R=R)
             weights = riccati_weights(B, self.Q, R)
-            u, riccati = sdre_infinite_control(X, Xd, MODEL, kin, self.Q, R,
-                                               RiccatiState(None), None)
-            u_w, riccati_w = sdre_infinite_control(X, Xd, MODEL, kin, self.Q, R,
-                                                   RiccatiState(None), weights)
+            u, riccati = sdre_infinite_control(X, Xd, options, kin, RiccatiState(None), None)
+            u_w, riccati_w = sdre_infinite_control(X, Xd, options, kin, RiccatiState(None),
+                                                   weights)
             assert (u.tobytes(), riccati.P.tobytes()) == (u_w.tobytes(), riccati_w.P.tobytes())
             gain = np.linalg.solve(R, B.T)
             assert u.tobytes() == (-gain.dot(riccati.P.dot(X - Xd))).tobytes()
             near = chief_kinematics(orbit, nu=0.7 + 1e-4)
             for guess in (RiccatiState(riccati.P * (1.0 + 1e-9)), riccati):
-                u, riccati_g = sdre_infinite_control(X, Xd, MODEL, near, self.Q, R,
-                                                     guess, None)
-                u_w, riccati_w = sdre_infinite_control(X, Xd, MODEL, near, self.Q, R,
-                                                       guess, weights)
+                u, riccati_g = sdre_infinite_control(X, Xd, options, near, guess, None)
+                u_w, riccati_w = sdre_infinite_control(X, Xd, options, near, guess, weights)
                 assert (u.tobytes(), riccati_g.P.tobytes()) == (u_w.tobytes(),
                                                                 riccati_w.P.tobytes())
                 assert u.tobytes() == (-gain.dot(riccati_g.P.dot(X - Xd))).tobytes()
@@ -184,8 +192,8 @@ class TestInfiniteHorizonControl:
         kin = chief_kinematics(CIRC, nu=0.0)
         design = design_lqr(OMEGA, self.Q, self.R)
         Xd = np.array([0.1, 0.0, -0.2, 0.0, 0.05, 0.0])
-        u, _ = sdre_infinite_control(np.zeros(6), Xd, MODEL, kin, self.Q, self.R,
-                                     RiccatiState(None), None)
+        options = SdreOptions(Q=self.Q, R=self.R)
+        u, _ = sdre_infinite_control(np.zeros(6), Xd, options, kin, RiccatiState(None), None)
         np.testing.assert_allclose(u, -design.K @ (np.zeros(6) - Xd), rtol=1e-6)
 
     def test_warm_start_matches_cold_along_a_trajectory(self, care_calls, contract_holds):
@@ -258,7 +266,7 @@ def _fly_warm_chain(orbit, dt, Q, R, counters=()):
     nus = propagate_nu(orbit, n, dt)
     Xd = formation_to_hill(FormationParams(rho=25.0, theta=0.5, m_slope=1.5), omega, 0.0)
     x0 = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), omega, 0.0)
-    model = MODEL
+    options = SdreOptions(Q=Q, R=R)
     weights = riccati_weights(B, Q, R)
     riccati = RiccatiState(None)
     chain = []
@@ -267,7 +275,7 @@ def _fly_warm_chain(orbit, dt, Q, R, counters=()):
         nonlocal riccati
         kin = chief_kinematics(orbit, nus[k])
         before = tuple(map(len, counters))
-        u, riccati = sdre_infinite_control(X, Xd, model, kin, Q, R, riccati, weights)
+        u, riccati = sdre_infinite_control(X, Xd, options, kin, riccati, weights)
         chain.append((sdc1_matrix(X, kin, ORDER), riccati, before, tuple(map(len, counters))))
         return u
 
@@ -282,7 +290,7 @@ class TestFiniteTimeControl:
         horizon = FiniteHorizonSpec(
             tf=600.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=1e9 * np.eye(3)
         )
-        u = finite_time_sdre_control(np.zeros(6), 0.0, horizon, MODEL, kin)
+        u = finite_time_sdre_control(np.zeros(6), 0.0, horizon, FSDRE_OPTIONS, kin)
         np.testing.assert_allclose(u, np.zeros(3), atol=1e-18)
 
     def test_double_integrator_minimum_energy_law(self):
@@ -317,12 +325,11 @@ class TestFiniteTimeControl:
         tf, dt = 2000.0, 1.0
         Xf = formation_to_hill(FormationParams(rho=10.0, theta=0.5, m_slope=1.0), OMEGA, tf)
         horizon = FiniteHorizonSpec(tf=tf, Xf=Xf, Q=np.zeros((6, 6)), R=1e9 * np.eye(3))
-        model = MODEL
         X = formation_to_hill(FormationParams(rho=1.0, theta=0.1, m_slope=1.0), OMEGA, 0.0)
         n = int(tf / dt)
         for k in range(n):
             t = k * dt
-            u = finite_time_sdre_control(X, t, horizon, model, kin)
+            u = finite_time_sdre_control(X, t, horizon, FSDRE_OPTIONS, kin)
             X = rk4_step(lambda tt, v: A_hill @ v + B @ u, t, X, dt)
         assert np.linalg.norm(X[[0, 2, 4]] - Xf[[0, 2, 4]]) < 1e-6
 
@@ -330,14 +337,14 @@ class TestFiniteTimeControl:
         kin = chief_kinematics(CIRC, nu=0.0)
         horizon = FiniteHorizonSpec(tf=10.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=np.eye(3))
         with pytest.raises(SdreError):
-            finite_time_sdre_control(np.zeros(6), 10.0, horizon, MODEL, kin)
+            finite_time_sdre_control(np.zeros(6), 10.0, horizon, FSDRE_OPTIONS, kin)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t):
         kin = chief_kinematics(CIRC, nu=0.0)
         horizon = FiniteHorizonSpec(tf=10.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=np.eye(3))
         with pytest.raises(SdreError, match="not before tf"):
-            finite_time_sdre_control(np.zeros(6), t, horizon, MODEL, kin)
+            finite_time_sdre_control(np.zeros(6), t, horizon, FSDRE_OPTIONS, kin)
 
     @pytest.mark.parametrize("R", [np.zeros((3, 3)), np.diag([1.0, 0.0, 1.0])])
     def test_singular_weight_rejected_by_the_spec(self, R):
@@ -362,7 +369,7 @@ class TestFiniteTimeControl:
                                omega, tf)
         Q, R = np.zeros((6, 6)), 1e9 * np.eye(3)
         horizon = FiniteHorizonSpec(tf=tf, Xf=Xf, Q=Q, R=R)
-        model = SdcModel(variant, ORDER)
+        options = FsdreOptions(variant=variant)
         for frac in (0.0, 0.3, 0.6, 0.9, 0.999):
             t = frac * tf
             kin = chief_kinematics(chief, chief.nu0 + omega * t)
@@ -373,7 +380,7 @@ class TestFiniteTimeControl:
             assert np.linalg.cond(phi[:6, 6:]) < 1e12
             lam = np.linalg.solve(phi[:6, 6:], Xf - phi[:6, :6] @ X)
             expected = -np.linalg.solve(R, B.T @ lam)
-            u = finite_time_sdre_control(X, t, horizon, model, kin)
+            u = finite_time_sdre_control(X, t, horizon, options, kin)
             assert np.linalg.norm(u - expected) <= 1e-10 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("tf", [1e-6, 1e6])
@@ -383,14 +390,26 @@ class TestFiniteTimeControl:
             tf=tf, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=1e9 * np.eye(3)
         )
         with pytest.raises(SdreError):
-            finite_time_sdre_control(np.ones(6) * 1e-3, 0.0, horizon, MODEL, kin)
+            finite_time_sdre_control(np.ones(6) * 1e-3, 0.0, horizon, FSDRE_OPTIONS, kin)
 
 
 class TestModelValidation:
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(SdreError):
-            SdcModel("SDC3", ORDER)
+    """The SDC choice is checked where it is made, on the options: the
+    finite-horizon options inherit the checks, and ``replace`` runs them."""
 
-    def test_bad_series_order_rejected(self):
-        with pytest.raises(SdreError):
-            SdcModel(SdreOptions.variant, 0)
+    MAKERS = {
+        "sdre": SdreOptions,
+        "fsdre": FsdreOptions,
+        "replace-sdre": lambda **kw: dataclasses.replace(SdreOptions(), **kw),
+        "replace-fsdre": lambda **kw: dataclasses.replace(FsdreOptions(), **kw),
+    }
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=list(MAKERS))
+    def test_unknown_variant_rejected(self, make):
+        with pytest.raises(ValueError, match="^unknown SDC variant 'SDC3'$"):
+            make(variant="SDC3")
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=list(MAKERS))
+    def test_bad_series_order_rejected(self, make):
+        with pytest.raises(ValueError, match="^series_order must be >= 1$"):
+            make(series_order=0)

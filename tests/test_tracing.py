@@ -9,7 +9,8 @@ from pathlib import Path
 
 from formation_guidance import cli  # noqa: F401  (imports every traced module)
 from formation_guidance.dynamics import ChiefOrbit, FormationParams, GravityModel, RelativePlant
-from formation_guidance.harness import ControllerSpec, Scenario, run_scenario
+from formation_guidance.harness import Scenario, run_scenario
+from formation_guidance.options import CONTROLLER_OPTIONS
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -29,7 +30,7 @@ def _scenario(kind):
         desired=FormationParams(rho=5.0, theta=math.radians(60.0), m_slope=1.5),
         tf=60.0,
         dt=1.0,
-        controller=ControllerSpec(kind),
+        controller=CONTROLLER_OPTIONS[kind](),
     )
 
 
