@@ -30,11 +30,9 @@ named class (formation_guidance.dynamics, formation_guidance.options):
   [gmpsp]    GmpspOptions: r_weight, tol_pct, max_iter
   [nnlqr]    NnlqrOptions: q_weight, r_weight, r1, k_tau, beta, gamma,
              theta_gain, basis = grid|global
-  In the option sections the fields Q, R, tol_rho_pct, R1 and theta are
-  written q_weight, r_weight, tol_pct, r1 and theta_gain; q_weight and
-  r_weight scale the identity weight matrices Q and R, and the open_loop
-  field is set by [controller] apply.  The other sections (defaults in
-  parentheses):
+  In the option sections q_weight and r_weight scale the identity weight
+  matrices Q and R, and the open_loop field is set by [controller] apply.
+  The other sections (defaults in parentheses):
   [gravity]  j2 = on|off (off)
   [run]      tf, dt (1)
   [controller] kind = zero|lqr|sdre|mpsp|gmpsp|nnlqr,
@@ -56,10 +54,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import operator
 import sys
 from dataclasses import MISSING, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -81,8 +77,8 @@ from .harness import (
     write_trajectory_csv,
 )
 from .options import (
+    COMPARISONS,
     CONTROLLER_OPTIONS,
-    SDC_VARIANTS,
     FsdreOptions,
     GmpspOptions,
     LqrOptions,
@@ -105,29 +101,14 @@ ANGLE_KEYS = frozenset({"i", "arg_perigee", "raan", "nu0", "theta"})
 #: Controller kinds that have an options section of their own.
 _OPTION_SECTIONS = ("lqr", "sdre", "mpsp", "gmpsp", "nnlqr")
 
-# Allowed words of each word-valued key.
+# Allowed words of each word-valued key; the options classes give theirs.
 _CHOICES = {
     "j2": ("on", "off"),
     "kind": ("zero", *_OPTION_SECTIONS),
     "horizon": ("infinite", "finite"),
     "apply": ("closed", "open"),
-    "variant": SDC_VARIANTS,
-    "basis": ("grid", "global"),
+    **{key: words for cls in CONTROLLER_OPTIONS.values() for key, words in cls.choices.items()},
 }
-
-# Lower bound of each bounded number: (comparison, bound), by key or, for
-# the one controller kind where it differs, by (resolved kind, key).  A
-# zero state weight is legal for the finite-horizon SDRE (its default)
-# but not for LQR, NN-LQR or the pointwise SDRE: every mode of Hill's A
-# is on the imaginary axis, so with Q = 0 their Riccati equation has no
-# stabilizing solution, and the pointwise SDRE's solve at every step
-# goes cold to give no control.  R must be positive definite for the
-# Riccati solve, and NN-LQR's regularizer, virtual-plant gain and
-# adaptation gains must be positive.
-_BOUNDS = {"series_order": (">=", 1), "max_iter": (">=", 0), "tol_pct": (">", 0),
-           "q_weight": (">", 0), ("fsdre", "q_weight"): (">=", 0), "r_weight": (">", 0),
-           "r1": (">", 0), "k_tau": (">", 0), "beta": (">", 0), "gamma": (">", 0)}
-_COMPARE = {">=": operator.ge, ">": operator.gt}
 
 # Dataclass of each dataclass-backed section.
 _DATACLASSES = {
@@ -137,10 +118,6 @@ _DATACLASSES = {
     "desired": FormationParams,
     **{kind: CONTROLLER_OPTIONS[kind] for kind in _OPTION_SECTIONS},
 }
-
-# Config key of each options field whose name differs (option sections only).
-_OPTION_KEYS = {"Q": "q_weight", "R": "r_weight", "tol_rho_pct": "tol_pct",
-                "R1": "r1", "theta": "theta_gain"}
 
 # Sections without a library dataclass: key -> default, MISSING if required.
 _PLAIN_SECTIONS = {
@@ -185,31 +162,17 @@ def _parse_word(raw: str, key: str, line_no: int) -> str:
     return raw
 
 
-def _parse_weight(size: int, raw: str, key: str, line_no: int) -> np.ndarray:
-    return _parse_number(raw, key, line_no) * np.eye(size)
-
-
 def _section_schema(section: str) -> dict:
-    """{config key: (field name, parser)} of a section, in field order."""
+    """{config key: parser} of a section, in field order; a
+    dataclass-backed section's keys are its class's field names."""
     if section in _PLAIN_SECTIONS:
-        return {key: (key, _parse_word if key in _CHOICES else _parse_number)
+        return {key: _parse_word if key in _CHOICES else _parse_number
                 for key in _PLAIN_SECTIONS[section]}
     cls = _DATACLASSES[section]
     hints = get_type_hints(cls)
-    renames = _OPTION_KEYS if section in _OPTION_SECTIONS else {}
-    schema = {}
-    for f in fields(cls):
-        if f.name == "open_loop":  # written as [controller] apply
-            continue
-        key = renames.get(f.name, f.name)
-        if key in ANGLE_KEYS:
-            parse = _parse_angle
-        elif hints[f.name] is np.ndarray:  # scalar times the identity
-            parse = partial(_parse_weight, len(f.default_factory()))
-        else:
-            parse = {float: _parse_number, int: _parse_integer, str: _parse_word}[hints[f.name]]
-        schema[key] = (f.name, parse)
-    return schema
+    parsers = {float: _parse_number, int: _parse_integer, str: _parse_word}
+    return {f.name: _parse_angle if f.name in ANGLE_KEYS else parsers[hints[f.name]]
+            for f in fields(cls) if f.name != "open_loop"}  # written as [controller] apply
 
 
 _SCHEMA = {section: _section_schema(section) for section in (*_DATACLASSES, *_PLAIN_SECTIONS)}
@@ -218,8 +181,9 @@ _SCHEMA = {section: _section_schema(section) for section in (*_DATACLASSES, *_PL
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:
     """Parse config text into {section: {key: parsed value}} with checks.
 
-    Bounded numbers are checked once every line is read, since the bound
-    on an [sdre] key depends on the horizon set in [controller].
+    The numbers of an option section are checked against its options
+    class's bounds once every line is read, since the class of [sdre]
+    depends on the horizon set in [controller].
     """
     sections: dict[str, dict[str, object]] = {}
     bounded: list[tuple[str, str, str, int]] = []
@@ -246,15 +210,16 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
             raise ConfigError(f"line {line_no}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {line_no}: duplicate key {key!r} in [{current}]")
-        sections[current][key] = _SCHEMA[current][key][1](raw_value, key, line_no)
-        if key in _BOUNDS:
+        sections[current][key] = _SCHEMA[current][key](raw_value, key, line_no)
+        if current in _OPTION_SECTIONS:
             bounded.append((current, key, raw_value, line_no))
     finite = sections.get("controller", {}).get("horizon") == "finite"
     for section, key, raw_value, line_no in bounded:
-        kind = "fsdre" if section == "sdre" and finite else section
-        comparison, bound = _BOUNDS.get((kind, key), _BOUNDS[key])
-        # Compare the number as written: weights parse to matrices.
-        if not _COMPARE[comparison](float(raw_value), bound):
+        bounds = CONTROLLER_OPTIONS["fsdre" if section == "sdre" and finite else section].bounds
+        if key not in bounds:
+            continue
+        comparison, bound = bounds[key]
+        if not COMPARISONS[comparison](sections[section][key], bound):
             raise ConfigError(
                 f"line {line_no}: key {key!r} must be {comparison} {bound}, got {raw_value!r}"
             )
@@ -264,13 +229,12 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
 def _build(cls, section: str, values: dict, base=None):
     """Construct ``cls`` from a section's parsed values.  Omitted keys take
     their value from ``base`` when given, else the dataclass default."""
-    args = {_SCHEMA[section][key][0]: value for key, value in values.items()}
     if base is None:
         for f in fields(cls):
-            if f.default is MISSING and f.default_factory is MISSING and f.name not in args:
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
                 raise ConfigError(f"[{section}] requires key {f.name!r}")
     try:
-        return cls(**args) if base is None else replace(base, **args)
+        return cls(**values) if base is None else replace(base, **values)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
@@ -348,12 +312,10 @@ def _num(value: float) -> str:
 def _section_lines(section: str, obj) -> list[str]:
     """The section's header and one line per key, read from ``obj``."""
     lines = [f"[{section}]"]
-    for key, (name, _) in _SCHEMA[section].items():
-        value = getattr(obj, name)
+    for key in _SCHEMA[section]:
+        value = getattr(obj, key)
         if key in ANGLE_KEYS:
             value = f"{_num(value)} rad"
-        elif isinstance(value, np.ndarray):
-            value = _num(value[0, 0])
         elif not isinstance(value, str):
             value = _num(value)
         lines.append(f"{key} = {value}")
@@ -455,7 +417,7 @@ _MPSP_TIGHT_TOL = 1e-9  # drive iterations to the terminal-error floor
 def _preset_mpsp_eccentric():
     scn = _scenario(
         _chief(e=0.15), _form(0.5, 45.0, m=1.0), _form(5.0, 60.0, m=1.5),
-        2000.0, MpspOptions(tol_rho_pct=_MPSP_TIGHT_TOL),
+        2000.0, MpspOptions(tol_pct=_MPSP_TIGHT_TOL),
     )
     def check(results):
         res = results["run"]
@@ -475,7 +437,7 @@ def _preset_mpsp_j2():
     chief = _chief(e=0.15, i=math.radians(60.0))
     base = dict(initial=_form(0.5, 45.0, m=1.0), desired=_form(5.0, 60.0, m=1.5))
     scn = _scenario(chief, base["initial"], base["desired"], 2000.0,
-                    MpspOptions(tol_rho_pct=_MPSP_TIGHT_TOL), j2=True)
+                    MpspOptions(tol_pct=_MPSP_TIGHT_TOL), j2=True)
     comparator = _scenario(chief, base["initial"], base["desired"], 2000.0,
                            FsdreOptions(open_loop=True), j2=True)
     def check(results):
@@ -543,7 +505,7 @@ def _preset_sweep_r():
     for value in SWEEP_R_VALUES:
         runs[f"R{value:.0e}"] = _scenario(
             _chief(), _form(5.0, 45.0, m=1.0), _form(25.0, 60.0, m=1.5),
-            18000.0, SdreOptions(R=value * np.eye(3)),
+            18000.0, SdreOptions(r_weight=value),
         )
     def check(results):
         settles = [results[f"R{v:.0e}"].settle_time for v in SWEEP_R_VALUES]
@@ -580,12 +542,12 @@ def _preset_nnlqr():
     believed = _chief(i=math.radians(60.0))
     truth = _chief(a=11114.51658, e=0.5, i=math.radians(60.0))
     initial, desired = _form(0.5, 45.0, m=1.0), _form(5.0, 60.0, m=1.5)
-    Q = NNLQR_Q_SCALE * np.eye(6)
     runs = {
-        "lqr": _scenario(believed, initial, desired, 12000.0, LqrOptions(Q=Q),
-                         j2=True, truth=truth),
+        "lqr": _scenario(believed, initial, desired, 12000.0,
+                         LqrOptions(q_weight=NNLQR_Q_SCALE), j2=True, truth=truth),
         "nnlqr": _scenario(believed, initial, desired, 12000.0,
-                           NnlqrOptions(Q=Q, R1=0.09, basis="global"), j2=True, truth=truth),
+                           NnlqrOptions(q_weight=NNLQR_Q_SCALE, r1=0.09, basis="global"),
+                           j2=True, truth=truth),
     }
     def check(results):
         n_l = np.linalg.norm(_pos(results["lqr"]))
@@ -618,7 +580,7 @@ PRESETS = {
 
 def _override_controller(options, args):
     """Apply --max-iter and --tol-pct to the controller kinds that have them."""
-    given = {"max_iter": args.max_iter, "tol_rho_pct": args.tol_pct}
+    given = {"max_iter": args.max_iter, "tol_pct": args.tol_pct}
     names = {f.name for f in fields(options)}
     changes = {k: v for k, v in given.items() if v is not None and k in names}
     return replace(options, **changes)
@@ -686,13 +648,13 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep_r(args) -> int:
     base = _apply_overrides(parse_config(args.config), args)
-    if "R" not in {f.name for f in fields(base.controller)}:
+    if "r_weight" not in {f.name for f in fields(base.controller)}:
         raise ConfigError(
             f"sweep-r needs a controller with a control weight; kind {base.controller.kind!r} has none"
         )
     results = []
     for value in args.values:
-        scn = replace(base, controller=replace(base.controller, R=value * np.eye(3)))
+        scn = replace(base, controller=replace(base.controller, r_weight=value))
         results.append((f"R={value:g}", run_scenario(scn, args.threshold_pct)))
     out = _outdir(args)
     write_metrics_csv(out / "sweep_r_metrics.csv", results)

@@ -144,5 +144,5 @@ def gmpsp_solve(
 
     return predict_correct(
         guess, Y_star, lambda U: plant.propagate(x0, U, dt), correct,
-        options.tol_rho_pct, options.max_iter, prediction,
+        options.tol_pct, options.max_iter, prediction,
     )

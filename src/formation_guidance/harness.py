@@ -31,7 +31,7 @@ from .dynamics import (
 from .gmpsp import gmpsp_solve
 from .lqr import design_lqr, lqr_tracking_control
 from .mpsp import RENDEZVOUS_LENGTH_KM, mpsp_solve, rho_error_pct
-from .numerics import NumericsError, RiccatiState, riccati_weights
+from .numerics import RiccatiState, riccati_weights
 from .options import CONTROLLER_OPTIONS, LqrOptions
 from .sdre import FiniteHorizonSpec, finite_time_sdre_control, sdre_infinite_control
 
@@ -172,7 +172,7 @@ def _feedback_law(
             design=design_lqr(omega, Q=opts.Q, R=opts.R), rbf=rbf,
             basis=nnlqr.DisturbanceBasis(believed.a), X_a=x0.copy(),
             K_tau=opts.k_tau * np.eye(6), beta=opts.beta, gamma=opts.gamma,
-            Theta=opts.theta * np.eye(6), R1=opts.R1, dt=dt,
+            Theta=opts.theta_gain * np.eye(6), R1=opts.r1, dt=dt,
         )
 
         def nnlqr_law(k, t, X):
@@ -187,14 +187,9 @@ def _feedback_law(
     if opts.kind == "sdre":
         # Each step's Riccati solution, with the Schur form of its closed
         # loop, warm-starts the next, and the weights' invariants serve
-        # every step; both are local to this run's law.  Weights that
-        # cannot be factored are left to the first step's solve, which
-        # reports them with its state.
+        # every step; both are local to this run's law.
         riccati = RiccatiState(None)
-        try:
-            weights = riccati_weights(B, opts.Q, opts.R)
-        except NumericsError:
-            weights = None
+        weights = riccati_weights(B, opts.Q, opts.R)
 
         def sdre_law(k, t, X):
             nonlocal riccati
@@ -219,16 +214,19 @@ def _run_closed_loop(
     anomalies and the (N, 3) controls of ``RelativePlant.simulate``.
 
     reference is the (Xd, Xd_dot) pair of :func:`desired_trajectory`.
+    numpy's floating-point warnings are silenced: a law or flight that
+    goes non-finite fails on its own error, at its step, instead.
     """
-    law = _feedback_law(scenario, x0, *reference)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        law = _feedback_law(scenario, x0, *reference)
 
-    def policy(k, t, X):
-        try:
-            return law(k, t, X)
-        except Exception as exc:
-            raise HarnessError(f"controller failed at step {k} (t={t}): {exc}") from exc
+        def policy(k, t, X):
+            try:
+                return law(k, t, X)
+            except Exception as exc:
+                raise HarnessError(f"controller failed at step {k} (t={t}): {exc}") from exc
 
-    return plant.simulate(x0, scenario.n_steps, scenario.dt, policy)
+        return plant.simulate(x0, scenario.n_steps, scenario.dt, policy)
 
 
 def _solve_open_loop(

@@ -123,7 +123,7 @@ def predict_correct(
     Y_star: np.ndarray,
     predict: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     correct: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    tol_rho_pct: float,
+    tol_pct: float,
     max_iter: int,
     prediction: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
@@ -146,7 +146,7 @@ def predict_correct(
     for it in itertools.count():
         dY = states[-1] - Y_star
         pct = rho_error_pct(states[-1], Y_star)
-        converged = pct < tol_rho_pct
+        converged = pct < tol_pct
         log.append(
             {
                 "iteration": it,
@@ -187,5 +187,5 @@ def mpsp_solve(
         sens = compute_sensitivities(dF_dX, dF_dU, R_kmat, U)
         return mpsp_update(sens, dY, R_kmat)
 
-    return predict_correct(guess, Y_star, predict, correct, options.tol_rho_pct, options.max_iter,
+    return predict_correct(guess, Y_star, predict, correct, options.tol_pct, options.max_iter,
                            prediction)

@@ -123,6 +123,7 @@ class NnLqrController:
     NN1's layout (``make_rbf_network``); basis, NN2's; the virtual plant's
     diagonal Hurwitz gain K_tau; NN2's rate beta, regularizer gamma and
     Jacobian weight Theta (6x6 PD); NN1's regularizer R1; the step dt.
+    ``NnlqrOptions`` checks these settings when it is built; this does not.
     Trained at each step: rbf.W_c; NN2's (3, 7) weights W_dist (rows
     follow ACCEL_ROWS), which start at zero and are not a constructor
     argument; and the virtual plant's state X_a, which starts where it
@@ -152,12 +153,6 @@ class NnLqrController:
     W_dist: np.ndarray = field(init=False, default_factory=lambda: np.zeros((3, 7)))
 
     def __post_init__(self) -> None:
-        if not np.all(np.diag(self.K_tau) > 0.0):
-            raise ValueError("K_tau diagonal entries must be positive")
-        if not (self.beta > 0.0 and self.gamma > 0.0):
-            raise ValueError("adaptation gains must be positive")
-        if not self.R1 > 0.0:
-            raise ValueError("R1 must be positive")
         d, K_tau = self.design, self.K_tau
         M = self.dt * K_tau
         M2 = M @ M

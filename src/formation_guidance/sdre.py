@@ -17,7 +17,6 @@ from .numerics import (
     RiccatiState,
     RiccatiWeights,
     matrix_exponential,
-    riccati_weights,
     solve_are,
 )
 from .options import SdreOptions
@@ -161,27 +160,24 @@ def sdre_infinite_control(
     options: SdreOptions,
     kin: ChiefKinematics,
     guess: RiccatiState,
-    weights: RiccatiWeights | None,
+    weights: RiccatiWeights,
 ) -> tuple[np.ndarray, RiccatiState]:
     """Pointwise infinite-horizon SDRE control U = -R^-1 B^T P(X) (X - Xd).
 
-    ``options`` gives the SDC factorization and the weights ``Q`` and
-    ``R``.  Returns ``(U, riccati)``: ``riccati`` is the
+    ``options`` gives the SDC factorization and the weights ``Q =
+    q_weight I`` and ``R = r_weight I``.  Returns ``(U, riccati)``: ``riccati`` is the
     :class:`~formation_guidance.numerics.RiccatiState` of this step's
     ``solve_are``, its ``P`` and, after a warm solve, the Schur form of
     its closed loop.  ``guess`` is handed to ``solve_are`` as a warm
     start; passing the previous control step's ``riccati`` lets the next
     Riccati solve take chord corrections on that Schur form instead of
     a cold solve.  ``RiccatiState(None)`` starts a chain with a cold
-    solve.  ``weights``, ``riccati_weights(B, Q, R)``, is handed on as
-    well, so a run computes it once; None, for weights that could not be
-    factored, builds it here, where its failure is reported with the
-    state.  ``R^-1 B^T`` is its ``R_inv_BT``, so no step factors ``R``.
+    solve.  ``weights`` is ``riccati_weights(B, options.Q, options.R)``,
+    which a run builds once and hands to every step; ``R^-1 B^T`` is its
+    ``R_inv_BT``, so no step factors ``R``.
     """
     A = sdc_matrix(state, kin, options)
     try:
-        if weights is None:
-            weights = riccati_weights(B, options.Q, options.R)
         riccati = solve_are(A, B, options.Q, options.R, guess, weights=weights)
     except Exception as exc:
         raise SdreError(f"pointwise Riccati failed at state {state}: {exc}") from exc

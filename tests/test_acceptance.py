@@ -95,7 +95,7 @@ def test_criterion_04_mpsp_effort_below_sdre():
     ini, des = _form(0.5, 45.0, m=1.0), _form(5.0, 60.0, m=1.5)
     mpsp = run_scenario(
         _scenario(chief, ini, des, 2000.0,
-                  MpspOptions(tol_rho_pct=_MPSP_TIGHT_TOL))
+                  MpspOptions(tol_pct=_MPSP_TIGHT_TOL))
     )
     fsdre = run_scenario(_scenario(chief, ini, des, 2000.0, FsdreOptions()))
     ratio = mpsp.control_effort / fsdre.control_effort

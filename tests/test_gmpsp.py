@@ -260,7 +260,7 @@ class TestGmpspSolve:
         from formation_guidance.harness import run_scenario
 
         scn = dataclasses.replace(
-            _gmpsp_scenario(), controller=GmpspOptions(tol_rho_pct=0.01)
+            _gmpsp_scenario(), controller=GmpspOptions(tol_pct=0.01)
         )
         result = run_scenario(scn)
         pcts = [row["rho_error_pct"] for row in result.log]

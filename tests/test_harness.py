@@ -35,6 +35,7 @@ from formation_guidance.harness import (
     write_trajectory_csv,
 )
 from formation_guidance.mpsp import rho_error_pct
+from formation_guidance.numerics import NumericsError
 from formation_guidance.options import (
     CONTROLLER_OPTIONS,
     FsdreOptions,
@@ -45,7 +46,7 @@ from formation_guidance.options import (
     SdreOptions,
     ZeroOptions,
 )
-from test_nnlqr import _controller as _nnlqr_controller, nn1_update
+from test_nnlqr import nn1_update
 
 CIRC = ChiefOrbit(a=10000.0)
 OMEGA = CIRC.mean_motion()
@@ -84,9 +85,9 @@ class TestScenarioValidation:
             dataclasses.replace(scn, controller=controller)
 
     def test_unknown_option_rejected(self):
-        assert MpspOptions(tol_rho_pct=1e-6).tol_rho_pct == 1e-6
-        with pytest.raises(TypeError, match="tol_pct"):
-            MpspOptions(tol_pct=1e-6)
+        assert MpspOptions(tol_pct=1e-6).tol_pct == 1e-6
+        with pytest.raises(TypeError, match="tol_rho_pct"):
+            MpspOptions(tol_rho_pct=1e-6)
 
     def test_each_options_class_names_its_kind(self):
         assert CONTROLLER_OPTIONS == {
@@ -104,8 +105,8 @@ NAN, INF = math.nan, math.inf
 _GUARD_IDS = [
     "FormationParams.rho", "FormationParams.theta", "ChiefOrbit.i", "ChiefOrbit.nu0",
     "Scenario.tf", "Scenario.dt", "settle_time", "hill_linear_matrices", "RbfNetwork.width",
-    "NnLqrController.beta", "NnLqrController.gamma", "NnLqrController.K_tau",
-    "NnLqrController.R1", "nn1_update", "DisturbanceBasis.r_c",
+    "NnlqrOptions.beta", "NnlqrOptions.gamma", "NnlqrOptions.k_tau",
+    "NnlqrOptions.r1", "nn1_update", "DisturbanceBasis.r_c",
 ]
 
 
@@ -121,11 +122,10 @@ _GUARD_IDS = [
     (lambda: hill_linear_matrices(NAN), DynamicsError, "must be positive"),
     (lambda: nnlqr.RbfNetwork(centers=np.zeros((1, 6)), width=NAN, vel_scale=1.0,
                               W_c=np.zeros((1, 6))), ValueError, "width > 0"),
-    (lambda: _nnlqr_controller(beta=NAN), ValueError, "adaptation gains must be positive"),
-    (lambda: _nnlqr_controller(gamma=NAN), ValueError, "adaptation gains must be positive"),
-    (lambda: _nnlqr_controller(K_tau=NAN * np.eye(6)), ValueError,
-     "K_tau diagonal entries must be positive"),
-    (lambda: _nnlqr_controller(R1=NAN), ValueError, "R1 must be positive"),
+    (lambda: NnlqrOptions(beta=NAN), ValueError, "beta must be finite"),
+    (lambda: NnlqrOptions(gamma=NAN), ValueError, "gamma must be finite"),
+    (lambda: NnlqrOptions(k_tau=NAN), ValueError, "k_tau must be finite"),
+    (lambda: NnlqrOptions(r1=NAN), ValueError, "r1 must be finite"),
     (lambda: nn1_update(nnlqr.make_rbf_network("grid", 5.0, OMEGA), np.zeros(6), np.zeros(27),
                         NAN), ValueError, "R1 must be positive"),
     (lambda: nnlqr.DisturbanceBasis(NAN), ValueError, "r_c must be positive"),
@@ -135,14 +135,39 @@ def test_non_finite_value_rejected_by_its_guard(build, error, match):
         build()
 
 
-def test_unknown_nnlqr_basis_rejected_by_run_scenario():
+def test_unknown_nnlqr_basis_rejected():
     # Only "grid" and "global" name a costate network; a misspelling
-    # must not fly either of them.
+    # must not fly either of them, and the network factory refuses it
+    # as well.
+    with pytest.raises(ValueError, match="basis must be one of grid, global, got 'grd'"):
+        _natural_scenario("nnlqr", tf=10.0, basis="grd")
     with pytest.raises(ValueError, match="'grid' or 'global'"):
-        run_scenario(_natural_scenario("nnlqr", tf=10.0, basis="grd"))
+        nnlqr.make_rbf_network("grd", 5.0, OMEGA)
 
 
 class TestRunScenario:
+    def test_diverging_nnlqr_run_fails_on_the_virtual_plant_not_a_warning(self):
+        """A legal NN-LQR run whose costate network overflows: numpy's
+        floating-point warnings stay silent during the flight, so the
+        run fails one step later, on the virtual plant's non-finite
+        state, with its step and time."""
+        dt = 58.5650039883892
+        scn = Scenario(
+            chief=ChiefOrbit(a=88173.14962900618, e=0.2711906687070405, i=0.399759874535762,
+                             nu0=2.6533460682987173),
+            gravity=GravityModel(j2_enabled=False),
+            initial=FormationParams(rho=37.562718803855475, theta=4.794337648785248,
+                                    m_slope=-1.8508463791397323),
+            desired=FormationParams(rho=157.729284240549, theta=5.935696779883368,
+                                    m_slope=-0.3300160840219384),
+            tf=35 * dt, dt=dt,
+            controller=NnlqrOptions(r_weight=91411546107.29128, basis="global"),
+        )
+        with pytest.raises(HarnessError, match=r"step 12 \(t=702\.78") as exc:
+            run_scenario(scn)
+        assert isinstance(exc.value.__cause__, NumericsError)
+        assert "virtual plant" in str(exc.value)
+
     def test_zero_control_on_natural_orbit(self):
         # A periodic ring with desired = initial needs no control: the
         # nonlinear truth plant stays within its own model error.
@@ -193,16 +218,24 @@ class TestRunScenario:
         run_scenario(_natural_scenario("sdre", tf=100.0))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("R", [-np.eye(3), np.zeros((3, 3))])
-    def test_sdre_unfactorable_weight_fails_at_first_step(self, R):
-        with pytest.raises(HarnessError, match=r"(?s)step 0 .*Riccati solve failed: Matrix is not"):
-            run_scenario(_natural_scenario("sdre", tf=10.0, R=R))
+    @pytest.mark.parametrize("r_weight", [-1.0, 0.0])
+    def test_sdre_unfactorable_weight_rejected_at_construction(self, r_weight):
+        with pytest.raises(ValueError, match=f"r_weight must be > 0, got {r_weight!r}"):
+            _natural_scenario("sdre", tf=10.0, r_weight=r_weight)
+
+    def test_sdre_overflowing_weight_fails_at_first_step_without_a_warning(self):
+        """A legal but subnormal control weight overflows the run's
+        Riccati weights while the law is built: no numpy warning escapes,
+        and the first step's solve reports the failure with its state."""
+        with pytest.raises(HarnessError, match=r"step 0 .*pointwise Riccati failed") as exc:
+            run_scenario(_natural_scenario("sdre", tf=10.0, r_weight=1e-320))
+        assert not isinstance(exc.value.__cause__, RuntimeWarning)
 
     def test_sdre_warm_start_does_not_leak_between_runs(self, care_calls):
         """Each run starts cold: R = 1e8 after R = 1e11, or after itself,
         is bit-identical to R = 1e8 alone."""
         def sdre(r):
-            return _natural_scenario("sdre", tf=100.0, R=r * np.eye(3))
+            return _natural_scenario("sdre", tf=100.0, r_weight=r)
 
         alone = run_scenario(sdre(1e8))
         run_scenario(sdre(1e11))
@@ -221,7 +254,7 @@ class TestGuessFlightIsFirstPrediction:
     0's prediction, and then once per correction."""
 
     @staticmethod
-    def _scenario(kind, tol_rho_pct):
+    def _scenario(kind, tol_pct):
         """0.5 km -> 5 km reshaping, eccentric inclined chief, J2 on."""
         return Scenario(
             chief=ChiefOrbit(a=10000.0, e=0.15, i=math.radians(60.0), nu0=math.radians(10.0)),
@@ -230,11 +263,11 @@ class TestGuessFlightIsFirstPrediction:
             desired=FormationParams(rho=5.0, theta=math.radians(60.0), m_slope=1.5),
             tf=200.0,
             dt=1.0,
-            controller=CONTROLLER_OPTIONS[kind](tol_rho_pct=tol_rho_pct, max_iter=2),
+            controller=CONTROLLER_OPTIONS[kind](tol_pct=tol_pct, max_iter=2),
         )
 
-    @pytest.mark.parametrize("tol_rho_pct, corrections", [(1e-9, 2), (1e3, 0)])
-    def test_run_flies_once_plus_once_per_correction(self, monkeypatch, kind, tol_rho_pct,
+    @pytest.mark.parametrize("tol_pct, corrections", [(1e-9, 2), (1e3, 0)])
+    def test_run_flies_once_plus_once_per_correction(self, monkeypatch, kind, tol_pct,
                                                      corrections):
         flights = []
         simulate = RelativePlant.simulate
@@ -244,17 +277,17 @@ class TestGuessFlightIsFirstPrediction:
             return simulate(plant, *args)
 
         monkeypatch.setattr(RelativePlant, "simulate", counted)
-        result = run_scenario(self._scenario(kind, tol_rho_pct))
+        result = run_scenario(self._scenario(kind, tol_pct))
         assert len(result.log) - 1 == corrections
         assert flights == [True] * (1 + corrections)
 
-    @pytest.mark.parametrize("tol_rho_pct", [1e-9, 1e3])
+    @pytest.mark.parametrize("tol_pct", [1e-9, 1e3])
     def test_first_log_row_and_final_states_match_fresh_flights_bit_for_bit(self, kind,
-                                                                           tol_rho_pct):
+                                                                           tol_pct):
         """Iteration 0's row is that of a fresh flight of the LQR guess,
         and the final states are a fresh flight of the final controls
         (the guess itself when iteration 0 converges)."""
-        scn = self._scenario(kind, tol_rho_pct)
+        scn = self._scenario(kind, tol_pct)
         result = run_scenario(scn)
         guess = run_scenario(dataclasses.replace(scn, controller=LqrOptions()))
         plant = RelativePlant(scn.chief, scn.gravity)

@@ -205,7 +205,7 @@ class TestMpspSolve:
             dt=1.0,
             # The stock 0.5% stopping rule halts with ~0.03 km of terminal
             # error; iterate to the numerical floor instead.
-            controller=MpspOptions(tol_rho_pct=1e-9),
+            controller=MpspOptions(tol_pct=1e-9),
         )
         result = run_scenario(scn)
         assert result.log[-1]["converged"]

@@ -402,8 +402,8 @@ class TestVirtualPlant:
         assert abs(fitted - k_tau) < 0.1 * k_tau
 
     def test_nonpositive_gain_rejected(self):
-        with pytest.raises(ValueError, match="K_tau diagonal entries must be positive"):
-            _controller(K_tau=np.zeros((6, 6)))
+        with pytest.raises(ValueError, match="k_tau must be > 0, got 0.0"):
+            NnlqrOptions(k_tau=0.0)
 
 
 class TestNn2Update:
@@ -453,8 +453,8 @@ class TestNn2Update:
         assert 0.5 * delta[1] < estimate[1] < 1.5 * delta[1]
 
     def test_invalid_gains_rejected(self):
-        with pytest.raises(ValueError, match="adaptation gains must be positive"):
-            _controller(beta=0.0, gamma=1.0)
+        with pytest.raises(ValueError, match="beta must be > 0, got 0.0"):
+            NnlqrOptions(beta=0.0, gamma=1.0)
 
 
 class TestCostateBackprop:
@@ -608,8 +608,8 @@ class TestControlStep:
         assert "t=" not in str(exc.value)
 
     def test_nonpositive_regularizer_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="R1 must be positive"):
-            _controller(R1=0.0)
+        with pytest.raises(ValueError, match="r1 must be > 0, got 0.0"):
+            NnlqrOptions(r1=0.0)
 
     def test_zero_nets_match_plain_tracking_control(self):
         design = design_lqr(OMEGA, NnlqrOptions().Q, NnlqrOptions().R)

@@ -348,15 +348,33 @@ class TestWarmHurwitzDecision:
 
     @staticmethod
     def _run(q_weight):
-        from formation_guidance.harness import Scenario, run_scenario
+        """A 300 s pointwise SDRE reconfiguration flown as the harness
+        flies it, with the law written out: its state weight q_weight I
+        may be zero, which SdreOptions refuses."""
+        from formation_guidance.dynamics import RelativePlant, chief_kinematics_table, propagate_nu
+        from formation_guidance.harness import Scenario, desired_trajectory
 
         orbit = ChiefOrbit(a=10000.0, nu0=0.17)
-        spec = SdreOptions(Q=q_weight * np.eye(6), R=1e8 * np.eye(3))
-        return run_scenario(Scenario(
-            chief=orbit, gravity=GravityModel(), tf=300.0, dt=1.0, controller=spec,
+        options = SdreOptions(r_weight=1e8)
+        scn = Scenario(
+            chief=orbit, gravity=GravityModel(), tf=300.0, dt=1.0, controller=options,
             initial=FormationParams(rho=5.0, theta=0.8, m_slope=1.0),
             desired=FormationParams(rho=25.0, theta=1.0, m_slope=1.5),
-        ))
+        )
+        Q, R = q_weight * np.eye(6), options.R
+        weights = riccati_weights(B_HILL, Q, R)
+        Xd, _ = desired_trajectory(scn, np.arange(scn.n_steps + 1) * scn.dt)
+        kins = chief_kinematics_table(orbit, propagate_nu(orbit, scn.n_steps, scn.dt))
+        riccati = RiccatiState(None)
+
+        def law(k, t, X):
+            nonlocal riccati
+            A = sdc_matrix(X, kins[k], options)
+            riccati = solve_are(A, B_HILL, Q, R, riccati, weights=weights)
+            return -weights.R_inv_BT.dot(riccati.P.dot(X - Xd[k]))
+
+        x0 = formation_to_hill(scn.initial, orbit.mean_motion(), 0.0)
+        RelativePlant(orbit, scn.gravity).simulate(x0, scn.n_steps, scn.dt, law)
 
     @pytest.mark.parametrize("q_weight, warm, cold", [
         # Q = 0: dtrsyl reports the near-zero eigenvalue sums of the

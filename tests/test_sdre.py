@@ -151,6 +151,11 @@ def test_sdc_matrix_is_the_factorization_the_options_name(variant, order):
     assert A.tobytes() == expected.tobytes()
 
 
+def _run_weights(options):
+    """The Riccati weights a run hands every step of the options' law."""
+    return riccati_weights(B, options.Q, options.R)
+
+
 class TestInfiniteHorizonControl:
     Q = np.eye(6)
     R = 1e9 * np.eye(3)
@@ -158,42 +163,43 @@ class TestInfiniteHorizonControl:
     def test_zero_error_zero_control(self):
         kin = chief_kinematics(CIRC, nu=0.0)
         X = _sample_state(rho=5.0)
-        options = SdreOptions(Q=self.Q, R=self.R)
-        u, _ = sdre_infinite_control(X, X, options, kin, RiccatiState(None), None)
+        options = SdreOptions()
+        u, _ = sdre_infinite_control(X, X, options, kin, RiccatiState(None),
+                                     _run_weights(options))
         np.testing.assert_allclose(u, np.zeros(3), atol=1e-20)
 
     def test_run_weights_keep_the_bits(self):
         """Control and Riccati state with the run's Riccati weights passed
-        in equal, bit for bit, the call that builds them itself: cold,
+        in equal, bit for bit, a solve that builds them itself: cold,
         warm from a P alone, and warm from the state of a nearby step,
         which hands in its Schur form.  The control is the product of
         R^-1 B^T from np.linalg.solve with P (X - Xd)."""
         orbit = ChiefOrbit(a=10000.0, e=0.15)
         kin = chief_kinematics(orbit, nu=0.7)
+        near = chief_kinematics(orbit, nu=0.7 + 1e-4)
         X, Xd = _sample_state(rho=5.0), _sample_state(rho=25.0)
-        for R in (1e8 * np.eye(3), np.diag([1e9, 3e9, 7e10])):
-            options = SdreOptions(Q=self.Q, R=R)
-            weights = riccati_weights(B, self.Q, R)
-            u, riccati = sdre_infinite_control(X, Xd, options, kin, RiccatiState(None), None)
-            u_w, riccati_w = sdre_infinite_control(X, Xd, options, kin, RiccatiState(None),
-                                                   weights)
-            assert (u.tobytes(), riccati.P.tobytes()) == (u_w.tobytes(), riccati_w.P.tobytes())
+        for r_weight in (1e8, 7e10):
+            options = SdreOptions(r_weight=r_weight)
+            Q, R = options.Q, options.R
+            weights = _run_weights(options)
             gain = np.linalg.solve(R, B.T)
-            assert u.tobytes() == (-gain.dot(riccati.P.dot(X - Xd))).tobytes()
-            near = chief_kinematics(orbit, nu=0.7 + 1e-4)
+            u, riccati = sdre_infinite_control(X, Xd, options, kin, RiccatiState(None), weights)
+            steps = [(kin, RiccatiState(None), u, riccati)]
             for guess in (RiccatiState(riccati.P * (1.0 + 1e-9)), riccati):
-                u, riccati_g = sdre_infinite_control(X, Xd, options, near, guess, None)
-                u_w, riccati_w = sdre_infinite_control(X, Xd, options, near, guess, weights)
-                assert (u.tobytes(), riccati_g.P.tobytes()) == (u_w.tobytes(),
-                                                                riccati_w.P.tobytes())
-                assert u.tobytes() == (-gain.dot(riccati_g.P.dot(X - Xd))).tobytes()
+                steps.append((near, guess,
+                              *sdre_infinite_control(X, Xd, options, near, guess, weights)))
+            for k, guess, u, state in steps:
+                own = solve_are(sdc_matrix(X, k, options), B, Q, R, guess)
+                assert state.P.tobytes() == own.P.tobytes()
+                assert u.tobytes() == (-gain.dot(state.P.dot(X - Xd))).tobytes()
 
     def test_origin_matches_lqr_gain(self):
         kin = chief_kinematics(CIRC, nu=0.0)
         design = design_lqr(OMEGA, self.Q, self.R)
         Xd = np.array([0.1, 0.0, -0.2, 0.0, 0.05, 0.0])
-        options = SdreOptions(Q=self.Q, R=self.R)
-        u, _ = sdre_infinite_control(np.zeros(6), Xd, options, kin, RiccatiState(None), None)
+        options = SdreOptions()
+        u, _ = sdre_infinite_control(np.zeros(6), Xd, options, kin, RiccatiState(None),
+                                     _run_weights(options))
         np.testing.assert_allclose(u, -design.K @ (np.zeros(6) - Xd), rtol=1e-6)
 
     def test_warm_start_matches_cold_along_a_trajectory(self, care_calls, contract_holds):
@@ -204,9 +210,10 @@ class TestInfiniteHorizonControl:
         contract, checked independently of the solver, and equals a cold
         solve of the same SDC matrix to 1e-10 relative."""
         orbit = ChiefOrbit(a=10000.0, e=0.15)
-        for R in (1e8 * np.eye(3), 1e11 * np.eye(3)):
+        for r_weight in (1e8, 1e11):
+            R = r_weight * np.eye(3)
             cold_before = len(care_calls)
-            warm = _fly_warm_chain(orbit, 1.0, self.Q, R)
+            warm = _fly_warm_chain(orbit, 1.0, r_weight)
             assert len(care_calls) - cold_before == 1
             for A, riccati, _, _ in warm:
                 assert contract_holds(A, B, self.Q, R, riccati.P)
@@ -241,9 +248,10 @@ class TestInfiniteHorizonControl:
         monkeypatch.setattr(lapack, "dtrsyl", counted("dtrsyl", lapack.dtrsyl))
         monkeypatch.setattr(numerics, "_lyapunov", counted("newton", lyapunov))
         orbit = ChiefOrbit(a=10000.0, e=e, nu0=0.17)
-        for R in (1e8 * np.eye(3), 1e11 * np.eye(3)):
+        for r_weight in (1e8, 1e11):
+            R = r_weight * np.eye(3)
             care_calls.clear()
-            chain = _fly_warm_chain(orbit, dt, self.Q, R, list(calls.values()))
+            chain = _fly_warm_chain(orbit, dt, r_weight, list(calls.values()))
             assert len(care_calls) == 1
             for k, (A, riccati, before, after) in enumerate(chain[1:], start=1):
                 schur, solves, newton = (b - a for a, b in zip(before, after))
@@ -255,7 +263,7 @@ class TestInfiniteHorizonControl:
                 assert np.linalg.norm(riccati.P - cold) <= 1e-10 * np.linalg.norm(cold)
 
 
-def _fly_warm_chain(orbit, dt, Q, R, counters=()):
+def _fly_warm_chain(orbit, dt, r_weight, counters=()):
     """Fly a 300-step pointwise SDRE reconfiguration (5 -> 25 km) from
     the orbit's nu0, each step warm-started from the last step's Riccati
     state and handed the run's weights, as the harness does.  Returns,
@@ -266,8 +274,8 @@ def _fly_warm_chain(orbit, dt, Q, R, counters=()):
     nus = propagate_nu(orbit, n, dt)
     Xd = formation_to_hill(FormationParams(rho=25.0, theta=0.5, m_slope=1.5), omega, 0.0)
     x0 = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), omega, 0.0)
-    options = SdreOptions(Q=Q, R=R)
-    weights = riccati_weights(B, Q, R)
+    options = SdreOptions(r_weight=r_weight)
+    weights = _run_weights(options)
     riccati = RiccatiState(None)
     chain = []
 
@@ -406,10 +414,10 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("make", MAKERS.values(), ids=list(MAKERS))
     def test_unknown_variant_rejected(self, make):
-        with pytest.raises(ValueError, match="^unknown SDC variant 'SDC3'$"):
+        with pytest.raises(ValueError, match="^variant must be one of SDC1, SDC2, got 'SDC3'$"):
             make(variant="SDC3")
 
     @pytest.mark.parametrize("make", MAKERS.values(), ids=list(MAKERS))
     def test_bad_series_order_rejected(self, make):
-        with pytest.raises(ValueError, match="^series_order must be >= 1$"):
+        with pytest.raises(ValueError, match="^series_order must be >= 1, got 0$"):
             make(series_order=0)
