@@ -562,15 +562,23 @@ def _preset_nnlqr():
     return runs, check
 
 
+#: name -> (description, factory, settle band [% of the commanded baseline]).
 PRESETS = {
-    "lqr-circular": ("baseline reconfiguration on a circular chief", _preset_lqr_circular),
-    "lqr-eccentric": ("baseline degradation on an eccentric chief", _preset_lqr_eccentric),
-    "mpsp-eccentric": ("discrete predictive guidance, eccentric chief", _preset_mpsp_eccentric),
-    "mpsp-j2": ("discrete predictive guidance under oblateness", _preset_mpsp_j2),
-    "gmpsp": ("continuous predictive guidance under oblateness", _preset_gmpsp),
-    "fsdre": ("finite-horizon factorization comparison", _preset_fsdre),
-    "sweep-r": ("control-weight sweep of the pointwise Riccati law", _preset_sweep_r),
-    "nnlqr": ("network-augmented baseline under chief uncertainty", _preset_nnlqr),
+    "lqr-circular": ("baseline reconfiguration on a circular chief", _preset_lqr_circular,
+                     SETTLE_THRESHOLD_PCT),
+    "lqr-eccentric": ("baseline degradation on an eccentric chief", _preset_lqr_eccentric,
+                      SETTLE_THRESHOLD_PCT),
+    "mpsp-eccentric": ("discrete predictive guidance, eccentric chief", _preset_mpsp_eccentric,
+                       SETTLE_THRESHOLD_PCT),
+    "mpsp-j2": ("discrete predictive guidance under oblateness", _preset_mpsp_j2,
+                SETTLE_THRESHOLD_PCT),
+    "gmpsp": ("continuous predictive guidance under oblateness", _preset_gmpsp,
+              SETTLE_THRESHOLD_PCT),
+    "fsdre": ("finite-horizon factorization comparison", _preset_fsdre, SETTLE_THRESHOLD_PCT),
+    "sweep-r": ("control-weight sweep of the pointwise Riccati law", _preset_sweep_r,
+                SWEEP_R_THRESHOLD_PCT),
+    "nnlqr": ("network-augmented baseline under chief uncertainty", _preset_nnlqr,
+              SETTLE_THRESHOLD_PCT),
 }
 
 
@@ -675,11 +683,10 @@ def cmd_reproduce(args) -> int:
         raise ConfigError(
             f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    _, factory = PRESETS[args.preset]
+    _, factory, settle_pct = PRESETS[args.preset]
     scenarios, check = factory()
     out = _outdir(args)
     results = {}
-    settle_pct = SWEEP_R_THRESHOLD_PCT if args.preset == "sweep-r" else SETTLE_THRESHOLD_PCT
     for name, scn in scenarios.items():
         (out / f"{args.preset}_{name}.cfg").write_text(
             serialize_scenario(scn), encoding="utf-8"

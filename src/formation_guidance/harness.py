@@ -169,10 +169,8 @@ def _feedback_law(
     if opts.kind == "nnlqr":
         rbf = nnlqr.make_rbf_network(opts.basis, desired.rho or RENDEZVOUS_LENGTH_KM, omega)
         ctrl = nnlqr.NnLqrController(
-            design=design_lqr(omega, Q=opts.Q, R=opts.R), rbf=rbf,
-            basis=nnlqr.DisturbanceBasis(believed.a), X_a=x0.copy(),
-            K_tau=opts.k_tau * np.eye(6), beta=opts.beta, gamma=opts.gamma,
-            Theta=opts.theta_gain * np.eye(6), R1=opts.r1, dt=dt,
+            options=opts, design=design_lqr(omega, Q=opts.Q, R=opts.R), rbf=rbf,
+            basis=nnlqr.DisturbanceBasis(believed.a), X_a=x0.copy(), dt=dt,
         )
 
         def nnlqr_law(k, t, X):
@@ -198,10 +196,10 @@ def _feedback_law(
 
         return sdre_law
 
-    horizon = FiniteHorizonSpec(tf=scenario.tf, Xf=Xd[-1], Q=opts.Q, R=opts.R)
+    horizon = FiniteHorizonSpec(tf=scenario.tf, Xf=Xd[-1], options=opts)
 
     def fsdre_law(k, t, X):
-        return finite_time_sdre_control(X, t, horizon, opts, kins[k])
+        return finite_time_sdre_control(X, t, horizon, kins[k])
 
     return fsdre_law
 

@@ -16,14 +16,12 @@ from .numerics import solve_are
 
 @dataclass(frozen=True)
 class LqrDesign:
-    """Immutable LQR design: weights, Riccati solution, and gain."""
+    """Immutable LQR design: the Riccati solution P, the gain K and the
+    linear model's A it was designed on (B is ``dynamics.B``)."""
 
-    Q: np.ndarray
-    R: np.ndarray
     P: np.ndarray
     K: np.ndarray
     A: np.ndarray
-    B: np.ndarray
 
 
 def design_lqr(omega: float, Q: np.ndarray, R: np.ndarray) -> LqrDesign:
@@ -37,7 +35,7 @@ def design_lqr(omega: float, Q: np.ndarray, R: np.ndarray) -> LqrDesign:
     A, B = hill_linear_matrices(omega)
     P = solve_are(A, B, Q, R)
     K = np.linalg.solve(R, B.T @ P)
-    return LqrDesign(Q=Q, R=R, P=P, K=K, A=A, B=B)
+    return LqrDesign(P=P, K=K, A=A)
 
 
 def lqr_feedforward(A: np.ndarray, Xd: np.ndarray, Xd_dot: np.ndarray) -> np.ndarray:

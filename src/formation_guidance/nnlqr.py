@@ -17,9 +17,10 @@ from operator import mul
 
 import numpy as np
 
-from .dynamics import ACCEL_ROWS, POSITION_ROWS
+from .dynamics import ACCEL_ROWS, POSITION_ROWS, B
 from .lqr import LqrDesign
 from .numerics import NumericsError
+from .options import NnlqrOptions
 
 
 # ---------------------------------------------------------------------------
@@ -119,51 +120,45 @@ class DisturbanceBasis:
 class NnLqrController:
     """The augmented controller: its settings and its trained state.
 
-    Fixed over a run: the baseline LQR design on the believed model; rbf,
-    NN1's layout (``make_rbf_network``); basis, NN2's; the virtual plant's
-    diagonal Hurwitz gain K_tau; NN2's rate beta, regularizer gamma and
-    Jacobian weight Theta (6x6 PD); NN1's regularizer R1; the step dt.
-    ``NnlqrOptions`` checks these settings when it is built; this does not.
-    Trained at each step: rbf.W_c; NN2's (3, 7) weights W_dist (rows
-    follow ACCEL_ROWS), which start at zero and are not a constructor
-    argument; and the virtual plant's state X_a, which starts where it
-    is given and which K_tau pulls toward the measurement; the residual
-    X - X_a drives NN2.
+    Fixed over a run: options, the ``NnlqrOptions`` the step reads (the
+    weights Q and R, the virtual-plant gain k_tau, NN2's rate beta,
+    regularizer gamma and Jacobian weight theta_gain, NN1's regularizer
+    r1); the baseline LQR design on the believed model; rbf, NN1's layout
+    (``make_rbf_network``); basis, NN2's; the step dt.  Trained at each
+    step: rbf.W_c; NN2's (3, 7) weights W_dist (rows follow ACCEL_ROWS),
+    which start at zero and are not a constructor argument; and the
+    virtual plant's state X_a, which starts where it is given and which
+    k_tau pulls toward the measurement; the residual X - X_a drives NN2.
 
     Construction also derives the invariants each step reads, as float
-    rows: R^-1 B^T, P, Q, A^T, A's acceleration rows, A + K_tau, Theta's
-    position block, and the virtual plant's exact one-step RK4
-    propagator: with f held over a step, RK4 on x_a' = f - K_tau x_a
-    gives x_a+ = Phi x_a + Psi f, where M = dt K_tau,
+    rows: R^-1 B^T, P, Q, A^T, A's acceleration rows and A + k_tau I, and
+    the virtual plant's exact one-step RK4 propagator: with f held over
+    a step, RK4 on x_a' = f - k_tau x_a gives x_a+ = phi x_a + psi f,
+    one component at a time, where m = dt k_tau,
 
-        Phi = I - M + M^2/2 - M^3/6 + M^4/24,
-        Psi = dt (I - M/2 + M^2/6 - M^3/24).
+        phi = 1 - m + m^2/2 - m^3/6 + m^4/24,
+        psi = dt (1 - m/2 + m^2/6 - m^3/24).
     """
 
+    options: NnlqrOptions
     design: LqrDesign
     rbf: RbfNetwork
     basis: DisturbanceBasis
     X_a: np.ndarray
-    K_tau: np.ndarray
-    beta: float
-    gamma: float
-    Theta: np.ndarray
-    R1: float
     dt: float
     W_dist: np.ndarray = field(init=False, default_factory=lambda: np.zeros((3, 7)))
 
     def __post_init__(self) -> None:
-        d, K_tau = self.design, self.K_tau
-        M = self.dt * K_tau
-        M2 = M @ M
-        M3 = M2 @ M
-        eye = np.eye(6)
-        self._Phi = (eye - M + M2 / 2.0 - M3 / 6.0 + M3 @ M / 24.0).tolist()
-        self._Psi = (self.dt * (eye - M / 2.0 + M2 / 6.0 - M3 / 24.0)).tolist()
-        self._Rinv_Bt = np.linalg.solve(d.R, d.B.T).tolist()
-        self._P, self._Q, self._At = d.P.tolist(), d.Q.tolist(), d.A.T.tolist()
-        self._A_acc, self._A_K = d.A[ACCEL_ROWS].tolist(), (d.A + K_tau).tolist()
-        self._Theta = self.Theta[np.ix_(POSITION_ROWS, POSITION_ROWS)].tolist()
+        o, d = self.options, self.design
+        m = self.dt * o.k_tau
+        m2 = m * m
+        m3 = m2 * m
+        m4 = m3 * m
+        self._phi = 1.0 - m + m2 / 2.0 - m3 / 6.0 + m4 / 24.0
+        self._psi = self.dt * (1.0 - m / 2.0 + m2 / 6.0 - m3 / 24.0)
+        self._Rinv_Bt = np.linalg.solve(o.R, B.T).tolist()
+        self._P, self._Q, self._At = d.P.tolist(), o.Q.tolist(), d.A.T.tolist()
+        self._A_acc, self._A_K = d.A[ACCEL_ROWS].tolist(), (d.A + o.k_tau * np.eye(6)).tolist()
 
 
 # ACCEL_ROWS and POSITION_ROWS as int tuples, to index float lists.
@@ -232,7 +227,7 @@ def nnlqr_control_step(
     ``numerics.rk4_step``; the step knows no time, which the harness
     adds with the step index.
     """
-    dt, W_c, gamma = ctrl.dt, ctrl.rbf.W_c, ctrl.gamma
+    o, dt, W_c = ctrl.options, ctrl.dt, ctrl.rbf.W_c
     x, xd, xd_dot, xa = X.tolist(), Xd.tolist(), Xd_dot.tolist(), ctrl.X_a.tolist()
     # The RBF features at the measured state, which no weight update
     # below changes.
@@ -249,23 +244,19 @@ def nnlqr_control_step(
     ]
 
     # (2) NN2 training from the virtual-plant error.  The basis Jacobian
-    # G is zero outside its position block, so I/gamma + G Theta G^T is
-    # block-diagonal: only its 3x3 position block is solved, and the
-    # other four entries of the direction are gamma phi.
+    # G is zero outside its position block, so I/gamma + G Theta G^T,
+    # Theta = theta_gain I, is block-diagonal: only its 3x3 position
+    # block is solved, and the other four entries of the direction are
+    # gamma phi.
     p, G = ctrl.basis.power_series(x[0], x[2], x[4])
     sin, cos = math.sin(theta), math.cos(theta)
     phi_d = [p * x[0], p * x[2], p * x[4], sin, cos, sin * cos, 1.0]
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = ctrl._Theta
-    G_Theta = [
-        (g0 * t00 + g1 * t10 + g2 * t20, g0 * t01 + g1 * t11 + g2 * t21,
-         g0 * t02 + g1 * t12 + g2 * t22)
-        for g0, g1, g2 in G
-    ]
+    G_Theta = [[g * o.theta_gain for g in row] for row in G]
     M = [[a0 * g0 + a1 * g1 + a2 * g2 for g0, g1, g2 in G] for a0, a1, a2 in G_Theta]
     for i in range(3):
-        M[i][i] += 1.0 / gamma
-    direction = _solve3(M, phi_d[:3]) + [gamma * v for v in phi_d[3:]]
-    rate = dt * ctrl.beta
+        M[i][i] += 1.0 / o.gamma
+    direction = _solve3(M, phi_d[:3]) + [o.gamma * v for v in phi_d[3:]]
+    rate = dt * o.beta
     W = [
         [w + rate * (x[r] - xa[r]) * d for w, d in zip(row, direction)]
         for r, row in zip(_ACCEL, ctrl.W_dist.tolist())
@@ -273,11 +264,11 @@ def nnlqr_control_step(
     ctrl.W_dist = np.array(W)
 
     # (3) virtual-plant propagation under the applied control, with the
-    # forcing f = (A + K_tau) X + B U + d_hat held over the step.
+    # forcing f = (A + k_tau I) X + B U + d_hat held over the step.
     f = _matvec(ctrl._A_K, x)
     for r, u, row in zip(_ACCEL, U, W):
         f[r] += u + sum(map(mul, row, phi_d))
-    xa_next = [a + b for a, b in zip(_matvec(ctrl._Phi, xa), _matvec(ctrl._Psi, f))]
+    xa_next = [ctrl._phi * a + ctrl._psi * b for a, b in zip(xa, f)]
     if not all(map(math.isfinite, xa_next)):
         raise NumericsError("non-finite state after RK4 step of the virtual plant")
     Xa_next = ctrl.X_a = np.array(xa_next)
@@ -301,5 +292,5 @@ def nnlqr_control_step(
 
     # (6) NN1 training toward the network share of the target.
     resid = np.array([t - a - b for t, a, b in zip(lam_target, lam1_next, lam2)])
-    W_c += phi_c[:, None] * resid / (phi_c @ phi_c + ctrl.R1)
+    W_c += phi_c[:, None] * resid / (phi_c @ phi_c + o.r1)
     return np.array(U)

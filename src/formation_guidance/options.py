@@ -7,10 +7,11 @@ name is its CLI config key and whose value is a number or a word.  The
 class's ``bounds`` ({field: (comparison, bound)}) and ``choices``
 ({field: words}) say which values are legal; construction, and so
 ``dataclasses.replace``, raises ValueError naming the field for any
-other value, or one that is not finite.  The weights Q = q_weight I6 and
-R = r_weight I3 are derived, once per object.  The harness hands the
-fields to the library's entry points as required arguments
-(``mpsp_solve``, ``gmpsp_solve`` and the SDRE laws take the object).
+other value, one that is not finite, or a count or flag of another type.
+The weights Q = q_weight I6 and R = r_weight I3 are derived, once per
+object.  The harness hands the object whole to every control law (the
+SDRE laws, ``NnLqrController``, ``mpsp_solve`` and ``gmpsp_solve``);
+only ``design_lqr``, the generic Hill LQR, takes the weights themselves.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
+from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -49,7 +51,8 @@ def _weight_matrix(name: str, n: int) -> cached_property:
 @dataclass(frozen=True)
 class _Options:
     """Checks every field: a word against its choices, a number for
-    being finite and against its bound, if it has one."""
+    being finite and against its bound, if it has one, and then an int
+    field for an integer that is not a bool and a bool field for a bool."""
 
     bounds: ClassVar[dict[str, tuple[str, float]]] = {}
     choices: ClassVar[dict[str, tuple[str, ...]]] = {}
@@ -64,6 +67,10 @@ class _Options:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
             if words is None and not COMPARISONS[comparison](value, bound):
                 raise ValueError(f"{f.name} must be {comparison} {bound}, got {value!r}")
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .numerics import (
     matrix_exponential,
     solve_are,
 )
-from .options import SdreOptions
+from .options import FsdreOptions, SdreOptions
 
 
 class SdreError(RuntimeError):
@@ -28,29 +28,25 @@ class SdreError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiniteHorizonSpec:
-    """Finite-horizon problem data: final time, hard terminal state, weights.
+    """Finite-horizon problem data: final time, hard terminal state, and
+    the options whose SDC factorization and weights Q and R the law reads.
 
     What every step shares is built once, here: ``R_inv_BT = R⁻¹ Bᵀ``
     and ``hamiltonian``, the 12 × 12 Hamiltonian ``[[A, −B R⁻¹ Bᵀ], [−Q,
-    −Aᵀ]]`` with zeros where each step's ``A`` and ``−Aᵀ`` go.  Raises
-    SdreError when ``R`` is singular.
+    −Aᵀ]]`` with zeros where each step's ``A`` and ``−Aᵀ`` go.
     """
 
     tf: float
     Xf: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
+    options: FsdreOptions
     R_inv_BT: np.ndarray = field(init=False, repr=False, compare=False)
     hamiltonian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        try:
-            R_inv_BT = np.linalg.solve(self.R, B.T)
-        except np.linalg.LinAlgError as exc:
-            raise SdreError(f"control weight R is singular: {exc}") from exc
+        R_inv_BT = np.linalg.solve(self.options.R, B.T)
         H = np.zeros((12, 12))
         H[:6, 6:] = -(B @ R_inv_BT)
-        H[6:, :6] = -self.Q
+        H[6:, :6] = -self.options.Q
         object.__setattr__(self, "R_inv_BT", R_inv_BT)
         object.__setattr__(self, "hamiltonian", H)
 
@@ -188,15 +184,15 @@ def finite_time_sdre_control(
     state: np.ndarray,
     t: float,
     horizon: FiniteHorizonSpec,
-    options: SdreOptions,
     kin: ChiefKinematics,
 ) -> np.ndarray:
     """Finite-horizon SDRE control with hard terminal constraint X(tf) = Xf.
 
     The Hamiltonian matrix is assembled from the SDC factorization that
-    ``options`` names, frozen at the current state; its matrix exponential over the remaining
-    horizon gives the state/costate transition blocks, from which the
-    current costate follows from the terminal constraint:
+    ``horizon.options`` names, frozen at the current state; its matrix
+    exponential over the remaining horizon gives the state/costate
+    transition blocks, from which the current costate follows from the
+    terminal constraint:
 
         lambda(t) = phi_12^-1 (Xf - phi_11 X(t)),   U = -R^-1 B^T lambda.
 
@@ -210,7 +206,7 @@ def finite_time_sdre_control(
     tau = horizon.tf - t
     if not tau > 0.0:
         raise SdreError(f"finite-horizon control requested at t={t}, not before tf={horizon.tf}")
-    A = sdc_matrix(state, kin, options)
+    A = sdc_matrix(state, kin, horizon.options)
     H = horizon.hamiltonian.copy()
     H[:6, :6] = A
     H[6:, 6:] = -A.T

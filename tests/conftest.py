@@ -3,6 +3,8 @@ import pytest
 from hypothesis import settings
 
 from formation_guidance import numerics
+from formation_guidance.cli import PRESETS
+from formation_guidance.harness import run_scenario
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite's result does not depend on machine speed or on
@@ -58,3 +60,20 @@ def _contract_holds(A, B, Q, R, P):
 def contract_holds():
     """The independent check of ``solve_are``'s residual/Hurwitz contract."""
     return _contract_holds
+
+
+@pytest.fixture(scope="session")
+def preset_results():
+    """``preset_results(name)`` is ``(scenarios, results, checks)`` of the
+    packaged preset ``name``, run at its own settle band once per session."""
+    cache = {}
+
+    def results(name):
+        if name not in cache:
+            _, factory, settle_pct = PRESETS[name]
+            scenarios, check = factory()
+            runs = {k: run_scenario(s, settle_pct) for k, s in scenarios.items()}
+            cache[name] = (scenarios, runs, check(runs))
+        return cache[name]
+
+    return results

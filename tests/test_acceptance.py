@@ -14,7 +14,6 @@ import pytest
 from formation_guidance.cli import (
     _MPSP_TIGHT_TOL,
     PRESETS,
-    SWEEP_R_THRESHOLD_PCT,
     _chief,
     _form,
     _scenario,
@@ -48,42 +47,30 @@ from formation_guidance.options import CONTROLLER_OPTIONS, FsdreOptions, MpspOpt
 
 POS = [0, 2, 4]
 
-_cache: dict = {}
-
-
-def _preset_results(name, settle_pct=1.0):
-    """Run a packaged preset once per session and cache the results."""
-    if name not in _cache:
-        scenarios, check = PRESETS[name][1]()
-        results = {k: run_scenario(s, settle_pct) for k, s in scenarios.items()}
-        _cache[name] = (results, check(results))
-    return _cache[name]
-
-
 def _assert_checks(checks):
     for label, passed, detail in checks:
         assert passed, f"{label}: {detail}"
 
 
-def test_criterion_01_lqr_circular_reconfiguration():
+def test_criterion_01_lqr_circular_reconfiguration(preset_results):
     # Terminal position errors within 5x the reference magnitudes
     # (0.0081 / 0.0153 / 0.033 km), in under 10 s of wall time.
     start = time.monotonic()
-    _, checks = _preset_results("lqr-circular")
+    _, _, checks = preset_results("lqr-circular")
     assert time.monotonic() - start < 10.0
     _assert_checks(checks)
 
 
-def test_criterion_02_lqr_eccentric_degradation():
+def test_criterion_02_lqr_eccentric_degradation(preset_results):
     # e = 0.15 chief degrades the terminal error norm by at least 10x.
-    _, checks = _preset_results("lqr-eccentric")
+    _, _, checks = preset_results("lqr-eccentric")
     _assert_checks(checks)
 
 
-def test_criterion_03_mpsp_convergence():
+def test_criterion_03_mpsp_convergence(preset_results):
     # Relative baseline error < 0.5% within 10 iterations and terminal
     # position errors each <= 1e-2 km on the eccentric scenario.
-    results, checks = _preset_results("mpsp-eccentric")
+    _, results, checks = preset_results("mpsp-eccentric")
     _assert_checks(checks)
     assert len(results["run"].log) <= 11
 
@@ -102,17 +89,17 @@ def test_criterion_04_mpsp_effort_below_sdre():
     assert 0.7 <= ratio < 1.0
 
 
-def test_criterion_05_mpsp_under_oblateness():
+def test_criterion_05_mpsp_under_oblateness(preset_results):
     # MPSP holds 1e-2 km terminal accuracy with J2 on while the
     # plan-and-replay comparator is at least 10x worse.
-    _, checks = _preset_results("mpsp-j2")
+    _, _, checks = preset_results("mpsp-j2")
     _assert_checks(checks)
 
 
-def test_criterion_06_gmpsp_convergence():
+def test_criterion_06_gmpsp_convergence(preset_results):
     # %rho error < 1% within 10 iterations, terminal position errors
     # each <= 2e-2 km, J2 on.
-    _, checks = _preset_results("gmpsp")
+    _, _, checks = preset_results("gmpsp")
     _assert_checks(checks)
 
 
@@ -133,26 +120,26 @@ def test_criterion_07_mpsp_gmpsp_cross_consistency():
         assert diff <= 0.05 * np.linalg.norm(res[kind].terminal_errors)
 
 
-def test_criterion_08_sdc_factorization_comparison():
+def test_criterion_08_sdc_factorization_comparison(preset_results):
     # Eccentric chief: sigma-form error >= 10x power-series; circular
     # chief: the two factorizations agree within 2x.
-    _, checks = _preset_results("fsdre")
+    _, _, checks = preset_results("fsdre")
     _assert_checks(checks)
 
 
-def test_criterion_09_r_sweep_trends():
+def test_criterion_09_r_sweep_trends(preset_results):
     # Settle strictly increasing, effort strictly decreasing over
     # R in {1e8,...,1e11}; settle times inside [0.5x, 2x] of the
     # reference {1500, 2000, 5000, 7500} s.
-    _, checks = _preset_results("sweep-r", settle_pct=SWEEP_R_THRESHOLD_PCT)
+    _, _, checks = preset_results("sweep-r")
     _assert_checks(checks)
 
 
-def test_criterion_10_network_augmentation_benefit():
+def test_criterion_10_network_augmentation_benefit(preset_results):
     # Chief-uncertainty scenario (truth a = 11114.51658 km, e = 0.5, J2
     # on): augmented error norm <= 1/20 of plain LQR; each augmented
     # position error <= 0.5 km.
-    _, checks = _preset_results("nnlqr")
+    _, _, checks = preset_results("nnlqr")
     _assert_checks(checks)
 
 

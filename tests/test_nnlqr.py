@@ -479,8 +479,9 @@ class TestCostateBackprop:
         # Along the frozen-linear LQR closed loop the costate is P x(t);
         # one backward Euler step from P x(t+dt) recovers P x(t) with an
         # O(dt^2) defect.
-        design = design_lqr(OMEGA, Q=np.eye(6), R=1e6 * np.eye(3))
-        A_cl = design.A - design.B @ design.K
+        Q = np.eye(6)
+        design = design_lqr(OMEGA, Q=Q, R=1e6 * np.eye(3))
+        A_cl = design.A - B @ design.K
         x0 = np.array([1.0, 0.0, -0.5, 0.0, 0.2, 0.0])
         scale = np.linalg.norm(design.P @ x0)
         defects = {}
@@ -488,7 +489,7 @@ class TestCostateBackprop:
             x_next = rk4_step(lambda t, x: A_cl @ x, 0.0, x0, dt)
             lam = costate_backprop(
                 x_next, np.zeros(6), design.P @ x_next,
-                design.A, design.Q, np.zeros((6, 6)), dt,
+                design.A, Q, np.zeros((6, 6)), dt,
             )
             defects[dt] = np.linalg.norm(lam - design.P @ x0) / scale
         assert defects[0.5] < 5e-4
@@ -500,8 +501,8 @@ def _reference_step(ctrl, X, Xd, Xd_dot, Xd_next, theta):
     """The NN-LQR step composed from the reference pieces above: the
     oracle of ``nnlqr_control_step``, which computes the same up to
     round-off."""
-    design, dt = ctrl.design, ctrl.dt
-    P, A, B, Q, R = design.P, design.A, design.B, design.Q, design.R
+    o, dt = ctrl.options, ctrl.dt
+    P, A, Q, R = ctrl.design.P, ctrl.design.A, o.Q, o.R
     phi_c = rbf_features(ctrl.rbf, X)
     phi_d = basis_eval(ctrl.basis, X, theta)
     J_d = basis_jacobian(ctrl.basis, X, theta)
@@ -510,10 +511,11 @@ def _reference_step(ctrl, X, Xd, Xd_dot, Xd_next, theta):
     lam2 = ctrl.rbf.W_c.T @ phi_c
     U = -np.linalg.solve(R, B.T @ (lam1 + lam2)) + lqr_feedforward(A, Xd, Xd_dot)
     # (2) NN2 training from the virtual-plant error.
-    nn2_update(ctrl.W_dist, X - ctrl.X_a, phi_d, J_d, ctrl.beta, ctrl.gamma, ctrl.Theta, dt)
+    Theta = o.theta_gain * np.eye(6)
+    nn2_update(ctrl.W_dist, X - ctrl.X_a, phi_d, J_d, o.beta, o.gamma, Theta, dt)
     # (3) virtual-plant propagation under the applied control.
     Xa_next = ctrl.X_a = virtual_plant_step(
-        ctrl.X_a, ctrl.K_tau, X, U, d_hat(ctrl.W_dist, phi_d), A, B, dt
+        ctrl.X_a, o.k_tau * np.eye(6), X, U, d_hat(ctrl.W_dist, phi_d), A, B, dt
     )
     # (4) costates at the predicted state.
     lam1_next = P @ (Xa_next - Xd_next)
@@ -524,44 +526,41 @@ def _reference_step(ctrl, X, Xd, Xd_dot, Xd_next, theta):
         d_hat_jacobian(ctrl.W_dist, J_d), dt,
     )
     # (6) NN1 training toward the network share of the target.
-    nn1_update(ctrl.rbf, lam_target - lam1_next, phi_c, ctrl.R1)
+    nn1_update(ctrl.rbf, lam_target - lam1_next, phi_c, o.r1)
     return U
 
 
 def _controller(layout="grid", **fields):
-    """An NN-LQR controller on ORBIT with the ``layout`` costate network;
-    ``fields`` override its other settings."""
-    settings = dict(
-        design=design_lqr(OMEGA, Q=200.0 * np.eye(6), R=NnlqrOptions().R),
+    """An NN-LQR controller on ORBIT with the ``layout`` costate network
+    and an LQR design on its options' weights; ``fields`` override the
+    options' fields."""
+    options = NnlqrOptions(**{"q_weight": 200.0, "r1": 0.09, **fields})
+    return NnLqrController(
+        options=options,
+        design=design_lqr(OMEGA, options.Q, options.R),
         rbf=make_rbf_network(layout, 5.0, OMEGA),
         basis=DisturbanceBasis(ORBIT.a),
         X_a=np.zeros(6),
-        K_tau=0.1 * np.eye(6),
-        beta=0.01,
-        gamma=100.0,
-        Theta=np.eye(6),
-        R1=0.09,
         dt=1.0,
     )
-    return NnLqrController(**{**settings, **fields})
 
 
 class TestControlStep:
     @pytest.mark.parametrize("basis", ["global", "grid"])
     def test_matches_reference_composition(self, basis):
         """50 seeded steps, each from a random state, weights, virtual
-        plant, K_tau and SPD Theta: the lean step agrees with the
-        composition of the reference pieces within 1e-13 of each quantity's
-        largest magnitude."""
+        plant, virtual-plant gain k_tau in [0.05, 0.5] and Jacobian weight
+        theta_gain in [0.5, 2]: the lean step agrees with the composition
+        of the reference pieces within 1e-13 of each quantity's largest
+        magnitude."""
         rng = np.random.default_rng(23)
         scale = np.array([5.0, 5e-3, 5.0, 5e-3, 5.0, 5e-3])
         form = FormationParams(rho=5.0, theta=0.2, m_slope=1.0)
         for _ in range(50):
-            L = rng.normal(size=(6, 6))
             settings = dict(
                 layout=basis,
-                K_tau=np.diag(rng.uniform(0.05, 0.5, 6)),
-                Theta=np.eye(6) + 0.1 * L @ L.T,
+                k_tau=rng.uniform(0.05, 0.5),
+                theta_gain=rng.uniform(0.5, 2.0),
             )
             lean, ref = _controller(**settings), _controller(**settings)
             W_c = 1e3 * rng.normal(size=lean.rbf.W_c.shape)
@@ -612,14 +611,13 @@ class TestControlStep:
             NnlqrOptions(r1=0.0)
 
     def test_zero_nets_match_plain_tracking_control(self):
-        design = design_lqr(OMEGA, NnlqrOptions().Q, NnlqrOptions().R)
-        ctrl = _controller(design=design, R1=1.0)
+        ctrl = _controller(q_weight=1.0, r1=1.0)
         rng = np.random.default_rng(9)
         X = rng.normal(size=6)
         Xd = formation_to_hill(FormationParams(rho=5.0, theta=0.2, m_slope=1.0), OMEGA, 0.0)
         Xd_dot = np.zeros(6)
         U = nnlqr_control_step(ctrl, X, Xd, Xd_dot, Xd, 0.0)
-        expected = lqr_tracking_control(design, X, Xd, Xd_dot)
+        expected = lqr_tracking_control(ctrl.design, X, Xd, Xd_dot)
         np.testing.assert_allclose(U, expected, rtol=1e-12)
 
     def test_features_evaluated_once_per_state(self, monkeypatch):

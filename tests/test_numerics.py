@@ -23,7 +23,7 @@ from formation_guidance.numerics import (
     rk4_step,
     solve_are,
 )
-from formation_guidance.options import SdreOptions
+from formation_guidance.options import FsdreOptions, SdreOptions
 from formation_guidance.sdre import FiniteHorizonSpec, sdc1_matrix, sdc_matrix
 
 
@@ -718,7 +718,7 @@ class TestMatrixExponential:
         where ``‖H τ‖₁ = 2000`` takes 9 squarings although the spectral
         radius of ``H τ`` is about 2; 1.6e-13 at 300 s and 2e-15 at 30 s."""
         tf = 2000.0
-        spec = FiniteHorizonSpec(tf=tf, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=1e9 * np.eye(3))
+        spec = FiniteHorizonSpec(tf=tf, Xf=np.zeros(6), options=FsdreOptions())
         initial = FormationParams(rho=10.0, theta=np.radians(5.0), m_slope=1.0)
         desired = FormationParams(rho=100.0, theta=np.radians(35.0), m_slope=1.5)
         for e in (0.0, 0.15):

@@ -82,6 +82,28 @@ def test_non_finite_number_rejected(cls, name, value):
             make(**{name: value})
 
 
+@pytest.mark.parametrize("cls, name, value, what", [
+    (MpspOptions, "max_iter", 2.5, "an integer"),
+    (MpspOptions, "max_iter", True, "an integer"),
+    (SdreOptions, "series_order", 2.5, "an integer"),
+    (SdreOptions, "series_order", True, "an integer"),
+    (LqrOptions, "open_loop", 2.0, "true or false"),
+    (LqrOptions, "open_loop", 1, "true or false"),
+    (FsdreOptions, "open_loop", 0.0, "true or false"),
+])
+def test_count_or_flag_of_another_type_rejected(cls, name, value, what):
+    for make in _makers(cls):
+        with pytest.raises(ValueError, match=f"^{name} must be {what}, got {value!r}$"):
+            make(**{name: value})
+
+
+def test_counts_and_flags_of_their_type_accepted():
+    for make in _makers(MpspOptions):
+        assert make(max_iter=np.int64(3)).max_iter == 3
+    for make in _makers(LqrOptions):
+        assert make(open_loop=True).open_loop is True
+
+
 @pytest.mark.parametrize("cls, name, words", CHOICES, ids=_ids(CHOICES))
 def test_words_outside_the_choices_rejected(cls, name, words):
     for make in _makers(cls):

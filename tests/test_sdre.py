@@ -295,10 +295,8 @@ class TestFiniteTimeControl:
     def test_natural_trajectory_needs_no_control(self):
         """If the free drift already reaches Xf with Q = 0, lambda = 0."""
         kin = chief_kinematics(CIRC, nu=0.0)
-        horizon = FiniteHorizonSpec(
-            tf=600.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=1e9 * np.eye(3)
-        )
-        u = finite_time_sdre_control(np.zeros(6), 0.0, horizon, FSDRE_OPTIONS, kin)
+        horizon = FiniteHorizonSpec(tf=600.0, Xf=np.zeros(6), options=FSDRE_OPTIONS)
+        u = finite_time_sdre_control(np.zeros(6), 0.0, horizon, kin)
         np.testing.assert_allclose(u, np.zeros(3), atol=1e-18)
 
     def test_double_integrator_minimum_energy_law(self):
@@ -332,32 +330,27 @@ class TestFiniteTimeControl:
         kin = chief_kinematics(CIRC, nu=0.0)
         tf, dt = 2000.0, 1.0
         Xf = formation_to_hill(FormationParams(rho=10.0, theta=0.5, m_slope=1.0), OMEGA, tf)
-        horizon = FiniteHorizonSpec(tf=tf, Xf=Xf, Q=np.zeros((6, 6)), R=1e9 * np.eye(3))
+        horizon = FiniteHorizonSpec(tf=tf, Xf=Xf, options=FSDRE_OPTIONS)
         X = formation_to_hill(FormationParams(rho=1.0, theta=0.1, m_slope=1.0), OMEGA, 0.0)
         n = int(tf / dt)
         for k in range(n):
             t = k * dt
-            u = finite_time_sdre_control(X, t, horizon, FSDRE_OPTIONS, kin)
+            u = finite_time_sdre_control(X, t, horizon, kin)
             X = rk4_step(lambda tt, v: A_hill @ v + B @ u, t, X, dt)
         assert np.linalg.norm(X[[0, 2, 4]] - Xf[[0, 2, 4]]) < 1e-6
 
     def test_past_horizon_rejected(self):
         kin = chief_kinematics(CIRC, nu=0.0)
-        horizon = FiniteHorizonSpec(tf=10.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=np.eye(3))
+        horizon = FiniteHorizonSpec(tf=10.0, Xf=np.zeros(6), options=FSDRE_OPTIONS)
         with pytest.raises(SdreError):
-            finite_time_sdre_control(np.zeros(6), 10.0, horizon, FSDRE_OPTIONS, kin)
+            finite_time_sdre_control(np.zeros(6), 10.0, horizon, kin)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t):
         kin = chief_kinematics(CIRC, nu=0.0)
-        horizon = FiniteHorizonSpec(tf=10.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=np.eye(3))
+        horizon = FiniteHorizonSpec(tf=10.0, Xf=np.zeros(6), options=FSDRE_OPTIONS)
         with pytest.raises(SdreError, match="not before tf"):
-            finite_time_sdre_control(np.zeros(6), t, horizon, FSDRE_OPTIONS, kin)
-
-    @pytest.mark.parametrize("R", [np.zeros((3, 3)), np.diag([1.0, 0.0, 1.0])])
-    def test_singular_weight_rejected_by_the_spec(self, R):
-        with pytest.raises(SdreError, match="R is singular"):
-            FiniteHorizonSpec(tf=10.0, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=R)
+            finite_time_sdre_control(np.zeros(6), t, horizon, kin)
 
     @pytest.mark.parametrize("variant", ["SDC1", "SDC2"])
     @pytest.mark.parametrize("e", [0.0, 0.15])
@@ -375,9 +368,9 @@ class TestFiniteTimeControl:
                                omega, 0.0)
         Xf = formation_to_hill(FormationParams(rho=100.0, theta=math.radians(35.0), m_slope=1.5),
                                omega, tf)
-        Q, R = np.zeros((6, 6)), 1e9 * np.eye(3)
-        horizon = FiniteHorizonSpec(tf=tf, Xf=Xf, Q=Q, R=R)
         options = FsdreOptions(variant=variant)
+        Q, R = options.Q, options.R
+        horizon = FiniteHorizonSpec(tf=tf, Xf=Xf, options=options)
         for frac in (0.0, 0.3, 0.6, 0.9, 0.999):
             t = frac * tf
             kin = chief_kinematics(chief, chief.nu0 + omega * t)
@@ -388,17 +381,15 @@ class TestFiniteTimeControl:
             assert np.linalg.cond(phi[:6, 6:]) < 1e12
             lam = np.linalg.solve(phi[:6, 6:], Xf - phi[:6, :6] @ X)
             expected = -np.linalg.solve(R, B.T @ lam)
-            u = finite_time_sdre_control(X, t, horizon, options, kin)
+            u = finite_time_sdre_control(X, t, horizon, kin)
             assert np.linalg.norm(u - expected) <= 1e-10 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("tf", [1e-6, 1e6])
     def test_degenerate_horizon_conditioning_guard(self, tf):
         kin = chief_kinematics(CIRC, nu=0.0)
-        horizon = FiniteHorizonSpec(
-            tf=tf, Xf=np.zeros(6), Q=np.zeros((6, 6)), R=1e9 * np.eye(3)
-        )
+        horizon = FiniteHorizonSpec(tf=tf, Xf=np.zeros(6), options=FSDRE_OPTIONS)
         with pytest.raises(SdreError):
-            finite_time_sdre_control(np.ones(6) * 1e-3, 0.0, horizon, FSDRE_OPTIONS, kin)
+            finite_time_sdre_control(np.ones(6) * 1e-3, 0.0, horizon, kin)
 
 
 class TestModelValidation:
