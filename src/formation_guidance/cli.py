@@ -56,6 +56,7 @@ import argparse
 import math
 import sys
 from dataclasses import MISSING, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -618,6 +619,15 @@ def _emit_run(out: Path, name: str, result: RunResult) -> None:
         write_iteration_log_csv(out / f"{name}_iterations.csv", result)
 
 
+def _reproduce_scenario(out: Path, preset: str, name: str, scenario: Scenario, run) -> RunResult:
+    """Write the config of ``{preset}_{name}``, fly it by ``run`` and write its reports."""
+    stem = f"{preset}_{name}"
+    (out / f"{stem}.cfg").write_text(serialize_scenario(scenario), encoding="utf-8")
+    result = run(scenario)
+    _emit_run(out, stem, result)
+    return result
+
+
 def _print_metrics(name: str, result: RunResult) -> None:
     e = result.terminal_errors
     settle = "not-settled" if result.settle_time == NOT_SETTLED else f"{result.settle_time:g} s"
@@ -686,13 +696,10 @@ def cmd_reproduce(args) -> int:
     _, factory, settle_pct = PRESETS[args.preset]
     scenarios, check = factory()
     out = _outdir(args)
+    run = partial(run_scenario, settle_threshold_pct=settle_pct)
     results = {}
     for name, scn in scenarios.items():
-        (out / f"{args.preset}_{name}.cfg").write_text(
-            serialize_scenario(scn), encoding="utf-8"
-        )
-        results[name] = run_scenario(scn, settle_pct)
-        _emit_run(out, f"{args.preset}_{name}", results[name])
+        results[name] = _reproduce_scenario(out, args.preset, name, scn, run)
         _print_metrics(f"{args.preset}/{name}", results[name])
     all_ok = True
     for label, passed, detail in check(results):

@@ -153,31 +153,22 @@ def _feedback_law(
 
     Xd and Xd_dot are the commanded states and their derivatives on the
     grid (see :func:`desired_trajectory`); law k reads their row k, and
-    the finite-time SDRE's terminal constraint is Xd's last row.
+    the finite-time SDRE's terminal constraint is Xd's last row.  NN-LQR's
+    virtual plant starts at x0.
     """
-    opts = scenario.controller
-    believed, desired, dt = scenario.chief, scenario.desired, scenario.dt
-    omega = believed.mean_motion()
+    opts, believed, dt = scenario.controller, scenario.chief, scenario.dt
 
     if opts.kind == "zero":
         return lambda k, t, X: np.zeros(3)
 
     if opts.kind == "lqr":
-        design = design_lqr(omega, Q=opts.Q, R=opts.R)
+        design = design_lqr(believed.mean_motion(), Q=opts.Q, R=opts.R)
         return lambda k, t, X: lqr_tracking_control(design, X, Xd[k], Xd_dot[k])
 
     if opts.kind == "nnlqr":
-        rbf = nnlqr.make_rbf_network(opts.basis, desired.rho or RENDEZVOUS_LENGTH_KM, omega)
-        ctrl = nnlqr.NnLqrController(
-            options=opts, design=design_lqr(omega, Q=opts.Q, R=opts.R), rbf=rbf,
-            basis=nnlqr.DisturbanceBasis(believed.a), X_a=x0.copy(), dt=dt,
-        )
-
-        def nnlqr_law(k, t, X):
-            theta = believed.arg_perigee + believed.nu0 + omega * t
-            return nnlqr.nnlqr_control_step(ctrl, X, Xd[k], Xd_dot[k], Xd[k + 1], theta)
-
-        return nnlqr_law
+        scale = scenario.desired.rho or RENDEZVOUS_LENGTH_KM
+        ctrl = nnlqr.NnLqrController(opts, believed, scale, x0.copy(), dt)
+        return lambda k, t, X: nnlqr.nnlqr_control_step(ctrl, X, Xd[k], Xd_dot[k], Xd[k + 1], t)
 
     # Believed chief kinematics on the control grid.
     kins = chief_kinematics_table(believed, propagate_nu(believed, scenario.n_steps, dt))
@@ -212,11 +203,15 @@ def _run_closed_loop(
     anomalies and the (N, 3) controls of ``RelativePlant.simulate``.
 
     reference is the (Xd, Xd_dot) pair of :func:`desired_trajectory`.
-    numpy's floating-point warnings are silenced: a law or flight that
-    goes non-finite fails on its own error, at its step, instead.
+    A law that cannot be built fails as its step 0.  numpy's warnings
+    are silenced: a law or flight that goes non-finite fails on its own
+    error, at its step, instead.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        law = _feedback_law(scenario, x0, *reference)
+        try:
+            law = _feedback_law(scenario, x0, *reference)
+        except Exception as exc:
+            raise HarnessError(f"controller failed at step 0 (t=0.0): {exc}") from exc
 
         def policy(k, t, X):
             try:
@@ -388,18 +383,9 @@ def format_compare_table(cells: Sequence[CompareCell]) -> str:
         if cell.result is None:
             rows.append([cell.scenario_name, cell.controller_name, "error:", cell.error or "", "", "", ""])
             continue
-        e = cell.result.terminal_errors
-        rows.append(
-            [
-                cell.scenario_name,
-                cell.controller_name,
-                f"{e[0]:.6g}",
-                f"{e[2]:.6g}",
-                f"{e[4]:.6g}",
-                f"{cell.result.rho_error_pct:.6g}",
-                f"{cell.result.control_effort:.6g}",
-            ]
-        )
+        res = cell.result
+        values = (*res.terminal_errors[POSITION_ROWS], res.rho_error_pct, res.control_effort)
+        rows.append([cell.scenario_name, cell.controller_name, *(f"{v:.6g}" for v in values)])
     widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
     lines = ["  ".join(r[i].ljust(widths[i]) for i in range(len(headers))).rstrip() for r in rows]
     return "\n".join(lines) + "\n"

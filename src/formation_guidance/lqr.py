@@ -30,8 +30,6 @@ def design_lqr(omega: float, Q: np.ndarray, R: np.ndarray) -> LqrDesign:
     Q is the 6x6 state weight and R the 3x3 control weight.  The closed
     loop A - BK is guaranteed Hurwitz by the Riccati solver contract.
     """
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
     A, B = hill_linear_matrices(omega)
     P = solve_are(A, B, Q, R)
     K = np.linalg.solve(R, B.T @ P)

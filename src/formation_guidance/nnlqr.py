@@ -5,8 +5,8 @@ believed (possibly wrong) chief model: NN1 is a radial-basis-function
 network producing an additive costate correction, trained online from a
 back-propagated costate target; NN2 identifies the unmodeled dynamics
 channel-by-channel through a virtual plant whose tracking error drives a
-Lyapunov-based weight update.  One ``NnLqrController`` holds all of it,
-and ``nnlqr_control_step`` advances it by one step.
+Lyapunov-based weight update.  One ``NnLqrController``, built from its
+options and the believed chief, holds it all; ``nnlqr_control_step`` steps it.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from operator import mul
 
 import numpy as np
 
-from .dynamics import ACCEL_ROWS, POSITION_ROWS, B
-from .lqr import LqrDesign
+from .dynamics import ACCEL_ROWS, POSITION_ROWS, B, ChiefOrbit
+from .lqr import LqrDesign, design_lqr
 from .numerics import NumericsError
 from .options import NnlqrOptions
 
@@ -120,20 +120,20 @@ class DisturbanceBasis:
 class NnLqrController:
     """The augmented controller: its settings and its trained state.
 
-    Fixed over a run: options, the ``NnlqrOptions`` the step reads (the
-    weights Q and R, the virtual-plant gain k_tau, NN2's rate beta,
-    regularizer gamma and Jacobian weight theta_gain, NN1's regularizer
-    r1); the baseline LQR design on the believed model; rbf, NN1's layout
-    (``make_rbf_network``); basis, NN2's; the step dt.  Trained at each
-    step: rbf.W_c; NN2's (3, 7) weights W_dist (rows follow ACCEL_ROWS),
-    which start at zero and are not a constructor argument; and the
-    virtual plant's state X_a, which starts where it is given and which
-    k_tau pulls toward the measurement; the residual X - X_a drives NN2.
+    Given: options, the ``NnlqrOptions`` the step reads; chief, the
+    believed chief orbit; scale, the length [km] of NN1's grid layout;
+    X_a, the virtual plant's initial state; and dt.  Built from them, so
+    none can disagree with the options: design, the LQR on the chief's
+    mean motion and the options' Q and R; rbf, NN1's ``make_rbf_network``
+    layout; basis, NN2's, on the chief radius; and NN2's (3, 7) weights
+    W_dist (rows follow ACCEL_ROWS), at zero.  Trained at each step:
+    rbf.W_c, W_dist, and X_a, which k_tau pulls toward the measurement.
 
-    Construction also derives the invariants each step reads, as float
-    rows: R^-1 B^T, P, Q, A^T, A's acceleration rows and A + k_tau I, and
-    the virtual plant's exact one-step RK4 propagator: with f held over
-    a step, RK4 on x_a' = f - k_tau x_a gives x_a+ = phi x_a + psi f,
+    Construction also derives the invariants each step reads, as floats:
+    R^-1 B^T, P, Q, A^T, A's acceleration rows, A + k_tau I, NN2's
+    argument of latitude arg_perigee + nu0 at t = 0 and its rate omega,
+    and the virtual plant's exact one-step RK4 propagator: with f held
+    over a step, RK4 on x_a' = f - k_tau x_a gives x_a+ = phi x_a + psi f,
     one component at a time, where m = dt k_tau,
 
         phi = 1 - m + m^2/2 - m^3/6 + m^4/24,
@@ -141,15 +141,22 @@ class NnLqrController:
     """
 
     options: NnlqrOptions
-    design: LqrDesign
-    rbf: RbfNetwork
-    basis: DisturbanceBasis
+    chief: ChiefOrbit
+    scale: float
     X_a: np.ndarray
     dt: float
+    design: LqrDesign = field(init=False)
+    rbf: RbfNetwork = field(init=False)
+    basis: DisturbanceBasis = field(init=False)
     W_dist: np.ndarray = field(init=False, default_factory=lambda: np.zeros((3, 7)))
 
     def __post_init__(self) -> None:
-        o, d = self.options, self.design
+        o, chief = self.options, self.chief
+        omega = chief.mean_motion()
+        self.design = d = design_lqr(omega, o.Q, o.R)
+        self.rbf = make_rbf_network(o.basis, self.scale, omega)
+        self.basis = DisturbanceBasis(chief.a)
+        self._theta0, self._omega = chief.arg_perigee + chief.nu0, float(omega)
         m = self.dt * o.k_tau
         m2 = m * m
         m3 = m2 * m
@@ -194,9 +201,9 @@ def nnlqr_control_step(
     Xd: np.ndarray,
     Xd_dot: np.ndarray,
     Xd_next: np.ndarray,
-    theta: float,
+    t: float,
 ) -> np.ndarray:
-    """One control-and-training cycle; returns the applied control.
+    """One control-and-training cycle at time t; returns the applied control.
 
     Steps: (1) evaluate the LQR costate lambda_1 = P (X - Xd) and the
     network costate lambda_2 at the current state and form the control;
@@ -224,8 +231,8 @@ def nnlqr_control_step(
     The fixed-size algebra runs in floats on the controller's run
     invariants; the RBF layer stays in numpy.  Raises NumericsError for a
     non-finite virtual-plant state, with the start of the message of
-    ``numerics.rk4_step``; the step knows no time, which the harness
-    adds with the step index.
+    ``numerics.rk4_step``; t enters only NN2's basis, and the harness
+    adds the step index and time to the message.
     """
     o, dt, W_c = ctrl.options, ctrl.dt, ctrl.rbf.W_c
     x, xd, xd_dot, xa = X.tolist(), Xd.tolist(), Xd_dot.tolist(), ctrl.X_a.tolist()
@@ -249,6 +256,7 @@ def nnlqr_control_step(
     # block is solved, and the other four entries of the direction are
     # gamma phi.
     p, G = ctrl.basis.power_series(x[0], x[2], x[4])
+    theta = ctrl._theta0 + ctrl._omega * t
     sin, cos = math.sin(theta), math.cos(theta)
     phi_d = [p * x[0], p * x[2], p * x[4], sin, cos, sin * cos, 1.0]
     G_Theta = [[g * o.theta_gain for g in row] for row in G]

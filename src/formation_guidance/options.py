@@ -11,7 +11,7 @@ other value, one that is not finite, or a count or flag of another type.
 The weights Q = q_weight I6 and R = r_weight I3 are derived, once per
 object.  The harness hands the object whole to every control law (the
 SDRE laws, ``NnLqrController``, ``mpsp_solve`` and ``gmpsp_solve``);
-only ``design_lqr``, the generic Hill LQR, takes the weights themselves.
+only ``design_lqr``, the Hill LQR of LQR and NN-LQR, takes the weights.
 """
 
 from __future__ import annotations

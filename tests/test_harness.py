@@ -46,6 +46,7 @@ from formation_guidance.options import (
     SdreOptions,
     ZeroOptions,
 )
+from formation_guidance.sdre import SdreError
 from test_nnlqr import nn1_update
 
 CIRC = ChiefOrbit(a=10000.0)
@@ -230,6 +231,23 @@ class TestRunScenario:
         with pytest.raises(HarnessError, match=r"step 0 .*pointwise Riccati failed") as exc:
             run_scenario(_natural_scenario("sdre", tf=10.0, r_weight=1e-320))
         assert not isinstance(exc.value.__cause__, RuntimeWarning)
+
+    @pytest.mark.parametrize("options, cause", [
+        (LqrOptions(r_weight=1e-320), NumericsError),
+        (LqrOptions(r_weight=1e-320, open_loop=True), NumericsError),
+        (NnlqrOptions(r_weight=1e-320), NumericsError),
+        (SdreOptions(r_weight=1e-320), SdreError),
+        (FsdreOptions(r_weight=1e-320), NumericsError),
+    ], ids=["lqr", "lqr-open-loop", "nnlqr", "sdre", "fsdre"])
+    def test_subnormal_weight_fails_at_step_0_of_every_kind(self, options, cause):
+        """A legal control weight that no law can be built or flown with
+        fails as the controller's step 0, whether the law fails while it
+        is built (LQR's and NN-LQR's Riccati design) or at its first
+        step, with the library's error as the cause."""
+        scn = dataclasses.replace(_natural_scenario(tf=20.0), controller=options)
+        with pytest.raises(HarnessError, match=r"^controller failed at step 0 \(t=0\.0\): ") as exc:
+            run_scenario(scn)
+        assert type(exc.value.__cause__) is cause
 
     def test_sdre_warm_start_does_not_leak_between_runs(self, care_calls):
         """Each run starts cold: R = 1e8 after R = 1e11, or after itself,

@@ -28,7 +28,7 @@ from formation_guidance.nnlqr import (
 from formation_guidance.numerics import NumericsError, fd_jacobian, rk4_step
 from formation_guidance.options import NnlqrOptions
 
-ORBIT = ChiefOrbit(a=10000.0)
+ORBIT = ChiefOrbit(a=10000.0, arg_perigee=0.4, nu0=0.7)
 OMEGA = ORBIT.mean_motion()
 B = np.zeros((6, 3))
 B[1, 0] = B[3, 1] = B[5, 2] = 1.0
@@ -497,11 +497,13 @@ class TestCostateBackprop:
         assert defects[0.25] < defects[0.5] / 3.0
 
 
-def _reference_step(ctrl, X, Xd, Xd_dot, Xd_next, theta):
-    """The NN-LQR step composed from the reference pieces above: the
-    oracle of ``nnlqr_control_step``, which computes the same up to
-    round-off."""
-    o, dt = ctrl.options, ctrl.dt
+def _reference_step(ctrl, X, Xd, Xd_dot, Xd_next, t):
+    """The NN-LQR step at time t composed from the reference pieces
+    above: the oracle of ``nnlqr_control_step``, which computes the same
+    up to round-off.  NN2's basis reads the believed chief's argument of
+    latitude at t."""
+    o, dt, chief = ctrl.options, ctrl.dt, ctrl.chief
+    theta = chief.arg_perigee + chief.nu0 + chief.mean_motion() * t
     P, A, Q, R = ctrl.design.P, ctrl.design.A, o.Q, o.R
     phi_c = rbf_features(ctrl.rbf, X)
     phi_d = basis_eval(ctrl.basis, X, theta)
@@ -530,19 +532,34 @@ def _reference_step(ctrl, X, Xd, Xd_dot, Xd_next, theta):
     return U
 
 
-def _controller(layout="grid", **fields):
-    """An NN-LQR controller on ORBIT with the ``layout`` costate network
-    and an LQR design on its options' weights; ``fields`` override the
-    options' fields."""
+def _controller(**fields):
+    """An NN-LQR controller on ORBIT with a 5 km grid scale; ``fields``
+    override the options' fields."""
     options = NnlqrOptions(**{"q_weight": 200.0, "r1": 0.09, **fields})
-    return NnLqrController(
-        options=options,
-        design=design_lqr(OMEGA, options.Q, options.R),
-        rbf=make_rbf_network(layout, 5.0, OMEGA),
-        basis=DisturbanceBasis(ORBIT.a),
-        X_a=np.zeros(6),
-        dt=1.0,
-    )
+    return NnLqrController(options, ORBIT, 5.0, np.zeros(6), 1.0)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("name", ["design", "rbf", "basis", "W_dist"])
+    def test_derived_parts_are_not_arguments(self, name):
+        with pytest.raises(TypeError, match=name):
+            NnLqrController(NnlqrOptions(), ORBIT, 5.0, np.zeros(6), 1.0, **{name: None})
+
+    def test_design_is_the_lqr_of_the_options_weights(self):
+        ctrl = _controller()
+        want = design_lqr(OMEGA, ctrl.options.Q, ctrl.options.R)
+        for name in ("P", "K", "A"):
+            assert getattr(ctrl.design, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("basis", ["global", "grid"])
+    def test_networks_follow_the_options_and_the_chief(self, basis):
+        ctrl = _controller(basis=basis)
+        want = make_rbf_network(basis, 5.0, OMEGA)
+        np.testing.assert_array_equal(ctrl.rbf.centers, want.centers)
+        assert (ctrl.rbf.width, ctrl.rbf.vel_scale) == (want.width, want.vel_scale)
+        np.testing.assert_array_equal(ctrl.rbf.W_c, want.W_c)
+        assert ctrl.basis == DisturbanceBasis(ORBIT.a)
+        np.testing.assert_array_equal(ctrl.W_dist, np.zeros((3, 7)))
 
 
 class TestControlStep:
@@ -558,7 +575,7 @@ class TestControlStep:
         form = FormationParams(rho=5.0, theta=0.2, m_slope=1.0)
         for _ in range(50):
             settings = dict(
-                layout=basis,
+                basis=basis,
                 k_tau=rng.uniform(0.05, 0.5),
                 theta_gain=rng.uniform(0.5, 2.0),
             )
@@ -576,7 +593,7 @@ class TestControlStep:
                 formation_to_hill(form, OMEGA, t),
                 formation_to_hill_deriv(form, OMEGA, t),
                 formation_to_hill(form, OMEGA, t + 1.0),
-                rng.uniform(0.0, 2.0 * math.pi),
+                t,
             )
             pairs = {
                 "U": (nnlqr_control_step(lean, *args), _reference_step(ref, *args)),

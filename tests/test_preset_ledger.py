@@ -1,7 +1,9 @@
 """Every packaged preset writes the bytes recorded in
 ``data/preset_ledger.json``: its scenario configs and its trajectory,
-metrics and iteration CSVs.  The digests are defined only on the stack
-the ledger records; ``data/make_preset_ledger.py`` regenerates it."""
+metrics and iteration CSVs, named and written by the function that
+``reproduce`` writes them with.  The digests are defined only on the
+stack the ledger records; ``data/make_preset_ledger.py`` regenerates
+it."""
 
 import importlib.util
 import json
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from formation_guidance.cli import PRESETS, _emit_run, serialize_scenario
+from formation_guidance.cli import PRESETS, _reproduce_scenario
 
 DATA = Path(__file__).parent / "data"
 _spec = importlib.util.spec_from_file_location("make_preset_ledger", DATA / "make_preset_ledger.py")
@@ -29,9 +31,33 @@ def test_preset_outputs_match_the_ledger(preset_results, tmp_path):
         out.mkdir()
         scenarios, results, _ = preset_results(preset)
         for name, scn in scenarios.items():
-            (out / f"{preset}_{name}.cfg").write_text(serialize_scenario(scn), encoding="utf-8")
-            _emit_run(out, f"{preset}_{name}", results[name])
+            _reproduce_scenario(out, preset, name, scn, lambda _: results[name])
         written = ledger_tool.digests(out)
         changed += [f"{preset}/{f}" for f in sorted(recorded.keys() | written.keys())
                     if recorded.get(f) != written.get(f)]
     assert not changed, f"preset outputs differ from the ledger: {', '.join(changed)}"
+
+
+def test_drift_states_each_changed_column_and_names_other_files(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    for tree, x, name, settle in ((old, "4", "a", "inf"), (new, "4.000002", "b", "120")):
+        (tree / "p_run_metrics.csv").write_text(
+            f"name,ex,ey,effort,settle_time\n{name},{x},-2,inf,{settle}\n{name},-8,0,0,0\n",
+            encoding="utf-8")
+        (tree / "p_run_trajectory.csv").write_text("t,x\n0,1\n", encoding="utf-8")
+    (old / "p_run.cfg").write_text("tf = 10\n", encoding="utf-8")
+    (new / "p_run.cfg").write_text("tf = 20\n", encoding="utf-8")
+    (new / "p_run_iterations.csv").write_text("iteration\n0\n", encoding="utf-8")
+    (old / "p_short_trajectory.csv").write_text("t,x\n0,1\n", encoding="utf-8")
+    (new / "p_short_trajectory.csv").write_text("t,x\n0,1\n1,2\n", encoding="utf-8")
+    assert ledger_tool.main(["--drift", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "p_run.cfg: differs",
+        "p_run_iterations.csv: differs",
+        "p_run_metrics.csv: name text, ex 2.5e-07, ey 0, effort 0, settle_time inf",
+        "p_short_trajectory.csv: differs",
+    ]
+    assert ledger_tool.main(["--drift", str(old), str(old)]) == 0
+    assert capsys.readouterr().out == "no file differs\n"
