@@ -19,6 +19,7 @@ from . import nnlqr
 from .dynamics import (
     POSITION_ROWS,
     ChiefOrbit,
+    DynamicsError,
     FormationParams,
     GravityModel,
     RelativePlant,
@@ -31,7 +32,7 @@ from .dynamics import (
 from .gmpsp import gmpsp_solve
 from .lqr import design_lqr, lqr_tracking_control
 from .mpsp import RENDEZVOUS_LENGTH_KM, mpsp_solve, rho_error_pct
-from .numerics import RiccatiState, riccati_weights
+from .numerics import NumericsError, RiccatiState, riccati_weights
 from .options import CONTROLLER_OPTIONS, LqrOptions
 from .sdre import FiniteHorizonSpec, finite_time_sdre_control, sdre_infinite_control
 
@@ -203,10 +204,12 @@ def _run_closed_loop(
     anomalies and the (N, 3) controls of ``RelativePlant.simulate``.
 
     reference is the (Xd, Xd_dot) pair of :func:`desired_trajectory`.
-    A law that cannot be built fails as its step 0.  numpy's warnings
-    are silenced: a law or flight that goes non-finite fails on its own
-    error, at its step, instead.
+    A law that cannot be built fails as its step 0, and the plant's own
+    NumericsError or DynamicsError as the step it was flying, naming the
+    controller kind.  numpy's warnings are silenced: a law or flight
+    that goes non-finite fails on its own error, at its step, instead.
     """
+    step = (0, 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             law = _feedback_law(scenario, x0, *reference)
@@ -214,12 +217,18 @@ def _run_closed_loop(
             raise HarnessError(f"controller failed at step 0 (t=0.0): {exc}") from exc
 
         def policy(k, t, X):
+            nonlocal step
+            step = (k, t)
             try:
                 return law(k, t, X)
             except Exception as exc:
                 raise HarnessError(f"controller failed at step {k} (t={t}): {exc}") from exc
 
-        return plant.simulate(x0, scenario.n_steps, scenario.dt, policy)
+        try:
+            return plant.simulate(x0, scenario.n_steps, scenario.dt, policy)
+        except (NumericsError, DynamicsError) as exc:
+            raise HarnessError(f"plant failed under {scenario.controller.kind} at step {step[0]} "
+                               f"(t={step[1]}): {exc}") from exc
 
 
 def _solve_open_loop(
@@ -376,16 +385,18 @@ def write_compare_csv(path, cells: Sequence[CompareCell]) -> None:
 
 
 def format_compare_table(cells: Sequence[CompareCell]) -> str:
-    """Aligned text table of terminal errors, one row per cell."""
+    """Aligned text table of terminal errors, one row per cell; a failed
+    cell's row gives its error message after the names and widens no
+    column."""
     headers = ["scenario", "controller", "ex", "ey", "ez", "rho_err_pct", "effort"]
     rows = [headers]
     for cell in cells:
         if cell.result is None:
-            rows.append([cell.scenario_name, cell.controller_name, "error:", cell.error or "", "", "", ""])
+            rows.append([cell.scenario_name, cell.controller_name, f"error: {cell.error or ''}"])
             continue
         res = cell.result
         values = (*res.terminal_errors[POSITION_ROWS], res.rho_error_pct, res.control_effort)
         rows.append([cell.scenario_name, cell.controller_name, *(f"{v:.6g}" for v in values)])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
-    lines = ["  ".join(r[i].ljust(widths[i]) for i in range(len(headers))).rstrip() for r in rows]
+    widths = [max(len(r[i]) for r in rows if i < len(r) - 1) for i in range(len(headers) - 1)]
+    lines = ["  ".join(f.ljust(w) for f, w in zip(r, [*widths, 0])).rstrip() for r in rows]
     return "\n".join(lines) + "\n"

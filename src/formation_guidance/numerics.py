@@ -10,10 +10,12 @@ Importing ``scipy.linalg`` after numpy takes 0.26-0.28 s and raises
 peak RSS from about 27 MB to 55 MB (2-vCPU Xeon, Python 3.11.7, numpy
 2.4.6, scipy 1.17.1), so it is reached only through
 :func:`scipy_linalg`, which imports it on first use, and only by the
-warm Riccati solve (raw LAPACK ``dgees`` and ``dtrsyl``), which the
-pointwise SDRE law runs at every step after the first, and by the cold
-solve's fallback.  LQR, NN-LQR, MPSP, G-MPSP and
-finite-horizon SDRE runs never import it.
+cold solve's fallback.  The warm Riccati solve, which the pointwise
+SDRE law runs at every step after the first, calls raw LAPACK
+``dgees`` and ``dtrsyl`` from scipy's LAPACK extension, which
+:func:`lapack` loads alone in 0.014-0.031 s (peak RSS about 30 MB).
+So a run that succeeds imports ``scipy.linalg`` only where a cold
+solve falls back to scipy.
 
 All operations are pure functions of their inputs and may be called
 concurrently.
@@ -37,14 +39,48 @@ class NumericsError(RuntimeError):
 def scipy_linalg():
     """The ``scipy.linalg`` module, imported at the first call.
 
-    Only the warm Riccati solve's Schur forms and Lyapunov solves
-    (``dgees``, ``dtrsyl``) and the cold solve's fallback to
-    ``solve_continuous_are`` call it; the SDRE law's gain needs no
-    LAPACK of its own.
+    Only the cold solve's fallback to ``solve_continuous_are`` calls it,
+    and :func:`lapack` where scipy's LAPACK extension cannot be loaded
+    alone.
     """
     import scipy.linalg
 
     return scipy.linalg
+
+
+@functools.cache
+def lapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded at the
+    first call without the rest of ``scipy.linalg``.
+
+    The warm Riccati solve takes its ``dgees`` and ``dtrsyl`` from it.
+    The module is registered under its own name, so a later ``import
+    scipy.linalg`` reuses it, and one already imported is returned.
+    Where its file is not found or does not load, the answer is
+    ``scipy_linalg().lapack``, which holds the same routines.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    paths = [os.path.join(root, "linalg", "_flapack" + suffix)
+             for root in (scipy.submodule_search_locations if scipy else ())
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    for path in filter(os.path.isfile, paths):
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        try:
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+        except ImportError:
+            break
+        sys.modules[name] = module
+        return module
+    return scipy_linalg().lapack
 
 
 def rk4_step(
@@ -469,7 +505,7 @@ def _schur_lyapunov(T: np.ndarray, Z: np.ndarray, C: np.ndarray) -> np.ndarray |
     ``solve_continuous_lyapunov``.  Returns None when ``dtrsyl`` reports
     a failure, including eigenvalue sums near zero.
     """
-    Y, scale, info = scipy_linalg().lapack.dtrsyl(T, T, Z.T.dot(C.dot(Z)), tranb="T")
+    Y, scale, info = lapack().dtrsyl(T, T, Z.T.dot(C.dot(Z)), tranb="T")
     if info != 0:
         return None
     if scale != 1.0:
@@ -481,7 +517,7 @@ def _hurwitz_schur(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The real Schur form ``closedᵀ = Z T Zᵀ`` from ``dgees`` as ``(T,
     Z)``, or None when ``dgees`` fails or ``closed`` is not Hurwitz, read
     off the real parts of the eigenvalues of that Schur form."""
-    T, _, wr, _, Z, _, info = scipy_linalg().lapack.dgees(_no_sort, closed.T)
+    T, _, wr, _, Z, _, info = lapack().dgees(_no_sort, closed.T)
     if info != 0 or not wr.max() < 0.0:
         return None
     return T, Z

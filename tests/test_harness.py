@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from formation_guidance import nnlqr
+from formation_guidance import dynamics, nnlqr
 from formation_guidance.dynamics import (
     ChiefOrbit,
     DynamicsError,
@@ -249,6 +249,29 @@ class TestRunScenario:
             run_scenario(scn)
         assert type(exc.value.__cause__) is cause
 
+    @pytest.mark.parametrize("error", [None, DynamicsError("deputy at the geocenter: gamma = 0")],
+                             ids=["non-finite", "geocenter"])
+    def test_plant_failure_names_the_kind_and_time(self, monkeypatch, error):
+        """A flight whose plant fails at its fourth step, with NaNs or a
+        deputy at the geocenter, raises HarnessError naming the
+        controller kind, the step and t, with the plant's NumericsError
+        or DynamicsError as the cause."""
+        plant_step, steps = dynamics._plant_step, []
+
+        def fails_at_step_3(*args):
+            steps.append(args)
+            if len(steps) <= 3:
+                return plant_step(*args)
+            if error is not None:
+                raise error
+            return (math.nan,) * 6
+
+        monkeypatch.setattr(dynamics, "_plant_step", fails_at_step_3)
+        expected = r"^plant failed under lqr at step 3 \(t=3\.0\): "
+        with pytest.raises(HarnessError, match=expected) as exc:
+            run_scenario(_natural_scenario("lqr", tf=20.0))
+        assert type(exc.value.__cause__) is (NumericsError if error is None else DynamicsError)
+
     def test_sdre_warm_start_does_not_leak_between_runs(self, care_calls):
         """Each run starts cold: R = 1e8 after R = 1e11, or after itself,
         is bit-identical to R = 1e8 alone."""
@@ -432,6 +455,18 @@ class TestCompare:
         lines = table.splitlines()
         assert len(lines) == 3  # header + one row per controller
         assert lines[0].split()[:2] == ["scenario", "controller"]
+
+    def test_failed_cell_message_widens_no_column(self):
+        """A failed cell's message ends its row: the columns ex ... effort
+        start where the cells that succeeded put them."""
+        scenarios = [("nat", _natural_scenario(tf=120.0))]
+        ok = format_compare_table(compare(scenarios, [ZeroOptions(), LqrOptions()]))
+        cells = compare(scenarios, [ZeroOptions(), LqrOptions(r_weight=1e-320), LqrOptions()])
+        assert cells[1].result is None and len(cells[1].error) > 40
+        header, zero, failed, lqr = format_compare_table(cells).splitlines()
+        assert [header, zero, lqr] == ok.splitlines()
+        assert failed.split(None, 2) == ["nat", "lqr", f"error: {cells[1].error}"]
+        assert failed.index("error: ") == header.index("ex")
 
 
 class TestDesiredTrajectory:

@@ -3,11 +3,12 @@
 LQR, NN-LQR and uncontrolled runs solve their Riccati equations with
 numpy alone; MPSP and G-MPSP add only numpy algebra; the finite-horizon
 SDRE law, closed-loop or planned and replayed open-loop, takes its
-matrix exponential from numpy.  So a process that only flies these never
-pays the import of ``scipy.linalg``.  The pointwise SDRE law reaches it
-for its warm LAPACK step, and a cold Riccati solve for its fallback.
-Each case runs in a fresh interpreter, since any earlier import in the
-test process would hide the answer.
+matrix exponential from numpy.  The pointwise SDRE law's warm LAPACK
+step loads scipy's LAPACK extension alone, through ``numerics.lapack``.
+So a process that only flies these never pays the import of
+``scipy.linalg``; only a cold Riccati solve that falls back to scipy
+does.  Each case runs in a fresh interpreter, since any earlier import
+in the test process would hide the answer.
 """
 
 import os
@@ -73,34 +74,71 @@ for kind, text in zip(sys.argv[2::2], sys.argv[3::2]):
     result = harness.run_scenario(cli.config_to_scenario(cli.parse_config_text(text)))
     harness.write_trajectory_csv(out / f"{kind}_trajectory.csv", result)
     harness.write_metrics_csv(out / f"{kind}_metrics.csv", [(kind, result)])
-print("scipy.linalg" in sys.modules)
+print("scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules)
+"""
+
+# A cold solve that falls back to scipy (Q = 0 fails the sign function's
+# gate), run after each of the ways the LAPACK extension can be loaded.
+FALLBACK = """\
+import sys
+import numpy as np
+from formation_guidance import numerics
+
+{before}
+numerics.solve_are(-np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2))
+loaded = "scipy.linalg" in sys.modules
+import scipy.linalg
+print(loaded and scipy.linalg.lapack.dgees is numerics.lapack().dgees
+      and sys.modules["scipy.linalg._flapack"] is numerics.lapack())
 """
 
 
-def _loads_scipy_linalg(tmp_path, kinds):
-    """Whether a fresh interpreter that imports ``formation_guidance.cli``
-    and runs ``kinds`` on the geometry ends with ``scipy.linalg`` loaded."""
-    args = [arg for kind in kinds for arg in (kind, GEOMETRY + CONTROLLERS[kind])]
+def _run(tmp_path, code, *args):
+    """Standard output of a fresh interpreter that runs ``code`` with the
+    library's source on its path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path), *args],
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path), *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _loads(tmp_path, kinds):
+    """Whether a fresh interpreter that imports ``formation_guidance.cli``
+    and runs ``kinds`` on the geometry ends with ``scipy.linalg``, and
+    with its LAPACK extension ``scipy.linalg._flapack``, loaded."""
+    args = [arg for kind in kinds for arg in (kind, GEOMETRY + CONTROLLERS[kind])]
+    out = _run(tmp_path, PROBE, *args)
     assert all((tmp_path / f"{kind}_metrics.csv").exists() for kind in kinds)
-    return {"True\n": True, "False\n": False}[done.stdout]
+    return tuple({"True": True, "False": False}[word] for word in out.split())
 
 
 def test_lqr_nnlqr_and_zero_runs_never_import_scipy_linalg(tmp_path):
-    assert not _loads_scipy_linalg(tmp_path, ["lqr", "nnlqr", "zero"])
+    assert _loads(tmp_path, ["lqr", "nnlqr", "zero"]) == (False, False)
 
 
 @pytest.mark.parametrize("kind", ["fsdre", "fsdre-open", "mpsp", "gmpsp"])
 def test_finite_horizon_and_predictive_runs_never_import_scipy_linalg(tmp_path, kind):
-    assert not _loads_scipy_linalg(tmp_path, [kind])
+    assert _loads(tmp_path, [kind]) == (False, False)
 
 
 @pytest.mark.parametrize("kinds", [[], ["sdre"]])
-def test_the_probe_sees_the_sdre_import(tmp_path, kinds):
-    """The SDRE law's warm step loads it through ``numerics.scipy_linalg``;
-    importing the library alone does not."""
-    assert _loads_scipy_linalg(tmp_path, kinds) == bool(kinds)
+def test_sdre_runs_load_the_lapack_extension_alone(tmp_path, kinds):
+    """The SDRE law's warm step loads ``scipy.linalg._flapack`` through
+    ``numerics.lapack`` and never ``scipy.linalg``; importing the library
+    alone loads neither."""
+    assert _loads(tmp_path, kinds) == (False, bool(kinds))
+
+
+@pytest.mark.parametrize("before", [
+    "",
+    "numerics.lapack()",
+    "import scipy.linalg\nassert numerics.lapack() is scipy.linalg.lapack._flapack",
+], ids=["fallback-only", "extension-first", "scipy-linalg-first"])
+def test_the_cold_fallback_imports_scipy_linalg_and_shares_its_lapack(tmp_path, before):
+    """The probe's positive control: a cold solve that falls back to
+    scipy imports ``scipy.linalg``.  Whichever of ``numerics.lapack`` and
+    ``import scipy.linalg`` comes first, both then hold one extension
+    module and the same ``dgees``."""
+    assert _run(tmp_path, FALLBACK.format(before=before)) == "True\n"

@@ -1,5 +1,9 @@
 import dataclasses
+import importlib.machinery
+import importlib.util
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -236,7 +240,7 @@ class TestInfiniteHorizonControl:
         at dt = 1 s one chord correction on the handed-in form converges
         at every later step."""
         calls = {"dgees": [], "dtrsyl": [], "newton": []}
-        lapack, lyapunov = scipy.linalg.lapack, numerics._lyapunov
+        lapack, lyapunov = numerics.lapack(), numerics._lyapunov
 
         def counted(name, solve):
             def call(*args, **kwargs):
@@ -261,6 +265,34 @@ class TestInfiniteHorizonControl:
                     assert (schur, solves) == (1, 1)
                 cold = solve_are(A, B, self.Q, R)
                 assert np.linalg.norm(riccati.P - cold) <= 1e-10 * np.linalg.norm(cold)
+
+
+    @pytest.mark.parametrize("unusable", ["missing", "not an extension"])
+    def test_warm_chain_falls_back_to_scipy_linalg_lapack(self, unusable, tmp_path, monkeypatch):
+        """Where scipy's LAPACK extension file is not found, or is found
+        but does not load, ``numerics.lapack`` answers with
+        ``scipy.linalg.lapack``, and a 300-step warm chain gives the bits
+        it gives through the loaded extension."""
+        orbit = ChiefOrbit(a=10000.0, e=0.15, nu0=0.17)
+        loaded = _fly_warm_chain(orbit, 1.0, 1e8)
+        try:
+            with monkeypatch.context() as patch:
+                patch.delitem(sys.modules, "scipy.linalg._flapack")
+                if unusable == "missing":
+                    patch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+                else:
+                    (tmp_path / "linalg").mkdir()
+                    (tmp_path / "linalg" / "_flapack.so").write_bytes(b"not a shared object")
+                    patch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".so"])
+                    patch.setattr(importlib.util, "find_spec", lambda name: SimpleNamespace(
+                        submodule_search_locations=[str(tmp_path)]))
+                numerics.lapack.cache_clear()
+                fallback = numerics.lapack()
+            assert fallback is scipy.linalg.lapack
+            chain = _fly_warm_chain(orbit, 1.0, 1e8)
+        finally:
+            numerics.lapack.cache_clear()
+        assert [step[1].P.tobytes() for step in chain] == [step[1].P.tobytes() for step in loaded]
 
 
 def _fly_warm_chain(orbit, dt, r_weight, counters=()):
