@@ -31,7 +31,7 @@ from .dynamics import (
 )
 from .gmpsp import gmpsp_solve
 from .lqr import design_lqr, lqr_tracking_control
-from .mpsp import RENDEZVOUS_LENGTH_KM, mpsp_solve, rho_error_pct
+from .mpsp import RENDEZVOUS_LENGTH_KM, MpspError, mpsp_solve, rho_error_pct
 from .numerics import NumericsError, RiccatiState, riccati_weights
 from .options import CONTROLLER_OPTIONS, LqrOptions
 from .sdre import FiniteHorizonSpec, finite_time_sdre_control, sdre_infinite_control
@@ -196,6 +196,27 @@ def _feedback_law(
     return fsdre_law
 
 
+def _fly(
+    scenario: Scenario, plant: RelativePlant, x0: np.ndarray,
+    policy: Callable[[int, float, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``RelativePlant.simulate`` over the scenario's grid, with the
+    plant's own NumericsError or DynamicsError raised as HarnessError
+    naming the controller kind and the step it was flying."""
+    step = (0, 0.0)
+
+    def stepping(k, t, X):
+        nonlocal step
+        step = (k, t)
+        return policy(k, t, X)
+
+    try:
+        return plant.simulate(x0, scenario.n_steps, scenario.dt, stepping)
+    except (NumericsError, DynamicsError) as exc:
+        raise HarnessError(f"plant failed under {scenario.controller.kind} at step {step[0]} "
+                           f"(t={step[1]}): {exc}") from exc
+
+
 def _run_closed_loop(
     scenario: Scenario, plant: RelativePlant, x0: np.ndarray,
     reference: tuple[np.ndarray, np.ndarray],
@@ -204,12 +225,10 @@ def _run_closed_loop(
     anomalies and the (N, 3) controls of ``RelativePlant.simulate``.
 
     reference is the (Xd, Xd_dot) pair of :func:`desired_trajectory`.
-    A law that cannot be built fails as its step 0, and the plant's own
-    NumericsError or DynamicsError as the step it was flying, naming the
-    controller kind.  numpy's warnings are silenced: a law or flight
+    A law that cannot be built fails as its step 0, and a plant failure
+    as in :func:`_fly`.  numpy's warnings are silenced: a law or flight
     that goes non-finite fails on its own error, at its step, instead.
     """
-    step = (0, 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             law = _feedback_law(scenario, x0, *reference)
@@ -217,18 +236,12 @@ def _run_closed_loop(
             raise HarnessError(f"controller failed at step 0 (t=0.0): {exc}") from exc
 
         def policy(k, t, X):
-            nonlocal step
-            step = (k, t)
             try:
                 return law(k, t, X)
             except Exception as exc:
                 raise HarnessError(f"controller failed at step {k} (t={t}): {exc}") from exc
 
-        try:
-            return plant.simulate(x0, scenario.n_steps, scenario.dt, policy)
-        except (NumericsError, DynamicsError) as exc:
-            raise HarnessError(f"plant failed under {scenario.controller.kind} at step {step[0]} "
-                               f"(t={step[1]}): {exc}") from exc
+        return _fly(scenario, plant, x0, policy)
 
 
 def _solve_open_loop(
@@ -237,13 +250,18 @@ def _solve_open_loop(
 ) -> tuple[np.ndarray, list[dict], np.ndarray]:
     """MPSP/G-MPSP seeded with the closed-loop LQR control history, whose
     flight is the solver's first prediction.  The commanded terminal
-    state is the last row of ``reference``'s states."""
+    state is the last row of ``reference``'s states.  A failed
+    correction raises HarnessError naming the kind and the correction,
+    with the solver's or the plant's error as the cause."""
     Y_star = reference[0][-1]
     lqr = replace(scenario, controller=LqrOptions())
     states, nus, guess = _run_closed_loop(lqr, plant, x0, reference)
     solve = mpsp_solve if scenario.controller.kind == "mpsp" else gmpsp_solve
-    return solve(plant, x0, Y_star, guess, scenario.dt, scenario.controller,
-                 prediction=(states, nus))
+    try:
+        return solve(plant, x0, Y_star, guess, scenario.dt, scenario.controller,
+                     prediction=(states, nus))
+    except MpspError as exc:
+        raise HarnessError(f"{scenario.controller.kind} {exc}") from exc.__cause__
 
 
 def run_scenario(
@@ -265,7 +283,7 @@ def run_scenario(
         # the predictive-guidance studies.
         plan_plant = RelativePlant(scenario.chief, GravityModel(j2_enabled=False))
         _, _, U = _run_closed_loop(scenario, plan_plant, x0, reference)
-        states, _ = plant.propagate(x0, U, dt)
+        states, _, _ = _fly(scenario, plant, x0, lambda k, t, X: U[k])
     else:
         states, _, U = _run_closed_loop(scenario, plant, x0, reference)
     controls = np.vstack([U, U[-1]])

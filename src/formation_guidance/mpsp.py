@@ -5,7 +5,8 @@ the plant is propagated with RK4, output sensitivities are built from
 Euler-discretized analytic Jacobians by a backward recursion, and the
 control history is corrected in closed form.  The outer loop repeats
 prediction and correction until the terminal baseline error is inside
-tolerance.
+tolerance.  G-MPSP builds the static program from its own sensitivities
+and applies this module's correction, loop and error.
 """
 
 from __future__ import annotations
@@ -16,20 +17,22 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import POSITION_ROWS, B, RelativePlant
+from .dynamics import POSITION_ROWS, B, DynamicsError, NumericsError, RelativePlant
 from .options import MpspOptions
 
 
 class MpspError(RuntimeError):
-    """Raised on sensitivity or update failures."""
+    """Raised on sensitivity, update or correction failures of MPSP and G-MPSP."""
 
 
 @dataclass
 class SensitivitySet:
-    """Per-step output-sensitivity blocks and the static-program data."""
+    """Static program of one correction: the output sensitivities B_k of
+    the N-1 held controls, A_lambda = -sum_k B_k R_k^-1 B_k^T (negative
+    semidefinite) and b_lambda = sum_k B_k U0_k, or their quadratures."""
 
     B_k: np.ndarray  # (N-1, 6, 3)
-    A_lambda: np.ndarray  # (6, 6), equals -sum B_k R_k^-1 B_k^T
+    A_lambda: np.ndarray  # (6, 6)
     b_lambda: np.ndarray  # (6,)
 
 
@@ -81,21 +84,29 @@ def compute_sensitivities(
     return SensitivitySet(B_k=B_k, A_lambda=A_lambda, b_lambda=b_lambda)
 
 
-def mpsp_update(sens: SensitivitySet, dY_N: np.ndarray, R_k: np.ndarray) -> np.ndarray:
-    """Closed-form control-history correction.
+def static_program_correction(
+    program: SensitivitySet, dY: np.ndarray, R: np.ndarray
+) -> np.ndarray:
+    """Closed-form control-history correction of MPSP and G-MPSP.
 
-    U_k = R_k^-1 B_k^T A_lambda^-1 (dY_N - b_lambda), where dY_N is the
+    U_k = R^-1 B_k^T A_lambda^-1 (dY - b_lambda), where dY is the
     achieved-minus-desired terminal output of the previous prediction;
-    the previous history enters through ``sens.b_lambda``.
+    the previous history enters through ``program.b_lambda``.  Raises
+    MpspError when A_lambda is singular.
     """
     try:
-        lam = np.linalg.solve(sens.A_lambda, dY_N - sens.b_lambda)
+        lam = np.linalg.solve(program.A_lambda, dY - program.b_lambda)
     except np.linalg.LinAlgError as exc:
         raise MpspError(
             "static-program matrix singular; use more steps or a smaller R"
         ) from exc
-    rhs = sens.B_k.transpose(0, 2, 1) @ lam  # (N-1, 3)
-    return np.linalg.solve(R_k, rhs.T).T
+    rhs = program.B_k.transpose(0, 2, 1) @ lam  # (N-1, 3)
+    return np.linalg.solve(R, rhs.T).T
+
+
+def mpsp_update(sens: SensitivitySet, dY_N: np.ndarray, R_k: np.ndarray) -> np.ndarray:
+    """MPSP's correction: :func:`static_program_correction` with R_k = dt R."""
+    return static_program_correction(sens, dY_N, R_k)
 
 
 #: Reference baseline length [km] of a rendezvous target, whose commanded
@@ -138,7 +149,9 @@ def predict_correct(
     (controls, iteration log, final trajectory).  Each log row records
     the iteration number, the six terminal errors, and %rho_e; the last
     row carries converged=False if the tolerance was not met within
-    max_iter corrections.
+    max_iter corrections.  A correction whose update or prediction fails
+    (MpspError, NumericsError or DynamicsError) raises MpspError naming
+    it, counted from 1, with the failure as its cause.
     """
     U = np.asarray(guess, dtype=float).copy()
     log: list[dict] = []
@@ -157,8 +170,11 @@ def predict_correct(
         )
         if converged or it >= max_iter:
             return U, log, states
-        U = correct(states, nus, dY, U)
-        states, nus = predict(U)
+        try:
+            U = correct(states, nus, dY, U)
+            states, nus = predict(U)
+        except (MpspError, NumericsError, DynamicsError) as exc:
+            raise MpspError(f"failed in correction {it + 1}: {exc}") from exc
 
 
 def mpsp_solve(

@@ -12,14 +12,12 @@ from formation_guidance.dynamics import (
     formation_to_hill,
 )
 from formation_guidance.gmpsp import (
-    GmpspAccumulators,
-    GmpspError,
-    SensitivityField,
     gmpsp_accumulate,
     gmpsp_solve,
     gmpsp_update,
     integrate_W_backward,
 )
+from formation_guidance.mpsp import MpspError
 from formation_guidance.numerics import matrix_exponential
 from formation_guidance.options import CONTROLLER_OPTIONS, GmpspOptions
 
@@ -62,8 +60,30 @@ def _W_per_step(plant, states, nus, dt):
         k4 = -(w + h * k3) @ J[k]
         W[k] = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(W[k])):
-            raise GmpspError(f"non-finite sensitivity weight at grid index {k}")
+            raise MpspError(f"non-finite sensitivity weight at grid index {k}")
     return W
+
+
+def _reference_accumulate(Bc, U0, R, dt):
+    """G-MPSP's accumulation in its own sign convention: A_lambda =
+    int Bc R^-1 Bc^T dt (positive semidefinite) and b_lambda =
+    int Bc U0 dt, U0 held over the last grid point."""
+    U_grid = np.empty((len(Bc), 3))
+    U_grid[:-1] = U0
+    U_grid[-1] = U0[-1]
+    Rinv_BcT = np.linalg.solve(R, Bc.transpose(0, 2, 1))
+    A_lambda = np.trapezoid(np.einsum("kij,kjl->kil", Bc, Rinv_BcT), dx=dt, axis=0)
+    b_lambda = np.trapezoid(np.einsum("kij,kj->ki", Bc, U_grid), dx=dt, axis=0)
+    return A_lambda, b_lambda
+
+
+def _reference_update(A_lambda, b_lambda, dY_tf, Bc, R):
+    """The continuous correction U(t) = -R^-1 Bc(t)^T A_lambda^-1
+    (dY(tf) - b_lambda) in that convention, sampled at the first N-1
+    grid points."""
+    lam = np.linalg.solve(A_lambda, dY_tf - b_lambda)
+    U_grid = -np.linalg.solve(R, (Bc.transpose(0, 2, 1) @ lam).T).T
+    return U_grid[:-1]
 
 
 class _SpikedPlant:
@@ -86,11 +106,11 @@ class TestBackwardSensitivity:
         n, dt = 101, 1.0
         states = np.zeros((n, 6))
         nus = np.full(n, CIRC.nu0)
-        field = integrate_W_backward(plant, states, nus, dt)
+        W = integrate_W_backward(plant, states, nus, dt)
         A = plant.f_jacobian(np.zeros(6), CIRC.nu0)
         for k in (0, 50, 100):
             expected = matrix_exponential(A, (n - 1 - k) * dt)
-            np.testing.assert_allclose(field.W[k], expected, atol=1e-8)
+            np.testing.assert_allclose(W[k], expected, atol=1e-8)
 
     @pytest.mark.parametrize("j2", [False, True])
     def test_matches_per_step_rk4(self, j2):
@@ -103,7 +123,7 @@ class TestBackwardSensitivity:
         x0 = formation_to_hill(FormationParams(rho=5.0, theta=0.4, m_slope=1.0), OMEGA, 0.0)
         controls = np.random.default_rng(41).uniform(-1e-5, 1e-5, size=(300, 3))
         states, nus = plant.propagate(x0, controls, 1.0)
-        W = integrate_W_backward(plant, states, nus, 1.0).W
+        W = integrate_W_backward(plant, states, nus, 1.0)
         W_ref = _W_per_step(plant, states, nus, 1.0)
         for k in range(len(W)):
             assert np.linalg.norm(W[k] - W_ref[k]) <= 1e-12 * np.linalg.norm(W_ref[k])
@@ -114,9 +134,9 @@ class TestBackwardSensitivity:
         plant = _SpikedPlant(spike=6.0)
         # W_6 is about 1e200 and W_5 = W_6 Phi_5 overflows.
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(GmpspError, match="at grid index 5$") as ref:
+            with pytest.raises(MpspError, match="at grid index 5$") as ref:
                 _W_per_step(plant, states, nus, 1.0)
-            with pytest.raises(GmpspError) as got:
+            with pytest.raises(MpspError) as got:
                 integrate_W_backward(plant, states, nus, 1.0)
         assert str(got.value) == str(ref.value)
 
@@ -124,9 +144,10 @@ class TestBackwardSensitivity:
         plant = RelativePlant(CIRC)
         states = np.zeros((11, 6))
         nus = np.full(11, 0.0)
-        field = integrate_W_backward(plant, states, nus, 1.0)
-        np.testing.assert_array_equal(field.B_c, field.W @ B)
-        np.testing.assert_array_equal(field.W[-1], np.eye(6))
+        W = integrate_W_backward(plant, states, nus, 1.0)
+        program = gmpsp_accumulate(W, np.zeros((10, 3)), np.eye(3), 1.0)
+        np.testing.assert_array_equal(program.B_k, (W @ B)[:-1])
+        np.testing.assert_array_equal(W[-1], np.eye(6))
 
     def test_adjoint_identity_on_time_varying_system(self):
         """W(t) Phi(t, t0) = Phi(tf, t0) along a genuinely time-varying
@@ -137,7 +158,7 @@ class TestBackwardSensitivity:
         )
         n, dt = 200, 1.0
         states, nus = plant.propagate(x0, np.zeros((n, 3)), dt)
-        field = integrate_W_backward(plant, states, nus, dt)
+        W = integrate_W_backward(plant, states, nus, dt)
         # Forward STM by the same midpoint-RK4 discretization.
         Phi = np.eye(6)
         Phis = [Phi]
@@ -155,23 +176,23 @@ class TestBackwardSensitivity:
             Phis.append(Phi)
         Phi_tf = Phis[-1]
         for k in (0, 77, 150):
-            np.testing.assert_allclose(field.W[k] @ Phis[k], Phi_tf, atol=1e-6)
+            np.testing.assert_allclose(W[k] @ Phis[k], Phi_tf, atol=1e-6)
 
 
 class TestAccumulators:
     def test_zero_guess_zero_forcing(self):
-        field = SensitivityField(W=np.repeat(np.eye(6)[None], 4, 0), B_c=np.repeat(B[None], 4, 0))
-        acc = gmpsp_accumulate(field, np.zeros((3, 3)), np.eye(3), dt=1.0)
-        np.testing.assert_array_equal(acc.b_lambda, np.zeros(6))
+        W = np.repeat(np.eye(6)[None], 4, 0)
+        program = gmpsp_accumulate(W, np.zeros((3, 3)), np.eye(3), dt=1.0)
+        np.testing.assert_array_equal(program.b_lambda, np.zeros(6))
 
     def test_constant_integrand_is_exact(self):
-        # Trapezoid quadrature is exact for constants: A_lambda = T B R^-1 B^T.
+        # Trapezoid quadrature is exact for constants: A_lambda = -T B R^-1 B^T.
         T, n = 12.0, 7
         dt = T / (n - 1)
         R = 2.0 * np.eye(3)
-        field = SensitivityField(W=np.repeat(np.eye(6)[None], n, 0), B_c=np.repeat(B[None], n, 0))
-        acc = gmpsp_accumulate(field, np.ones((n - 1, 3)), R, dt)
-        np.testing.assert_allclose(acc.A_lambda, T * B @ B.T / 2.0, atol=1e-12)
+        W = np.repeat(np.eye(6)[None], n, 0)
+        program = gmpsp_accumulate(W, np.ones((n - 1, 3)), R, dt)
+        np.testing.assert_allclose(-program.A_lambda, T * B @ B.T / 2.0, atol=1e-12)
 
     def test_quadrature_refinement(self):
         # Trapezoid accumulation converges at second order: halving the
@@ -181,8 +202,8 @@ class TestAccumulators:
 
         def a_lambda(dt, n):
             states, nus = plant.propagate(x0, np.zeros((n, 3)), dt)
-            field = integrate_W_backward(plant, states, nus, dt)
-            return gmpsp_accumulate(field, np.zeros((n, 3)), 1e9 * np.eye(3), dt).A_lambda
+            W = integrate_W_backward(plant, states, nus, dt)
+            return gmpsp_accumulate(W, np.zeros((n, 3)), 1e9 * np.eye(3), dt).A_lambda
 
         coarse, mid, fine = a_lambda(2.0, 100), a_lambda(1.0, 200), a_lambda(0.5, 400)
         d1 = np.linalg.norm(coarse - mid)
@@ -199,10 +220,40 @@ class TestGmpspUpdate:
         n, dt = 51, 1.0
         states = np.zeros((n, 6))
         nus = np.full(n, CIRC.nu0)
-        field = integrate_W_backward(plant, states, nus, dt)
-        acc = gmpsp_accumulate(field, np.zeros((n - 1, 3)), np.eye(3), dt)
-        U = gmpsp_update(acc, np.zeros(6), field, np.eye(3))
+        W = integrate_W_backward(plant, states, nus, dt)
+        program = gmpsp_accumulate(W, np.zeros((n - 1, 3)), np.eye(3), dt)
+        U = gmpsp_update(program, np.zeros(6), np.eye(3))
         np.testing.assert_allclose(U, np.zeros((n - 1, 3)), atol=1e-18)
+
+    def test_matches_the_positive_convention_bit_for_bit(self):
+        """MPSP's sign convention (A_lambda negated, U = +R^-1 B_k^T
+        lambda) gives the same bits as G-MPSP's own (A_lambda positive,
+        U = -R^-1 Bc^T lambda): negation is exact in IEEE arithmetic and
+        LU pivots on magnitudes.  Seeded draws over eccentricity 0-0.4,
+        J2 on and off, dt 1-20 s, 5-200 steps and R 1e7-1e12, with the
+        guess C-ordered or, as the solver hands back its corrections, a
+        transposed view.  The ``gmpsp`` preset runs no correction, so
+        the preset ledger does not pin this path."""
+        rng = np.random.default_rng(20)
+        for draw in range(40):
+            chief = ChiefOrbit(a=rng.uniform(7000.0, 12000.0), e=rng.uniform(0.0, 0.4),
+                               i=rng.uniform(0.0, 1.5), nu0=rng.uniform(0.0, 6.0))
+            plant = RelativePlant(chief, GravityModel(j2_enabled=bool(draw % 2)))
+            n, dt = int(rng.integers(5, 201)), float(rng.integers(1, 21))
+            R = 10.0 ** rng.uniform(7.0, 12.0) * np.eye(3)
+            x0 = formation_to_hill(FormationParams(rho=rng.uniform(0.5, 10.0), theta=1.0),
+                                   chief.mean_motion(), 0.0)
+            U0 = rng.uniform(-1e-5, 1e-5, size=(3, n)).T if draw % 4 < 2 else \
+                rng.uniform(-1e-5, 1e-5, size=(n, 3))
+            states, nus = plant.propagate(x0, U0, dt)
+            dY = rng.normal(scale=0.1, size=6)
+            W = integrate_W_backward(plant, states, nus, dt)
+            A_ref, b_ref = _reference_accumulate(W @ B, U0, R, dt)
+            program = gmpsp_accumulate(W, U0, R, dt)
+            np.testing.assert_array_equal(program.A_lambda, -A_ref)
+            np.testing.assert_array_equal(program.b_lambda, b_ref)
+            np.testing.assert_array_equal(gmpsp_update(program, dY, R),
+                                          _reference_update(A_ref, b_ref, dY, W @ B, R))
 
     def test_matches_discrete_solver_in_fine_step_limit(self):
         """One update from the same guess: the continuous correction
@@ -230,9 +281,8 @@ class TestGmpspUpdate:
             dF_dX, dF_dU = analytic_state_jacobians(plant, states, nus, dt)
             sens = compute_sensitivities(dF_dX, dF_dU, dt * R, guess)
             U_disc = mpsp_update(sens, dY, dt * R)
-            field = integrate_W_backward(plant, states, nus, dt)
-            acc = gmpsp_accumulate(field, guess, R, dt)
-            U_cont = gmpsp_update(acc, dY, field, R)
+            W = integrate_W_backward(plant, states, nus, dt)
+            U_cont = gmpsp_update(gmpsp_accumulate(W, guess, R, dt), dY, R)
             reldiff[dt] = np.linalg.norm(U_disc - U_cont) / np.linalg.norm(U_disc)
         assert reldiff[0.05] < 5e-3
         assert reldiff[0.25] < reldiff[1.0] / 3.0

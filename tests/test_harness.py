@@ -249,6 +249,21 @@ class TestRunScenario:
             run_scenario(scn)
         assert type(exc.value.__cause__) is cause
 
+    @pytest.mark.parametrize("options", [MpspOptions(r_weight=1e-320),
+                                         GmpspOptions(r_weight=1e-320)], ids=["mpsp", "gmpsp"])
+    def test_subnormal_weight_fails_in_the_first_correction(self, options):
+        """A legal control weight that the static program cannot be
+        solved with: the LQR guess flies, the first correction's controls
+        are not finite, and the prediction that follows fails.  The
+        HarnessError names the kind and the correction, with the plant's
+        NumericsError as the cause."""
+        scn = dataclasses.replace(_natural_scenario(tf=20.0), controller=options,
+                                  desired=dataclasses.replace(RING, rho=2.5))
+        expected = rf"^{options.kind} failed in correction 1: non-finite state after RK4 step"
+        with pytest.raises(HarnessError, match=expected) as exc:
+            run_scenario(scn)
+        assert type(exc.value.__cause__) is NumericsError
+
     @pytest.mark.parametrize("error", [None, DynamicsError("deputy at the geocenter: gamma = 0")],
                              ids=["non-finite", "geocenter"])
     def test_plant_failure_names_the_kind_and_time(self, monkeypatch, error):
@@ -270,6 +285,29 @@ class TestRunScenario:
         expected = r"^plant failed under lqr at step 3 \(t=3\.0\): "
         with pytest.raises(HarnessError, match=expected) as exc:
             run_scenario(_natural_scenario("lqr", tf=20.0))
+        assert type(exc.value.__cause__) is (NumericsError if error is None else DynamicsError)
+
+    @pytest.mark.parametrize("error", [None, DynamicsError("deputy at the geocenter: gamma = 0")],
+                             ids=["non-finite", "geocenter"])
+    def test_open_loop_replay_failure_names_the_kind_and_time(self, monkeypatch, error):
+        """An open-loop LQR run plans over 20 steps and replays the plan
+        on the truth plant; a replay whose plant fails at its fourth step
+        raises HarnessError naming the kind, the replay's step and t,
+        with the plant's error as the cause."""
+        plant_step, steps = dynamics._plant_step, []
+
+        def fails_at_replay_step_3(*args):
+            steps.append(args)
+            if len(steps) <= 20 + 3:
+                return plant_step(*args)
+            if error is not None:
+                raise error
+            return (math.nan,) * 6
+
+        monkeypatch.setattr(dynamics, "_plant_step", fails_at_replay_step_3)
+        expected = r"^plant failed under lqr at step 3 \(t=3\.0\): "
+        with pytest.raises(HarnessError, match=expected) as exc:
+            run_scenario(_natural_scenario("lqr", tf=20.0, open_loop=True))
         assert type(exc.value.__cause__) is (NumericsError if error is None else DynamicsError)
 
     def test_sdre_warm_start_does_not_leak_between_runs(self, care_calls):

@@ -18,6 +18,7 @@ from formation_guidance.mpsp import (
     compute_sensitivities,
     mpsp_solve,
     mpsp_update,
+    predict_correct,
     predict_trajectory,
     rho_error_pct,
 )
@@ -188,6 +189,27 @@ class TestMpspSolve:
         assert log[0]["iteration"] == 0
         assert log[0]["converged"]
         np.testing.assert_array_equal(U, np.zeros((n, 3)))
+
+    def test_failed_correction_is_named(self):
+        """A correction whose update fails raises MpspError naming it,
+        counted from 1, with the update's error as the cause."""
+        plant = RelativePlant(CIRC)
+        x0 = formation_to_hill(FormationParams(rho=5.0, theta=0.3, m_slope=1.0), OMEGA, 0.0)
+        guess = np.zeros((20, 3))
+        prediction = plant.propagate(x0, guess, 1.0)
+        singular = MpspError("static-program matrix singular")
+        updates = []
+
+        def correct(states, nus, dY, U):
+            updates.append(U)
+            if len(updates) == 2:
+                raise singular
+            return U
+
+        with pytest.raises(MpspError, match="^failed in correction 2: static-program") as exc:
+            predict_correct(guess, x0 + 1.0, lambda U: plant.propagate(x0, U, 1.0), correct,
+                            1e-9, 5, prediction)
+        assert exc.value.__cause__ is singular
 
     def test_eccentric_reconfiguration_converges(self):
         """0.5 km -> 5 km reshaping on an eccentric chief reaches the
