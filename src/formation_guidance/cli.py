@@ -69,6 +69,7 @@ from .harness import (
     HarnessError,
     RunResult,
     Scenario,
+    _rewrite,
     compare,
     format_compare_table,
     run_scenario,
@@ -622,7 +623,8 @@ def _emit_run(out: Path, name: str, result: RunResult) -> None:
 def _reproduce_scenario(out: Path, preset: str, name: str, scenario: Scenario, run) -> RunResult:
     """Write the config of ``{preset}_{name}``, fly it by ``run`` and write its reports."""
     stem = f"{preset}_{name}"
-    (out / f"{stem}.cfg").write_text(serialize_scenario(scenario), encoding="utf-8")
+    with _rewrite(out / f"{stem}.cfg") as fh:
+        fh.write(serialize_scenario(scenario))
     result = run(scenario)
     _emit_run(out, stem, result)
     return result
@@ -658,7 +660,8 @@ def cmd_compare(args) -> int:
     out = _outdir(args)
     write_compare_csv(out / "compare.csv", cells)
     table = format_compare_table(cells)
-    (out / "compare.txt").write_text(table, encoding="utf-8")
+    with _rewrite(out / "compare.txt") as fh:
+        fh.write(table)
     print(table, end="")
     failed = [c for c in cells if c.result is None]
     return EXIT_CRITERION if failed else EXIT_OK

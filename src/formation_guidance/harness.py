@@ -4,14 +4,18 @@
 options, flies it on the truth plant (or solves MPSP/G-MPSP from a
 closed-loop LQR guess) and returns a ``RunResult`` with its metrics;
 ``compare`` runs scenarios against controllers, and the ``write_*``
-functions write CSV reports.
+functions write CSV reports.  Every file the library writes is
+rewritten in place by ``_rewrite``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -306,6 +310,29 @@ def run_scenario(
 # Report generation
 
 
+@contextmanager
+def _rewrite(path) -> Iterator[TextIO]:
+    """UTF-8 text stream that rewrites the file at path in place.
+
+    Every file the library writes goes through here.  The file is opened
+    without ``O_TRUNC``, with the permissions ``open(path, "w")`` gives,
+    and cut at the stream's final position on the way out, also when
+    writing fails.  Only a regular file is cut, so a path such as
+    ``/dev/null`` is written as ``open(path, "w")`` writes it.  The
+    reason: ext4 (``auto_da_alloc``) starts the writeback of a file that
+    was truncated to zero and written again when it is closed, and the
+    next truncating open of that file waits for it, so every rerun into
+    the same output directory would wait once per report.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def _row_template(n: int) -> str:
     """%-format of n comma-separated floats, each written as
     ``format(v, ".17g")`` writes it (17 significant digits)."""
@@ -315,7 +342,7 @@ def _row_template(n: int) -> str:
 def write_trajectory_csv(path, result: RunResult) -> None:
     table = np.column_stack([result.time, result.states, result.controls])
     line = _row_template(table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _rewrite(path) as fh:
         fh.write("t,x,xdot,y,ydot,z,zdot,ux,uy,uz\n")
         fh.writelines(line % tuple(row) for row in table.tolist())
 
@@ -344,7 +371,7 @@ def metrics_row(result: RunResult) -> list[float]:
 
 def write_metrics_csv(path, named_results: Sequence[tuple[str, RunResult]]) -> None:
     line = "%s," + _row_template(len(METRIC_COLUMNS)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _rewrite(path) as fh:
         fh.write("name," + ",".join(METRIC_COLUMNS) + "\n")
         for name, result in named_results:
             fh.write(line % (name, *metrics_row(result)))
@@ -352,7 +379,7 @@ def write_metrics_csv(path, named_results: Sequence[tuple[str, RunResult]]) -> N
 
 def write_iteration_log_csv(path, result: RunResult) -> None:
     line = "%d," + _row_template(7) + ",%d\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _rewrite(path) as fh:
         fh.write("iteration,ex,exdot,ey,eydot,ez,ezdot,rho_error_pct,converged\n")
         for row in result.log:
             fh.write(line % (row["iteration"], *row["terminal_errors"],
@@ -392,7 +419,7 @@ def compare(
 
 def write_compare_csv(path, cells: Sequence[CompareCell]) -> None:
     line = "%s,%s,ok," + _row_template(len(METRIC_COLUMNS)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _rewrite(path) as fh:
         fh.write("scenario,controller,status," + ",".join(METRIC_COLUMNS) + "\n")
         for cell in cells:
             if cell.result is None:

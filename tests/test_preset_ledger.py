@@ -19,7 +19,11 @@ ledger_tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ledger_tool)
 
 
-def test_preset_outputs_match_the_ledger(preset_results, tmp_path):
+def _changed_files(preset_results, tmp_path, over_longer_files):
+    """Preset files whose digest differs from the ledger.  With
+    over_longer_files each preset is written twice, and between the two
+    writes every file it wrote is replaced by longer junk: a rerun into
+    the same directory rewrites the files in place."""
     ledger = json.loads(ledger_tool.LEDGER.read_text(encoding="utf-8"))
     stack = ledger_tool.stack()
     if ledger["stack"] != stack:
@@ -30,12 +34,25 @@ def test_preset_outputs_match_the_ledger(preset_results, tmp_path):
         out = tmp_path / preset
         out.mkdir()
         scenarios, results, _ = preset_results(preset)
-        for name, scn in scenarios.items():
-            _reproduce_scenario(out, preset, name, scn, lambda _: results[name])
+        for _ in range(1 + over_longer_files):
+            for path in out.iterdir():
+                path.write_bytes(b"\xff junk\n" * (path.stat().st_size // 4 + 100))
+            for name, scn in scenarios.items():
+                _reproduce_scenario(out, preset, name, scn, lambda _: results[name])
         written = ledger_tool.digests(out)
         changed += [f"{preset}/{f}" for f in sorted(recorded.keys() | written.keys())
                     if recorded.get(f) != written.get(f)]
+    return changed
+
+
+def test_preset_outputs_match_the_ledger(preset_results, tmp_path):
+    changed = _changed_files(preset_results, tmp_path, over_longer_files=False)
     assert not changed, f"preset outputs differ from the ledger: {', '.join(changed)}"
+
+
+def test_preset_outputs_rewritten_over_longer_files_match_the_ledger(preset_results, tmp_path):
+    changed = _changed_files(preset_results, tmp_path, over_longer_files=True)
+    assert not changed, f"rewritten preset outputs differ from the ledger: {', '.join(changed)}"
 
 
 def test_drift_states_each_changed_column_and_names_other_files(tmp_path, capsys):

@@ -5,9 +5,18 @@ same files when they are run again.  A rewrite over a longer existing
 file must hold exactly the bytes that a write to a fresh path holds, for
 every file the library writes: the four CSV reports, ``compare.txt`` and
 the scenario configs of ``reproduce``.
+
+The rewrite happens in place: no open truncates the file, because on
+ext4 a file truncated to zero and written again is flushed when it is
+closed.  The file is cut to its new length when the writer returns or
+fails, unless it is not a regular file (a link to ``/dev/null``).
 """
 
+import builtins
+import dataclasses
+import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -130,10 +139,83 @@ def test_each_writer_rewrites_to_the_fresh_bytes(tmp_path, writers, writer):
 
 
 def test_the_commands_write_every_file_they_name(tmp_path, writers, cells):
+    out = tmp_path / "out"
+    out.mkdir()
     for name in ("compare-command", "reproduce"):
-        writers[name](tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "compare.csv", "compare.txt", "nat.cfg",
+        writers[name](out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "compare.csv", "compare.txt",
         "p_run.cfg", "p_run_iterations.csv", "p_run_metrics.csv", "p_run_trajectory.csv"]
-    table = (tmp_path / "compare.txt").read_text(encoding="utf-8")
+    table = (out / "compare.txt").read_text(encoding="utf-8")
     assert f"error: {cells[1].error}" in table
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """``(os_opens, path_opens)``: the ``(path, flags)`` of every
+    ``os.open``, and the ``(path, mode)`` of every ``open``/``io.open`` of
+    a path (not a descriptor) in a writing mode, from here on."""
+    os_opens, path_opens = [], []
+    real_os_open, real_open = os.open, builtins.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        os_opens.append((os.fspath(path), flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and set(mode) & set("wax+"):
+            path_opens.append((os.fspath(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(io, "open", spy_open)
+    return os_opens, path_opens
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_each_file_is_opened_without_truncation(tmp_path, writers, opens, writer):
+    out = tmp_path / "out"
+    out.mkdir()
+    writers[writer](out)
+    os_opens, path_opens = opens
+    del os_opens[:], path_opens[:]
+    writers[writer](out)
+    written = {str(p) for p in out.iterdir()}
+    assert not [(path, mode) for path, mode in path_opens if path in written]
+    flags = {path: f for path, f in os_opens if path in written}
+    assert flags.keys() == written
+    assert all(f & os.O_TRUNC == 0 for f in flags.values())
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_link_to_the_null_device_is_written_through(tmp_path, writers, writer):
+    fresh, null = tmp_path / "fresh", tmp_path / "null"
+    fresh.mkdir()
+    null.mkdir()
+    writers[writer](fresh)
+    for path in fresh.iterdir():
+        (null / path.name).symlink_to(os.devnull)
+    writers[writer](null)
+    assert all((null / path.name).is_symlink() for path in fresh.iterdir())
+
+
+def test_a_failed_write_leaves_the_file_cut_where_it_failed(tmp_path):
+    """A row that cannot be formatted, after more rows than one write
+    buffer holds: the file keeps the rows before it and nothing of the
+    longer file it replaced."""
+    n, bad = 2000, 1500
+    result = dataclasses.replace(_result(), time=np.arange(n + 1.0),
+                                 states=np.ones((n + 1, 6)).astype(object),
+                                 controls=np.zeros((n + 1, 3)))
+    result.states[bad, 2] = "not a number"
+    path = tmp_path / "t.csv"
+    path.write_bytes(JUNK * 100_000)
+    with pytest.raises(TypeError):
+        write_trajectory_csv(path, result)
+    cut = dataclasses.replace(result, time=result.time[:bad], states=result.states[:bad],
+                              controls=result.controls[:bad])
+    write_trajectory_csv(tmp_path / "fresh.csv", cut)
+    expected = (tmp_path / "fresh.csv").read_bytes()
+    assert len(expected) > 8192
+    assert path.read_bytes() == expected
