@@ -7,7 +7,8 @@ Subcommands:
   reproduce <preset>   run a packaged scenario and check its bounds
 
 Config format (full grammar):
-  - UTF-8 text, one statement per line.
+  - UTF-8 text, one statement per line; a leading byte-order mark is
+    ignored.
   - Blank lines and lines starting with "#" are ignored.
   - "[section]" opens a section; "key = value" assigns inside it.
   - Angle-valued keys require an explicit unit suffix ("deg" or "rad");
@@ -297,7 +298,7 @@ def config_to_scenario(sections: dict) -> Scenario:
 def parse_config(path) -> Scenario:
     """Read, parse and validate a scenario config file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_to_scenario(parse_config_text(text))
@@ -784,8 +785,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_swp)
     p_swp.set_defaults(func=cmd_sweep_r)
 
-    p_rep = sub.add_parser("reproduce", help="run a packaged scenario preset")
-    p_rep.add_argument("preset")
+    p_rep = sub.add_parser("reproduce", help="run a packaged scenario preset",
+                           formatter_class=argparse.RawTextHelpFormatter)
+    p_rep.add_argument("preset", help="one of:\n" + "\n".join(
+        f"{name} — {description}" for name, (description, _, _) in PRESETS.items()))
     common(p_rep, overrides=False)
     p_rep.set_defaults(func=cmd_reproduce)
 

@@ -4,8 +4,10 @@
 options, flies it on the truth plant (or solves MPSP/G-MPSP from a
 closed-loop LQR guess) and returns a ``RunResult`` with its metrics;
 ``compare`` runs scenarios against controllers, and the ``write_*``
-functions write CSV reports.  Every file the library writes is
-rewritten in place by ``_rewrite``.
+functions write CSV reports.  Every flight of a run (a closed-loop law,
+an open-loop plan and its replay, the MPSP/G-MPSP guess) is one
+``_fly`` call, which builds its law, flies it and names each failure.
+Every file the library writes is rewritten in place by ``_rewrite``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -152,16 +155,17 @@ def settle_time(
 
 
 def _feedback_law(
-    scenario: Scenario, x0: np.ndarray, Xd: np.ndarray, Xd_dot: np.ndarray
+    opts, scenario: Scenario, x0: np.ndarray, Xd: np.ndarray, Xd_dot: np.ndarray
 ) -> Callable[[int, float, np.ndarray], np.ndarray]:
-    """Control u_k = law(k, t_k, X_k) of the feedback controller kinds.
+    """Control u_k = law(k, t_k, X_k) of the feedback controller options
+    opts on the scenario's believed chief and grid.
 
     Xd and Xd_dot are the commanded states and their derivatives on the
     grid (see :func:`desired_trajectory`); law k reads their row k, and
     the finite-time SDRE's terminal constraint is Xd's last row.  NN-LQR's
     virtual plant starts at x0.
     """
-    opts, believed, dt = scenario.controller, scenario.chief, scenario.dt
+    believed, dt = scenario.chief, scenario.dt
 
     if opts.kind == "zero":
         return lambda k, t, X: np.zeros(3)
@@ -202,70 +206,39 @@ def _feedback_law(
 
 def _fly(
     scenario: Scenario, plant: RelativePlant, x0: np.ndarray,
-    policy: Callable[[int, float, np.ndarray], np.ndarray],
+    build_law: Callable[[], Callable[[int, float, np.ndarray], np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``RelativePlant.simulate`` over the scenario's grid, with the
-    plant's own NumericsError or DynamicsError raised as HarnessError
-    naming the controller kind and the step it was flying."""
-    step = (0, 0.0)
+    """The one flight of a run: ``RelativePlant.simulate`` over the
+    scenario's grid under the law that ``build_law()`` returns; returns
+    the states, the chief anomalies and the (N, 3) controls.
 
-    def stepping(k, t, X):
-        nonlocal step
-        step = (k, t)
-        return policy(k, t, X)
-
-    try:
-        return plant.simulate(x0, scenario.n_steps, scenario.dt, stepping)
-    except (NumericsError, DynamicsError) as exc:
-        raise HarnessError(f"plant failed under {scenario.controller.kind} at step {step[0]} "
-                           f"(t={step[1]}): {exc}") from exc
-
-
-def _run_closed_loop(
-    scenario: Scenario, plant: RelativePlant, x0: np.ndarray,
-    reference: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fly the feedback law on the plant; returns the states, the chief
-    anomalies and the (N, 3) controls of ``RelativePlant.simulate``.
-
-    reference is the (Xd, Xd_dot) pair of :func:`desired_trajectory`.
-    A law that cannot be built fails as its step 0, and a plant failure
-    as in :func:`_fly`.  numpy's warnings are silenced: a law or flight
-    that goes non-finite fails on its own error, at its step, instead.
+    A law that cannot be built fails as the controller's step 0, a law
+    that fails in flight as its step, and the plant's NumericsError or
+    DynamicsError as a HarnessError naming the scenario's controller
+    kind and the step it was flying.  numpy's warnings are silenced: a
+    law or flight that goes non-finite fails on its own error, at its
+    step, instead.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            law = _feedback_law(scenario, x0, *reference)
+            law = build_law()
         except Exception as exc:
             raise HarnessError(f"controller failed at step 0 (t=0.0): {exc}") from exc
+        step = (0, 0.0)
 
         def policy(k, t, X):
+            nonlocal step
+            step = (k, t)
             try:
                 return law(k, t, X)
             except Exception as exc:
                 raise HarnessError(f"controller failed at step {k} (t={t}): {exc}") from exc
 
-        return _fly(scenario, plant, x0, policy)
-
-
-def _solve_open_loop(
-    scenario: Scenario, plant: RelativePlant, x0: np.ndarray,
-    reference: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, list[dict], np.ndarray]:
-    """MPSP/G-MPSP seeded with the closed-loop LQR control history, whose
-    flight is the solver's first prediction.  The commanded terminal
-    state is the last row of ``reference``'s states.  A failed
-    correction raises HarnessError naming the kind and the correction,
-    with the solver's or the plant's error as the cause."""
-    Y_star = reference[0][-1]
-    lqr = replace(scenario, controller=LqrOptions())
-    states, nus, guess = _run_closed_loop(lqr, plant, x0, reference)
-    solve = mpsp_solve if scenario.controller.kind == "mpsp" else gmpsp_solve
-    try:
-        return solve(plant, x0, Y_star, guess, scenario.dt, scenario.controller,
-                     prediction=(states, nus))
-    except MpspError as exc:
-        raise HarnessError(f"{scenario.controller.kind} {exc}") from exc.__cause__
+        try:
+            return plant.simulate(x0, scenario.n_steps, scenario.dt, policy)
+        except (NumericsError, DynamicsError) as exc:
+            raise HarnessError(f"plant failed under {scenario.controller.kind} at step {step[0]} "
+                               f"(t={step[1]}): {exc}") from exc
 
 
 def run_scenario(
@@ -273,35 +246,44 @@ def run_scenario(
 ) -> RunResult:
     """Simulate one scenario and compute its metrics."""
     plant = RelativePlant(scenario.plant_chief, scenario.gravity)
-    n, dt = scenario.n_steps, scenario.dt
+    opts, n, dt = scenario.controller, scenario.n_steps, scenario.dt
     x0 = formation_to_hill(scenario.initial, scenario.chief.mean_motion(), 0.0)
     times = np.arange(n + 1) * dt
-    reference = desired_trajectory(scenario, times)
+    Xd, Xd_dot = desired_trajectory(scenario, times)
     log: list[dict] = []
-    if scenario.controller.kind in ("mpsp", "gmpsp"):
-        U, log, states = _solve_open_loop(scenario, plant, x0, reference)
-    elif getattr(scenario.controller, "open_loop", False):
-        # Plan closed-loop against the believed, unperturbed model, then
-        # replay the resulting control history on the truth plant.  This
-        # matches how guess/comparison control histories are evaluated in
-        # the predictive-guidance studies.
-        plan_plant = RelativePlant(scenario.chief, GravityModel(j2_enabled=False))
-        _, _, U = _run_closed_loop(scenario, plan_plant, x0, reference)
-        states, _, _ = _fly(scenario, plant, x0, lambda k, t, X: U[k])
+    if opts.kind in ("mpsp", "gmpsp"):
+        # MPSP/G-MPSP start from the closed-loop LQR control history,
+        # whose flight is the solver's first prediction.  A failed
+        # correction names the kind and the correction, with the
+        # solver's or the plant's error as the cause.
+        guess_law = partial(_feedback_law, LqrOptions(), scenario, x0, Xd, Xd_dot)
+        states, nus, guess = _fly(scenario, plant, x0, guess_law)
+        solve = mpsp_solve if opts.kind == "mpsp" else gmpsp_solve
+        try:
+            U, log, states = solve(plant, x0, Xd[-1], guess, dt, opts, prediction=(states, nus))
+        except MpspError as exc:
+            raise HarnessError(f"{opts.kind} {exc}") from exc.__cause__
     else:
-        states, _, U = _run_closed_loop(scenario, plant, x0, reference)
+        law = partial(_feedback_law, opts, scenario, x0, Xd, Xd_dot)
+        if getattr(opts, "open_loop", False):
+            # Plan closed-loop against the believed, unperturbed model,
+            # then replay the resulting control history on the truth
+            # plant.  This matches how guess/comparison control histories
+            # are evaluated in the predictive-guidance studies.
+            plan_plant = RelativePlant(scenario.chief, GravityModel(j2_enabled=False))
+            _, _, U = _fly(scenario, plan_plant, x0, law)
+            states, _, _ = _fly(scenario, plant, x0, lambda: lambda k, t, X: U[k])
+        else:
+            states, _, U = _fly(scenario, plant, x0, law)
     controls = np.vstack([U, U[-1]])
-    desired = reference[0]
     return RunResult(
         time=times,
         states=states,
         controls=controls,
-        terminal_errors=states[-1] - desired[-1],
-        rho_error_pct=rho_error_pct(states[-1], desired[-1]),
+        terminal_errors=states[-1] - Xd[-1],
+        rho_error_pct=rho_error_pct(states[-1], Xd[-1]),
         control_effort=control_effort(controls, dt),
-        settle_time=settle_time(
-            times, states, desired, scenario.desired.rho, settle_threshold_pct
-        ),
+        settle_time=settle_time(times, states, Xd, scenario.desired.rho, settle_threshold_pct),
         log=log,
     )
 
@@ -339,6 +321,15 @@ def _row_template(n: int) -> str:
     return ",".join(["%.17g"] * n)
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field, quoted as the csv module quotes it by
+    default (RFC 4180): a field holding a comma, a quote, CR or LF is
+    wrapped in quotes, with its quotes doubled."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_trajectory_csv(path, result: RunResult) -> None:
     table = np.column_stack([result.time, result.states, result.controls])
     line = _row_template(table.shape[1]) + "\n"
@@ -374,7 +365,7 @@ def write_metrics_csv(path, named_results: Sequence[tuple[str, RunResult]]) -> N
     with _rewrite(path) as fh:
         fh.write("name," + ",".join(METRIC_COLUMNS) + "\n")
         for name, result in named_results:
-            fh.write(line % (name, *metrics_row(result)))
+            fh.write(line % (_csv_field(name), *metrics_row(result)))
 
 
 def write_iteration_log_csv(path, result: RunResult) -> None:
@@ -422,10 +413,10 @@ def write_compare_csv(path, cells: Sequence[CompareCell]) -> None:
     with _rewrite(path) as fh:
         fh.write("scenario,controller,status," + ",".join(METRIC_COLUMNS) + "\n")
         for cell in cells:
+            names = (_csv_field(cell.scenario_name), _csv_field(cell.controller_name))
             if cell.result is None:
-                fh.write(f"{cell.scenario_name},{cell.controller_name},error\n")
+                fh.write("%s,%s,error\n" % names)
             else:
-                names = (cell.scenario_name, cell.controller_name)
                 fh.write(line % (*names, *metrics_row(cell.result)))
 
 

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 import warnings
@@ -229,6 +230,18 @@ class TestRoundTrip:
     def test_round_trip_preserves_fields(self):
         scn = _scenario_from(MINIMAL)
         assert _scenario_from(serialize_scenario(scn)) == scn
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_byte_order_mark_is_ignored(self, preset, tmp_path):
+        """A preset config saved with a UTF-8 byte-order mark in front
+        parses to the same Scenario as the plain file."""
+        scenarios, _ = PRESETS[preset][1]()
+        for name, scn in scenarios.items():
+            text = serialize_scenario(scn).encode()
+            plain, marked = tmp_path / f"{name}.cfg", tmp_path / f"{name}-bom.cfg"
+            plain.write_bytes(text)
+            marked.write_bytes(b"\xef\xbb\xbf" + text)
+            assert cli.parse_config(marked) == cli.parse_config(plain) == scn
 
 
 def _documented_sections():
@@ -520,6 +533,30 @@ class TestSubcommands:
         assert "kind 'zero'" in err and "control weight" in err
         assert "unexpected keyword" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_names_with_commas_stay_one_csv_field(self, tmp_path, capsys):
+        """A config named a,b.cfg writes its name as one quoted field of
+        a,b_metrics.csv and compare.csv, so every row has the header's
+        field count."""
+        cfg = tmp_path / "a,b.cfg"
+        cfg.write_text(MINIMAL.replace("tf = 600", "tf = 20"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert main(["compare", str(cfg), "--controllers", "zero,lqr", "--out", str(out)]) == EXIT_OK
+        for report, names in [("a,b_metrics.csv", [["a,b"]]),
+                              ("compare.csv", [["a,b", "zero"], ["a,b", "lqr"]])]:
+            with open(out / report, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert [row[:len(names[0])] for row in rows] == names
+            assert all(len(row) == len(header) for row in rows)
+
+    def test_reproduce_help_describes_every_preset(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        for name, (description, _, _) in PRESETS.items():
+            assert f"{name} — {description}" in help_text
 
     def test_reproduce_unknown_preset_exits_2(self, tmp_path):
         assert main(["reproduce", "no-such-table", "--out", str(tmp_path)]) == EXIT_ERROR

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -264,13 +266,20 @@ class TestRunScenario:
             run_scenario(scn)
         assert type(exc.value.__cause__) is NumericsError
 
+    @pytest.mark.parametrize("options", [
+        ZeroOptions(), LqrOptions(), LqrOptions(open_loop=True), SdreOptions(), FsdreOptions(),
+        FsdreOptions(open_loop=True), MpspOptions(), GmpspOptions(), NnlqrOptions(),
+    ], ids=["zero", "lqr", "lqr-open-loop", "sdre", "fsdre", "fsdre-open-loop", "mpsp", "gmpsp",
+            "nnlqr"])
     @pytest.mark.parametrize("error", [None, DynamicsError("deputy at the geocenter: gamma = 0")],
                              ids=["non-finite", "geocenter"])
-    def test_plant_failure_names_the_kind_and_time(self, monkeypatch, error):
-        """A flight whose plant fails at its fourth step, with NaNs or a
-        deputy at the geocenter, raises HarnessError naming the
-        controller kind, the step and t, with the plant's NumericsError
-        or DynamicsError as the cause."""
+    def test_plant_failure_names_the_kind_and_time(self, monkeypatch, options, error):
+        """A run whose first flight fails at its fourth plant step, with
+        NaNs or a deputy at the geocenter, raises HarnessError naming the
+        scenario's controller kind, the step and t, with the plant's
+        NumericsError or DynamicsError as the cause.  That first flight
+        is the closed-loop law, the open-loop plan or the MPSP/G-MPSP
+        LQR guess, which still names the predictive kind."""
         plant_step, steps = dynamics._plant_step, []
 
         def fails_at_step_3(*args):
@@ -282,9 +291,10 @@ class TestRunScenario:
             return (math.nan,) * 6
 
         monkeypatch.setattr(dynamics, "_plant_step", fails_at_step_3)
-        expected = r"^plant failed under lqr at step 3 \(t=3\.0\): "
+        scn = dataclasses.replace(_natural_scenario(tf=20.0), controller=options)
+        expected = rf"^plant failed under {options.kind} at step 3 \(t=3\.0\): "
         with pytest.raises(HarnessError, match=expected) as exc:
-            run_scenario(_natural_scenario("lqr", tf=20.0))
+            run_scenario(scn)
         assert type(exc.value.__cause__) is (NumericsError if error is None else DynamicsError)
 
     @pytest.mark.parametrize("error", [None, DynamicsError("deputy at the geocenter: gamma = 0")],
@@ -528,6 +538,13 @@ class TestDesiredTrajectory:
         )
 
 
+def _csv_writer_line(row):
+    """row as csv.writer writes it by default, ended by LF for CRLF."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerow(row)
+    return buffer.getvalue().removesuffix("\r\n") + "\n"
+
+
 class TestCsvWriters:
     def test_trajectory_schema_and_precision(self, tmp_path):
         result = run_scenario(_natural_scenario(tf=10.0))
@@ -583,6 +600,29 @@ class TestCsvWriters:
         write_iteration_log_csv(tmp_path / "iters.csv", result)
         lines = (tmp_path / "iters.csv").read_text().splitlines()
         assert lines[1] == "3," + per_value([*values[1, :6], -0.0]) + ",1"
+
+    def test_names_are_quoted_as_the_csv_module_quotes_them(self, tmp_path):
+        """Names holding a comma, a quote, CR or LF round-trip through
+        csv.reader, every row has the header's field count (an error row
+        of compare.csv its three), and csv.writer writes the rows read
+        back to the same text: plain names are not quoted."""
+        result = run_scenario(_natural_scenario(tf=10.0))
+        names = ["a,b", 'say "hi"', "two\nlines", "cr\rlf", "plain", ""]
+        write_metrics_csv(tmp_path / "m.csv", [(name, result) for name in names])
+        cells = [CompareCell(name, "lqr", result) for name in names]
+        cells += [CompareCell(name, 'c,"d"', None, error="failed") for name in names]
+        write_compare_csv(tmp_path / "c.csv", cells)
+        for path, expected in [
+            (tmp_path / "m.csv", [[name] for name in names]),
+            (tmp_path / "c.csv", [[name, "lqr", "ok"] for name in names]
+             + [[name, 'c,"d"', "error"] for name in names]),
+        ]:
+            text = path.read_bytes().decode()
+            header, *rows = csv.reader(io.StringIO(text, newline=""))
+            assert [row[:len(want)] for row, want in zip(rows, expected)] == expected
+            assert [len(row) for row in rows] == [
+                3 if want[-1] == "error" else len(header) for want in expected]
+            assert "".join(map(_csv_writer_line, [header, *rows])) == text
 
     def test_iteration_log(self, tmp_path):
         scn = Scenario(
