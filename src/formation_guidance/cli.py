@@ -355,23 +355,23 @@ def serialize_scenario(scenario: Scenario) -> str:
 # Presets
 
 
-def _chief(a=10000.0, e=0.0, i=0.0, nu0=math.radians(10.0)) -> ChiefOrbit:
-    return ChiefOrbit(a=a, e=e, i=i, arg_perigee=0.0, raan=0.0, nu0=nu0)
+def _chief(a=10000.0, e=0.0, i=0.0) -> ChiefOrbit:
+    return ChiefOrbit(a=a, e=e, i=i, arg_perigee=0.0, raan=0.0, nu0=math.radians(10.0))
 
 
-def _form(rho, theta_deg, m=0.0, n=0.0) -> FormationParams:
+def _form(rho, theta_deg, m) -> FormationParams:
     return FormationParams(rho=rho, theta=math.radians(theta_deg), a_off=0.0,
-                           b_off=0.0, m_slope=m, n_slope=n)
+                           b_off=0.0, m_slope=m, n_slope=0.0)
 
 
-def _scenario(chief, initial, desired, tf, controller, j2=False, truth=None, dt=1.0):
+def _scenario(chief, initial, desired, tf, controller, j2=False, truth=None):
     return Scenario(
         chief=chief,
         gravity=GravityModel(j2_enabled=j2),
         initial=initial,
         desired=desired,
         tf=tf,
-        dt=dt,
+        dt=1.0,
         controller=controller,
         truth_chief=truth,
     )
@@ -677,7 +677,7 @@ def cmd_sweep_r(args) -> int:
     results = []
     for value in args.values:
         scn = replace(base, controller=replace(base.controller, r_weight=value))
-        results.append((f"R={value:g}", run_scenario(scn, args.threshold_pct)))
+        results.append((_weight_label(value), run_scenario(scn, args.threshold_pct)))
     out = _outdir(args)
     write_metrics_csv(out / "sweep_r_metrics.csv", results)
     for name, result in results:
@@ -737,12 +737,18 @@ def _word_list(raw: str) -> list[str]:
     return raw.split(",")
 
 
+def _weight_label(value: float) -> str:
+    """The name of a sweep-r row: ``R=`` and the weight as ``:g`` writes it."""
+    return f"R={value:g}"
+
+
 _positive_float = _checked(float, _finite_positive, "finite and > 0")
 _positive_floats = _checked(
     _float_list, lambda values: all(map(_finite_positive, values)), "finite numbers > 0"
 )
 _weights = _checked(
-    _positive_floats, lambda values: len(set(values)) == len(values), "distinct weights"
+    _positive_floats, lambda values: len(set(map(_weight_label, values))) == len(values),
+    "weights that differ in 6 significant digits",
 )
 _count = _checked(int, lambda v: v >= 0, ">= 0")
 _kinds = _checked(

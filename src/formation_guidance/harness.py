@@ -409,30 +409,40 @@ def compare(
 
 
 def write_compare_csv(path, cells: Sequence[CompareCell]) -> None:
+    """One row per cell; a failed cell's status is ``error`` and its
+    metric fields are empty."""
     line = "%s,%s,ok," + _row_template(len(METRIC_COLUMNS)) + "\n"
+    failed = "%s,%s,error" + "," * len(METRIC_COLUMNS) + "\n"
     with _rewrite(path) as fh:
         fh.write("scenario,controller,status," + ",".join(METRIC_COLUMNS) + "\n")
         for cell in cells:
             names = (_csv_field(cell.scenario_name), _csv_field(cell.controller_name))
             if cell.result is None:
-                fh.write("%s,%s,error\n" % names)
+                fh.write(failed % names)
             else:
                 fh.write(line % (*names, *metrics_row(cell.result)))
 
 
+def _one_line(text: str) -> str:
+    """text with CR and LF written as the escapes ``\\r`` and ``\\n``."""
+    return text.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def format_compare_table(cells: Sequence[CompareCell]) -> str:
-    """Aligned text table of terminal errors, one row per cell; a failed
+    """Aligned text table of terminal errors, one line per cell; a failed
     cell's row gives its error message after the names and widens no
-    column."""
+    column.  CR and LF in names and messages are written as ``\\r`` and
+    ``\\n``."""
     headers = ["scenario", "controller", "ex", "ey", "ez", "rho_err_pct", "effort"]
     rows = [headers]
     for cell in cells:
+        names = [_one_line(cell.scenario_name), _one_line(cell.controller_name)]
         if cell.result is None:
-            rows.append([cell.scenario_name, cell.controller_name, f"error: {cell.error or ''}"])
+            rows.append([*names, f"error: {_one_line(cell.error or '')}"])
             continue
         res = cell.result
         values = (*res.terminal_errors[POSITION_ROWS], res.rho_error_pct, res.control_effort)
-        rows.append([cell.scenario_name, cell.controller_name, *(f"{v:.6g}" for v in values)])
+        rows.append([*names, *(f"{v:.6g}" for v in values)])
     widths = [max(len(r[i]) for r in rows if i < len(r) - 1) for i in range(len(headers) - 1)]
     lines = ["  ".join(f.ljust(w) for f, w in zip(r, [*widths, 0])).rstrip() for r in rows]
     return "\n".join(lines) + "\n"

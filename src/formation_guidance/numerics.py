@@ -528,86 +528,62 @@ def _no_sort(wr: float, wi: float) -> int:
     return 0
 
 
-#: Coefficients b_0 ... b_m of the degree-m diagonal Padé approximant
-#: r_m(A) = q_m(A)^-1 p_m(A), p_m(A) = sum b_j A^j, q_m(A) = p_m(-A), of
-#: exp(A) (Higham, SIAM J. Matrix Anal. Appl. 2005, eqs. 2.3 and 2.7).
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
+#: Coefficients b_0 ... b_13 of the degree-13 diagonal Padé approximant
+#: r₁₃(A) = q(A)^-1 p(A), p(A) = sum b_j A^j, q(A) = p(-A), of exp(A)
+#: (Higham, SIAM J. Matrix Anal. Appl. 2005, eqs. 2.3 and 2.7).
+_PADE_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
-#: Largest 1-norm θ_m at which r_m has a backward error below the unit
-#: roundoff 2^-53 (Higham 2005, Table 2.3), for m = 3, 5, 7, 9 and 13.
-PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-              7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
+#: Largest 1-norm θ₁₃ at which r₁₃ has a backward error below the unit
+#: roundoff 2^-53 (Higham 2005, Table 2.3).
+PADE_THETA = 5.371920351148152
+
+#: Rows that turn the stack ``I, A², A⁴, A⁶`` into ``u₁, u₂, v₁, v₂``
+#: of the odd and even sums ``U = A (A⁶ u₁ + u₂)``, ``V = A⁶ v₁ + v₂``.
+_PADE_TABLE = np.array([(0.0, *_PADE_B[9::2]), _PADE_B[1:9:2],
+                        (0.0, *_PADE_B[8::2]), _PADE_B[0:8:2]])
 
 
-def _pade_table(m: int) -> np.ndarray:
-    """Rows of coefficients that turn the stack ``I, A², A⁴, ...`` into
-    the sums of :func:`_pade_approximant`: for m ≤ 9 the odd sum ``u``,
-    with ``U = A u``, and ``V``; for m = 13 the inner and outer parts
-    of each, ``U = A (A⁶ u₁ + u₂)`` and ``V = A⁶ v₁ + v₂``."""
-    b = _PADE_B[m]
-    if m < 13:
-        return np.array([b[1::2], b[0::2]])
-    return np.array([(0.0, *b[9::2]), b[1:9:2], (0.0, *b[8::2]), b[0:8:2]])
-
-
-_PADE_TABLES = {m: _pade_table(m) for m in _PADE_B}
-
-
-def _pade_approximant(A: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``r_m(A) = (V − U)⁻¹ (V + U)`` for ``U`` and ``V`` the odd and even
-    parts of ``p_m(A)``, with ``table`` from :func:`_pade_table`.
-
-    The even powers are stacked so that one product with ``table`` forms
-    every sum of them.  ``ndarray.dot`` has the bits of ``@`` and a
-    fraction of its call cost on small matrices.
+def _pade_approximant(A: np.ndarray) -> np.ndarray:
+    """``r₁₃(A) = (V − U)⁻¹ (V + U)`` for ``U`` and ``V`` the odd and even
+    parts of ``p(A)``.  One product with ``_PADE_TABLE`` forms every sum
+    of the stacked even powers.  ``ndarray.dot`` has the bits of ``@``
+    and a fraction of its call cost on small matrices.
     """
-    k, n = table.shape[1], A.shape[0]
-    evens = np.empty((k, n, n))
+    n = A.shape[0]
+    evens = np.empty((4, n, n))
     evens[0] = np.eye(n)
     np.dot(A, A, out=evens[1])
-    for j in range(2, k):
+    for j in (2, 3):
         np.dot(evens[j - 1], evens[1], out=evens[j])
-    sums = table.dot(evens.reshape(k, n * n)).reshape(-1, n, n)
-    if len(sums) == 2:
-        odd, even = sums
-    else:
-        A6 = evens[3]
-        odd = A6.dot(sums[0]) + sums[1]
-        even = A6.dot(sums[2]) + sums[3]
-    odd = A.dot(odd)
+    u1, u2, v1, v2 = _PADE_TABLE.dot(evens.reshape(4, n * n)).reshape(4, n, n)
+    A6 = evens[3]
+    odd = A.dot(A6.dot(u1) + u2)
+    even = A6.dot(v1) + v2
     return np.linalg.solve(even - odd, even + odd)
 
 
 def matrix_exponential(M: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Compute ``exp(M * scale)`` by Padé scaling-and-squaring in numpy.
 
-    The algorithm of Higham (SIAM J. Matrix Anal. Appl. 2005): with ``A
-    = M * scale``, the lowest degree m of 3, 5, 7 and 9 whose
-    ``PADE_THETA[m]`` bounds the 1-norm of ``A`` gives ``r_m(A)``; above
-    those, ``A`` is halved ``s = ⌈log₂(‖A‖₁ / θ₁₃)⌉`` times and ``r₁₃(A
-    / 2^s)`` squared ``s`` times.  scipy's ``expm``, the tests' oracle,
-    follows Al-Mohy & Higham (ibid. 2009), who keep these degrees and
-    thresholds but choose ``s`` from norms of powers of ``A``; where
-    ``‖A‖₁`` far exceeds the spectral radius the 2005 choice squares more
-    often and loses a few digits to it.  Agreement with scipy, relative:
-    at most 3.6e-13 on 3000 random 12 × 12 matrices of 1-norm 1e-4 ...
-    1e3, and 8.4e-12 on the finite-horizon SDRE Hamiltonians of a
-    2000 s horizon, whose ``‖H τ‖₁ = 2000`` takes 9 squarings; well
-    inside 1e-10.
+    Higham's algorithm (SIAM J. Matrix Anal. Appl. 2005) at its top
+    degree alone: with ``A = M * scale``, ``r₁₃(A / 2^s)`` squared ``s =
+    ⌈log₂(‖A‖₁ / θ₁₃)⌉`` times, or ``r₁₃(A)`` where ``‖A‖₁ ≤ θ₁₃``.  Its
+    lower degrees only save work at 1-norms below 2.1, which the
+    finite-horizon SDRE law (``‖H τ‖₁ ≥ τ ≥ dt``) makes only at a
+    horizon's last steps.  A zero argument gives ``I`` exactly.  scipy's
+    ``expm``, the tests' oracle, follows Al-Mohy & Higham (ibid. 2009),
+    who choose ``s`` from norms of powers of ``A``; where ``‖A‖₁`` far
+    exceeds the spectral radius the 2005 choice squares more often and
+    loses a few digits to it.  Agreement with scipy, relative: at most
+    3.6e-13 on 3000 random 12 × 12 matrices of 1-norm 1e-4 ... 1e3, and
+    8.4e-12 on the finite-horizon SDRE Hamiltonians of a 2000 s horizon,
+    whose ``‖H τ‖₁ = 2000`` takes 9 squarings.
 
     Raises NumericsError when ``M * scale`` is not finite, read off its
     1-norm before any power is formed, and when its 1-norm or the result
-    overflows.  The scaling and squaring run under an error state that
-    keeps numpy from warning of the overflow or invalid value first.
+    overflows, with no numpy warning first.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         A = np.asarray(M, dtype=float) * scale
@@ -616,15 +592,12 @@ def matrix_exponential(M: np.ndarray, scale: float = 1.0) -> np.ndarray:
             if not np.isfinite(A).all():
                 raise NumericsError("non-finite argument of the matrix exponential")
             raise NumericsError("overflow in matrix exponential")
-        for m in (3, 5, 7, 9):
-            if norm <= PADE_THETA[m]:
-                out = _pade_approximant(A, _PADE_TABLES[m])
-                break
-        else:
-            s = max(0, math.ceil(math.log2(norm / PADE_THETA[13])))
-            out = _pade_approximant(A * 2.0**-s, _PADE_TABLES[13])
-            for _ in range(s):
-                out = out.dot(out)
+        if norm == 0.0:
+            return np.eye(A.shape[0])
+        s = max(0, math.ceil(math.log2(norm / PADE_THETA)))
+        out = _pade_approximant(A * 2.0**-s)
+        for _ in range(s):
+            out = out.dot(out)
     if not np.all(np.isfinite(out)):
         raise NumericsError("overflow in matrix exponential")
     return out

@@ -199,6 +199,11 @@ class TestParseConfig:
         (("tf = 600", "tf = 3\ndt = 1e-320"), "integral number of dt steps"),
         (("tf = 600", "dt = 2"), r"\[run\] requires key 'tf'"),
         (("a = 10000", "e = 0.1"), r"\[chief\] requires key 'a'"),
+        (("[run]", "[foo]\n\n[run]"), r"line 14: unknown section \[foo\]"),
+        (("kind = lqr", "kind = lqr\nhorizon = finite"),
+         "horizon = finite applies only to the sdre controller"),
+        (("[initial]\nrho = 5\ntheta = 30 deg\nm_slope = 1\n", ""),
+         r"missing required section \[initial\]"),
     ])
     def test_invalid_value_raises_config_error(self, edit, message):
         with pytest.raises(ConfigError, match=message):
@@ -424,6 +429,26 @@ class TestSubcommands:
         assert f"line {line}: key 'r_weight' must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_run_overrides_take_effect(self, tmp_path, capsys):
+        """--tf and --dt set the trajectory's grid, and --j2 on changes
+        the terminal errors that --j2 off gives."""
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(MINIMAL)
+        errors = {}
+        for j2 in ("off", "on"):
+            out = tmp_path / j2
+            argv = ["run", str(cfg), "--tf", "200", "--dt", "2", "--j2", j2, "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            with open(out / "grid_trajectory.csv", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert len(rows) == 200 / 2 + 1
+            assert [float(row[0]) for row in rows[:2]] == [0.0, 2.0]
+            assert float(rows[-1][0]) == 200.0
+            with open(out / "grid_metrics.csv", newline="") as fh:
+                errors[j2] = next(csv.DictReader(fh))
+        for column in ("ex", "ey", "ez"):
+            assert errors["on"][column] != errors["off"][column]
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == EXIT_ERROR
 
@@ -492,6 +517,7 @@ class TestSubcommands:
         ("--values", "0"),
         ("--values", "1e9,1e9"),
         ("--values", "1e8,1e9,100000000"),
+        ("--values", "1e9,1.0000001e9"),
         ("--threshold-pct", "-1"),
         ("--threshold-pct", "nan"),
     ])
@@ -524,6 +550,22 @@ class TestSubcommands:
         assert efforts[0] > efforts[1]
         assert [line.split(",")[0] for line in descending[1:]] == ["R=1e+09", "R=1e+08"]
         assert descending == [ascending[0], ascending[2], ascending[1]]
+
+    def test_sweep_r_unsettled_weights_violate_the_ordering(self, tmp_path, capsys):
+        """At tf = 20 s no weight settles, so settle time cannot rise with
+        the weight: the sweep writes its rows and exits 1."""
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(
+            MINIMAL.replace("rho = 5\ntheta = 30 deg\nm_slope = 1", "rho = 10\ntheta = 60 deg\nm_slope = 1.5", 1)
+            .replace("kind = lqr", "kind = sdre")
+            .replace("tf = 600", "tf = 20")
+        )
+        out = tmp_path / "out"
+        assert main(["sweep-r", str(cfg), "--values", "1e8,1e9", "--out", str(out)]) == EXIT_CRITERION
+        printed = capsys.readouterr().out
+        assert printed.count("settle not-settled") == 2
+        assert printed.endswith("sweep-r: settle/effort ordering violated\n")
+        assert len((out / "sweep_r_metrics.csv").read_text().splitlines()) == 3
 
     def test_sweep_r_without_control_weight_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"

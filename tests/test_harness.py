@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from formation_guidance.dynamics import (
     hill_linear_matrices,
 )
 from formation_guidance.harness import (
+    METRIC_COLUMNS,
     NOT_SETTLED,
     SETTLE_THRESHOLD_PCT,
     CompareCell,
@@ -516,6 +518,22 @@ class TestCompare:
         assert failed.split(None, 2) == ["nat", "lqr", f"error: {cells[1].error}"]
         assert failed.index("error: ") == header.index("ex")
 
+    def test_line_breaks_in_names_and_messages_are_escaped(self):
+        """A name or message holding CR or LF keeps its cell on one line of
+        the table, and the columns stay where the other rows put them."""
+        result = run_scenario(_natural_scenario(tf=10.0))
+        cells = [CompareCell("nat", "zero", result),
+                 CompareCell("a\nb", "c\rd", result),
+                 CompareCell("a\nb", "lqr", None, error="boom\nbang")]
+        lines = format_compare_table(cells).splitlines()
+        assert len(lines) == len(cells) + 1
+        header, plain, escaped, failed = lines
+        assert escaped.split()[:2] == ["a\\nb", "c\\rd"]
+        assert failed.split(None, 2) == ["a\\nb", "lqr", "error: boom\\nbang"]
+        starts = [[m.start() for m in re.finditer(r"\S+", line)] for line in (header, plain, escaped)]
+        assert starts[0] == starts[1] == starts[2]
+        assert failed.index("error: ") == header.index("ex")
+
 
 class TestDesiredTrajectory:
     @pytest.mark.parametrize("dt", [1.0, 0.1, 7.3])
@@ -604,8 +622,9 @@ class TestCsvWriters:
     def test_names_are_quoted_as_the_csv_module_quotes_them(self, tmp_path):
         """Names holding a comma, a quote, CR or LF round-trip through
         csv.reader, every row has the header's field count (an error row
-        of compare.csv its three), and csv.writer writes the rows read
-        back to the same text: plain names are not quoted."""
+        of compare.csv too, with its metric fields empty), and csv.writer
+        writes the rows read back to the same text: plain names are not
+        quoted."""
         result = run_scenario(_natural_scenario(tf=10.0))
         names = ["a,b", 'say "hi"', "two\nlines", "cr\rlf", "plain", ""]
         write_metrics_csv(tmp_path / "m.csv", [(name, result) for name in names])
@@ -620,9 +639,13 @@ class TestCsvWriters:
             text = path.read_bytes().decode()
             header, *rows = csv.reader(io.StringIO(text, newline=""))
             assert [row[:len(want)] for row, want in zip(rows, expected)] == expected
-            assert [len(row) for row in rows] == [
-                3 if want[-1] == "error" else len(header) for want in expected]
+            assert [len(row) for row in rows] == [len(header)] * len(expected)
             assert "".join(map(_csv_writer_line, [header, *rows])) == text
+        with open(tmp_path / "c.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == ["ok"] * 6 + ["error"] * 6
+        assert all(None not in row and None not in row.values() for row in rows)
+        assert all(row[column] == "" for row in rows[6:] for column in METRIC_COLUMNS)
 
     def test_iteration_log(self, tmp_path):
         scn = Scenario(
