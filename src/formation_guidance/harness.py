@@ -183,9 +183,9 @@ def _feedback_law(
     kins = chief_kinematics_table(believed, propagate_nu(believed, scenario.n_steps, dt))
 
     if opts.kind == "sdre":
-        # Each step's Riccati solution, with the Schur form of its closed
-        # loop, warm-starts the next, and the weights' invariants serve
-        # every step; both are local to this run's law.
+        # Each step's Riccati solution, with the Schur form its chords
+        # contract on, warm-starts the next, and the weights' invariants
+        # serve every step; both are local to this run's law.
         riccati = RiccatiState(None)
         weights = riccati_weights(B, opts.Q, opts.R)
 

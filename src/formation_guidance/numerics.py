@@ -12,8 +12,10 @@ peak RSS from about 27 MB to 55 MB (2-vCPU Xeon, Python 3.11.7, numpy
 :func:`scipy_linalg`, which imports it on first use, and only by the
 cold solve's fallback.  The warm Riccati solve, which the pointwise
 SDRE law runs at every step after the first, calls raw LAPACK
-``dgees`` and ``dtrsyl`` from scipy's LAPACK extension, which
-:func:`lapack` loads alone in 0.014-0.031 s (peak RSS about 30 MB).
+``dtrsyl``, and ``dgees`` where it refreshes its Schur form, from
+scipy's LAPACK extension, which :func:`lapack` loads alone in
+0.014-0.031 s (peak RSS about 30 MB); its Hurwitz certificate factors
+``P`` by the numpy Cholesky kernel that the cold solve already runs.
 So a run that succeeds imports ``scipy.linalg`` only where a cold
 solve falls back to scipy.
 
@@ -131,6 +133,15 @@ NEWTON_TOL = 1e-14
 #: form; after one that shrinks it less, Newton-Kleinman takes over.
 CHORD_CONTRACTION = 1e-3
 
+#: Unit roundoff of IEEE double precision, in the Hurwitz certificate's
+#: rounding bound.
+_UNIT_ROUNDOFF = 2.0**-53
+
+try:  # numpy's Cholesky gufunc, the one np.linalg.cholesky wraps
+    from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
+except ImportError:  # a numpy that does not expose it under this name
+    _cholesky_lo = np.linalg.cholesky
+
 #: Most Newton steps of the matrix sign function before the cold solve
 #: falls back to scipy.  Well-posed problems take 3 to 7, and 21 with a
 #: state weight 1e-24 times the control weight.
@@ -146,8 +157,10 @@ class RiccatiWeights:
 
     ``B_tilde = B L⁻ᵀ`` for the Cholesky factor ``R = L Lᵀ``, ``G =
     B_tilde B_tildeᵀ = B R⁻¹ Bᵀ``, the Frobenius norms of ``G`` and
-    ``Q``, and ``R_inv_BT = R⁻¹ Bᵀ`` (by ``np.linalg.solve``), which maps
-    a solution ``P`` to the gain ``R⁻¹ Bᵀ P``.  Built by
+    ``Q``, ``R_inv_BT = R⁻¹ Bᵀ`` (by ``np.linalg.solve``), which maps
+    a solution ``P`` to the gain ``R⁻¹ Bᵀ P``, and ``min_eig_Q``, a
+    lower bound on the least eigenvalue of ``Q`` that a warm solve's
+    Hurwitz certificate reads (:func:`_certified`).  Built by
     :func:`riccati_weights`; a run that solves many Riccati equations
     with the same weights builds it once.
     """
@@ -157,14 +170,21 @@ class RiccatiWeights:
     norm_G: float
     norm_Q: float
     R_inv_BT: np.ndarray
+    min_eig_Q: float
 
 
 def riccati_weights(B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> RiccatiWeights:
     """The :class:`RiccatiWeights` of ``B``, ``Q`` and ``R``.
 
+    ``min_eig_Q`` is Gershgorin's bound ``min_i(Q_ii − Σ_{j≠i} |Q_ij|)``
+    on the eigenvalues of an exactly symmetric ``Q``, which is ``q`` for
+    ``Q = q I``.  Any other ``Q``, and a bound that is not positive, give
+    0, for which no warm result is certified.
+
     Raises NumericsError when ``R`` is not positive definite.
     """
     B = np.asarray(B, dtype=float)
+    Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
     try:
         # Absorb R into the input map (B L^-T with R = L L^T) so widely
@@ -177,17 +197,27 @@ def riccati_weights(B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> RiccatiWeigh
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericsError(f"Riccati solve failed: {exc}") from exc
     G = B_tilde @ B_tilde.T
-    return RiccatiWeights(B_tilde, G, _norm(G), _norm(np.asarray(Q, dtype=float)), R_inv_BT)
+    min_eig_Q = 0.0
+    if Q.ndim == 2 and Q.size and np.array_equal(Q, Q.T):
+        diagonal = np.diag(Q)
+        gershgorin = float(np.min(diagonal - np.abs(Q - np.diag(diagonal)).sum(axis=1)))
+        if gershgorin > 0.0 and math.isfinite(gershgorin):
+            min_eig_Q = gershgorin
+    return RiccatiWeights(B_tilde, G, _norm(G), _norm(Q), R_inv_BT, min_eig_Q)
 
 
 class RiccatiState(NamedTuple):
     """A warm start that :func:`solve_are` takes and returns.
 
-    ``P`` is a Riccati solution, or None for no guess.  ``(T, Z)`` is
-    the real Schur form ``closedᵀ = Z T Zᵀ`` of its closed loop ``closed
-    = A − B R⁻¹ Bᵀ P`` for the ``A`` it solved, or None where no form
-    was computed: a guess made of a ``P`` alone, or a ``P`` from the
-    cold solve.
+    ``P`` is a Riccati solution, or None for no guess.  ``(T, Z)`` is a
+    Hurwitz real Schur form ``Cᵀ = Z T Zᵀ`` on which chords contract, as
+    ``dgees`` returns it (2 × 2 blocks standardized, so the real parts
+    of ``T``'s eigenvalues are its diagonal), or None where no form was
+    computed: a guess made of a ``P`` alone, or a ``P`` from the cold
+    solve.  ``C`` is the closed loop ``A − B R⁻¹ Bᵀ P`` of ``P`` itself
+    for the ``A`` it solved, or of an earlier solve in a chain, whose
+    form the chords that reached ``P`` used; such a ``P`` is certified
+    Hurwitz by :func:`_certified` instead.
     """
 
     P: np.ndarray | None
@@ -258,12 +288,17 @@ def solve_are(
     the factor ``CHORD_CONTRACTION``; after one that does not, the
     iteration goes on by Newton-Kleinman steps from the better of the
     two iterates.  Along a pointwise SDRE chain one or a few chords
-    reach the tolerance, so a warm solve takes one ``dgees``, the
-    Hurwitz test of its result, which is also the form it hands on.
-    The warm start falls back to the cold solve when a Newton step's
-    closed loop is not Hurwitz, when LAPACK reports a failure in a
-    Newton step, or when the iteration has not reached a relative
-    residual of ``NEWTON_TOL`` within ``NEWTON_MAX_STEPS`` Newton steps.
+    reach the tolerance.  A result that chords alone reached on a
+    Hurwitz handed-in form hands that form on, once :func:`_certified`
+    proves its closed loop Hurwitz by Lyapunov's theorem; any other
+    result takes a fresh ``dgees`` form of its own closed loop, its
+    Hurwitz test.  So a pointwise SDRE chain takes a ``dgees`` only at
+    its first warm step and where a chord on the aging form misses
+    ``CHORD_CONTRACTION``.  The warm start falls back to the cold solve
+    when a Newton step's closed loop is not Hurwitz, when LAPACK reports
+    a failure in a Newton step, or when the iteration has not reached a
+    relative residual of ``NEWTON_TOL`` within ``NEWTON_MAX_STEPS``
+    Newton steps.
     The residual is relative to ``1 + ||P||`` or, where larger, to the
     size of its terms, ``||A|| ||P|| + ||P||^2 ||B R⁻¹ Bᵀ|| + ||Q||``.
     The Lyapunov solve does the arithmetic of scipy's
@@ -277,9 +312,11 @@ def solve_are(
     The contract, for a cold and a warm ``P`` alike, is a Riccati
     residual, formed with ``weights.G = B R⁻¹ Bᵀ``, of at most ``1e-8 (1
     + ||P||)`` in the Frobenius norm (:func:`_residual_ok`), and a
-    Hurwitz closed loop.  A warm ``P`` is tested for Hurwitz on the real
-    parts of a ``dgees`` Schur form of its own closed loop
-    (:func:`_hurwitz_schur`), the form it returns; a cold ``P`` by
+    Hurwitz closed loop.  A warm ``P`` is shown Hurwitz either by the
+    Lyapunov certificate of :func:`_certified`, ``P ≻ 0`` and a residual
+    whose norm and rounding bound stay below ``weights.min_eig_Q``, or
+    on the real parts of a ``dgees`` Schur form of its own closed loop
+    (:func:`_hurwitz_schur`), the form it then returns; a cold ``P`` by
     ``np.linalg.eigvals`` (:func:`_contract_failure`), which needs no
     LAPACK beyond numpy's.  The check decides only whether a ``P`` is
     returned: a warm ``P`` that fails it is discarded for the cold
@@ -380,11 +417,15 @@ def _newton_kleinman(
     one, then Newton-Kleinman steps, as :func:`solve_are` describes.
 
     Returns the :class:`RiccatiState` of the converged iterate once it
-    meets the residual/Hurwitz contract of ``solve_are``, or None when
-    a Newton step's closed loop ``A − G P`` is not Hurwitz, LAPACK fails
-    in a Newton step, an iterate is not finite, ``NEWTON_MAX_STEPS``
-    Newton steps do not reach the ``NEWTON_TOL`` residual, or the result
-    breaks the contract.  The residual is measured against the larger
+    meets the residual/Hurwitz contract of ``solve_are``: with
+    ``start``'s form where chords alone on it converged, the form is
+    Hurwitz and :func:`_certified` proves the iterate's closed loop
+    Hurwitz, and otherwise with the ``dgees`` form of that closed loop,
+    which must show it Hurwitz.  It returns None when a Newton step's
+    closed loop ``A − G P`` is not Hurwitz, LAPACK fails in a Newton
+    step, an iterate is not finite, ``NEWTON_MAX_STEPS`` Newton steps do
+    not reach the ``NEWTON_TOL`` residual, or the result breaks the
+    contract.  The residual is measured against the larger
     of ``1 + ||P||`` and the size of its terms: the round-off floor of a
     badly scaled system lies above ``NEWTON_TOL (1 + ||P||)``, and the
     iteration would stagnate there until the fallback.  A chord that
@@ -427,15 +468,80 @@ def _newton_kleinman(
                         continue
                 P = trial
                 closed, res, res_norm, norm_P = terms
-                if res_norm <= NEWTON_TOL * max(1.0 + norm_P, norm_A * norm_P
-                                                + norm_P**2 * weights.norm_G + weights.norm_Q):
+                size = norm_A * norm_P + norm_P**2 * weights.norm_G + weights.norm_Q
+                if res_norm <= NEWTON_TOL * max(1.0 + norm_P, size):
                     break
+            if not _residual_ok(res_norm, norm_P):
+                return None
+            # A standardized Schur form shows the real parts of its
+            # eigenvalues on its diagonal.
+            if (chord is not None and max(start.T.diagonal().tolist()) < 0.0
+                    and _certified(P, res_norm, size, weights)):
+                return RiccatiState(P, start.T, start.Z)
     except (np.linalg.LinAlgError, ValueError):  # wrong-shaped guess
-        return None
-    if not _residual_ok(res_norm, norm_P):
         return None
     schur = _hurwitz_schur(closed)
     return None if schur is None else RiccatiState(P, *schur)
+
+
+def _certified(P: np.ndarray, res_norm: float, size: float, weights: RiccatiWeights) -> bool:
+    """Whether Lyapunov's theorem proves the closed loop ``C = A − G P``
+    of a symmetric ``P`` Hurwitz, given its computed Riccati residual
+    norm ``res_norm`` and ``size = ||A|| ||P|| + ||P||² ||G|| + ||Q||``
+    (:func:`_riccati_terms`, Frobenius norms).
+
+    The residual ``Res = P A + Aᵀ P + Q − P G P`` gives ``Cᵀ P + P C =
+    −M`` with ``M = Q + P G P − Res``.  If ``M ≻ 0``, the inertia
+    theorem (Ostrowski & Schneider 1962; Lyapunov's theorem where ``P ≻
+    0``, as Kleinman, IEEE TAC 1968, uses it) makes ``P`` nonsingular
+    and gives ``C`` exactly as many stable eigenvalues as ``P`` has
+    positive ones, none on the imaginary axis.  For a unit eigenvector
+    ``x`` of ``P`` with eigenvalue ``λ ≤ 0``, ``xᵀ M x = −2 λ xᵀ C x``,
+    so ``|λ| ≥ λ_min(M) / (2 ||C||)``.  A Cholesky factorization of
+    ``P`` that succeeds in floating point is exact for ``P + ΔP`` with
+    ``||ΔP|| ≤ γ_{n+1} tr(P) ≤ (n + 1) √n u ||P||`` (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, Thm. 10.3; ``u =
+    2⁻⁵³``), so ``P`` has no eigenvalue below ``−||ΔP||`` and none of
+    ``C``'s is unstable once ``λ_min(M) > 2 (n + 1) √n u ||P|| ||C||``,
+    where ``||P|| ||C|| ≤ size``.
+
+    ``λ_min(M) ≥ min_eig_Q − ||Res||₂ − λ⁻``, with ``λ⁻`` the most
+    negative eigenvalue of the stored ``G`` times ``||P||²``.  Bounds
+    in units of ``u size`` (to first order; products of ``n × n``
+    factors err by ``γ_n |X| |Y|``, sums by ``u`` of their terms):
+    - ``_riccati_terms``' three products and three sums: ``||Res −
+      res|| ≤ (2n + 5) u size`` for the computed ``res``;
+    - ``G = B_tilde B_tildeᵀ`` with ``m`` inputs: ``λ⁻ ||P||² ≤ m √n u
+      ||G|| ||P||²``;
+    - the rounding of Gershgorin's sums in ``min_eig_Q``: ``n √n u
+      ||Q||``;
+    - the computed Frobenius norm of ``res`` errs by ``(n² + 1) u
+      res_norm``, and those of ``size`` only by second-order terms.
+
+    With ``k = max(n, m)`` these sum to below ``(2k + 5 + (4k + 2) √k)
+    u size + (k² + 1) u res_norm``, and ``2 (k + 2)² u (size +
+    res_norm)`` exceeds that by at least ``5 u size``, which covers the
+    second-order terms.  So ``P`` exactly symmetric, its Cholesky
+    factorization and ``res_norm + 2 (k + 2)² u (size + res_norm) <
+    min_eig_Q`` certify ``C`` Hurwitz.  The test needs no eigenvalues.
+    The Cholesky factorization is the gufunc that ``np.linalg.cholesky``
+    wraps, whose LAPACK code the cold solve already runs, called without
+    that wrapper's checks and error state, which cost three times the
+    factorization of a 6 × 6 ``P``.  It returns NaN for a ``P`` that is
+    not positive definite and raises numpy's invalid-operation flag, so
+    the caller ignores that flag, as :func:`_newton_kleinman` does.
+    """
+    if P.T.tobytes() != P.tobytes():
+        return False
+    k = max(P.shape[0], weights.B_tilde.shape[1])
+    rounding = 2.0 * (k + 2) ** 2 * _UNIT_ROUNDOFF * (size + res_norm)
+    if not res_norm + rounding < weights.min_eig_Q:
+        return False
+    try:
+        L = _cholesky_lo(P)
+    except np.linalg.LinAlgError:  # np.linalg.cholesky, the fallback
+        return False
+    return not math.isnan(L[-1, -1])
 
 
 def _riccati_terms(

@@ -163,14 +163,17 @@ def sdre_infinite_control(
     ``options`` gives the SDC factorization and the weights ``Q =
     q_weight I`` and ``R = r_weight I``.  Returns ``(U, riccati)``: ``riccati`` is the
     :class:`~formation_guidance.numerics.RiccatiState` of this step's
-    ``solve_are``, its ``P`` and, after a warm solve, the Schur form of
-    its closed loop.  ``guess`` is handed to ``solve_are`` as a warm
-    start; passing the previous control step's ``riccati`` lets the next
-    Riccati solve take chord corrections on that Schur form instead of
-    a cold solve.  ``RiccatiState(None)`` starts a chain with a cold
-    solve.  ``weights`` is ``riccati_weights(B, options.Q, options.R)``,
-    which a run builds once and hands to every step; ``R^-1 B^T`` is its
-    ``R_inv_BT``, so no step factors ``R``.
+    ``solve_are``, its ``P`` and, after a warm solve, a Hurwitz Schur
+    form on which chords contract: that of ``P``'s own closed loop, or
+    the form handed in with ``guess`` where chords on it reached ``P``
+    and Lyapunov's theorem certified ``P``'s closed loop Hurwitz.
+    ``guess`` is handed to ``solve_are`` as a warm start; passing the
+    previous control step's ``riccati`` lets the next Riccati solve take
+    chord corrections on that Schur form instead of a cold solve.
+    ``RiccatiState(None)`` starts a chain with a cold solve.  ``weights``
+    is ``riccati_weights(B, options.Q, options.R)``, which a run builds
+    once and hands to every step; ``R^-1 B^T`` is its ``R_inv_BT``, so
+    no step factors ``R``.
     """
     A = sdc_matrix(state, kin, options)
     try:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -342,9 +344,9 @@ def _criterion_11_systems():
 
 
 class TestWarmHurwitzDecision:
-    """A warm ``P``'s Hurwitz test is read off a ``dgees`` Schur form of
-    its closed loop, the test every Newton iterate passes too, and never
-    runs ``eigvals``."""
+    """A warm ``P``'s Hurwitz test is the Lyapunov certificate or is read
+    off a ``dgees`` Schur form of its closed loop, the test every Newton
+    iterate passes too, and never runs ``eigvals``."""
 
     @staticmethod
     def _run(q_weight):
@@ -447,9 +449,11 @@ class TestWarmHurwitzDecision:
         closed loop of a system with A changed by 1e-4 or 1e-1 relative)
         or not Hurwitz (of the open loop shifted right), and with a guess
         that overflows: every result is a RiccatiState whose P meets the
-        contract and whose form is the Hurwitz Schur form of P's closed
-        loop.  The seeds reach all three ends: chords that converge,
-        chords that hand over to Newton-Kleinman, and the cold solve."""
+        contract and whose form is Hurwitz: the Schur form of P's closed
+        loop, or the handed-in form where chords on it converged and P's
+        closed loop is certified.  The seeds reach all three ends: chords
+        that converge, chords that hand over to Newton-Kleinman, and the
+        cold solve; and both forms of a chord's result."""
         newton = []
         lyapunov = numerics._lyapunov
 
@@ -459,7 +463,7 @@ class TestWarmHurwitzDecision:
 
         monkeypatch.setattr(numerics, "_lyapunov", newton_counted)
         noise = np.random.default_rng(13)
-        outcomes = set()
+        outcomes, chord_forms = set(), set()
         for A, B, Q, R, P in _criterion_11_systems():
             weights = riccati_weights(B, Q, R)
             n = A.shape[0]
@@ -479,27 +483,188 @@ class TestWarmHurwitzDecision:
                 guess = numerics.RiccatiState(P + scale * np.linalg.norm(P) * (E + E.T), T, Z)
                 cold, steps = len(care_calls), len(newton)
                 state = solve_are(A, B, Q, R, guess, weights=weights)
-                self._assert_contract_state(A, B, Q, R, state, weights, contract_holds)
+                self._assert_contract_state(A, B, Q, R, state, weights, contract_holds, (T, Z))
                 if len(care_calls) > cold:
                     outcomes.add("cold")
+                elif len(newton) > steps:
+                    outcomes.add("newton")
                 else:
-                    outcomes.add("newton" if len(newton) > steps else "chord")
+                    outcomes.add("chord")
+                    chord_forms.add("handed" if state.T is T else "own")
             huge = numerics.RiccatiState(1e150 * np.eye(n), *forms[-1])
             cold = len(care_calls)
             state = solve_are(A, B, Q, R, huge, weights=weights)
             assert len(care_calls) == cold + 1
-            self._assert_contract_state(A, B, Q, R, state, weights, contract_holds)
+            self._assert_contract_state(A, B, Q, R, state, weights, contract_holds, forms[-1])
         assert outcomes == {"chord", "newton", "cold"}
+        assert chord_forms == {"handed", "own"}
 
     @staticmethod
-    def _assert_contract_state(A, B, Q, R, state, weights, contract_holds):
+    def _assert_contract_state(A, B, Q, R, state, weights, contract_holds, handed):
+        """The contract of ``state.P``, and a Hurwitz form that is the
+        Schur form of P's closed loop or else the ``handed`` ``(T, Z)``
+        itself, for a positive definite P with a Hurwitz closed loop."""
         assert isinstance(state, numerics.RiccatiState)
         assert contract_holds(A, B, Q, R, state.P)
         if state.T is not None:
             closed = A - weights.G @ state.P
-            assert np.linalg.norm(state.Z @ state.T @ state.Z.T - closed.T) <= (
-                1e-12 * np.linalg.norm(closed))
+            if state.T is handed[0] and state.Z is handed[1]:
+                assert np.min(np.linalg.eigvalsh(state.P)) > 0.0
+                assert np.max(np.linalg.eigvals(closed).real) < 0.0
+            else:
+                assert np.linalg.norm(state.Z @ state.T @ state.Z.T - closed.T) <= (
+                    1e-12 * np.linalg.norm(closed))
             assert np.max(np.linalg.eigvals(state.T).real) < 0.0
+
+
+@pytest.fixture
+def dgees_calls(monkeypatch):
+    """List of the matrices ``dgees`` factors, each ``closedᵀ`` of the
+    closed loop whose Schur form the warm solve takes."""
+    calls = []
+    lapack = numerics.lapack()
+    dgees = lapack.dgees
+
+    def counted(select, a, *args, **kwargs):
+        calls.append(np.array(a))
+        return dgees(select, a, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgees", counted)
+    return calls
+
+
+class TestHurwitzCertificate:
+    """A warm result reached by chords alone on a Hurwitz handed-in form
+    keeps that form only where ``numerics._certified`` proves its closed
+    loop Hurwitz: ``P`` exactly symmetric and positive definite, and a
+    residual whose norm and rounding bound stay below ``min_eig_Q``."""
+
+    # A = 0, B = R = I and Q = diag(4, 9): P² = Q has the exact roots
+    # diag(±2, ±3), whose residuals are exactly zero.
+    A, B, Q, R = np.zeros((2, 2)), np.eye(2), np.diag([4.0, 9.0]), np.eye(2)
+
+    def _handed(self):
+        """A Hurwitz Schur form of another closed loop, ``diag(-1, -2)``,
+        by ``dgees``."""
+        return numerics._hurwitz_schur(np.diag([-1.0, -2.0]))
+
+    def test_indefinite_root_meeting_the_residual_bound_refreshes_the_form(
+        self, care_calls, dgees_calls
+    ):
+        """The indefinite root ``diag(2, -3)`` meets the residual bound with
+        room to spare (residual 0, ``min_eig_Q`` 4), and a chord on the
+        handed-in form converges to it at once.  Its closed loop
+        ``diag(-2, 3)`` is unstable: the solve does not certify it but
+        refreshes the form by ``dgees`` of that closed loop, which shows it
+        unstable, and the cold solve answers with the stabilizing root."""
+        weights = riccati_weights(self.B, self.Q, self.R)
+        P = np.diag([2.0, -3.0])
+        closed, _, res_norm, norm_P = numerics._riccati_terms(self.A, self.Q, weights.G, P)
+        assert res_norm == 0.0 and weights.min_eig_Q == 4.0
+        size = norm_P**2 * weights.norm_G + weights.norm_Q
+        with np.errstate(invalid="ignore"):  # as in numerics._newton_kleinman
+            assert not numerics._certified(P, res_norm, size, weights)
+        T, Z = self._handed()
+        dgees_calls.clear()
+        state = solve_are(self.A, self.B, self.Q, self.R, RiccatiState(P, T, Z))
+        assert [a.tobytes() for a in dgees_calls] == [closed.T.tobytes()]
+        assert len(care_calls) == 1
+        np.testing.assert_allclose(state.P, np.diag([2.0, 3.0]), rtol=1e-12)
+
+    def test_stabilizing_root_keeps_the_handed_in_form(self, care_calls, dgees_calls):
+        """The same chord converging to the stabilizing root ``diag(2, 3)``
+        is certified: the solve returns the handed-in form, with no
+        ``dgees`` and no cold solve."""
+        T, Z = self._handed()
+        dgees_calls.clear()
+        P = np.diag([2.0, 3.0])
+        state = solve_are(self.A, self.B, self.Q, self.R, RiccatiState(P, T, Z))
+        assert state.T is T and state.Z is Z
+        assert state.P.tobytes() == P.tobytes()
+        assert (dgees_calls, care_calls) == ([], [])
+
+    def test_unstable_handed_in_form_is_not_handed_on(self, care_calls, dgees_calls):
+        """A chord on the form of ``diag(1, -2)``, which is not Hurwitz,
+        also converges to the stabilizing root at once: the certified P is
+        returned with a fresh Hurwitz form of its own closed loop."""
+        T, _, _, _, Z, _, _ = numerics.lapack().dgees(numerics._no_sort, np.diag([1.0, -2.0]))
+        dgees_calls.clear()
+        P = np.diag([2.0, 3.0])
+        state = solve_are(self.A, self.B, self.Q, self.R, RiccatiState(P, T, Z))
+        assert state.P.tobytes() == P.tobytes()
+        assert state.T is not T and len(dgees_calls) == 1 and care_calls == []
+        assert np.max(np.linalg.eigvals(state.T).real) < 0.0
+
+    def test_certificate_needs_an_exactly_symmetric_p(self):
+        """The identity behind the certificate holds for a symmetric P
+        only: one off-diagonal entry changed by an ulp voids it."""
+        weights = riccati_weights(self.B, self.Q, self.R)
+        P = np.array([[2.0, 0.5], [0.5, 3.0]])
+        assert numerics._certified(P, 0.0, 20.0, weights)
+        P[0, 1] = np.nextafter(0.5, 1.0)
+        assert not numerics._certified(P, 0.0, 20.0, weights)
+
+    @pytest.mark.parametrize("cholesky", ["gufunc", "np.linalg.cholesky"])
+    def test_positive_definiteness_by_either_cholesky(self, cholesky, monkeypatch):
+        """The certificate reads ``P ≻ 0`` off numpy's Cholesky gufunc, or
+        off ``np.linalg.cholesky`` where numpy does not expose the gufunc:
+        a definite P is certified, and an indefinite or a singular one is
+        not, with the invalid flag ignored as in the warm solve."""
+        if cholesky != "gufunc":
+            monkeypatch.setattr(numerics, "_cholesky_lo", np.linalg.cholesky)
+        weights = riccati_weights(self.B, self.Q, self.R)
+        with np.errstate(invalid="ignore"):
+            assert numerics._certified(np.diag([2.0, 3.0]), 0.0, 20.0, weights)
+            for P in (np.diag([2.0, -3.0]), np.diag([2.0, 0.0])):
+                assert not numerics._certified(P, 0.0, 20.0, weights)
+
+    @pytest.mark.parametrize("min_eig_Q, certified", [(1.0, True), (1e-14, False), (0.0, False)])
+    def test_rounding_margin_is_below_min_eig_q(self, min_eig_Q, certified):
+        """A zero residual is certified against ``min_eig_Q`` = 1 but not
+        once the rounding bound ``2 (k + 2)² u size``, 1.4e-13 for k = 2
+        and size 100, reaches ``min_eig_Q``, nor without a bound at all."""
+        weights = dataclasses.replace(riccati_weights(self.B, self.Q, self.R),
+                                      min_eig_Q=min_eig_Q)
+        assert numerics._certified(2.0 * np.eye(2), 0.0, 100.0, weights) is certified
+
+    def test_weak_chord_on_a_stale_form_hands_over_to_newton_kleinman(
+        self, care_calls, contract_holds, monkeypatch
+    ):
+        """Criterion 11's systems, each from its cold P perturbed by 1e-6
+        relative, handed the Schur form of ``1.1 C`` for its closed loop
+        ``C``: the first chord on that stale form shrinks the residual by
+        a factor near 1 − 1/1.1, between ``CHORD_CONTRACTION`` (1e-3) and
+        0.5, so Newton-Kleinman takes over, and the result carries its own
+        form.  Chords alone would converge here at 0.09 a correction, so
+        the test fails where the contraction asked of a chord is 0.5."""
+        newton = []
+        lyapunov = numerics._lyapunov
+
+        def counted(closed, C):
+            newton.append(1)
+            return lyapunov(closed, C)
+
+        monkeypatch.setattr(numerics, "_lyapunov", counted)
+        noise = np.random.default_rng(17)
+        systems = _criterion_11_systems()[:20]
+        care_calls.clear()
+        for A, B, Q, R, P in systems:
+            weights = riccati_weights(B, Q, R)
+            T, Z = numerics._hurwitz_schur(A - weights.G @ P)
+            T = 1.1 * T
+            E = noise.normal(size=P.shape)
+            guess = P + 1e-6 * np.linalg.norm(P) * (E + E.T)
+            _, res, res_norm, _ = numerics._riccati_terms(A, Q, weights.G, guess)
+            delta = numerics._schur_lyapunov(T, Z, res)
+            chord = numerics._riccati_terms(A, Q, weights.G, guess - 0.5 * (delta + delta.T))[2]
+            assert 1e-3 < chord / res_norm < 0.5
+            steps = len(newton)
+            state = solve_are(A, B, Q, R, RiccatiState(guess, T, Z), weights=weights)
+            assert len(newton) > steps
+            assert contract_holds(A, B, Q, R, state.P)
+            assert state.T is not T
+            assert np.linalg.norm(state.P - P) <= 1e-10 * np.linalg.norm(P)
+        assert care_calls == []
 
 
 class TestRiccatiWeights:
@@ -522,6 +687,67 @@ class TestRiccatiWeights:
         np.testing.assert_allclose(w.G, B @ np.linalg.solve(R, B.T), rtol=1e-14)
         np.testing.assert_allclose(w.B_tilde @ np.linalg.cholesky(R).T, B, rtol=0, atol=1e-15)
         assert w.norm_G == np.linalg.norm(w.G) and w.norm_Q == np.linalg.norm(Q)
+        assert w.min_eig_Q == 3.0
+
+    @pytest.mark.parametrize("q", [1e-10, 0.09, 1.0, 200.0, 3e7])
+    def test_min_eig_q_is_q_for_a_scaled_identity(self, q):
+        """Gershgorin's bound is exact for the pointwise SDRE's ``q I``."""
+        assert riccati_weights(B_HILL, q * np.eye(6), 1e9 * np.eye(3)).min_eig_Q == q
+        options = SdreOptions(q_weight=q)
+        assert riccati_weights(B_HILL, options.Q, options.R).min_eig_Q == q
+
+    def test_min_eig_q_bounds_the_spectrum(self):
+        """On seeded random symmetric Q, some diagonally dominant and some
+        indefinite, the bound is positive and at most the least eigenvalue
+        where it is given, and 0 wherever that eigenvalue is not
+        positive."""
+        rng = np.random.default_rng(19)
+        given = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            M = rng.normal(size=(n, n))
+            Q = M + M.T + rng.uniform(-2.0, 3.0 * n) * np.eye(n)
+            bound = riccati_weights(np.ones((n, 1)), Q, np.eye(1)).min_eig_Q
+            least = np.linalg.eigvalsh(Q)[0]
+            if bound > 0.0:
+                given += 1
+                assert bound <= least
+            else:
+                assert bound == 0.0
+        assert 50 <= given <= 250
+
+    @pytest.mark.parametrize("case", ["asymmetric", "indefinite"])
+    def test_no_certificate_without_a_symmetric_definite_q(self, case, care_calls):
+        """An asymmetric Q (off by 1e-20, far below the residual floor) and
+        an indefinite one, whose stabilizing P is indefinite too, get no
+        bound.  A chord on P's own Schur form still converges, and the
+        solve returns a fresh ``dgees`` form instead of the handed-in
+        one.  With a bound put back, the asymmetric case keeps it."""
+        if case == "asymmetric":
+            A, B, _, R = next(_criterion_11_draws(1))
+            P = solve_are(A, B, np.eye(A.shape[0]), R)
+            Q = np.eye(A.shape[0])
+            Q[0, 1] = 1e-20
+        else:
+            A, B, R = np.diag([-1.0, -2.0]), np.eye(2), np.eye(2)
+            Q = np.diag([-0.1, 1.0])
+            P = np.diag([-1.0 + np.sqrt(0.9), -2.0 + np.sqrt(5.0)])
+            assert P[0, 0] < 0.0 < P[1, 1]
+        weights = riccati_weights(B, Q, R)
+        assert weights.min_eig_Q == 0.0
+        care_calls.clear()
+        T, Z = numerics._hurwitz_schur(A - weights.G @ P)
+        guess = RiccatiState(P * (1.0 + 1e-9), T, Z)
+        state = solve_are(A, B, Q, R, guess, weights=weights)
+        closed = A - weights.G @ state.P
+        assert state.T is not T
+        assert np.linalg.norm(state.Z @ state.T @ state.Z.T - closed.T) <= (
+            1e-12 * np.linalg.norm(closed))
+        assert care_calls == []
+        if case == "asymmetric":
+            bound = dataclasses.replace(weights, min_eig_Q=1.0)
+            kept = solve_are(A, B, Q, R, guess, weights=bound)
+            assert kept.T is T and kept.P.tobytes() == state.P.tobytes()
 
     @pytest.mark.parametrize("r", [0.09, 3.7, 1e2, 1e8, 1e9, 1e10, 1e11])
     def test_input_map_has_the_triangular_solve_bits_on_diagonal_r(self, r):

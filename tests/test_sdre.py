@@ -227,18 +227,24 @@ class TestInfiniteHorizonControl:
     @pytest.mark.parametrize("e, dt", [
         (0.0, 1.0), (0.15, 1.0), (0.5, 1.0), (0.0, 30.0), (0.15, 30.0), (0.5, 30.0),
     ])
-    def test_warm_chain_takes_one_schur_form_per_chord_step(
-        self, e, dt, care_calls, monkeypatch
-    ):
+    def test_warm_chain_reuses_the_chord_schur_form(self, e, dt, care_calls, monkeypatch):
         """300-step pointwise runs over chief geometries, at a light and a
         heavy control weight: only the first step is cold, every warm P
-        equals a cold solve to 1e-10 relative, and a warm step takes one
-        ``dgees`` (the Hurwitz test of its result, whose Schur form the
-        next step reuses) plus one per Newton step, and a ``dtrsyl`` per
-        correction.  The first warm step starts from a cold P, which has
-        no Schur form, so it takes a Newton step.  On the circular chief
-        at dt = 1 s one chord correction on the handed-in form converges
-        at every later step."""
+        equals a cold solve to 1e-10 relative, and a ``dtrsyl`` runs per
+        correction.  A warm step that hands on the Schur form it was
+        handed reached its P by chords alone, whose closed loop the
+        Lyapunov certificate showed Hurwitz: it takes no ``dgees`` and no
+        Newton step, and its P is positive definite with a closed loop
+        that ``eigvals`` finds Hurwitz.  Any other warm step takes one
+        ``dgees`` per Newton step plus one, the Hurwitz test of its
+        result, and hands on that Schur form of its own closed loop.  The
+        first warm step starts from a cold P, which has no Schur form, so
+        it takes a Newton step.  On the circular chief at dt = 1 s one
+        chord correction converges at every later step.  At the light
+        weight every later step hands on the first warm step's form, so
+        ``dgees`` runs at the first warm step only; at the heavy weight the
+        form ages until a chord shrinks the residual by a little less than
+        ``CHORD_CONTRACTION``, and that step refreshes it."""
         calls = {"dgees": [], "dtrsyl": [], "newton": []}
         lapack, lyapunov = numerics.lapack(), numerics._lyapunov
 
@@ -256,16 +262,27 @@ class TestInfiniteHorizonControl:
             R = r_weight * np.eye(3)
             care_calls.clear()
             chain = _fly_warm_chain(orbit, dt, r_weight, list(calls.values()))
+            G = _run_weights(SdreOptions(r_weight=r_weight)).G
             assert len(care_calls) == 1
             for k, (A, riccati, before, after) in enumerate(chain[1:], start=1):
                 schur, solves, newton = (b - a for a, b in zip(before, after))
-                assert schur == 1 + newton
+                handed_on = riccati.T is chain[k - 1][1].T
+                closed = A - G @ riccati.P
+                if handed_on:
+                    assert (schur, newton) == (0, 0) and solves >= 1
+                    assert np.min(np.linalg.eigvalsh(riccati.P)) > 0.0
+                    assert np.max(np.linalg.eigvals(closed).real) < 0.0
+                else:
+                    assert schur == 1 + newton
+                    assert np.linalg.norm(riccati.Z @ riccati.T @ riccati.Z.T - closed.T) <= (
+                        1e-12 * np.linalg.norm(closed))
                 assert solves >= newton
                 if (e, dt) == (0.0, 1.0) and k > 1:
-                    assert (schur, solves) == (1, 1)
+                    assert (solves, newton) == (1, 0)
+                    if r_weight == 1e8:
+                        assert handed_on and schur == 0
                 cold = solve_are(A, B, self.Q, R)
                 assert np.linalg.norm(riccati.P - cold) <= 1e-10 * np.linalg.norm(cold)
-
 
     @pytest.mark.parametrize("unusable", ["missing", "not an extension"])
     def test_warm_chain_falls_back_to_scipy_linalg_lapack(self, unusable, tmp_path, monkeypatch):
