@@ -16,14 +16,15 @@ Config format (full grammar):
   - Duplicate keys and unknown sections/keys are errors.
 
 Sections and keys.  A dataclass-backed section takes its keys, their
-order, their value types and their defaults from the fields of the
-named class (formation_guidance.dynamics, formation_guidance.options):
+order, types, defaults and bounds from the fields of the named class
+(formation_guidance.dynamics, formation_guidance.options):
   [chief]    ChiefOrbit: a (required), e, i, arg_perigee, raan, nu0
-  [truth]    ChiefOrbit; optional chief override for uncertainty studies,
-             omitted keys inherit [chief]
+  [truth]    ChiefOrbit: a, e, i, arg_perigee, raan, nu0 (optional: the
+             truth chief of uncertainty studies; omitted keys inherit [chief])
   [initial]  FormationParams: rho (required), theta, a_off, b_off,
              m_slope, n_slope
-  [desired]  FormationParams, like [initial]
+  [desired]  FormationParams: rho (required), theta, a_off, b_off,
+             m_slope, n_slope
   [lqr]      LqrOptions: q_weight, r_weight
   [sdre]     SdreOptions: q_weight, r_weight, variant = SDC1|SDC2,
              series_order
@@ -35,18 +36,17 @@ named class (formation_guidance.dynamics, formation_guidance.options):
   matrices Q and R, and the open_loop field is set by [controller] apply.
   The other sections (defaults in parentheses):
   [gravity]  j2 = on|off (off)
-  [run]      tf, dt (1)
-  [controller] kind = zero|lqr|sdre|mpsp|gmpsp|nnlqr,
+  [run]      tf (required), dt (1)
+  [controller] kind = zero|lqr|sdre|mpsp|gmpsp|nnlqr (required),
              horizon = infinite|finite (infinite; sdre only),
              apply = closed|open (closed; open plans on the believed
              unperturbed model and replays the control history)
-  Numbers must be finite; max_iter (>= 0) and series_order (>= 1) must be
-  integers, tol_pct, r_weight, r1, k_tau, beta and gamma must be > 0, and
-  q_weight must be > 0 in [lqr], [nnlqr] and the infinite-horizon [sdre]
-  and >= 0 in [sdre] with horizon = finite.  A bad number or a word
-  outside its list is rejected with its line number;
-  values the dataclasses reject (a <= 0, e outside [0, 1), rho < 0) and
-  a tf that is not a whole number of dt steps raise ConfigError too.
+  Numbers must be finite, max_iter and series_order integers, and tf and
+  dt > 0.  The classes declare a > 0, 0 <= e < 1, rho >= 0, max_iter >=
+  0, series_order >= 1, tol_pct, r_weight, r1, k_tau, beta and gamma > 0,
+  and q_weight > 0, but >= 0 in [sdre] with horizon = finite.  Each bad
+  number, out-of-bounds value or word outside its list is rejected with
+  its line number; a tf not a whole number of dt steps raises ConfigError.
 
 Exit codes: 0 success (and criteria met), 1 criteria failed, 2 error.
 """
@@ -88,6 +88,7 @@ from .options import (
     MpspOptions,
     NnlqrOptions,
     SdreOptions,
+    class_fields,
 )
 
 EXIT_OK = 0
@@ -140,6 +141,17 @@ def _parse_number(raw: str, key: str, line_no: int) -> float:
     return value
 
 
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+def _parse_positive(raw: str, key: str, line_no: int) -> float:
+    value = _parse_number(raw, key, line_no)
+    if not _finite_positive(value):
+        raise ConfigError(f"line {line_no}: key {key!r} must be > 0, got {raw!r}")
+    return value
+
+
 def _parse_integer(raw: str, key: str, line_no: int) -> int:
     value = _parse_number(raw, key, line_no)
     if not value.is_integer():
@@ -169,7 +181,7 @@ def _section_schema(section: str) -> dict:
     """{config key: parser} of a section, in field order; a
     dataclass-backed section's keys are its class's field names."""
     if section in _PLAIN_SECTIONS:
-        return {key: _parse_word if key in _CHOICES else _parse_number
+        return {key: _parse_word if key in _CHOICES else _parse_positive
                 for key in _PLAIN_SECTIONS[section]}
     cls = _DATACLASSES[section]
     hints = get_type_hints(cls)
@@ -184,7 +196,7 @@ _SCHEMA = {section: _section_schema(section) for section in (*_DATACLASSES, *_PL
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:
     """Parse config text into {section: {key: parsed value}} with checks.
 
-    The numbers of an option section are checked against its options
+    The numbers of a dataclass-backed section are checked against its
     class's bounds once every line is read, since the class of [sdre]
     depends on the horizon set in [controller].
     """
@@ -214,18 +226,15 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
         if key in sections[current]:
             raise ConfigError(f"line {line_no}: duplicate key {key!r} in [{current}]")
         sections[current][key] = _SCHEMA[current][key](raw_value, key, line_no)
-        if current in _OPTION_SECTIONS:
+        if current in _DATACLASSES:
             bounded.append((current, key, raw_value, line_no))
     finite = sections.get("controller", {}).get("horizon") == "finite"
     for section, key, raw_value, line_no in bounded:
-        bounds = CONTROLLER_OPTIONS["fsdre" if section == "sdre" and finite else section].bounds
-        if key not in bounds:
-            continue
-        comparison, bound = bounds[key]
-        if not COMPARISONS[comparison](sections[section][key], bound):
-            raise ConfigError(
-                f"line {line_no}: key {key!r} must be {comparison} {bound}, got {raw_value!r}"
-            )
+        cls = FsdreOptions if section == "sdre" and finite else _DATACLASSES[section]
+        for comparison, bound in cls.bounds.get(key, ()):
+            if not COMPARISONS[comparison](sections[section][key], bound):
+                raise ConfigError(f"line {line_no}: key {key!r} must be {comparison} {bound}, "
+                                  f"got {raw_value!r}")
     return sections
 
 
@@ -233,7 +242,7 @@ def _build(cls, section: str, values: dict, base=None):
     """Construct ``cls`` from a section's parsed values.  Omitted keys take
     their value from ``base`` when given, else the dataclass default."""
     if base is None:
-        for f in fields(cls):
+        for f in class_fields(cls):
             if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
                 raise ConfigError(f"[{section}] requires key {f.name!r}")
     try:
@@ -723,10 +732,6 @@ def _checked(convert, ok, what: str):
 
     parse.__name__ = convert.__name__.lstrip("_")  # argparse: "invalid float value"
     return parse
-
-
-def _finite_positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0.0
 
 
 def _float_list(raw: str) -> list[float]:

@@ -23,12 +23,13 @@ x radial, y along-track, z cross-track; units are km, km/s, rad.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
 from .numerics import NumericsError
+from .options import Checked
 
 # Gravitational parameter of the Earth [km^3/s^2].
 MU_EARTH = 398601.0
@@ -56,17 +57,8 @@ class DynamicsError(ValueError):
     """Raised for degenerate geometry (e.g. deputy at the geocenter)."""
 
 
-def _require_finite(params) -> None:
-    """Raise DynamicsError naming the first non-finite field of a
-    dataclass of floats."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if not math.isfinite(value):
-            raise DynamicsError(f"{type(params).__name__}.{f.name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
-class ChiefOrbit:
+class ChiefOrbit(Checked):
     """Keplerian elements of the (passive) chief satellite.
 
     Attributes
@@ -85,19 +77,14 @@ class ChiefOrbit:
         True anomaly at t = 0 [rad].
     """
 
+    bounds = {"a": ((">", 0),), "e": ((">=", 0), ("<", 1))}
+    error = DynamicsError
     a: float
     e: float = 0.0
     i: float = 0.0
     arg_perigee: float = 0.0
     raan: float = 0.0
     nu0: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if not self.a > 0.0:
-            raise DynamicsError(f"semi-major axis must be positive, got {self.a}")
-        if not 0.0 <= self.e < 1.0:
-            raise DynamicsError(f"eccentricity must be in [0, 1), got {self.e}")
 
     def mean_motion(self) -> float:
         """Mean motion sqrt(mu / a^3) [rad/s]."""
@@ -123,7 +110,7 @@ class ChiefKinematics:
 
 
 @dataclass(frozen=True)
-class FormationParams:
+class FormationParams(Checked):
     """Geometry of the projected relative orbit.
 
     rho is the baseline length [km], theta the phase [rad], a_off/b_off
@@ -131,17 +118,14 @@ class FormationParams:
     in-phase and quadrature slopes.
     """
 
+    bounds = {"rho": ((">=", 0),)}
+    error = DynamicsError
     rho: float
     theta: float = 0.0
     a_off: float = 0.0
     b_off: float = 0.0
     m_slope: float = 0.0
     n_slope: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if not self.rho >= 0.0:
-            raise DynamicsError(f"baseline rho must be >= 0, got {self.rho}")
 
 
 @dataclass(frozen=True)

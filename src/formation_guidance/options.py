@@ -4,10 +4,11 @@ An options object is the controller: its class names its ``kind``, and
 a ``Scenario`` holds it as its controller.  Every controller default is
 defined here, and only here, and each setting once, as a field whose
 name is its CLI config key and whose value is a number or a word.  The
-class's ``bounds`` ({field: (comparison, bound)}) and ``choices``
+class's ``bounds`` ({field: ((comparison, bound), ...)}) and ``choices``
 ({field: words}) say which values are legal; construction, and so
 ``dataclasses.replace``, raises ValueError naming the field for any
 other value, one that is not finite, or a count or flag of another type.
+``Checked``, which checks them, also checks ChiefOrbit and FormationParams.
 The weights Q = q_weight I6 and R = r_weight I3 are derived, once per
 object.  The harness hands the object whole to every control law (the
 SDRE laws, ``NnLqrController``, ``mpsp_solve`` and ``gmpsp_solve``);
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from numbers import Integral
 from typing import ClassVar
 
@@ -32,9 +33,9 @@ CONTROL_WEIGHT = 1e9
 SDC_VARIANTS = ("SDC1", "SDC2")
 
 #: The comparison each bound names.
-COMPARISONS = {">=": operator.ge, ">": operator.gt}
+COMPARISONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
 
-_POSITIVE = (">", 0)
+_POSITIVE = ((">", 0),)
 
 
 def _weight_matrix(name: str, n: int) -> cached_property:
@@ -48,40 +49,45 @@ def _weight_matrix(name: str, n: int) -> cached_property:
     return cached_property(matrix)
 
 
-@dataclass(frozen=True)
-class _Options:
-    """Checks every field: a word against its choices, a number for
-    being finite and against its bound, if it has one, and then an int
-    field for an integer that is not a bool and a bool field for a bool."""
+#: ``dataclasses.fields`` of a class, read once per class.
+class_fields = cache(fields)
 
-    bounds: ClassVar[dict[str, tuple[str, float]]] = {}
+
+@dataclass(frozen=True)
+class Checked:
+    """Raises ``error`` naming the first field that fails: a word against
+    its choices, a number for being finite and against each of its bounds,
+    an int field for an integer that is not a bool, a bool field for a bool."""
+
+    bounds: ClassVar[dict[str, tuple[tuple[str, float], ...]]] = {}
     choices: ClassVar[dict[str, tuple[str, ...]]] = {}
+    error: ClassVar[type[ValueError]] = ValueError
 
     def __post_init__(self) -> None:
-        for f in fields(self):
+        for f in class_fields(type(self)):
             value, words = getattr(self, f.name), self.choices.get(f.name)
-            comparison, bound = self.bounds.get(f.name, (">", -math.inf))
             if words is not None and value not in words:
-                raise ValueError(f"{f.name} must be one of {', '.join(words)}, got {value!r}")
+                raise self.error(f"{f.name} must be one of {', '.join(words)}, got {value!r}")
             if words is None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if words is None and not COMPARISONS[comparison](value, bound):
-                raise ValueError(f"{f.name} must be {comparison} {bound}, got {value!r}")
+                raise self.error(f"{f.name} must be finite, got {value!r}")
+            for comparison, bound in self.bounds.get(f.name, ()):
+                if not COMPARISONS[comparison](value, bound):
+                    raise self.error(f"{f.name} must be {comparison} {bound}, got {value!r}")
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                raise self.error(f"{f.name} must be an integer, got {value!r}")
             if f.type == "bool" and not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+                raise self.error(f"{f.name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
-class ZeroOptions(_Options):
+class ZeroOptions(Checked):
     """The zero controller has no options."""
 
     kind: ClassVar[str] = "zero"
 
 
 @dataclass(frozen=True)
-class _Weights(_Options):
+class _Weights(Checked):
     # A zero state weight is legal for the finite-horizon SDRE (its
     # default) but not for LQR, NN-LQR or the pointwise SDRE: every mode
     # of Hill's A is on the imaginary axis, so with Q = 0 their Riccati
@@ -113,7 +119,7 @@ class SdreOptions(LqrOptions):
     terms SDC1 keeps, at least 1."""
 
     kind: ClassVar[str] = "sdre"
-    bounds = {**_Weights.bounds, "series_order": (">=", 1)}
+    bounds = {**_Weights.bounds, "series_order": ((">=", 1),)}
     choices = {"variant": SDC_VARIANTS}
     variant: str = "SDC1"
     series_order: int = 4
@@ -125,17 +131,17 @@ class FsdreOptions(SdreOptions):
     weight, so q_weight defaults to, and may be, zero."""
 
     kind: ClassVar[str] = "fsdre"
-    bounds = {**SdreOptions.bounds, "q_weight": (">=", 0)}
+    bounds = {**SdreOptions.bounds, "q_weight": ((">=", 0),)}
     q_weight: float = 0.0
 
 
 @dataclass(frozen=True)
-class MpspOptions(_Options):
+class MpspOptions(Checked):
     """Discrete static programming: stop once the terminal baseline error
     is below tol_pct percent, or after max_iter corrections."""
 
     kind: ClassVar[str] = "mpsp"
-    bounds = {"r_weight": _POSITIVE, "tol_pct": _POSITIVE, "max_iter": (">=", 0)}
+    bounds = {"r_weight": _POSITIVE, "tol_pct": _POSITIVE, "max_iter": ((">=", 0),)}
     r_weight: float = CONTROL_WEIGHT
     tol_pct: float = 0.5
     max_iter: int = 10

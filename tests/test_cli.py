@@ -2,7 +2,7 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from formation_guidance.cli import (
 )
 from formation_guidance.dynamics import ChiefOrbit, FormationParams, GravityModel
 from formation_guidance.harness import Scenario
-from formation_guidance.options import CONTROLLER_OPTIONS, MpspOptions
+from formation_guidance.options import CONTROLLER_OPTIONS, FsdreOptions, MpspOptions
 
 MINIMAL = """\
 [chief]
@@ -56,6 +56,36 @@ def _scenario_from(text):
     return config_to_scenario(parse_config_text(text))
 
 
+def _declared_bounds():
+    """(section, horizon, key, comparison, bound) of every bound that the
+    class of a dataclass-backed section declares; [sdre] under both
+    horizons, since horizon = finite makes its class FsdreOptions."""
+    cases = []
+    for section, cls in cli._DATACLASSES.items():
+        classes = {"infinite": cls, **({"finite": FsdreOptions} if section == "sdre" else {})}
+        for horizon, c in classes.items():
+            cases += [(section, horizon, key, comparison, bound)
+                      for key, pairs in c.bounds.items() for comparison, bound in pairs]
+    return cases
+
+
+def _config_setting_last(section, horizon, key, value):
+    """A config whose last line sets ``key`` of ``section`` to ``value``;
+    the controller kind is that of an option section, else lqr."""
+    kind = section if section in cli._OPTION_SECTIONS else "lqr"
+    sections = {"chief": {"a": "10000"}, "initial": {"rho": "5"}, "desired": {"rho": "5"},
+                "run": {"tf": "600"}, "controller": {"kind": kind, "horizon": horizon}}
+    own = {k: v for k, v in sections.pop(section, {}).items() if k != key}
+    sections[section] = {**own, key: f"{value} rad" if key in cli.ANGLE_KEYS else str(value)}
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+# The value just outside, and one inside, each kind of bound.
+_OUTSIDE = {">": 0, ">=": -1, "<": 0}
+_INSIDE = {">": 1, ">=": 0, "<": -1}
+
+
 class TestParseConfig:
     def test_minimal_defaults(self):
         scn = _scenario_from(MINIMAL)
@@ -67,7 +97,7 @@ class TestParseConfig:
 
     def test_hyperbolic_eccentricity_rejected(self):
         text = MINIMAL.replace("a = 10000", "a = 10000\ne = 1.2")
-        with pytest.raises(ConfigError, match="eccentricity"):
+        with pytest.raises(ConfigError, match="^line 3: key 'e' must be < 1, got '1.2'$"):
             _scenario_from(text)
 
     def test_duplicate_key_rejected(self):
@@ -191,8 +221,48 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"line {line}: key '{key}' must be one of"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("section, horizon, key, comparison, bound", _declared_bounds())
+    def test_every_declared_bound_is_rejected_with_its_line(
+        self, section, horizon, key, comparison, bound
+    ):
+        """A value just outside a declared bound (0 for > 0, -1 for >= 0,
+        1 for < 1) fails with its own line number, and one inside parses;
+        [truth] checks the keys it sets, and inherits the rest from
+        [chief]."""
+        rejected = bound + _OUTSIDE[comparison]
+        text = _config_setting_last(section, horizon, key, rejected)
+        message = (f"line {len(text.splitlines())}: key '{key}' must be {comparison} {bound}, "
+                   f"got '{rejected}'")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text(text)
+        value = bound + _INSIDE[comparison]
+        scn = _scenario_from(_config_setting_last(section, horizon, key, value))
+        obj = {"chief": scn.chief, "truth": scn.truth_chief, "initial": scn.initial,
+               "desired": scn.desired}.get(section, scn.controller)
+        assert getattr(obj, key) == value
+        if section == "truth":
+            assert scn.truth_chief == replace(scn.chief, **{key: value})
+
+    def test_declared_bounds_cover_truth_and_the_finite_horizon(self):
+        cases = _declared_bounds()
+        assert ("truth", "infinite", "e", "<", 1) in cases
+        assert ("sdre", "finite", "q_weight", ">=", 0) in cases
+        assert ("sdre", "infinite", "q_weight", ">", 0) in cases
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("tf", "-10", "> 0"), ("tf", "0", "> 0"), ("tf", "nan", "finite"),
+        ("dt", "0", "> 0"), ("dt", "-1e-9", "> 0"), ("dt", "inf", "finite"),
+    ])
+    def test_run_time_not_finite_and_positive_rejected_with_line(self, key, value, what):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                      MINIMAL.replace("tf = 600", "tf = 600\ndt = 1"), flags=re.M)
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        message = f"^line {line}: key '{key}' must be {what}, got '{value}'$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
     @pytest.mark.parametrize("edit, message", [
-        (("a = 10000", "a = -5"), "semi-major axis"),
+        (("a = 10000", "a = -5"), "line 2: key 'a' must be > 0, got '-5'"),
         (("rho = 5", "rho = -1"), "rho"),
         (("tf = 600", "tf = 10\ndt = 3"), "integral number of dt steps"),
         (("tf = 600", "tf = 1\ndt = 3"), "integral number of dt steps"),
@@ -250,32 +320,37 @@ class TestRoundTrip:
 
 
 def _documented_sections():
-    """{section: (class name, keys, {key: words})} of every section that
-    the cli docstring lists as "[section]  Class: key, key = w1|w2, ..."."""
+    """{section: (class name or None, keys, {key: words})} of every
+    section that the cli docstring lists as "[section]  Class: key, key =
+    w1|w2, ..." or, for a section without a class, "[section]  key, ...";
+    a parenthesized note after a key or its words is dropped."""
     documented = {}
-    entries = re.findall(r"^  \[(\w+)\] +(\w+): (.*(?:\n {13}\S.*)*)", cli.__doc__, re.M)
+    entries = re.findall(r"^  \[(\w+)\] +(?:(\w+): )?(.*(?:\n {13}\S.*)*)", cli.__doc__, re.M)
     for section, class_name, body in entries:
+        assert section not in documented, section
         keys, words = [], {}
         for item in " ".join(body.split()).split(", "):
-            key, _, listed = item.removesuffix(" (required)").partition(" = ")
+            key, _, listed = re.sub(r" \(.*\)$", "", item).partition(" = ")
             keys.append(key)
             if listed:
                 words[key] = tuple(listed.split("|"))
-        documented[section] = (class_name, keys, words)
+        documented[section] = (class_name or None, keys, words)
     return documented
 
 
 class TestDocstring:
     def test_documented_keys_and_words_are_the_schema(self):
-        """The docstring, the config schema and the dataclass fields name
-        the same keys in the same order, and the same words."""
+        """The docstring lists every section of the config schema, with
+        the keys of the schema and the dataclass fields in their order,
+        and the same words."""
         documented = _documented_sections()
-        assert {"chief", "initial", *cli._OPTION_SECTIONS} <= set(documented)
+        assert set(documented) == set(cli._SCHEMA)
         for section, (class_name, keys, words) in documented.items():
-            cls = cli._DATACLASSES[section]
-            assert class_name == cls.__name__, section
+            cls = cli._DATACLASSES.get(section)
+            assert class_name == (cls and cls.__name__), section
             assert keys == list(cli._SCHEMA[section]), section
-            assert words == getattr(cls, "choices", {}), section
+            assert words == {key: cli._CHOICES[key] for key in keys if key in cli._CHOICES}, section
+            assert words == getattr(cls, "choices", words), section
 
 
 def _finite(lo=-1e6, hi=1e6):

@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,6 +620,26 @@ class TestHurwitzCertificate:
             assert numerics._certified(np.diag([2.0, 3.0]), 0.0, 20.0, weights)
             for P in (np.diag([2.0, -3.0]), np.diag([2.0, 0.0])):
                 assert not numerics._certified(P, 0.0, 20.0, weights)
+
+    def test_the_gufunc_is_numpys_on_the_recorded_stack(self):
+        """On the stack that ``data/preset_ledger.json`` records, the
+        certificate's ``P ≻ 0`` test is numpy's ``cholesky_lo`` gufunc.
+        The ``np.linalg.cholesky`` fallback gives the same answers, so
+        only this test sees a numpy that renames the gufunc: each warm
+        solve would then pay 3.9 µs for the test instead of 1.05 µs
+        (measured on x86_64 with numpy 2.4.6).  The other fallback of the warm step, scipy's LAPACK
+        through ``scipy.linalg`` in ``numerics.lapack()``, needs no pin
+        here: ``tests/test_imports.py`` fails when an SDRE run imports
+        ``scipy.linalg``."""
+        spec = importlib.util.spec_from_file_location(
+            "make_preset_ledger", Path(__file__).parent / "data" / "make_preset_ledger.py")
+        ledger_tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ledger_tool)
+        recorded = json.loads(ledger_tool.LEDGER.read_text(encoding="utf-8"))["stack"]
+        if recorded != ledger_tool.stack():
+            pytest.skip(f"ledger recorded on {recorded}, this stack is {ledger_tool.stack()}")
+        assert numerics._cholesky_lo is np.linalg._umath_linalg.cholesky_lo
+        assert numerics._cholesky_lo is not np.linalg.cholesky
 
     @pytest.mark.parametrize("min_eig_Q, certified", [(1.0, True), (1e-14, False), (0.0, False)])
     def test_rounding_margin_is_below_min_eig_q(self, min_eig_Q, certified):

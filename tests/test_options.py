@@ -1,6 +1,7 @@
-"""Every controller setting is declared once, on its options field: its
+"""Every config setting is declared once, on its dataclass field: its
 value is a number or a word, its class's ``bounds`` and ``choices`` say
-which values are legal, and construction checks them."""
+which values are legal, and construction checks them.  One checker
+serves the options classes, ``ChiefOrbit`` and ``FormationParams``."""
 
 import dataclasses
 import math
@@ -8,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from formation_guidance.dynamics import ChiefOrbit, FormationParams, GravityModel
+from formation_guidance.dynamics import ChiefOrbit, DynamicsError, FormationParams, GravityModel
 from formation_guidance.harness import Scenario
 from formation_guidance.options import (
     COMPARISONS,
@@ -20,14 +21,19 @@ from formation_guidance.options import (
     SdreOptions,
 )
 
+#: Every checked class, with values for its fields that have no default.
+CHECKED = {**{cls: {} for cls in CONTROLLER_OPTIONS.values()},
+           ChiefOrbit: {"a": 10000.0}, FormationParams: {"rho": 1.0}}
+
 BOUNDS = [(cls, name, comparison, bound)
-          for cls in CONTROLLER_OPTIONS.values()
-          for name, (comparison, bound) in cls.bounds.items()]
+          for cls in CHECKED
+          for name, pairs in cls.bounds.items()
+          for comparison, bound in pairs]
 CHOICES = [(cls, name, words)
-           for cls in CONTROLLER_OPTIONS.values()
+           for cls in CHECKED
            for name, words in cls.choices.items()]
 NUMBER_FIELDS = [(cls, f.name)
-                 for cls in CONTROLLER_OPTIONS.values()
+                 for cls in CHECKED
                  for f in dataclasses.fields(cls)
                  if f.name not in cls.choices and not isinstance(f.default, bool)]
 
@@ -35,39 +41,60 @@ NUMBER_FIELDS = [(cls, f.name)
 def _makers(cls):
     """Build ``cls`` with one field changed: by its constructor and by
     ``dataclasses.replace`` of its defaults."""
-    return (lambda **kw: cls(**kw), lambda **kw: dataclasses.replace(cls(), **kw))
+    required = CHECKED[cls]
+    return (lambda **kw: cls(**{**required, **kw}),
+            lambda **kw: dataclasses.replace(cls(**required), **kw))
 
 
 def _ids(params):
-    return [f"{p[0].kind}.{p[1]}" for p in params]
+    """``kind.field``, or ``Class.field`` for a class without a kind."""
+    return [f"{getattr(p[0], 'kind', p[0].__name__)}.{p[1]}" for p in params]
+
+
+# A field with several bounds has one case per bound.
+BOUND_IDS = [label + (f"{comparison}{bound}" if len(cls.bounds[name]) > 1 else "")
+             for label, (cls, name, comparison, bound) in zip(_ids(BOUNDS), BOUNDS)]
 
 
 def test_bounds_and_choices_are_those_of_the_config_grammar():
-    positive = (">", 0)
+    positive = ((">", 0),)
     assert LqrOptions.bounds == {"q_weight": positive, "r_weight": positive}
-    assert SdreOptions.bounds == {**LqrOptions.bounds, "series_order": (">=", 1)}
-    assert FsdreOptions.bounds == {**SdreOptions.bounds, "q_weight": (">=", 0)}
+    assert SdreOptions.bounds == {**LqrOptions.bounds, "series_order": ((">=", 1),)}
+    assert FsdreOptions.bounds == {**SdreOptions.bounds, "q_weight": ((">=", 0),)}
     assert MpspOptions.bounds == {"r_weight": positive, "tol_pct": positive,
-                                  "max_iter": (">=", 0)}
+                                  "max_iter": ((">=", 0),)}
     assert NnlqrOptions.bounds == {**LqrOptions.bounds, "r1": positive, "k_tau": positive,
                                    "beta": positive, "gamma": positive}
+    assert ChiefOrbit.bounds == {"a": positive, "e": ((">=", 0), ("<", 1))}
+    assert FormationParams.bounds == {"rho": ((">=", 0),)}
     assert SdreOptions.choices == FsdreOptions.choices == {"variant": ("SDC1", "SDC2")}
     assert NnlqrOptions.choices == {"basis": ("grid", "global")}
-    for cls in CONTROLLER_OPTIONS.values():
+    assert ChiefOrbit.choices == FormationParams.choices == {}
+    for cls in CHECKED:
         names = [f.name for f in dataclasses.fields(cls)]
         assert set(cls.bounds) <= set(names) and set(cls.choices) <= set(names)
+        assert {comparison for pairs in cls.bounds.values() for comparison, _ in pairs} <= set(
+            COMPARISONS)
 
 
-@pytest.mark.parametrize("cls, name, comparison, bound", BOUNDS, ids=_ids(BOUNDS))
+def test_dynamics_classes_raise_dynamics_error_and_options_value_error():
+    with pytest.raises(DynamicsError, match="^e must be < 1, got 1.0$"):
+        ChiefOrbit(a=10000.0, e=1.0)
+    with pytest.raises(DynamicsError, match="^rho must be finite, got nan$"):
+        FormationParams(rho=math.nan)
+    with pytest.raises(ValueError) as caught:
+        LqrOptions(q_weight=0.0)
+    assert type(caught.value) is ValueError
+
+
+@pytest.mark.parametrize("cls, name, comparison, bound", BOUNDS, ids=BOUND_IDS)
 def test_value_at_the_bound_follows_its_comparison(cls, name, comparison, bound):
-    step = 1 if isinstance(getattr(cls(), name), int) else 1e-9
+    step = 1 if isinstance(getattr(cls(**CHECKED[cls]), name), int) else 1e-9
+    accepted, rejected = {">": ([bound + step], bound), ">=": ([bound, bound + step], bound - step),
+                          "<": ([bound - step], bound)}[comparison]
     for make in _makers(cls):
-        assert getattr(make(**{name: bound + step}), name) == bound + step
-        if comparison == ">=":
-            assert getattr(make(**{name: bound}), name) == bound
-            rejected = bound - step
-        else:
-            rejected = bound
+        for value in accepted:
+            assert getattr(make(**{name: value}), name) == value
         assert not COMPARISONS[comparison](rejected, bound)
         with pytest.raises(ValueError,
                            match=f"^{name} must be {comparison} {bound}, got {rejected!r}$"):
